@@ -12,23 +12,13 @@
 //!
 //! Record payloads are opaque experiment-defined lines. Floating-point
 //! values inside them should use the exact bit-level codec
-//! ([`enc_f64`] / [`dec_f64`]) so a resumed run merges byte-identical
-//! artifacts to a fresh one.
+//! ([`ba_net::codec`]) so a resumed run merges byte-identical artifacts
+//! to a fresh one.
 
+use ba_net::codec::{dec_f64, enc_f64, write_atomic};
 use std::collections::BTreeSet;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
-
-/// Exact, locale-free `f64` encoding: the IEEE-754 bit pattern in hex.
-/// `dec_f64(&enc_f64(x)) == Some(x)` for every value including NaNs.
-pub fn enc_f64(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
-
-/// Inverse of [`enc_f64`].
-pub fn dec_f64(s: &str) -> Option<f64> {
-    u64::from_str_radix(s.trim(), 16).ok().map(f64::from_bits)
-}
 
 /// Encodes a curve as `;`-joined exact floats.
 pub fn enc_curve(curve: &[f64]) -> String {
@@ -45,18 +35,6 @@ pub fn dec_curve(s: &str) -> Option<Vec<f64>> {
         return Some(Vec::new());
     }
     s.split(';').map(dec_f64).collect()
-}
-
-/// Writes `contents` to `path` atomically: temp file in the same
-/// directory, flush, then rename over the destination.
-pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(contents.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
 }
 
 /// The per-experiment cell artifact directory.
@@ -241,24 +219,6 @@ fn json_usize_array(text: &str, key: &str) -> Option<BTreeSet<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn f64_codec_is_exact() {
-        for x in [
-            0.0,
-            -0.0,
-            1.5,
-            -3.25e-17,
-            f64::NAN,
-            f64::INFINITY,
-            f64::MIN_POSITIVE,
-            std::f64::consts::PI,
-        ] {
-            let back = dec_f64(&enc_f64(x)).unwrap();
-            assert_eq!(back.to_bits(), x.to_bits(), "{x}");
-        }
-        assert_eq!(dec_f64("zz"), None);
-    }
 
     #[test]
     fn curve_codec_roundtrip() {

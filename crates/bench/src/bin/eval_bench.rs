@@ -108,7 +108,7 @@ fn main() {
         println!("full refit:         {:>10.3} ms", full_s * 1e3);
         println!("speedup:            {speedup:>10.2}x (gate: ≥{REQUIRED_SPEEDUP}x)");
     }
-    ba_bench::report::BenchReport::new("eval")
+    ba_net::BenchReport::new("eval")
         .metric("n", n as f64, "count")
         .metric("m", g.num_edges() as f64, "count")
         .metric("budget", budget as f64, "count")

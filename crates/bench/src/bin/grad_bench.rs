@@ -94,7 +94,7 @@ fn main() {
         println!("dense  assembly: {:>10.3} ms", dense_s * 1e3);
         println!("speedup:         {speedup:>10.2}x (gate: ≥{REQUIRED_SPEEDUP}x)");
     }
-    ba_bench::report::BenchReport::new("grad")
+    ba_net::BenchReport::new("grad")
         .metric("n", n as f64, "count")
         .metric("m", g.num_edges() as f64, "count")
         .metric("pairs", candidates.len() as f64, "count")

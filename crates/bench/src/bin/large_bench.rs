@@ -25,9 +25,9 @@
 //! PATH` writes the `BENCH_large.json` perf-trend artifact.
 
 use ba_bench::graphstore;
-use ba_bench::report::BenchReport;
 use ba_graph::compact::from_edge_stream;
 use ba_graph::{generators, CsrGraph, CsrGraph32, GraphView};
+use ba_net::BenchReport;
 use ba_stream::{synthetic_stream, StreamConfig, StreamEngine};
 use std::time::Instant;
 

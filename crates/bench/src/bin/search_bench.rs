@@ -208,7 +208,7 @@ fn main() {
         "run-outcome memo: {} hits / {} misses",
         stats.outcome_hits, stats.outcome_misses
     );
-    ba_bench::report::BenchReport::new("search")
+    ba_net::BenchReport::new("search")
         .metric("n", n as f64, "count")
         .metric("m", g.num_edges() as f64, "count")
         .metric("target_sets", num_target_sets as f64, "count")

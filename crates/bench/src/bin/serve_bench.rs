@@ -17,8 +17,8 @@
 //! `--json PATH` records the result in the unified perf-trend schema
 //! (`BENCH_serve.json`).
 
-use ba_bench::report::BenchReport;
 use ba_graph::generators;
+use ba_net::BenchReport;
 use ba_serve::{Connection, Request, Response, ServeConfig, Server, LATEST};
 use ba_stream::{synthetic_stream, StreamConfig, StreamEngine};
 use std::time::Instant;

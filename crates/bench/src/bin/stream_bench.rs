@@ -20,9 +20,9 @@
 //! `--json PATH` records the result for the perf-trend pipeline
 //! (`BENCH_stream.json`).
 
-use ba_bench::report::BenchReport;
 use ba_graph::egonet::egonet_features;
 use ba_graph::generators;
+use ba_net::BenchReport;
 use ba_oddball::OddBall;
 use ba_stream::{synthetic_stream, StreamConfig, StreamEngine, StreamEvent};
 use std::time::Instant;

@@ -4,13 +4,14 @@
 //! splitting them would re-run the attack per group. Parallelism comes
 //! from pooling this cell with other experiments' cells in `run_all`.
 
-use crate::artifact::{dec_curve, enc_curve, enc_f64};
+use crate::artifact::{dec_curve, enc_curve};
 use crate::experiments::{corrupt, dec_field};
 use crate::runner::{CellCtx, DatasetSpec, Experiment};
 use crate::{f4, BenchError, ExpOptions};
 use ba_core::{AttackConfig, AttackOutcome, BinarizedAttack, StructuralAttack};
 use ba_datasets::Dataset;
 use ba_graph::{DeltaOverlay, EditableGraph, NodeId};
+use ba_net::codec::enc_f64;
 use ba_oddball::OddBall;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -304,7 +305,7 @@ impl Experiment for Fig6Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::enc_f64;
+    use ba_net::codec::enc_f64;
 
     fn opts(tag: &str) -> ExpOptions {
         let dir = std::env::temp_dir().join("ba_fig6_failpath").join(tag);

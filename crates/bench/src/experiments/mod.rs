@@ -27,7 +27,7 @@ pub(crate) fn corrupt(exp: &str, detail: impl Into<String>) -> crate::BenchError
 /// Decodes one exact-bits float field of a cell record, naming the
 /// field and raw payload on failure.
 pub(crate) fn dec_field(exp: &str, what: &str, s: &str) -> Result<f64, crate::BenchError> {
-    crate::artifact::dec_f64(s).ok_or_else(|| corrupt(exp, format!("{what}: {s:?}")))
+    ba_net::codec::dec_f64(s).ok_or_else(|| corrupt(exp, format!("{what}: {s:?}")))
 }
 
 pub use fig4::{Fig4Experiment, Fig4Method, Fig4Panel};

@@ -4,7 +4,6 @@
 //! are shared by all ten evaluation budgets, so a finer decomposition
 //! would re-train GAL per budget.
 
-use crate::artifact::enc_f64;
 use crate::experiments::{corrupt, dec_field};
 use crate::runner::{CellCtx, DatasetSpec, Experiment};
 use crate::{BenchError, ExpOptions};
@@ -14,6 +13,7 @@ use ba_gad::{
     evaluate_system, identify_targets, pipeline::delta_b, pipeline::oddball_labels,
     train_test_split, GadSystem, GalConfig, TransferConfig,
 };
+use ba_net::codec::enc_f64;
 
 const DATASETS: [Dataset; 2] = [Dataset::BitcoinAlpha, Dataset::Wikivote];
 const MAX_PCT: f64 = 2.0;

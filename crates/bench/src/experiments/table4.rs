@@ -3,7 +3,6 @@
 //! [`crate::experiments::table3`]; budgets are absolute edge counts as
 //! in the paper's table.
 
-use crate::artifact::enc_f64;
 use crate::experiments::{corrupt, dec_field};
 use crate::runner::{CellCtx, DatasetSpec, Experiment};
 use crate::{BenchError, ExpOptions};
@@ -13,6 +12,7 @@ use ba_gad::{
     evaluate_system, identify_targets, pipeline::delta_b, pipeline::oddball_labels,
     train_test_split, GadSystem, RefexConfig, TransferConfig,
 };
+use ba_net::codec::enc_f64;
 
 const GRID: [(Dataset, usize, usize); 2] =
     [(Dataset::BitcoinAlpha, 50, 5), (Dataset::Wikivote, 100, 10)];

@@ -4,7 +4,7 @@
 //! A [`ba_graph::CsrGraph32`] is split into fixed-size node ranges and
 //! written as one text file per range plus a JSON manifest, all through
 //! the same atomic-rename codec the experiment artifact layer uses
-//! ([`crate::artifact::write_atomic`], with the manifest's `edge_hash`
+//! ([`ba_net::codec::write_atomic`], with the manifest's `edge_hash`
 //! in the exact 16-hex-digit bit encoding of [`crate::artifact`]). The
 //! layout lets a consumer walk a graph far larger than it wants resident
 //! one chunk at a time ([`read_chunk_rows`]), while the full reader
@@ -34,7 +34,8 @@ use std::path::{Path, PathBuf};
 use ba_graph::compact::{from_edge_stream, CompactError};
 use ba_graph::{zobrist, CsrGraph32, GraphView, NodeId};
 
-use crate::artifact::{json_str_field, json_usize_field, write_atomic};
+use crate::artifact::{json_str_field, json_usize_field};
+use ba_net::codec::write_atomic;
 
 /// Manifest of a chunked graph store.
 #[derive(Debug, Clone, PartialEq, Eq)]

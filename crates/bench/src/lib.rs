@@ -1,18 +1,21 @@
 //! # ba-bench
 //!
 //! Experiment harness for the BinarizedAttack reproduction: one binary
-//! per paper table/figure (see DESIGN.md §5 for the index) plus Criterion
-//! micro-benchmarks. This library holds the shared plumbing: CLI flags,
-//! target sampling (paper Sec. VIII-A3), attack-curve averaging, CSV
-//! emission under `target/experiments/`, and — since the orchestrator
-//! rework — the deterministic parallel [`runner`] with its durable
-//! [`artifact`] layer and the runner-ported [`experiments`].
+//! per paper table/figure (see DESIGN.md §5 for the index), every perf
+//! gate binary (`grad_bench`, `eval_bench`, `search_bench`,
+//! `stream_bench`, `serve_bench`, `large_bench`), plus Criterion
+//! micro-benchmarks. The engine and service crates sit below this one
+//! and share only the leaf [`ba_net`] codec with it, so the gates that
+//! drive them live here too. This library holds the shared plumbing:
+//! CLI flags, target sampling (paper Sec. VIII-A3), attack-curve
+//! averaging, CSV emission under `target/experiments/`, and — since the
+//! orchestrator rework — the deterministic parallel [`runner`] with its
+//! durable [`artifact`] layer and the runner-ported [`experiments`].
 
 pub mod artifact;
 pub mod distrib;
 pub mod experiments;
 pub mod graphstore;
-pub mod report;
 pub mod runner;
 
 use ba_core::{AttackOutcome, StructuralAttack};

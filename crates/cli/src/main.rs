@@ -364,7 +364,7 @@ fn cmd_gen_stream(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_stream(flags: &Flags) -> Result<(), String> {
-    use ba_stream::snapshot::enc_f64;
+    use ba_net::codec::enc_f64;
     use ba_stream::{load_events, StreamConfig, StreamEngine};
 
     let events_path = flags.require("events")?;

@@ -6,11 +6,10 @@ use crate::pair::{CandidateScope, EdgeOpKind};
 use ba_graph::egonet::IncrementalEgonet;
 use ba_graph::{CsrGraph, DeltaOverlay, EdgeOp, EditableGraph, Graph, GraphView, NodeId};
 use ba_oddball::{FitError, IncrementalFit, OddBall, OddBallModel};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Configuration shared by all structural attacks.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AttackConfig {
     /// Which pairs the optimiser may touch.
     pub scope: CandidateScope,
@@ -138,7 +137,7 @@ impl std::error::Error for CurveError {
 /// Greedy attacks produce nested (prefix) op sets; BinarizedAttack and
 /// ContinuousA may produce unrelated sets per budget — hence the explicit
 /// per-budget storage.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AttackOutcome {
     /// Attack name (for reports).
     pub name: String,

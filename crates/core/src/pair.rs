@@ -2,12 +2,11 @@
 //! edge-operation masks.
 
 use ba_graph::{GraphView, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Which edge operations the attacker may perform. Fig. 5 of the paper
 /// demonstrates all three regimes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EdgeOpKind {
     /// Add and delete edges (the default threat model).
     Both,
@@ -37,7 +36,7 @@ impl EdgeOpKind {
 /// through the global regression, so restricting to `TargetNeighborhood`
 /// is a cheap approximation we expose for large graphs and for the
 /// scoping ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CandidateScope {
     /// All `n(n−1)/2` unordered pairs.
     Full,

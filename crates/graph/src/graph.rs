@@ -1,7 +1,6 @@
 //! The core undirected simple graph type.
 
 use crate::view::{EditableGraph, GraphView};
-use serde::{Deserialize, Serialize};
 
 /// Node identifier. Graphs in the paper's evaluation have ~1000 nodes, so
 /// `u32` is ample and keeps adjacency lists compact.
@@ -9,7 +8,7 @@ pub type NodeId = u32;
 
 /// An edge flip operation: which unordered pair, and whether the edge was
 /// added or removed. Attack results are reported as lists of `EdgeOp`s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EdgeOp {
     /// Smaller endpoint of the unordered pair.
     pub u: NodeId,
@@ -35,7 +34,7 @@ impl EdgeOp {
 /// the sorted-merge kernels, and `O(d)` insertion — cheap at the degrees
 /// the paper's sparse graphs exhibit. Frozen read-optimised snapshots are
 /// provided by [`crate::CsrGraph`]; both satisfy [`GraphView`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     adj: Vec<Vec<NodeId>>,
     num_edges: usize,

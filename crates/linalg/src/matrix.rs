@@ -1,6 +1,5 @@
 //! Dense row-major `f64` matrix with blocked multiplication.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
@@ -9,7 +8,7 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 /// The storage is a single contiguous `Vec<f64>` of length `rows * cols`,
 /// which keeps row traversals cache-friendly; the blocked [`Matrix::matmul`]
 /// kernel exploits this layout.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -1,11 +1,10 @@
 //! Dense `f64` vector with the handful of BLAS-1 operations the workspace
 //! needs.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Index, IndexMut};
 
 /// A dense vector of `f64` values.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Vector(Vec<f64>);
 
 impl Vector {

@@ -13,6 +13,7 @@ pub mod baseline;
 pub mod lexer;
 pub mod rules;
 
+use ba_net::BenchReport;
 use rules::{FileContext, PragmaError, Rule, Violation, ALL_RULES};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -180,75 +181,35 @@ impl LintReport {
         map
     }
 
-    /// Renders the `BenchReport`-schema JSON summary (schema 1, bench
-    /// `"lint"`), so CI can upload the violation-count trajectory next
-    /// to the `BENCH_*.json` perf artifacts. Kept format-compatible by
-    /// `tests/fixtures.rs::json_matches_bench_report_schema`.
+    /// Renders the [`BenchReport`] JSON summary (bench `"lint"`), so CI
+    /// can upload the violation-count trajectory next to the
+    /// `BENCH_*.json` perf artifacts.
     pub fn to_bench_json(&self) -> String {
-        let mut metrics: Vec<(String, f64)> = Vec::new();
         let counts = self.counts();
+        let mut report = BenchReport::new("lint");
         for rule in ALL_RULES {
             let total: usize = counts
                 .iter()
                 .filter(|((r, _), _)| *r == rule)
                 .map(|(_, c)| *c)
                 .sum();
-            metrics.push((format!("{}_total", metric_name(rule.key())), total as f64));
+            let name = format!("{}_total", metric_name(rule.key()));
+            report = report.metric(&name, total as f64, "count");
         }
         for ((rule, krate), count) in &counts {
-            metrics.push((
-                format!("{}_{}", metric_name(rule.key()), metric_name(krate)),
-                *count as f64,
-            ));
+            let name = format!("{}_{}", metric_name(rule.key()), metric_name(krate));
+            report = report.metric(&name, *count as f64, "count");
         }
-        metrics.push((
-            "suppressed_total".to_string(),
-            self.suppressed_count() as f64,
-        ));
-        metrics.push(("files_scanned".to_string(), self.files_scanned as f64));
-
-        let mut out = String::from("{\"schema\":1,\"bench\":\"lint\",\"commit\":\"");
-        out.push_str(&json_escape(&commit()));
-        out.push_str("\",\"metrics\":[");
-        for (i, (name, value)) in metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"metric\":\"");
-            out.push_str(&json_escape(name));
-            out.push_str("\",\"value\":");
-            out.push_str(&format!("{value}"));
-            out.push_str(",\"unit\":\"count\"}");
-        }
-        out.push_str("]}\n");
-        out
+        report
+            .metric("suppressed_total", self.suppressed_count() as f64, "count")
+            .metric("files_scanned", self.files_scanned as f64, "count")
+            .to_json()
     }
 }
 
 /// `panic-path` → `panic_path`, `ba-core` → `ba_core`.
 fn metric_name(s: &str) -> String {
     s.replace('-', "_")
-}
-
-/// Mirrors `ba_bench::report`: the trend axis comes from CI's commit
-/// env, else stays a fixed placeholder so output is deterministic.
-fn commit() -> String {
-    std::env::var("BA_BENCH_COMMIT")
-        .or_else(|_| std::env::var("GITHUB_SHA"))
-        .unwrap_or_else(|_| "unknown".to_string())
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A failure that stops the lint run itself (bad workspace layout or

@@ -122,7 +122,7 @@ fn json_matches_bench_report_schema() {
     std::env::set_var("BA_BENCH_COMMIT", "cafef00d");
     let json = lint_fixture().to_bench_json();
     std::env::remove_var("BA_BENCH_COMMIT");
-    // Same envelope as ba_bench::report::BenchReport::to_json.
+    // The shared ba_net::BenchReport envelope.
     assert!(
         json.starts_with("{\"schema\":1,\"bench\":\"lint\",\"commit\":\"cafef00d\",\"metrics\":[")
     );

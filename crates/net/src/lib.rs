@@ -1,7 +1,9 @@
 //! # ba-net
 //!
-//! Shared network plumbing for every wire-speaking crate in the
-//! workspace. Two layers, both dependency-free:
+//! The workspace's leaf I/O crate: the byte formats every crate that
+//! talks to a socket or persists a file shares. Dependency-free, so the
+//! engine and service crates can use it without pulling in the
+//! experiment harness. Four modules:
 //!
 //! * [`frame`] — length-prefixed binary framing (a little-endian `u64`
 //!   payload length, then the payload). The reader distinguishes clean
@@ -14,9 +16,17 @@
 //!   string lists) over a byte buffer, with strict truncation and
 //!   trailing-byte detection. Protocol crates build their typed
 //!   encode/decode on these so every message round-trips exactly.
+//! * [`codec`] — the exact IEEE-754 hex text codec for floats and
+//!   atomic (temp file + rename) writes, shared by experiment
+//!   artifacts, engine snapshots, the graph store and transcripts.
+//! * [`report`] — the one `BENCH_*.json` perf-trend schema every gate
+//!   binary and the linter emit.
 
+pub mod codec;
 pub mod frame;
+pub mod report;
 pub mod wire;
 
 pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};
+pub use report::BenchReport;
 pub use wire::{WireReader, WireWriter};

@@ -1,7 +1,8 @@
 //! One schema for every `BENCH_*.json` perf-trend artifact.
 //!
-//! The perf-gate binaries (`grad_bench`, `eval_bench`, `stream_bench`,
-//! `serve_bench`) each measure different things, but the CI trend
+//! The perf-gate binaries (`grad_bench`, `eval_bench`, `search_bench`,
+//! `stream_bench`, `serve_bench`, `large_bench`, all in `ba-bench`) and
+//! `ba-lint --json` each measure different things, but the CI trend
 //! pipeline wants to plot them uniformly: a bench name, a commit, and a
 //! flat list of `(metric, value, unit)` triples. [`BenchReport`] is
 //! that record; [`BenchReport::write_if_requested`] is the shared
@@ -24,7 +25,7 @@
 //! `BA_BENCH_COMMIT` override, else `"unknown"` — the emitting binary
 //! stays deterministic for a fixed environment.
 
-use crate::artifact::write_atomic;
+use crate::codec::write_atomic;
 use std::path::Path;
 
 /// One measured quantity.
@@ -139,7 +140,7 @@ fn escape(s: &str) -> String {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
             c => out.push(c),
         }
     }

@@ -6,10 +6,9 @@ use crate::score::surrogate_score;
 use ba_graph::egonet::{egonet_features, EgonetFeatures};
 use ba_graph::{GraphView, NodeId};
 use ba_linalg::Ols2Error;
-use serde::{Deserialize, Serialize};
 
 /// Which estimator fits the Egonet Density Power Law.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Regressor {
     /// Ordinary least squares — the paper's default target (Eq. (2)).
     Ols,

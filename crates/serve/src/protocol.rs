@@ -23,7 +23,7 @@
 //! step records and replays.
 
 use ba_graph::NodeId;
-use ba_stream::snapshot::enc_f64;
+use ba_net::codec::enc_f64;
 use ba_stream::StreamEvent;
 
 /// Epoch pin meaning "the latest published epoch".

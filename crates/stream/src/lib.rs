@@ -19,13 +19,13 @@
 //!   byte-identical at any shard count;
 //! * **Bit-exact resume** — [`StreamEngine::save_snapshot`] /
 //!   [`StreamEngine::restore_snapshot`] (atomic rename + exact IEEE-754
-//!   text codec, reused from `ba_bench::artifact`) let a killed stream
+//!   text codec, from the leaf [`ba_net::codec`]) let a killed stream
 //!   continue with byte-identical future output, including compaction
 //!   timing;
 //! * **O(batch) steady state** — overlay compaction
 //!   ([`DeltaOverlay::compact`](ba_graph::DeltaOverlay::compact)) folds
 //!   accumulated edits into a fresh frozen base before overlay overhead
-//!   degrades ingest (the `stream_bench` bin gates ≥5× sustained
+//!   degrades ingest (`ba-bench`'s `stream_bench` bin gates ≥5× sustained
 //!   throughput against a per-batch full refit).
 //!
 //! ## Example

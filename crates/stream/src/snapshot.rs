@@ -1,6 +1,6 @@
 //! Bit-exact engine snapshots: a killed stream resumes byte-identically.
 //!
-//! The snapshot reuses `ba_bench::artifact`'s durability primitives —
+//! The snapshot uses the leaf [`ba_net::codec`] durability primitives —
 //! [`write_atomic`] (temp file + rename, so a crash mid-save never
 //! leaves a torn snapshot visible) and the exact IEEE-754 text codec
 //! ([`enc_f64`]/[`dec_f64`]) for every float. The overlay's dirty rows
@@ -16,11 +16,8 @@
 //! is verified against the re-derived fit as an integrity check).
 
 use crate::{StreamConfig, StreamEngine};
-// Re-exported so downstream consumers (the CLI's exact-score output)
-// can use the snapshot's float codec without a ba-bench dependency.
-use ba_bench::artifact::write_atomic;
-pub use ba_bench::artifact::{dec_f64, enc_f64};
 use ba_graph::{Graph, GraphView, NodeId, OverlayEdits};
+use ba_net::codec::{dec_f64, enc_f64, write_atomic};
 use ba_oddball::Regressor;
 use std::path::Path;
 
