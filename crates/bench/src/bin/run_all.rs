@@ -10,7 +10,8 @@
 //! atomically (an interrupted run resumes with `--resume`), and the
 //! merged CSVs are byte-identical at any `--threads` value. The
 //! remaining scalar/diagnostic binaries (table1, fig2, fig7_table2,
-//! fig8_fig9, fig10, ablation) then run as child processes, as before.
+//! fig8_fig9, fig10, ablation, defense_extension) then run as child
+//! processes, as before.
 
 use ba_bench::experiments::{
     Fig4Experiment, Fig5Experiment, Fig6Experiment, Table3Experiment, Table4Experiment,
@@ -46,6 +47,7 @@ fn main() {
         "fig8_fig9",
         "fig10",
         "ablation",
+        "defense_extension",
     ];
     let exe_dir = std::env::current_exe()
         .expect("current exe path")

@@ -10,8 +10,8 @@
 //! cold path runs the exact same two passes on an unmemoized session,
 //! so the only variable is the memo. Pass 2 exercises the whole cache
 //! hierarchy top down: run-outcome replay for repeated cells, then the
-//! node-grads slots, the assembly LRU, and the transposition table
-//! within passes, across budget steps, λ restarts, and retargets.
+//! node-grads LRU, the assembly LRU, and the loss table within passes,
+//! across budget steps, λ restarts, and retargets.
 //!
 //! Before any timing is reported the two paths are checked for **bit
 //! identity**: ops, per-budget losses, and loss trajectories must match
@@ -21,7 +21,7 @@
 //! Exits non-zero if the memoized path is less than 2× faster end to
 //! end — the CI perf gate for this optimisation. `--quick` shrinks the
 //! workload (CI), `--json` writes `BENCH_search.json` with the timing
-//! and the transposition-table hit/miss/eviction counters.
+//! and every tier's hit/miss counters, plus the loss table's evictions.
 
 use ba_core::{
     AttackConfig, AttackOutcome, AttackSession, BinarizedAttack, GradMaxSearch, StructuralAttack,
@@ -181,28 +181,22 @@ fn main() {
     );
 
     let speedup = cold_s / memo_s;
-    let tt = stats.table;
+    let loss_table = stats.table;
     println!("cold  sweep: {:>10.3} ms", cold_s * 1e3);
     println!("memo  sweep: {:>10.3} ms", memo_s * 1e3);
     println!("speedup:     {speedup:>10.2}x (gate: ≥{REQUIRED_SPEEDUP}x)");
     println!(
-        "tt: {} hits / {} misses ({:.1}% hit rate), {} stores, {} evictions, capacity {}",
-        tt.hits,
-        tt.misses,
-        100.0 * tt.hit_rate(),
-        tt.stores,
-        tt.evictions,
-        tt.capacity
+        "ng LRU: {} hits / {} misses; assembly LRU: {} hits / {} misses",
+        stats.ng_hits, stats.ng_misses, stats.grads_hits, stats.grads_misses
     );
     println!(
-        "ng cache: {} hits / {} misses; assembly LRU: {} hits / {} misses; \
-         loss memo: {} hits / {} misses",
-        stats.ng_hits,
-        stats.ng_misses,
-        stats.grads_hits,
-        stats.grads_misses,
-        stats.loss_hits,
-        stats.loss_misses
+        "loss table: {} hits / {} misses ({:.1}% hit rate), {} stores, {} evictions, capacity {}",
+        loss_table.hits,
+        loss_table.misses,
+        100.0 * loss_table.hit_rate(),
+        loss_table.stores,
+        loss_table.evictions,
+        loss_table.capacity
     );
     println!(
         "run-outcome memo: {} hits / {} misses",
@@ -217,14 +211,14 @@ fn main() {
         .metric("cold_s", cold_s, "s")
         .metric("memo_s", memo_s, "s")
         .metric("speedup", speedup, "x")
-        .metric("tt_hits", tt.hits as f64, "count")
-        .metric("tt_misses", tt.misses as f64, "count")
-        .metric("tt_hit_rate", tt.hit_rate(), "ratio")
-        .metric("tt_evictions", tt.evictions as f64, "count")
         .metric("ng_hits", stats.ng_hits as f64, "count")
+        .metric("ng_misses", stats.ng_misses as f64, "count")
         .metric("grads_hits", stats.grads_hits as f64, "count")
         .metric("grads_misses", stats.grads_misses as f64, "count")
-        .metric("loss_hits", stats.loss_hits as f64, "count")
+        .metric("loss_hits", loss_table.hits as f64, "count")
+        .metric("loss_misses", loss_table.misses as f64, "count")
+        .metric("loss_hit_rate", loss_table.hit_rate(), "ratio")
+        .metric("loss_evictions", loss_table.evictions as f64, "count")
         .metric("outcome_hits", stats.outcome_hits as f64, "count")
         .metric("outcome_misses", stats.outcome_misses as f64, "count")
         .write_if_requested(&args)

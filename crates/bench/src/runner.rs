@@ -344,8 +344,8 @@ impl<'p> CellCtx<'p, '_> {
                 Ok(session)
             }
             std::collections::btree_map::Entry::Vacant(v) => Ok(v.insert(
-                // One transposition table per worker session: it is
-                // keyed by (edge set ⊕ target set), so it survives the
+                // One search memo per worker session: it is keyed by
+                // (edge set ⊕ target set), so it survives the
                 // retargets between cells and stays useful across the
                 // whole sweep. Memoization is result-transparent —
                 // cell fingerprints are unchanged.

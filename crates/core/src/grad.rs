@@ -357,51 +357,6 @@ fn combine_chunk(
     });
 }
 
-/// Per-pair merge assembly over an *explicit list* of candidate
-/// indices — the transposition table's miss list. `vals[k]` receives
-/// [`pair_grad`] for the pair at `indices[k]`; chunks of the list are
-/// evaluated on scoped threads. Because each value is the same
-/// `pair_grad` the masked assembly computes (both strategies are
-/// bit-identical to it), mixing cached and freshly-computed entries
-/// can never change a result, only its cost.
-///
-/// The miss list is also where the PV-ordering story pays off in the
-/// assembly itself: cold candidates are packed contiguously (ascending
-/// index) instead of being scattered through a mostly-cached mask, so
-/// the threads each walk a dense span of real work.
-pub fn pair_grads_for_indices<V: GraphView + Sync + ?Sized>(
-    g: &V,
-    ng: &NodeGrads,
-    candidates: &Candidates,
-    indices: &[u32],
-    threads: usize,
-    vals: &mut [f64],
-) {
-    let len = indices.len();
-    assert_eq!(vals.len(), len, "values length mismatch");
-    if len == 0 {
-        return;
-    }
-    let fill = |idx_chunk: &[u32], val_chunk: &mut [f64]| {
-        for (k, &idx) in idx_chunk.iter().enumerate() {
-            let (i, j) = candidates.pair(idx as usize);
-            val_chunk[k] = pair_grad(g, ng, i, j);
-        }
-    };
-    let threads = resolve_threads(threads).min(len);
-    if threads <= 1 || len < 1024 {
-        fill(indices, vals);
-        return;
-    }
-    let chunk = len.div_ceil(threads);
-    let fill = &fill;
-    std::thread::scope(|scope| {
-        for (idx_chunk, val_chunk) in indices.chunks(chunk).zip(vals.chunks_mut(chunk)) {
-            scope.spawn(move || fill(idx_chunk, val_chunk));
-        }
-    });
-}
-
 /// Allocating convenience wrapper around [`assemble_pair_grads_into`].
 pub fn assemble_pair_grads<V: GraphView + Sync + ?Sized>(
     g: &V,
@@ -591,26 +546,6 @@ mod tests {
                 &mut Vec::new(),
             );
             assert_eq!(via_merge, via_scatter, "scope {scope:?}");
-        }
-    }
-
-    #[test]
-    fn list_assembly_matches_masked_assembly_bitwise() {
-        let g = generators::barabasi_albert(90, 4, 17);
-        let (n, e) = feature_vectors(&g);
-        let targets = [2u32, 9];
-        let ng = node_grads(&n, &e, &targets).unwrap();
-        let candidates = Candidates::build(CandidateScope::Full, &g, &targets);
-        let mask = vec![true; candidates.len()];
-        let full = assemble_pair_grads(&g, &ng, &candidates, &mask, 1);
-        // A scattered subset of indices, assembled as an explicit list.
-        let indices: Vec<u32> = (0..candidates.len() as u32).step_by(3).collect();
-        for threads in [1usize, 4] {
-            let mut vals = vec![0.0; indices.len()];
-            pair_grads_for_indices(&g, &ng, &candidates, &indices, threads, &mut vals);
-            for (k, &idx) in indices.iter().enumerate() {
-                assert_eq!(vals[k], full[idx as usize], "idx {idx} threads {threads}");
-            }
         }
     }
 

@@ -23,10 +23,14 @@
 //!   which absorbs the PGD tail where the re-binarised graph cycles
 //!   through a handful of states;
 //! * an LRU of recent [`NodeGrads`] forward passes;
-//! * a bounded per-candidate [`TransTable`] of pair-gradient and loss
-//!   evaluations, the second chance for states whose full vector has
-//!   aged out of the LRU (λ restarts from the clean graph, long-period
-//!   revisits, budget-extraction replays).
+//! * a bounded state-keyed [`TransTable`] of surrogate losses;
+//! * an LRU of whole-run [`AttackOutcome`]s, so a suite that repeats a
+//!   search cell replays it instead of re-searching.
+//!
+//! An assembly that misses its LRU is computed in full. No
+//! per-candidate table sits in between: on traced attack runs such a
+//! tier stored about thirteen values for every one it answered
+//! (DESIGN.md §9).
 //!
 //! The memo is *transparent*: every cached value was produced by the
 //! exact code path that would otherwise run, so cached and uncached
@@ -35,23 +39,19 @@
 //! ([`AttackSession::with_memo`] opts in).
 
 use crate::attack::{validate_targets, AttackError, AttackOutcome};
-use crate::grad::{
-    assemble_pair_grads_with_scratch, node_grads, pair_grads_for_indices, NodeGrads,
-};
+use crate::grad::{assemble_pair_grads_with_scratch, node_grads, NodeGrads};
 use crate::loss::surrogate_loss_from_features;
 use crate::pair::Candidates;
 use crate::tt::{TransTable, TtStats};
 use ba_graph::egonet::{EgonetFeatures, IncrementalEgonet};
 use ba_graph::zobrist::splitmix64;
-use ba_graph::{CsrGraph, DeltaOverlay, EdgeOp, GraphView, NodeId};
+use ba_graph::{CsrGraph, DeltaOverlay, EdgeOp, NodeId};
 
 /// Seed for the target-set fold in [`target_set_hash`]. Fixed — part of
 /// the determinism contract, like [`ba_graph::zobrist::EDGE_KEY_SEED`].
 const TARGET_HASH_SEED: u64 = 0x51_7cc1_b727_2209;
 
-/// Reserved slot code for state-level *loss* entries in the
-/// transposition table, disjoint from candidate indices (which are
-/// bounded by the pair-space size, far below `u64::MAX`).
+/// Code folded with the state hash into each loss-table key.
 const LOSS_CODE: u64 = u64::MAX;
 
 /// Hash of a target list: a sequential SplitMix64 fold, so it is
@@ -79,16 +79,9 @@ const GRADS_CACHE_BYTES: usize = 12 << 20;
 /// period extra depth stops paying).
 const GRADS_SLOTS_MAX: usize = 24;
 
-/// Probes sampled from the transposition table before committing to the
-/// per-candidate walk: a state whose full vector aged out of the LRU
-/// answers nearly every sample, a never-seen state answers none — in
-/// which case the walk (and its per-probe overhead) is skipped in
-/// favour of the bulk assembly.
-const TT_SAMPLE: usize = 128;
-
-/// Entry capacity of the dedicated state-level loss table. Loss keys
-/// are spread by hash, so this comfortably outlives the distinct states
-/// a budget-extraction sweep replays.
+/// Entry capacity of the state-level loss table. Loss keys are spread
+/// by hash, so this comfortably outlives the distinct states a
+/// budget-extraction sweep replays.
 const LOSS_TABLE_ENTRIES: usize = 1 << 12;
 
 /// Maximum whole-run outcome LRU depth. Outcomes are small (per-budget
@@ -101,7 +94,8 @@ const OUTCOME_SLOTS: usize = 32;
 /// metrics so cache effectiveness is tracked per commit.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemoStats {
-    /// Pair-gradient transposition-table counters.
+    /// Counters of the loss table behind [`AttackSession::loss`]; its
+    /// `hits`/`misses` equal `loss_hits`/`loss_misses`.
     pub table: TtStats,
     /// State-level loss memo hits ([`AttackSession::loss`]).
     pub loss_hits: u64,
@@ -115,8 +109,8 @@ pub struct MemoStats {
     /// [`AttackSession::pair_gradients_into`] call had the identical
     /// state and mask, so its output was copied wholesale.
     pub grads_hits: u64,
-    /// Assemblies that missed the whole-assembly LRU and went to the
-    /// transposition table or the cold path.
+    /// Assemblies that missed the whole-assembly LRU and were computed
+    /// in full.
     pub grads_misses: u64,
     /// Whole-run replays: an attack re-ran a (clean state, target set,
     /// hyper-parameter) cell this session had already searched, and the
@@ -127,20 +121,16 @@ pub struct MemoStats {
 }
 
 /// One resident whole-assembly output: the exact `(state, mask)` query
-/// and the vector it produced, plus how often it was replayed while
-/// resident (recurrent states earn a transposition-table afterlife on
-/// eviction).
-#[derive(Debug, Clone)]
+/// and the vector it produced.
+#[derive(Debug, Clone, Default)]
 struct GradsSlot {
     state: u64,
-    hits: u32,
     mask: Vec<bool>,
     out: Vec<f64>,
 }
 
-/// Session-attached memoization state: the bounded [`TransTable`] plus
-/// the state-level LRU caches in front of it. Constructed via
-/// [`AttackSession::with_memo`] / [`AttackSession::with_memo_capacity`].
+/// Session-attached memoization state: the state-level LRU caches and
+/// the loss table. Attached by [`AttackSession::with_memo`].
 ///
 /// All reuse is keyed by the full session state hash (edge set and
 /// target set), so one memo safely spans budget steps, λ sweeps, and
@@ -149,10 +139,7 @@ struct GradsSlot {
 /// match keys.
 #[derive(Debug, Clone)]
 pub struct SearchMemo {
-    table: TransTable,
-    /// State-level loss entries, kept apart from the candidate-indexed
-    /// table so dense per-candidate store sweeps can never flood them
-    /// out of their buckets.
+    /// State-level loss entries.
     loss_table: TransTable,
     /// [`NodeGrads`] LRU, most recent first.
     ng_slots: Vec<(u64, NodeGrads)>,
@@ -170,19 +157,11 @@ pub struct SearchMemo {
     outcomes: Vec<(u64, AttackOutcome)>,
     outcome_hits: u64,
     outcome_misses: u64,
-    /// Per-candidate `splitmix64(idx)` half of [`TransTable::full_key`],
-    /// precomputed once per candidate-space size.
-    idx_keys: Vec<u64>,
-    /// Scratch: miss indices (ascending) and their computed values.
-    miss_idx: Vec<u32>,
-    miss_vals: Vec<f64>,
 }
 
 impl SearchMemo {
-    /// A memo whose table holds at most `entries` cached evaluations.
-    pub fn new(entries: usize) -> Self {
+    fn new() -> Self {
         Self {
-            table: TransTable::new(entries),
             loss_table: TransTable::new(LOSS_TABLE_ENTRIES),
             ng_slots: Vec::new(),
             ng_hits: 0,
@@ -193,26 +172,14 @@ impl SearchMemo {
             outcomes: Vec::new(),
             outcome_hits: 0,
             outcome_misses: 0,
-            idx_keys: Vec::new(),
-            miss_idx: Vec::new(),
-            miss_vals: Vec::new(),
         }
-    }
-
-    /// Default capacity heuristic: room for two full candidate sets of
-    /// an `n`-node graph (so the clean state and one search frontier
-    /// stay resident together), clamped to [2¹⁰, 2²¹] entries (16 KiB
-    /// to 32 MiB of table).
-    pub fn for_nodes(num_nodes: usize) -> Self {
-        let pairs = num_nodes.saturating_mul(num_nodes.saturating_sub(1)) / 2;
-        Self::new((2 * pairs).clamp(1 << 10, 1 << 21))
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> MemoStats {
         let loss = self.loss_table.stats();
         MemoStats {
-            table: self.table.stats(),
+            table: loss,
             loss_hits: loss.hits,
             loss_misses: loss.misses,
             ng_hits: self.ng_hits,
@@ -231,17 +198,6 @@ impl SearchMemo {
     fn grads_capacity(len: usize) -> usize {
         let per_slot = len * (size_of::<f64>() + size_of::<bool>()) + size_of::<GradsSlot>();
         (GRADS_CACHE_BYTES / per_slot.max(1)).clamp(2, GRADS_SLOTS_MAX)
-    }
-
-    /// Ensures `idx_keys[i] == splitmix64(i)` for the whole candidate
-    /// space (grown once; candidate spaces only change on retarget,
-    /// and shrinking would discard nothing reusable).
-    fn ensure_idx_keys(&mut self, len: usize) {
-        let from = self.idx_keys.len();
-        if from < len {
-            self.idx_keys
-                .extend((from..len).map(|i| splitmix64(i as u64)));
-        }
     }
 }
 
@@ -291,23 +247,11 @@ impl<'g> AttackSession<'g> {
         self
     }
 
-    /// Attaches a [`SearchMemo`] with the default capacity heuristic
-    /// ([`SearchMemo::for_nodes`]). Memoized sessions return
+    /// Attaches a [`SearchMemo`]. Memoized sessions return
     /// bit-identical results to unmemoized ones — the memo trades
     /// memory for wall-clock, nothing else.
-    pub fn with_memo(self) -> Self {
-        let n = self.overlay.base().num_nodes();
-        self.with_memo_capacity_from(SearchMemo::for_nodes(n))
-    }
-
-    /// Attaches a [`SearchMemo`] whose table holds at most `entries`
-    /// cached evaluations.
-    pub fn with_memo_capacity(self, entries: usize) -> Self {
-        self.with_memo_capacity_from(SearchMemo::new(entries))
-    }
-
-    fn with_memo_capacity_from(mut self, memo: SearchMemo) -> Self {
-        self.memo = Some(Box::new(memo));
+    pub fn with_memo(mut self) -> Self {
+        self.memo = Some(Box::new(SearchMemo::new()));
         self
     }
 
@@ -439,19 +383,12 @@ impl<'g> AttackSession<'g> {
     /// into `out` via parallel sorted-merge common-neighbour scans over
     /// the current graph view. No dense matrix is allocated.
     ///
-    /// With a [`SearchMemo`] attached the assembly is memoized at two
-    /// levels. First the whole-assembly LRU: a recent call with the
-    /// identical state and mask replays by memcpy (the PGD tail, where
-    /// the re-binarised graph cycles through a handful of states).
-    /// Otherwise the per-candidate transposition table, probed in
-    /// ascending index order (consecutive buckets — the sequential scan
-    /// the table's layout is built for): only the *miss list* is
-    /// computed — contiguously, via [`pair_grads_for_indices`] — and
-    /// stored back. A sampled pre-probe detects never-seen states and
-    /// sends them straight to the regular cost-model assembly instead
-    /// of paying a full walk of guaranteed misses. Every cached value
-    /// equals the one the uncached path computes, so results are
-    /// bit-identical either way.
+    /// With a [`SearchMemo`] attached, a recent call with the identical
+    /// state and mask replays by memcpy from the whole-assembly LRU (the
+    /// PGD tail, where the re-binarised graph cycles through a handful
+    /// of states); any other call is assembled in full and installed in
+    /// the LRU. The LRU returns only values the uncached path computed,
+    /// so results are bit-identical either way.
     pub fn pair_gradients_into(
         &mut self,
         ng: &NodeGrads,
@@ -459,152 +396,47 @@ impl<'g> AttackSession<'g> {
         mask: &[bool],
         out: &mut [f64],
     ) {
-        let Some(memo) = self.memo.as_deref_mut() else {
-            assemble_pair_grads_with_scratch(
-                &self.overlay,
-                ng,
-                candidates,
-                mask,
-                self.threads,
-                out,
-                &mut self.grad_scratch,
-            );
-            return;
-        };
-        let len = candidates.len();
-        assert_eq!(mask.len(), len, "mask length mismatch");
-        assert_eq!(out.len(), len, "output length mismatch");
-        let state = self.overlay.edge_set_hash() ^ self.target_hash;
-
-        // Whole-assembly LRU: an exact (state, mask) repeat replays by
-        // memcpy. Mask equality is checked verbatim (cheap: a state
-        // match already filters to near-certain hits).
-        if let Some(pos) = memo
-            .grads_slots
-            .iter()
-            .position(|s| s.state == state && s.mask == mask)
-        {
-            memo.grads_slots[..=pos].rotate_right(1);
-            let slot = &mut memo.grads_slots[0];
-            slot.hits += 1;
-            out.copy_from_slice(&slot.out);
-            memo.grads_hits += 1;
-            return;
+        let state = self.state_hash();
+        if let Some(memo) = self.memo.as_deref_mut() {
+            // Mask equality is checked verbatim (cheap: a state match
+            // already filters to near-certain hits).
+            if let Some(pos) = memo
+                .grads_slots
+                .iter()
+                .position(|s| s.state == state && s.mask == mask)
+            {
+                memo.grads_slots[..=pos].rotate_right(1);
+                out.copy_from_slice(&memo.grads_slots[0].out);
+                memo.grads_hits += 1;
+                return;
+            }
+            memo.grads_misses += 1;
         }
-        memo.grads_misses += 1;
-        memo.ensure_idx_keys(len);
-
-        // Sampled pre-probe: states the table has never seen (the PGD
-        // transient, fresh GradMax frontiers) would miss every one of
-        // the per-candidate probes below — detect that from a handful
-        // of samples and skip straight to the bulk assembly. Counters
-        // are untouched here; the sample is a routing decision, not a
-        // lookup (a false "cold" call only costs wall-clock, never
-        // correctness).
-        let mut sample_hits = 0u32;
-        let mut sampled = 0u32;
-        for (idx, &m) in mask.iter().enumerate() {
-            if !m {
-                continue;
-            }
-            sampled += 1;
-            let key = TransTable::full_key_premixed(state, memo.idx_keys[idx]);
-            if memo.table.peek(idx as u64, key) {
-                sample_hits += 1;
-            }
-            if sampled as usize >= TT_SAMPLE {
-                break;
-            }
+        assemble_pair_grads_with_scratch(
+            &self.overlay,
+            ng,
+            candidates,
+            mask,
+            self.threads,
+            out,
+            &mut self.grad_scratch,
+        );
+        if let Some(memo) = self.memo.as_deref_mut() {
+            // The eviction victim's buffers are reused for the new slot.
+            let cap = SearchMemo::grads_capacity(candidates.len());
+            let mut slot = if memo.grads_slots.len() >= cap {
+                memo.grads_slots.truncate(cap);
+                memo.grads_slots.pop().unwrap_or_default()
+            } else {
+                GradsSlot::default()
+            };
+            slot.state = state;
+            slot.mask.clear();
+            slot.mask.extend_from_slice(mask);
+            slot.out.clear();
+            slot.out.extend_from_slice(out);
+            memo.grads_slots.insert(0, slot);
         }
-
-        if sample_hits > 0 {
-            // Warm state: per-candidate probes, ascending index; misses
-            // pack into a contiguous work list and are computed as a
-            // dense span of per-pair merges.
-            memo.miss_idx.clear();
-            for (idx, (&m, o)) in mask.iter().zip(out.iter_mut()).enumerate() {
-                if !m {
-                    *o = 0.0;
-                    continue;
-                }
-                let key = TransTable::full_key_premixed(state, memo.idx_keys[idx]);
-                match memo.table.probe(idx as u64, key) {
-                    Some(v) => *o = v,
-                    None => memo.miss_idx.push(idx as u32),
-                }
-            }
-            if !memo.miss_idx.is_empty() {
-                memo.miss_vals.clear();
-                memo.miss_vals.resize(memo.miss_idx.len(), 0.0);
-                pair_grads_for_indices(
-                    &self.overlay,
-                    ng,
-                    candidates,
-                    &memo.miss_idx,
-                    self.threads,
-                    &mut memo.miss_vals,
-                );
-                for (&idx, &v) in memo.miss_idx.iter().zip(memo.miss_vals.iter()) {
-                    out[idx as usize] = v;
-                    let key = TransTable::full_key_premixed(state, memo.idx_keys[idx as usize]);
-                    memo.table.store(idx as u64, key, v);
-                }
-            }
-        } else {
-            // Cold state: the regular assembly (the cost model may pick
-            // the wedge-scatter strategy, which beats per-pair merges on
-            // dense candidate sets). The table is deliberately *not*
-            // written here — most cold states never recur, and a full
-            // per-candidate store sweep per PGD transient iteration
-            // costs more than the occasional re-assembly it would save.
-            // Recurrent states reach the table on LRU eviction below.
-            assemble_pair_grads_with_scratch(
-                &self.overlay,
-                ng,
-                candidates,
-                mask,
-                self.threads,
-                out,
-                &mut self.grad_scratch,
-            );
-        }
-
-        // Install into the whole-assembly LRU. The eviction victim's
-        // buffers are reused; if it was ever replayed while resident it
-        // has proven itself recurrent, so its values are scattered into
-        // the transposition table first — the second-chance tier that
-        // outlives the LRU (λ restarts to the clean graph, long-period
-        // revisits).
-        let cap = SearchMemo::grads_capacity(len);
-        let mut slot = if memo.grads_slots.len() >= cap {
-            memo.grads_slots.truncate(cap);
-            // ba-lint: allow(panic-path) -- grads_capacity() is >= 2 and the branch guard just proved len >= cap, so the pop always succeeds; restructuring would bury that invariant
-            let victim = memo.grads_slots.pop().expect("cap >= 2");
-            if victim.hits > 0 {
-                for (idx, &m) in victim.mask.iter().enumerate() {
-                    if !m {
-                        continue;
-                    }
-                    let key = TransTable::full_key_premixed(victim.state, memo.idx_keys[idx]);
-                    memo.table.store(idx as u64, key, victim.out[idx]);
-                }
-            }
-            victim
-        } else {
-            GradsSlot {
-                state: 0,
-                hits: 0,
-                mask: Vec::new(),
-                out: Vec::new(),
-            }
-        };
-        slot.state = state;
-        slot.hits = 0;
-        slot.mask.clear();
-        slot.mask.extend_from_slice(mask);
-        slot.out.clear();
-        slot.out.extend_from_slice(out);
-        memo.grads_slots.insert(0, slot);
     }
 
     /// Memo key for a whole search run: the current state hash (edge
@@ -750,49 +582,53 @@ mod tests {
     }
 
     #[test]
-    fn recurrent_state_survives_lru_eviction_via_table() {
+    fn memo_counters_account_for_every_call() {
         let g = generators::barabasi_albert(60, 3, 8);
         let csr = CsrGraph::from(&g);
         let targets = [2u32, 5];
-        let mut plain = AttackSession::new(&csr, &targets).unwrap();
-        let mut memo = AttackSession::new(&csr, &targets).unwrap().with_memo();
+        let mut s = AttackSession::new(&csr, &targets).unwrap().with_memo();
         let candidates = Candidates::build(CandidateScope::Full, &g, &targets);
         let mask = vec![true; candidates.len()];
-        let mut out_p = vec![0.0; candidates.len()];
-        let mut out_m = vec![0.0; candidates.len()];
-        let assemble = |p: &mut AttackSession<'_>,
-                        m: &mut AttackSession<'_>,
-                        out_p: &mut [f64],
-                        out_m: &mut [f64]| {
-            let ng_p = p.node_grads().unwrap();
-            let ng_m = m.node_grads().unwrap();
-            p.pair_gradients_into(&ng_p, &candidates, &mask, out_p);
-            m.pair_gradients_into(&ng_m, &candidates, &mask, out_m);
-            assert_eq!(out_p, out_m);
-        };
+        let mut out = vec![0.0; candidates.len()];
 
-        // Make the clean state recurrent (one LRU replay), then flood
-        // the LRU with more distinct states than it can hold so the
-        // clean slot is evicted — and, being recurrent, scattered into
-        // the transposition table.
-        assemble(&mut plain, &mut memo, &mut out_p, &mut out_m);
-        assemble(&mut plain, &mut memo, &mut out_p, &mut out_m);
-        for k in 1..40u32 {
-            for s in [&mut plain, &mut memo] {
-                s.toggle(0, k).unwrap();
+        // Clean → (0,7) → clean → (0,7) → (0,7)+(3,9), with each kind
+        // of call made a different number of times per state.
+        let (mut ng_calls, mut grads_calls, mut loss_calls) = (0u64, 0u64, 0u64);
+        let script = [
+            None,
+            Some((0u32, 7u32)),
+            Some((0, 7)),
+            Some((0, 7)),
+            Some((3, 9)),
+        ];
+        for (step, toggle) in script.into_iter().enumerate() {
+            if let Some((i, j)) = toggle {
+                s.toggle(i, j);
             }
-            assemble(&mut plain, &mut memo, &mut out_p, &mut out_m);
+            for _ in 0..=step % 2 {
+                s.loss().unwrap();
+                loss_calls += 1;
+            }
+            let ng = s.node_grads().unwrap();
+            ng_calls += 1;
+            for _ in 0..=step % 3 {
+                s.pair_gradients_into(&ng, &candidates, &mask, &mut out);
+                grads_calls += 1;
+            }
         }
-        // Coming home to the clean state must answer from the table
-        // (the LRU lost it long ago) — and still be bit-identical.
-        plain.reset();
-        memo.reset();
-        let tt_hits_before = memo.memo_stats().unwrap().table.hits;
-        assemble(&mut plain, &mut memo, &mut out_p, &mut out_m);
-        let stats = memo.memo_stats().unwrap();
-        assert!(
-            stats.table.hits > tt_hits_before,
-            "evicted recurrent state must hit the table: {stats:?}"
+
+        let stats = s.memo_stats().unwrap();
+        assert_eq!(stats.ng_hits + stats.ng_misses, ng_calls, "{stats:?}");
+        assert_eq!(
+            stats.grads_hits + stats.grads_misses,
+            grads_calls,
+            "{stats:?}"
+        );
+        assert_eq!(stats.loss_hits + stats.loss_misses, loss_calls, "{stats:?}");
+        assert!(stats.ng_hits > 0 && stats.grads_hits > 0 && stats.loss_hits > 0);
+        assert_eq!(
+            (stats.table.hits, stats.table.misses),
+            (stats.loss_hits, stats.loss_misses)
         );
     }
 

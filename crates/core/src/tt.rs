@@ -1,33 +1,24 @@
-//! Bounded two-level transposition table for the attack search.
+//! Bounded two-level transposition table: the session's state-keyed
+//! surrogate-loss memo.
 //!
-//! The greedy attacks re-evaluate heavily overlapping candidate sets:
-//! every PGD iteration whose re-binarised graph matches a state already
-//! visited (the long stretches where no Ż crosses ½, period-2 flip
-//! oscillations near a fixed point), every λ restart from the clean
-//! graph, and every budget-extraction replay re-derive the same
-//! `(graph state, candidate)` pair gradients. [`TransTable`] caches
-//! those scalars the way chess engines cache position evaluations:
+//! The search attacks re-evaluate the loss of states they have already
+//! visited: period-2 flip oscillations near a PGD fixed point, λ
+//! restarts from the clean graph, and budget-extraction replays.
+//! [`TransTable`] caches those scalars the way chess engines cache
+//! position evaluations:
 //!
 //! * **Key** — the caller folds the session's Zobrist state hash (edge
-//!   set ⊕ target set, see [`ba_graph::zobrist`]) with the candidate's
-//!   dense index into one 64-bit key ([`TransTable::full_key`]). The
-//!   full key is stored and compared, so a hit requires all 64 bits to
-//!   match — bucket aliasing can evict, never corrupt.
+//!   set ⊕ target set, see [`ba_graph::zobrist`]) with a code into one
+//!   64-bit key ([`TransTable::full_key`]). The full key is stored and
+//!   compared, so a hit requires all 64 bits to match — bucket aliasing
+//!   can evict, never corrupt.
 //! * **Bucket layout** — entries live in power-of-two buckets of two
 //!   slots, indexed by a caller-chosen *slot code* (`code & mask`).
-//!   The memoized assembly passes the candidate index as the code, so
-//!   a scan over the candidate space probes consecutive buckets —
-//!   sequential, prefetch-friendly memory traffic instead of the
-//!   random walk a conventional state-major table would do per
-//!   candidate.
 //! * **Two-level keyed replacement** — the two slots are recency
 //!   tiers: a store whose key is already present updates in place;
 //!   a new key enters slot 0, demoting slot 0 to slot 1 and evicting
 //!   slot 1; a hit in slot 1 promotes the entry back to slot 0. Each
-//!   bucket is therefore a 2-entry LRU, which is exactly what the
-//!   search's revisit pattern needs: a PGD oscillation alternates
-//!   between two states, and both stay resident while older states'
-//!   values age out.
+//!   bucket is therefore a 2-entry LRU.
 //!
 //! Capacity is fixed at construction — the table never grows, never
 //! rehashes, and evicts deterministically, so memory stays bounded on
@@ -104,37 +95,17 @@ impl TransTable {
         }
     }
 
-    /// Folds a session state hash and a per-entry code (candidate index
-    /// or a reserved sentinel) into the stored 64-bit key. Never
-    /// returns 0 (the empty-slot marker): the remap of 0 to 1 costs one
-    /// key out of 2⁶⁴ and keeps slots branch-free.
+    /// Folds a session state hash and a per-entry code into the stored
+    /// 64-bit key. Never returns 0 (the empty-slot marker): the remap of
+    /// 0 to 1 costs one key out of 2⁶⁴ and keeps slots branch-free.
     #[inline]
     pub fn full_key(state_hash: u64, code: u64) -> u64 {
-        Self::full_key_premixed(state_hash, splitmix64(code))
-    }
-
-    /// [`TransTable::full_key`] with the code half already mixed
-    /// (`mixed_code = splitmix64(code)`) — callers that probe a dense
-    /// candidate range per state precompute the mix once per candidate
-    /// instead of once per probe.
-    #[inline]
-    pub fn full_key_premixed(state_hash: u64, mixed_code: u64) -> u64 {
-        let k = splitmix64(state_hash ^ mixed_code);
+        let k = splitmix64(state_hash ^ splitmix64(code));
         if k == 0 {
             1
         } else {
             k
         }
-    }
-
-    /// Whether `key` is resident in the bucket selected by `code`,
-    /// without touching counters or recency order — the sampling
-    /// pre-probe callers use to route between the memoized and bulk
-    /// assembly paths.
-    #[inline]
-    pub fn peek(&self, code: u64, key: u64) -> bool {
-        let bucket = &self.buckets[(code & self.mask) as usize];
-        bucket[0].key == key || bucket[1].key == key
     }
 
     /// Looks up `key` in the bucket selected by `code`. A hit in the

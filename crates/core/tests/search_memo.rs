@@ -1,6 +1,6 @@
 //! Memoization correctness suite.
 //!
-//! Two properties guard the transposition-table/PV optimisation:
+//! Two properties guard the search memo and PV ordering:
 //!
 //! 1. **Hash contract** — the session's incremental Zobrist state hash
 //!    must equal the from-scratch hash of the materialised edge set
@@ -10,9 +10,9 @@
 //! 2. **Golden cached ≡ uncached** — for all five attacks, a memoized
 //!    session reused across target sets and repeated runs (the
 //!    orchestrator's shape, which exercises the run-outcome replay
-//!    tier, the assembly LRU, and the transposition table) must return
-//!    outcomes bit-identical to fresh unmemoized runs. Memoization
-//!    trades memory for wall-clock, never results.
+//!    tier, the node-grads and assembly LRUs, and the loss table) must
+//!    return outcomes bit-identical to fresh unmemoized runs.
+//!    Memoization trades memory for wall-clock, never results.
 
 use ba_core::{
     target_set_hash, AttackConfig, AttackOutcome, AttackSession, BinarizedAttack, CliqueBreaker,

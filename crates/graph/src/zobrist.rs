@@ -1,6 +1,6 @@
 //! Zobrist-style incremental edge-set hashing.
 //!
-//! The attack-search memoization layer (ba-core's transposition table)
+//! The attack-search memoization layer (ba-core's session memo)
 //! needs a cheap, deterministic fingerprint of "which graph am I looking
 //! at right now" that stays in sync with the [`DeltaOverlay`] as the
 //! search toggles edges. The classic engine-search answer is Zobrist
@@ -67,8 +67,8 @@ pub fn edge_key(u: NodeId, v: NodeId) -> u64 {
 
 /// From-scratch reference hash: XOR of [`edge_key`] over every edge of
 /// `g`. The incremental overlay hash must always equal this on the
-/// materialised edge set — that equivalence is what makes the
-/// transposition table sound, and the proptests pin it.
+/// materialised edge set — that equivalence is what makes the search
+/// memo sound, and the proptests pin it.
 pub fn edge_set_hash<V: GraphView + ?Sized>(g: &V) -> u64 {
     let mut h = 0u64;
     g.for_each_edge(|u, v| h ^= edge_key(u, v));

@@ -2,9 +2,8 @@
 //!
 //! The serving layer's core invariant is that **reads never block
 //! ingest** (and ingest never tears a read): every query is answered
-//! from an [`EpochSnapshot`] — a fully
-//! compacted `CsrGraph` + features + fitted model frozen at one batch
-//! boundary — while ingest mutates only the private `StreamEngine`
+//! from an [`EpochSnapshot`] — the edge count, features and fitted
+//! model frozen at one batch boundary — while ingest mutates only the private `StreamEngine`
 //! behind its own lock and *publishes* the next epoch as a new `Arc`
 //! when the batch completes. A reader pins an epoch by cloning its
 //! `Arc` under a briefly-held read lock; from then on its entire

@@ -14,8 +14,8 @@
 //!   connections (EOF mid-frame), and rejected headers (zero-length or
 //!   oversized) so a dying client can never leave a torn request.
 //! * **Epoch rotation** ([`epoch`]) — readers pin a frozen
-//!   [`EpochSnapshot`](ba_stream::EpochSnapshot) (compacted `CsrGraph`
-//!   plus features and fitted model behind a swapped `Arc`); ingest
+//!   [`EpochSnapshot`](ba_stream::EpochSnapshot) (edge count, features
+//!   and fitted model behind a swapped `Arc`); ingest
 //!   builds and publishes the next epoch after each batch. Reads never
 //!   block ingest, and a publish can never tear a response.
 //! * **Replay determinism** ([`protocol`], [`client`]) — queries carry

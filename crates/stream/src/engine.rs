@@ -93,19 +93,18 @@ pub struct BatchSummary {
 /// *epoch handle* the serving layer (`ba-serve`) publishes behind an
 /// atomically swapped `Arc` so readers never block ingest.
 ///
-/// The graph is fully compacted ([`DeltaOverlay::compact`]) — no
-/// overlay indirection survives into the snapshot, so concurrent
-/// readers pay frozen-CSR read costs and hold no reference into the
-/// live engine. Every field is a pure function of (initial graph,
-/// ingested event prefix), never of shard count or timing, which is
-/// what makes epoch-pinned responses replayable byte-for-byte.
+/// The edge set itself is not copied: readers need only its size, and
+/// freezing the adjacency would cost O(n + m) on every publish. The
+/// snapshot holds no reference into the live engine. Every field is a
+/// pure function of (initial graph, ingested event prefix), never of
+/// shard count or timing, which is what makes epoch-pinned responses
+/// replayable byte-for-byte.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochSnapshot {
     /// Epoch number: the count of batches ingested when frozen (the
     /// initial fit, before any ingest, is epoch 0).
     pub epoch: u64,
-    /// The compacted edge set at this epoch.
-    pub graph: CsrGraph,
+    num_edges: usize,
     /// Per-node `(N, E)` egonet features at this epoch.
     pub feats: EgonetFeatures,
     /// The fitted model, or the degeneracy reason.
@@ -115,12 +114,12 @@ pub struct EpochSnapshot {
 impl EpochSnapshot {
     /// Number of nodes covered.
     pub fn num_nodes(&self) -> usize {
-        self.graph.num_nodes()
+        self.feats.len()
     }
 
     /// Number of edges at this epoch.
     pub fn num_edges(&self) -> usize {
-        self.graph.num_edges()
+        self.num_edges
     }
 
     /// Anomaly score of one node under this epoch's model.
@@ -282,19 +281,14 @@ impl StreamEngine {
         Ok(top_k_from(&params, &self.feats, k))
     }
 
-    /// Freezes the current state into an [`EpochSnapshot`]: the overlay
-    /// is compacted into a standalone `CsrGraph` and the features and
-    /// model are cloned, so the snapshot shares nothing with the live
-    /// engine and stays valid across any number of future batches.
+    /// Freezes the current state into an [`EpochSnapshot`]: the edge
+    /// count is recorded and the features and model are cloned, so the
+    /// snapshot shares nothing with the live engine and stays valid
+    /// across any number of future batches.
     pub fn epoch_snapshot(&self) -> EpochSnapshot {
-        let graph = if self.edits.is_clean() {
-            self.base.clone()
-        } else {
-            DeltaOverlay::attach(&self.base, self.edits.clone()).compact()
-        };
         EpochSnapshot {
             epoch: self.batches,
-            graph,
+            num_edges: self.num_edges(),
             feats: self.feats.clone(),
             params: self.params.clone(),
         }
@@ -463,12 +457,14 @@ mod tests {
         let mut a = StreamEngine::new(&g, cfg);
         let mut b = StreamEngine::from_csr(CsrGraph::from_view(&g), cfg);
         assert_eq!(a.epoch_snapshot(), b.epoch_snapshot());
+        assert_eq!(a.to_graph(), b.to_graph());
         // And they stay locked together under ingest.
         let events = synthetic_stream(&g, 120, 5);
         for batch in events.chunks(40) {
             assert_eq!(a.ingest_batch(batch), b.ingest_batch(batch));
         }
         assert_eq!(a.epoch_snapshot(), b.epoch_snapshot());
+        assert_eq!(a.to_graph(), b.to_graph());
     }
 
     fn engine_over_er(shards: usize, compact_fraction: f64) -> (ba_graph::Graph, StreamEngine) {
@@ -595,10 +591,10 @@ mod tests {
         engine.ingest_batch(batches.next().unwrap());
         let snap = engine.epoch_snapshot();
         assert_eq!(snap.epoch, 1);
-        assert_eq!(snap.num_nodes(), engine.num_nodes());
-        assert_eq!(snap.num_edges(), engine.num_edges());
-        // Compaction in the snapshot equals a from-scratch rebuild.
-        assert_eq!(snap.graph, CsrGraph::from_view(&engine.to_graph()));
+        // The counts match the materialised edge set.
+        let live = engine.to_graph();
+        assert_eq!(snap.num_nodes(), live.num_nodes());
+        assert_eq!(snap.num_edges(), live.num_edges());
         let frozen_top: Vec<(NodeId, u64)> = snap
             .top_k(10)
             .unwrap()
