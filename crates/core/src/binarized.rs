@@ -18,6 +18,14 @@
 //! extracted by ranking candidates by `Ż` and flipping the top-`b` valid
 //! pairs, keeping the best λ for each budget (Alg. 1, lines 16–19).
 //!
+//! Cost layout: everything fixed for a whole attack stays out of the
+//! loops. `A₀` per candidate is read from the clean graph once, so an
+//! iteration is one assembly plus plain slice passes (sign, then the
+//! PGD step fused with the re-binarise scan) and decodes only the pairs
+//! whose flip state changed. Extraction ranks each `Ż` snapshot once and
+//! walks it once: the walk's first `b` accepted flips are budget `b`'s
+//! solution, so one walk serves every budget (`extract_budgets`).
+//!
 //! Implementation notes vs the paper: gradients are normalised by their
 //! max-abs before the step (the paper does not specify a step-size
 //! schedule), and λ is therefore expressed in normalised-gradient units.
@@ -60,9 +68,9 @@ impl BinarizedAttack {
         &self.config
     }
 
-    /// Builder-style override of the λ grid.
+    /// Builder-style override of the λ grid. An empty grid is rejected
+    /// when the attack runs, with [`AttackError::EmptyLambdaGrid`].
     pub fn with_lambdas(mut self, lambdas: Vec<f64>) -> Self {
-        assert!(!lambdas.is_empty(), "need at least one lambda");
         self.lambdas = lambdas;
         self
     }
@@ -82,20 +90,22 @@ impl BinarizedAttack {
     /// Runs the PGD loop for one λ, returning `Ż` snapshots (periodic +
     /// final — Alg. 1 extracts the best discrete solution over the whole
     /// sweep, and intermediate iterates often dominate for small budgets)
-    /// and the loss trajectory.
+    /// and the loss trajectory. `is_edge[idx]` is `A₀` at candidate
+    /// `idx`, fixed for the whole attack because the clean graph is.
     fn optimise_one_lambda(
         &self,
         session: &mut AttackSession<'_>,
         candidates: &Candidates,
         mask: &[bool],
+        is_edge: &[bool],
         lambda: f64,
     ) -> Result<(Vec<Vec<f64>>, Vec<f64>), AttackError> {
         session.reset();
-        let base = session.base();
         let mut zdot = vec![0.0f64; candidates.len()];
         let mut grads = vec![0.0f64; candidates.len()];
         // Current flip set (candidate indices with Ż > ½).
         let mut flipped = vec![false; candidates.len()];
+        let mut changed: Vec<usize> = Vec::new();
         let mut trajectory = Vec::with_capacity(self.iterations);
         let mut snapshots: Vec<Vec<f64>> = Vec::new();
         let snap_every = (self.iterations / 4).max(10);
@@ -110,45 +120,44 @@ impl BinarizedAttack {
             trajectory.push(ng.loss);
             // Backward: sparse parallel assembly of G_ij per candidate,
             // then the straight-through sign `1 − 2A₀_ij` and the
-            // normalised-step scale.
+            // normalised-step scale. Masked-off grads are already 0.0.
             session.pair_gradients_into(&ng, candidates, mask, &mut grads);
             let mut max_abs = 0.0f64;
-            candidates.for_each(|idx, i, j| {
-                if !mask[idx] {
-                    return; // grads[idx] is already 0.0
+            for ((gr, &on), &edge) in grads.iter_mut().zip(mask).zip(is_edge) {
+                if on {
+                    if edge {
+                        *gr = -*gr;
+                    }
+                    max_abs = max_abs.max(gr.abs());
                 }
-                let s = if base.has_edge(i, j) { -1.0 } else { 1.0 }; // 1 − 2A₀
-                let gr = grads[idx] * s;
-                grads[idx] = gr;
-                max_abs = max_abs.max(gr.abs());
-            });
+            }
             if max_abs == 0.0 {
                 break; // zero gradient everywhere: nothing to optimise
             }
             let scale = self.learning_rate / max_abs;
             let shrink = self.learning_rate * lambda;
-            for idx in 0..zdot.len() {
+            // PGD step with the LASSO subgradient (Ż ≥ 0 always, so
+            // sign(Ż) = +1) and projection onto [0,1], fused with the
+            // re-binarise scan: masked-off entries stay at Ż = 0, so
+            // they never enter the flip set.
+            changed.clear();
+            for (idx, z) in zdot.iter_mut().enumerate() {
                 if !mask[idx] {
                     continue;
                 }
-                // PGD step with the LASSO subgradient (Ż ≥ 0 always, so
-                // sign(Ż) = +1) and projection onto [0,1].
-                zdot[idx] = (zdot[idx] - scale * grads[idx] - shrink).clamp(0.0, 1.0);
-            }
-
-            // Re-binarise: toggle the graph wherever the flip set changed.
-            let mut changed = Vec::new();
-            candidates.for_each(|idx, i, j| {
-                let want = zdot[idx] > 0.5;
-                if want != flipped[idx] {
-                    changed.push((idx, i, j, want));
+                *z = (*z - scale * grads[idx] - shrink).clamp(0.0, 1.0);
+                if (*z > 0.5) != flipped[idx] {
+                    changed.push(idx);
                 }
-            });
-            for (idx, i, j, want) in changed {
+            }
+            // Toggle the graph wherever the flip set changed, in
+            // ascending candidate order.
+            for &idx in &changed {
+                let (i, j) = candidates.pair(idx);
                 session
                     .toggle(i, j)
                     .ok_or(AttackError::InvalidCandidatePair(i, j))?;
-                flipped[idx] = want;
+                flipped[idx] = !flipped[idx];
             }
         }
         snapshots.push(zdot);
@@ -162,28 +171,36 @@ impl Default for BinarizedAttack {
     }
 }
 
-/// Extracts the top-`b` flips from a soft decision vector, applying
-/// dynamic validity (op kind via the static mask, singleton protection
-/// against the *evolving* poisoned graph). Returns the ops and the
-/// resulting surrogate loss.
-pub(crate) fn extract_budget(
+/// Extracts the best flips for every budget `1..=budget` from a soft
+/// decision vector, applying dynamic validity (op kind via the static
+/// mask, singleton protection against the *evolving* poisoned graph).
+///
+/// One ranking and one greedy walk serve every budget: whether a pair is
+/// accepted depends only on the prefix already toggled, so budget `b`'s
+/// ops are exactly the first `b` the walk accepts. Entry `b − 1` holds
+/// those ops and the surrogate loss after them; when the walk runs out
+/// of positive scores early, the remaining budgets repeat its final
+/// state.
+pub(crate) fn extract_budgets(
     session: &mut AttackSession<'_>,
     candidates: &Candidates,
     mask: &[bool],
     scores: &[f64],
-    b: usize,
+    budget: usize,
     forbid_singletons: bool,
-) -> Result<(Vec<EdgeOp>, f64), AttackError> {
+) -> Result<Vec<(Vec<EdgeOp>, f64)>, AttackError> {
     // Rank candidates by soft score, descending; ties by index for
-    // determinism.
+    // determinism (the comparator is total, so an unstable sort is
+    // exact).
     let mut order: Vec<usize> = (0..scores.len())
         .filter(|&i| mask[i] && scores[i] > 0.0)
         .collect();
-    order.sort_by(|&a, &bidx| scores[bidx].total_cmp(&scores[a]).then(a.cmp(&bidx)));
+    order.sort_unstable_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
     session.reset();
-    let mut ops = Vec::with_capacity(b);
+    let mut ops = Vec::with_capacity(budget);
+    let mut per_budget = Vec::with_capacity(budget);
     for idx in order {
-        if ops.len() >= b {
+        if ops.len() >= budget {
             break;
         }
         let (i, j) = candidates.pair(idx);
@@ -195,9 +212,16 @@ pub(crate) fn extract_budget(
             .toggle(i, j)
             .ok_or(AttackError::InvalidCandidatePair(i, j))?;
         ops.push(op);
+        per_budget.push((ops.clone(), session.loss()?));
     }
-    let loss = session.loss()?;
-    Ok((ops, loss))
+    if per_budget.len() < budget {
+        let last = match per_budget.last() {
+            Some(last) => last.clone(),
+            None => (Vec::new(), session.loss()?),
+        };
+        per_budget.resize(budget, last);
+    }
+    Ok(per_budget)
 }
 
 impl StructuralAttack for BinarizedAttack {
@@ -242,22 +266,36 @@ impl StructuralAttack for BinarizedAttack {
             self.config.op_kind,
             self.config.forbid_singletons,
         );
+        // A₀ per candidate, for the straight-through sign: the clean
+        // graph never changes, so one lookup pass serves every iteration.
+        let mut is_edge = vec![false; candidates.len()];
+        candidates.for_each(|idx, i, j| is_edge[idx] = base.has_edge(i, j));
 
-        // Optimise per λ, collecting Ż snapshots across the whole sweep.
-        // The session is reused across λs and extractions: resetting the
-        // overlay is O(edits), the substrate is never rebuilt.
-        let mut sweep: Vec<Vec<f64>> = Vec::new();
+        // Optimise per λ, extracting every budget from each Ż snapshot
+        // of the sweep. The session is reused across λs and extractions:
+        // resetting the overlay is O(edits), the substrate is never
+        // rebuilt.
+        let mut extracted: Vec<Vec<(Vec<EdgeOp>, f64)>> = Vec::new();
         let mut trajectory = Vec::new();
         for &lambda in &self.lambdas {
             let (snapshots, traj) =
-                self.optimise_one_lambda(session, &candidates, &mask, lambda)?;
+                self.optimise_one_lambda(session, &candidates, &mask, &is_edge, lambda)?;
             if traj.len() > trajectory.len() {
                 trajectory = traj; // keep the longest trace for ablations
             }
-            sweep.extend(snapshots);
+            for zdot in &snapshots {
+                extracted.push(extract_budgets(
+                    session,
+                    &candidates,
+                    &mask,
+                    zdot,
+                    budget,
+                    self.config.forbid_singletons,
+                )?);
+            }
         }
 
-        // Per-budget extraction: best λ wins (Alg. 1 lines 16–19). The
+        // Per-budget selection: best λ wins (Alg. 1 lines 16–19). The
         // budget constraint is `≤ b`, not `= b`, so if the top-b flips of
         // every λ are worse than the best smaller solution we keep the
         // smaller one — this makes the surrogate loss monotone in budget
@@ -265,21 +303,14 @@ impl StructuralAttack for BinarizedAttack {
         let mut ops_per_budget: Vec<Vec<EdgeOp>> = Vec::with_capacity(budget);
         let mut loss_per_budget: Vec<f64> = Vec::with_capacity(budget);
         for b in 1..=budget {
-            let mut best: Option<(Vec<EdgeOp>, f64)> = None;
-            for zdot in &sweep {
-                let (ops, loss) = extract_budget(
-                    session,
-                    &candidates,
-                    &mask,
-                    zdot,
-                    b,
-                    self.config.forbid_singletons,
-                )?;
-                if best.as_ref().is_none_or(|(_, bl)| loss < *bl) {
-                    best = Some((ops, loss));
+            let mut best: Option<&(Vec<EdgeOp>, f64)> = None;
+            for per_budget in &extracted {
+                let candidate = &per_budget[b - 1];
+                if best.is_none_or(|(_, bl)| candidate.1 < *bl) {
+                    best = Some(candidate);
                 }
             }
-            let (mut ops, mut loss) = best.ok_or(AttackError::EmptyLambdaGrid)?;
+            let (mut ops, mut loss) = best.cloned().ok_or(AttackError::EmptyLambdaGrid)?;
             if let (Some(prev_loss), Some(prev_ops)) =
                 (loss_per_budget.last().copied(), ops_per_budget.last())
             {
@@ -306,8 +337,10 @@ impl StructuralAttack for BinarizedAttack {
 mod tests {
     use super::*;
     use crate::pair::{CandidateScope, EdgeOpKind};
-    use ba_graph::{generators, Graph, NodeId};
+    use ba_graph::{generators, CsrGraph, Graph, NodeId};
     use ba_oddball::OddBall;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn anomalous_graph(seed: u64) -> (Graph, Vec<NodeId>) {
         let mut g = generators::erdos_renyi(150, 0.04, seed);
@@ -454,5 +487,123 @@ mod tests {
                 assert!(poisoned.degree(u) > 0, "node {u} isolated");
             }
         }
+    }
+
+    /// The per-budget walk `extract_budgets` replaced: its own ranking
+    /// and greedy walk for a single budget `b`.
+    fn reference_walk(
+        session: &mut AttackSession<'_>,
+        candidates: &Candidates,
+        mask: &[bool],
+        scores: &[f64],
+        b: usize,
+        forbid_singletons: bool,
+    ) -> (Vec<EdgeOp>, f64) {
+        let mut order: Vec<usize> = (0..scores.len())
+            .filter(|&i| mask[i] && scores[i] > 0.0)
+            .collect();
+        order.sort_by(|&a, &bidx| scores[bidx].total_cmp(&scores[a]).then(a.cmp(&bidx)));
+        session.reset();
+        let mut ops = Vec::with_capacity(b);
+        for idx in order {
+            if ops.len() >= b {
+                break;
+            }
+            let (i, j) = candidates.pair(idx);
+            let g = session.graph();
+            if g.has_edge(i, j) && forbid_singletons && !g.deletion_keeps_no_singletons(i, j) {
+                continue;
+            }
+            ops.push(session.toggle(i, j).unwrap());
+        }
+        (ops, session.loss().unwrap())
+    }
+
+    #[test]
+    fn one_walk_matches_per_budget_walks() {
+        // Sparse, so deletions quickly reach degree-1 endpoints and the
+        // dynamic singleton rule rejects pairs mid-walk.
+        let mut g = generators::erdos_renyi(60, 0.05, 61);
+        generators::attach_isolated(&mut g, 62);
+        let targets: Vec<NodeId> = vec![0, 1, 2];
+        let csr = CsrGraph::from(&g);
+        let mut session = AttackSession::new(&csr, &targets).unwrap();
+        let candidates = Candidates::build(CandidateScope::Full, &csr, &targets);
+        let mut is_edge = vec![false; candidates.len()];
+        candidates.for_each(|idx, i, j| is_edge[idx] = csr.has_edge(i, j));
+        let mut rng = StdRng::seed_from_u64(63);
+        for trial in 0..24 {
+            let forbid_singletons = trial % 2 == 0;
+            let static_ok = static_mask(&candidates, &csr, EdgeOpKind::Both, forbid_singletons);
+            let mask: Vec<bool> = static_ok
+                .iter()
+                .map(|&ok| ok && rng.gen_bool(0.8))
+                .collect();
+            // Quantised scores give ties, zeros and negatives. Every
+            // third trial keeps only a handful positive, so the walk
+            // runs dry before the budget does; every other third ranks
+            // edges first, so the walk is mostly deletions.
+            let scores: Vec<f64> = (0..candidates.len())
+                .map(|idx| match trial % 3 {
+                    0 if !rng.gen_bool(0.004) => -rng.gen_range(0..3) as f64,
+                    1 if is_edge[idx] => 1.0 + (rng.gen_range(0..4) as f64) * 0.25,
+                    _ if rng.gen_bool(0.5) => (rng.gen_range(0..8) as f64 - 2.0) * 0.125,
+                    _ => rng.gen::<f64>() - 0.25,
+                })
+                .collect();
+            let budget = 30;
+            let walked = extract_budgets(
+                &mut session,
+                &candidates,
+                &mask,
+                &scores,
+                budget,
+                forbid_singletons,
+            )
+            .unwrap();
+            assert_eq!(walked.len(), budget);
+            for (b, (ops, loss)) in walked.iter().enumerate() {
+                let (want_ops, want_loss) = reference_walk(
+                    &mut session,
+                    &candidates,
+                    &mask,
+                    &scores,
+                    b + 1,
+                    forbid_singletons,
+                );
+                assert_eq!(ops, &want_ops, "trial {trial}, budget {}", b + 1);
+                assert_eq!(
+                    loss.to_bits(),
+                    want_loss.to_bits(),
+                    "trial {trial}, budget {}",
+                    b + 1
+                );
+            }
+            if trial % 3 == 0 {
+                assert!(walked[budget - 1].0.len() < budget, "trial {trial}");
+            }
+        }
+        let scores = vec![1.0; candidates.len()];
+        let mask = vec![true; candidates.len()];
+        let none = extract_budgets(&mut session, &candidates, &mask, &scores, 0, true).unwrap();
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn empty_lambda_grid_is_a_typed_error() {
+        let (g, targets) = anomalous_graph(49);
+        let built = BinarizedAttack::default().with_lambdas(vec![]);
+        assert!(matches!(
+            built.attack(&g, &targets, 3),
+            Err(AttackError::EmptyLambdaGrid)
+        ));
+        let assigned = BinarizedAttack {
+            lambdas: vec![],
+            ..BinarizedAttack::default()
+        };
+        assert!(matches!(
+            assigned.attack(&g, &targets, 3),
+            Err(AttackError::EmptyLambdaGrid)
+        ));
     }
 }

@@ -13,7 +13,7 @@
 //! erratically — behaviour this implementation reproduces.
 
 use crate::attack::{AttackConfig, AttackError, AttackOutcome, StructuralAttack};
-use crate::binarized::extract_budget;
+use crate::binarized::extract_budgets;
 use crate::dense::{dense_features, dense_pair_gradient};
 use crate::grad::{node_grads, resolve_threads};
 use crate::pair::{static_mask, Candidates};
@@ -143,20 +143,16 @@ impl StructuralAttack for ContinuousA {
             scores[idx] = (a[(i as usize, j as usize)] - orig).abs();
         });
 
-        let mut ops_per_budget = Vec::with_capacity(budget);
-        let mut loss_per_budget = Vec::with_capacity(budget);
-        for b in 1..=budget {
-            let (ops, loss) = extract_budget(
-                session,
-                &candidates,
-                &mask,
-                &scores,
-                b,
-                self.config.forbid_singletons,
-            )?;
-            ops_per_budget.push(ops);
-            loss_per_budget.push(loss);
-        }
+        let (ops_per_budget, loss_per_budget) = extract_budgets(
+            session,
+            &candidates,
+            &mask,
+            &scores,
+            budget,
+            self.config.forbid_singletons,
+        )?
+        .into_iter()
+        .unzip();
         Ok(AttackOutcome {
             name: self.name().to_string(),
             ops_per_budget,

@@ -79,7 +79,14 @@ impl StructuralAttack for GradMaxSearch {
         }
         let mut pool = IndexBitSet::new(candidates.len());
         let mut eligible = vec![false; candidates.len()];
+        // Edge state per candidate, read once from the clean graph. A pair
+        // whose state on the overlay differs from the clean graph was
+        // toggled, so it sits in `pool` and is never eligible (a reverted
+        // toggle restores the clean state); for every eligible candidate
+        // the overlay and the clean graph therefore agree.
         let mut is_edge_cache = vec![false; candidates.len()];
+        let base = session.base();
+        candidates.for_each(|idx, i, j| is_edge_cache[idx] = base.has_edge(i, j));
         let mut grads = vec![0.0f64; candidates.len()];
         // Principal variation: last step's top movers, best-first.
         let mut pv: Vec<u32> = Vec::with_capacity(PV_WIDTH);
@@ -100,8 +107,7 @@ impl StructuralAttack for GradMaxSearch {
             let forbid_singletons = self.config.forbid_singletons;
             let g = session.graph();
             candidates.for_each(|idx, i, j| {
-                let is_edge = g.has_edge(i, j);
-                is_edge_cache[idx] = is_edge;
+                let is_edge = is_edge_cache[idx];
                 eligible[idx] = !pool.contains(idx)
                     && kind.allows(is_edge)
                     && !(is_edge && forbid_singletons && !g.deletion_keeps_no_singletons(i, j));

@@ -13,7 +13,7 @@
 // f64 round-trips at 17 significant digits, so keep them verbatim.
 #![allow(clippy::excessive_precision)]
 
-use ba_core::{AttackConfig, BinarizedAttack, GradMaxSearch, StructuralAttack};
+use ba_core::{AttackConfig, BinarizedAttack, ContinuousA, GradMaxSearch, StructuralAttack};
 use ba_graph::{generators, EdgeOp, Graph, NodeId};
 use ba_oddball::OddBall;
 
@@ -155,6 +155,58 @@ fn binarized_fixed_seed_ops_and_losses_are_golden() {
         4.07330695377552615e2,
         2.67205733728981158e2,
         1.90843439904175284e2,
+    ];
+    for (b, (&got, &want)) in outcome
+        .surrogate_loss_per_budget
+        .iter()
+        .zip(&expected_losses)
+        .enumerate()
+    {
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "budget {}: loss {got:e} != golden {want:e}",
+            b + 1
+        );
+    }
+}
+
+/// Captured before ContinuousA moved to the one-walk-per-snapshot
+/// budget extraction; every budget's ops are a prefix of the same walk.
+#[test]
+fn continuous_fixed_seed_ops_and_losses_are_golden() {
+    let (g, targets) = anomalous_graph(2022);
+    let outcome = ContinuousA::default()
+        .with_iterations(40)
+        .attack(&g, &targets, 10)
+        .unwrap();
+    let walk = ops(&[
+        (2, 3),
+        (2, 6),
+        (3, 6),
+        (4, 6),
+        (6, 9),
+        (6, 7),
+        (1, 6),
+        (2, 8),
+        (0, 2),
+        (2, 7),
+    ]);
+    assert_eq!(outcome.ops_per_budget.len(), 10);
+    for (b, got) in outcome.ops_per_budget.iter().enumerate() {
+        assert_eq!(got, &walk[..=b], "budget {} diverged from golden", b + 1);
+    }
+    let expected_losses: [f64; 10] = [
+        2.00746512683437095e3,
+        1.45035209910368985e3,
+        9.60097467409064052e2,
+        7.56924208061549507e2,
+        6.42996008084406185e2,
+        5.89695385974130659e2,
+        5.73927619383414822e2,
+        4.07330695377552615e2,
+        3.34392697178796311e2,
+        3.02143154775619621e2,
     ];
     for (b, (&got, &want)) in outcome
         .surrogate_loss_per_budget
