@@ -4,18 +4,17 @@
 //! [--resume]`
 //!
 //! The five grid-shaped experiments (fig4, fig5, fig6, table3, table4)
-//! run first as **one pooled orchestrator suite**: their cells share a
-//! worker pool and deduplicated dataset substrates, so the machine stays
-//! saturated across experiment boundaries, every cell is committed
-//! atomically (an interrupted run resumes with `--resume`), and the
-//! merged CSVs are byte-identical at any `--threads` value. The
+//! run first as **one pooled orchestrator suite**, the registry's `all`
+//! suite (`binattack exp --exp <name>` runs one of them alone). Their
+//! cells share a worker pool and deduplicated dataset substrates, so the
+//! machine stays saturated across experiment boundaries, every cell is
+//! committed atomically (an interrupted run resumes with `--resume`),
+//! and the merged CSVs are byte-identical at any `--threads` value. The
 //! remaining scalar/diagnostic binaries (table1, fig2, fig7_table2,
 //! fig8_fig9, fig10, ablation, defense_extension) then run as child
 //! processes, as before.
 
-use ba_bench::experiments::{
-    Fig4Experiment, Fig5Experiment, Fig6Experiment, Table3Experiment, Table4Experiment,
-};
+use ba_bench::distrib::suite_by_name;
 use ba_bench::runner::{Experiment, ExperimentRunner};
 use ba_bench::ExpOptions;
 use std::process::Command;
@@ -27,13 +26,9 @@ fn main() {
     println!(
         "================ orchestrated grid (fig4, fig5, fig6, table3, table4) ================"
     );
-    let fig4 = Fig4Experiment::standard(&opts);
-    let fig5 = Fig5Experiment::standard(&opts);
-    let fig6 = Fig6Experiment::standard(&opts);
-    let table3 = Table3Experiment::standard(&opts);
-    let table4 = Table4Experiment::standard(&opts);
-    let suite: [&dyn Experiment; 5] = [&fig4, &fig5, &fig6, &table3, &table4];
-    if let Err(e) = ExperimentRunner::new(&opts).run_suite(&suite, &opts) {
+    let suite = suite_by_name("all", &opts).expect("the registry defines `all`");
+    let refs: Vec<&dyn Experiment> = suite.iter().map(|e| e.as_ref()).collect();
+    if let Err(e) = ExperimentRunner::new(&opts).run_suite(&refs, &opts) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }

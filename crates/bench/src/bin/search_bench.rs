@@ -8,10 +8,9 @@
 //! `(substrate, targets, attack, config)` cells across experiments, and
 //! the bench runner now shares one memoized session per substrate. The
 //! cold path runs the exact same two passes on an unmemoized session,
-//! so the only variable is the memo. Pass 2 exercises the whole cache
-//! hierarchy top down: run-outcome replay for repeated cells, then the
-//! node-grads LRU, the assembly LRU, and the loss table within passes,
-//! across budget steps, λ restarts, and retargets.
+//! so the only variable is the memo. Pass 2 exercises both memo tiers:
+//! run-outcome replay for repeated cells, and the assembly LRU within
+//! passes, across budget steps, λ restarts, and retargets.
 //!
 //! Before any timing is reported the two paths are checked for **bit
 //! identity**: ops, per-budget losses, and loss trajectories must match
@@ -20,8 +19,9 @@
 //!
 //! Exits non-zero if the memoized path is less than 2× faster end to
 //! end — the CI perf gate for this optimisation. `--quick` shrinks the
-//! workload (CI), `--json` writes `BENCH_search.json` with the timing
-//! and every tier's hit/miss counters, plus the loss table's evictions.
+//! workload (CI), `--json` writes `BENCH_search.json` with the timing,
+//! both tiers' hit/miss counters, the assembly LRU's stores and
+//! evictions, and the forward-pass and loss call counts.
 
 use ba_core::{
     AttackConfig, AttackOutcome, AttackSession, BinarizedAttack, GradMaxSearch, StructuralAttack,
@@ -181,22 +181,17 @@ fn main() {
     );
 
     let speedup = cold_s / memo_s;
-    let loss_table = stats.table;
+    let lru = stats.table;
     println!("cold  sweep: {:>10.3} ms", cold_s * 1e3);
     println!("memo  sweep: {:>10.3} ms", memo_s * 1e3);
     println!("speedup:     {speedup:>10.2}x (gate: ≥{REQUIRED_SPEEDUP}x)");
     println!(
-        "ng LRU: {} hits / {} misses; assembly LRU: {} hits / {} misses",
-        stats.ng_hits, stats.ng_misses, stats.grads_hits, stats.grads_misses
+        "assembly LRU: {} hits / {} misses, {} stores, {} evictions, capacity {}",
+        lru.hits, lru.misses, lru.stores, lru.evictions, lru.capacity
     );
     println!(
-        "loss table: {} hits / {} misses ({:.1}% hit rate), {} stores, {} evictions, capacity {}",
-        loss_table.hits,
-        loss_table.misses,
-        100.0 * loss_table.hit_rate(),
-        loss_table.stores,
-        loss_table.evictions,
-        loss_table.capacity
+        "uncached: {} forward passes, {} loss evaluations",
+        stats.ng_misses, stats.loss_misses
     );
     println!(
         "run-outcome memo: {} hits / {} misses",
@@ -211,14 +206,12 @@ fn main() {
         .metric("cold_s", cold_s, "s")
         .metric("memo_s", memo_s, "s")
         .metric("speedup", speedup, "x")
-        .metric("ng_hits", stats.ng_hits as f64, "count")
-        .metric("ng_misses", stats.ng_misses as f64, "count")
+        .metric("forward_passes", stats.ng_misses as f64, "count")
+        .metric("loss_evals", stats.loss_misses as f64, "count")
         .metric("grads_hits", stats.grads_hits as f64, "count")
         .metric("grads_misses", stats.grads_misses as f64, "count")
-        .metric("loss_hits", loss_table.hits as f64, "count")
-        .metric("loss_misses", loss_table.misses as f64, "count")
-        .metric("loss_hit_rate", loss_table.hit_rate(), "ratio")
-        .metric("loss_evictions", loss_table.evictions as f64, "count")
+        .metric("grads_stores", lru.stores as f64, "count")
+        .metric("grads_evictions", lru.evictions as f64, "count")
         .metric("outcome_hits", stats.outcome_hits as f64, "count")
         .metric("outcome_misses", stats.outcome_misses as f64, "count")
         .write_if_requested(&args)

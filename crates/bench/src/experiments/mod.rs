@@ -4,9 +4,9 @@
 //! figure/table: the grid decomposition into cells, the per-cell record
 //! encoding (exact-bits floats, see [`crate::artifact`]), and the
 //! index-ordered merge into the printed report + CSV artifacts. The
-//! thin binaries (`fig4`, `fig5`, `fig6`, `table3`, `table4`) construct
-//! these and hand them to an [`crate::runner::ExperimentRunner`];
-//! `run_all` pools all five into one suite so their cells share the
+//! suite registry ([`crate::distrib::suite_by_name`]) constructs them
+//! by name for `binattack exp --exp <name>`, the tracker and its peers;
+//! `run_all` pools all five (the `all` suite) so their cells share the
 //! worker pool and dataset substrates.
 
 pub mod fig4;

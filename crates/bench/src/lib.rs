@@ -112,39 +112,40 @@ impl From<std::io::Error> for BenchError {
 impl ExpOptions {
     /// Parses options from the process arguments.
     pub fn from_args() -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse_args(&args)
+    }
+
+    /// Parses options from an argument list without the program name.
+    /// An explicit `--samples N` wins over `--paper`'s 5 in either
+    /// order, as in `binattack exp`.
+    fn parse_args<S: AsRef<str>>(args: &[S]) -> Self {
         let mut opts = Self::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
+        let mut samples = None;
+        let value = |i: usize| args.get(i).map(AsRef::as_ref);
+        let mut i = 0;
         while i < args.len() {
-            match args[i].as_str() {
+            match args[i].as_ref() {
                 "--paper" => {
                     opts.paper = true;
-                    opts.samples = 5;
                 }
                 "--seed" => {
                     i += 1;
-                    opts.seed = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(opts.seed);
+                    opts.seed = value(i).and_then(|s| s.parse().ok()).unwrap_or(opts.seed);
                 }
                 "--samples" => {
                     i += 1;
-                    opts.samples = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(opts.samples);
+                    samples = value(i).and_then(|s| s.parse().ok()).or(samples);
                 }
                 "--out" => {
                     i += 1;
-                    if let Some(dir) = args.get(i) {
+                    if let Some(dir) = value(i) {
                         opts.out_dir = PathBuf::from(dir);
                     }
                 }
                 "--threads" => {
                     i += 1;
-                    opts.threads = args
-                        .get(i)
+                    opts.threads = value(i)
                         .and_then(|s| s.parse().ok())
                         .unwrap_or(opts.threads);
                 }
@@ -155,6 +156,8 @@ impl ExpOptions {
             }
             i += 1;
         }
+        let profile_samples = if opts.paper { 5 } else { opts.samples };
+        opts.samples = samples.unwrap_or(profile_samples);
         opts
     }
 
@@ -291,6 +294,18 @@ mod tests {
     use super::*;
     use ba_core::{GradMaxSearch, RandomAttack};
     use ba_graph::generators;
+
+    #[test]
+    fn explicit_samples_win_over_paper_in_either_order() {
+        for args in [["--samples", "2", "--paper"], ["--paper", "--samples", "2"]] {
+            let opts = ExpOptions::parse_args(&args);
+            assert!(opts.paper, "{args:?}");
+            assert_eq!(opts.samples, 2, "{args:?}");
+        }
+        assert_eq!(ExpOptions::parse_args(&["--paper"]).samples, 5);
+        let quick = ExpOptions::parse_args::<&str>(&[]);
+        assert_eq!((quick.paper, quick.samples), (false, 3));
+    }
 
     fn planted(seed: u64) -> Graph {
         let mut g = generators::erdos_renyi(120, 0.05, seed);

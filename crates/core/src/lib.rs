@@ -57,7 +57,6 @@ pub mod gradmax;
 pub mod loss;
 pub mod pair;
 pub mod session;
-pub mod tt;
 
 pub use attack::{AttackConfig, AttackError, AttackOutcome, CurveError, StructuralAttack};
 pub use baselines::{CliqueBreaker, RandomAttack};
@@ -71,5 +70,4 @@ pub use grad::{
 pub use gradmax::GradMaxSearch;
 pub use loss::{fit_beta, surrogate_loss_from_features, LossError};
 pub use pair::{CandidateScope, Candidates, EdgeOpKind, IndexBitSet, PairSpace};
-pub use session::{target_set_hash, AttackSession, MemoStats, SearchMemo};
-pub use tt::{TransTable, TtStats};
+pub use session::{target_set_hash, AttackSession, LruStats, MemoStats, SearchMemo};

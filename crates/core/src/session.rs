@@ -17,19 +17,18 @@
 //! The session optionally carries a [`SearchMemo`]: a Zobrist state
 //! hash ([`AttackSession::state_hash`] = edge-set hash ⊕ target-set
 //! hash, maintained in O(1) per [`AttackSession::toggle`]) keying a
-//! small cache hierarchy —
+//! two-tier cache —
 //!
 //! * an LRU of recent whole-assembly outputs (state + mask ⇒ memcpy),
 //!   which absorbs the PGD tail where the re-binarised graph cycles
 //!   through a handful of states;
-//! * an LRU of recent [`NodeGrads`] forward passes;
-//! * a bounded state-keyed [`TransTable`] of surrogate losses;
 //! * an LRU of whole-run [`AttackOutcome`]s, so a suite that repeats a
 //!   search cell replays it instead of re-searching.
 //!
-//! An assembly that misses its LRU is computed in full. No
-//! per-candidate table sits in between: on traced attack runs such a
-//! tier stored about thirteen values for every one it answered
+//! An assembly that misses its LRU is computed in full. The forward
+//! pass and the surrogate loss are `O(n)` and always computed: caching
+//! them saved well under 1% of a traced attack run, and a per-candidate
+//! table stored about thirteen values for every one it answered
 //! (DESIGN.md §9).
 //!
 //! The memo is *transparent*: every cached value was produced by the
@@ -42,7 +41,6 @@ use crate::attack::{validate_targets, AttackError, AttackOutcome};
 use crate::grad::{assemble_pair_grads_with_scratch, node_grads, NodeGrads};
 use crate::loss::surrogate_loss_from_features;
 use crate::pair::Candidates;
-use crate::tt::{TransTable, TtStats};
 use ba_graph::egonet::{EgonetFeatures, IncrementalEgonet};
 use ba_graph::zobrist::splitmix64;
 use ba_graph::{CsrGraph, DeltaOverlay, EdgeOp, NodeId};
@@ -50,9 +48,6 @@ use ba_graph::{CsrGraph, DeltaOverlay, EdgeOp, NodeId};
 /// Seed for the target-set fold in [`target_set_hash`]. Fixed — part of
 /// the determinism contract, like [`ba_graph::zobrist::EDGE_KEY_SEED`].
 const TARGET_HASH_SEED: u64 = 0x51_7cc1_b727_2209;
-
-/// Code folded with the state hash into each loss-table key.
-const LOSS_CODE: u64 = u64::MAX;
 
 /// Hash of a target list: a sequential SplitMix64 fold, so it is
 /// sensitive to order and multiplicity — deliberately, because the
@@ -67,9 +62,6 @@ pub fn target_set_hash(targets: &[NodeId]) -> u64 {
     h
 }
 
-/// Maximum [`NodeGrads`] LRU depth (each entry is a few `O(n)` arrays).
-const NG_SLOTS: usize = 24;
-
 /// Memory budget for the whole-assembly LRU; the slot count adapts to
 /// the candidate-space size so big graphs don't blow up the session.
 const GRADS_CACHE_BYTES: usize = 12 << 20;
@@ -79,31 +71,45 @@ const GRADS_CACHE_BYTES: usize = 12 << 20;
 /// period extra depth stops paying).
 const GRADS_SLOTS_MAX: usize = 24;
 
-/// Entry capacity of the state-level loss table. Loss keys are spread
-/// by hash, so this comfortably outlives the distinct states a
-/// budget-extraction sweep replays.
-const LOSS_TABLE_ENTRIES: usize = 1 << 12;
-
 /// Maximum whole-run outcome LRU depth. Outcomes are small (per-budget
 /// op lists and loss curves), so this comfortably covers the distinct
 /// (attack, target set, budget) cells a suite revisits.
 const OUTCOME_SLOTS: usize = 32;
+
+/// Counters of the whole-assembly LRU behind
+/// [`AttackSession::pair_gradients_into`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LruStats {
+    /// Lookups answered from the LRU.
+    pub hits: u64,
+    /// Lookups assembled in full.
+    pub misses: u64,
+    /// Assemblies installed (one per miss).
+    pub stores: u64,
+    /// Slots dropped to make room at capacity.
+    pub evictions: u64,
+    /// Slot cap for the candidate space last assembled (`0` before the
+    /// first assembly).
+    pub capacity: usize,
+}
 
 /// Counter snapshot of a session's [`SearchMemo`] (see
 /// [`AttackSession::memo_stats`]); surfaced as `BENCH_search.json`
 /// metrics so cache effectiveness is tracked per commit.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemoStats {
-    /// Counters of the loss table behind [`AttackSession::loss`]; its
-    /// `hits`/`misses` equal `loss_hits`/`loss_misses`.
-    pub table: TtStats,
-    /// State-level loss memo hits ([`AttackSession::loss`]).
+    /// Counters of the whole-assembly LRU; its `hits`/`misses` equal
+    /// `grads_hits`/`grads_misses`.
+    pub table: LruStats,
+    /// Always `0`: surrogate losses are not cached. Kept for the
+    /// benchmark's `core.memo.loss_hit_ratio` row.
     pub loss_hits: u64,
-    /// State-level loss memo misses (computed fresh).
+    /// Surrogate-loss evaluations ([`AttackSession::loss`]).
     pub loss_misses: u64,
-    /// State-level [`NodeGrads`] cache hits.
+    /// Always `0`: forward passes are not cached. Kept for the
+    /// benchmark's `core.memo.ng_hit_ratio` row.
     pub ng_hits: u64,
-    /// State-level [`NodeGrads`] cache misses (computed fresh).
+    /// Forward passes ([`AttackSession::node_grads`]).
     pub ng_misses: u64,
     /// Whole-assembly short-circuits: a recent
     /// [`AttackSession::pair_gradients_into`] call had the identical
@@ -129,27 +135,25 @@ struct GradsSlot {
     out: Vec<f64>,
 }
 
-/// Session-attached memoization state: the state-level LRU caches and
-/// the loss table. Attached by [`AttackSession::with_memo`].
+/// Session-attached memoization state: the whole-assembly and
+/// whole-run LRUs, plus call counters. Attached by
+/// [`AttackSession::with_memo`].
 ///
 /// All reuse is keyed by the full session state hash (edge set and
 /// target set), so one memo safely spans budget steps, λ sweeps, and
 /// [`AttackSession::retarget`] within a session — entries from other
-/// states or target sets can collide into the same bucket but never
-/// match keys.
+/// states or target sets never match keys.
 #[derive(Debug, Clone)]
 pub struct SearchMemo {
-    /// State-level loss entries.
-    loss_table: TransTable,
-    /// [`NodeGrads`] LRU, most recent first.
-    ng_slots: Vec<(u64, NodeGrads)>,
-    ng_hits: u64,
-    ng_misses: u64,
+    forward_passes: u64,
+    loss_evals: u64,
     /// Whole-assembly LRU, most recent first. Exact state *and* mask
     /// match required — no hashing, no collision risk.
     grads_slots: Vec<GradsSlot>,
     grads_hits: u64,
     grads_misses: u64,
+    grads_evictions: u64,
+    grads_capacity: usize,
     /// Whole-run outcome LRU, most recent first: `(cell key, outcome)`.
     /// The deepest memo tier — a suite that revisits an identical
     /// search cell replays the stored result instead of re-searching
@@ -162,13 +166,13 @@ pub struct SearchMemo {
 impl SearchMemo {
     fn new() -> Self {
         Self {
-            loss_table: TransTable::new(LOSS_TABLE_ENTRIES),
-            ng_slots: Vec::new(),
-            ng_hits: 0,
-            ng_misses: 0,
+            forward_passes: 0,
+            loss_evals: 0,
             grads_slots: Vec::new(),
             grads_hits: 0,
             grads_misses: 0,
+            grads_evictions: 0,
+            grads_capacity: 0,
             outcomes: Vec::new(),
             outcome_hits: 0,
             outcome_misses: 0,
@@ -177,13 +181,18 @@ impl SearchMemo {
 
     /// Counter snapshot.
     pub fn stats(&self) -> MemoStats {
-        let loss = self.loss_table.stats();
         MemoStats {
-            table: loss,
-            loss_hits: loss.hits,
-            loss_misses: loss.misses,
-            ng_hits: self.ng_hits,
-            ng_misses: self.ng_misses,
+            table: LruStats {
+                hits: self.grads_hits,
+                misses: self.grads_misses,
+                stores: self.grads_misses,
+                evictions: self.grads_evictions,
+                capacity: self.grads_capacity,
+            },
+            loss_hits: 0,
+            loss_misses: self.loss_evals,
+            ng_hits: 0,
+            ng_misses: self.forward_passes,
             grads_hits: self.grads_hits,
             grads_misses: self.grads_misses,
             outcome_hits: self.outcome_hits,
@@ -252,13 +261,6 @@ impl<'g> AttackSession<'g> {
     /// memory for wall-clock, nothing else.
     pub fn with_memo(mut self) -> Self {
         self.memo = Some(Box::new(SearchMemo::new()));
-        self
-    }
-
-    /// Detaches and discards the memo, returning the session to the
-    /// plain recompute-everything behaviour.
-    pub fn without_memo(mut self) -> Self {
-        self.memo = None;
         self
     }
 
@@ -337,46 +339,29 @@ impl<'g> AttackSession<'g> {
     }
 
     /// Forward pass: surrogate loss and the per-node total derivatives at
-    /// the current features. Memoized per state when a [`SearchMemo`] is
-    /// attached (errors are never cached).
+    /// the current features. Never cached; an attached [`SearchMemo`]
+    /// only counts the call.
     pub fn node_grads(&mut self) -> Result<NodeGrads, AttackError> {
-        let state = self.state_hash();
         if let Some(memo) = self.memo.as_deref_mut() {
-            if let Some(pos) = memo.ng_slots.iter().position(|slot| slot.0 == state) {
-                memo.ng_hits += 1;
-                memo.ng_slots[..=pos].rotate_right(1);
-                return Ok(memo.ng_slots[0].1.clone());
-            }
-            memo.ng_misses += 1;
+            memo.forward_passes += 1;
         }
         let feats = self.inc.features();
-        let ng = node_grads(&feats.n, &feats.e, &self.targets)?;
-        if let Some(memo) = self.memo.as_deref_mut() {
-            memo.ng_slots.truncate(NG_SLOTS - 1);
-            memo.ng_slots.insert(0, (state, ng.clone()));
-        }
-        Ok(ng)
+        Ok(node_grads(&feats.n, &feats.e, &self.targets)?)
     }
 
     /// Surrogate loss at the current features (cheaper than a full
     /// [`AttackSession::node_grads`] when only the value is needed).
-    /// Memoized per state when a [`SearchMemo`] is attached.
+    /// Never cached; an attached [`SearchMemo`] only counts the call.
     pub fn loss(&mut self) -> Result<f64, AttackError> {
-        let state = self.state_hash();
-        let key = TransTable::full_key(state, LOSS_CODE);
         if let Some(memo) = self.memo.as_deref_mut() {
-            // The key doubles as the slot code so loss entries spread
-            // across their table instead of piling into one bucket.
-            if let Some(v) = memo.loss_table.probe(key, key) {
-                return Ok(v);
-            }
+            memo.loss_evals += 1;
         }
         let feats = self.inc.features();
-        let loss = surrogate_loss_from_features(&feats.n, &feats.e, &self.targets)?;
-        if let Some(memo) = self.memo.as_deref_mut() {
-            memo.loss_table.store(key, key, loss);
-        }
-        Ok(loss)
+        Ok(surrogate_loss_from_features(
+            &feats.n,
+            &feats.e,
+            &self.targets,
+        )?)
     }
 
     /// Backward pass: assembles `G_ij` for every masked candidate pair
@@ -424,12 +409,13 @@ impl<'g> AttackSession<'g> {
         if let Some(memo) = self.memo.as_deref_mut() {
             // The eviction victim's buffers are reused for the new slot.
             let cap = SearchMemo::grads_capacity(candidates.len());
-            let mut slot = if memo.grads_slots.len() >= cap {
+            memo.grads_capacity = cap;
+            let mut slot = GradsSlot::default();
+            if memo.grads_slots.len() >= cap {
+                memo.grads_evictions += (memo.grads_slots.len() + 1 - cap) as u64;
                 memo.grads_slots.truncate(cap);
-                memo.grads_slots.pop().unwrap_or_default()
-            } else {
-                GradsSlot::default()
-            };
+                slot = memo.grads_slots.pop().unwrap_or_default();
+            }
             slot.state = state;
             slot.mask.clear();
             slot.mask.extend_from_slice(mask);
@@ -575,9 +561,7 @@ mod tests {
             assert_eq!(out_p, out_m);
         }
         let stats = memo.memo_stats().unwrap();
-        assert!(stats.loss_hits > 0, "revisited states must hit: {stats:?}");
-        assert!(stats.ng_hits > 0);
-        assert!(stats.grads_hits > 0);
+        assert!(stats.grads_hits > 0, "revisited states must hit: {stats:?}");
         assert_eq!(plain.memo_stats(), None);
     }
 
@@ -618,18 +602,39 @@ mod tests {
         }
 
         let stats = s.memo_stats().unwrap();
-        assert_eq!(stats.ng_hits + stats.ng_misses, ng_calls, "{stats:?}");
+        // Revisited states recompute the forward pass and the loss;
+        // only the assembly LRU answers from cache.
+        assert_eq!((stats.ng_hits, stats.loss_hits), (0, 0), "{stats:?}");
+        assert_eq!(stats.ng_misses, ng_calls, "{stats:?}");
+        assert_eq!(stats.loss_misses, loss_calls, "{stats:?}");
         assert_eq!(
             stats.grads_hits + stats.grads_misses,
             grads_calls,
             "{stats:?}"
         );
-        assert_eq!(stats.loss_hits + stats.loss_misses, loss_calls, "{stats:?}");
-        assert!(stats.ng_hits > 0 && stats.grads_hits > 0 && stats.loss_hits > 0);
+        assert!(stats.grads_hits > 0);
         assert_eq!(
-            (stats.table.hits, stats.table.misses),
-            (stats.loss_hits, stats.loss_misses)
+            (stats.table.hits, stats.table.misses, stats.table.stores),
+            (stats.grads_hits, stats.grads_misses, stats.grads_misses)
         );
+        assert_eq!(stats.table.evictions, 0, "{stats:?}");
+
+        // More distinct states at one mask than the LRU holds: every
+        // install past capacity evicts exactly one slot.
+        let ng = s.node_grads().unwrap();
+        for j in 10..10 + GRADS_SLOTS_MAX as u32 {
+            s.toggle(1, j);
+            s.pair_gradients_into(&ng, &candidates, &mask, &mut out);
+        }
+        let stats = s.memo_stats().unwrap();
+        assert_eq!(stats.table.capacity, GRADS_SLOTS_MAX, "{stats:?}");
+        assert!(stats.table.evictions > 0, "{stats:?}");
+        assert_eq!(
+            stats.table.evictions,
+            stats.grads_misses - GRADS_SLOTS_MAX as u64,
+            "{stats:?}"
+        );
+        assert_eq!(stats.table.stores, stats.grads_misses);
     }
 
     #[test]
@@ -644,7 +649,7 @@ mod tests {
         let loss23 = s.loss().unwrap();
         assert_ne!(loss01, loss23);
         // Coming back to the original targets reproduces the original
-        // state hash and the memoized loss.
+        // state hash and loss.
         s.retarget(&[0, 1]).unwrap();
         assert_eq!(s.state_hash(), h01);
         assert_eq!(s.loss().unwrap(), loss01);

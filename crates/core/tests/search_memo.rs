@@ -10,8 +10,8 @@
 //! 2. **Golden cached ≡ uncached** — for all five attacks, a memoized
 //!    session reused across target sets and repeated runs (the
 //!    orchestrator's shape, which exercises the run-outcome replay
-//!    tier, the node-grads and assembly LRUs, and the loss table) must
-//!    return outcomes bit-identical to fresh unmemoized runs.
+//!    tier and the assembly LRU) must return outcomes bit-identical to
+//!    fresh unmemoized runs.
 //!    Memoization trades memory for wall-clock, never results.
 
 use ba_core::{
