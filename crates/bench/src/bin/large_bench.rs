@@ -17,12 +17,10 @@
 //!    manifest's), and a fully verified `read_chunked` reload.
 //! 4. **score** — `StreamEngine::from_csr` over the promoted graph:
 //!    egonet features + OddBall fit + top-k AScore ranking at full
-//!    scale, then one event batch through the sharded ingest pipeline.
+//!    scale, then one event batch through the ingest pipeline.
 //!
-//! The degree-balanced shard bounds are reported as a max/min edge-load
-//! ratio (gate: ≤ 2 on the BA graph, the same invariant the unit suite
-//! pins). `--quick` runs a ~100k-node profile for CI smoke; `--json
-//! PATH` writes the `BENCH_large.json` perf-trend artifact.
+//! `--quick` runs a ~100k-node profile for CI smoke; `--json PATH`
+//! writes the `BENCH_large.json` perf-trend artifact.
 
 use ba_bench::graphstore;
 use ba_graph::compact::from_edge_stream;
@@ -32,7 +30,6 @@ use ba_stream::{synthetic_stream, StreamConfig, StreamEngine};
 use std::time::Instant;
 
 const SEED: u64 = 0x5ca1e;
-const MAX_SHARD_LOAD_RATIO: f64 = 2.0;
 
 fn arg_value(args: &[String], flag: &str) -> Option<usize> {
     args.iter()
@@ -62,7 +59,6 @@ fn main() {
     // m + (n - m - 1) * m = 10_999_879.
     let n = arg_value(&args, "--n").unwrap_or(if quick { 100_000 } else { 1_000_000 });
     let m = arg_value(&args, "--m").unwrap_or(11);
-    let shards = arg_value(&args, "--shards").unwrap_or(8);
     let batch = arg_value(&args, "--batch").unwrap_or(if quick { 2_000 } else { 10_000 });
     let store_dir = std::env::temp_dir().join(format!("ba_large_bench_{n}_{m}"));
     let _ = std::fs::remove_dir_all(&store_dir);
@@ -113,34 +109,10 @@ fn main() {
     let promote_s = t0.elapsed().as_secs_f64();
     drop(g32);
 
-    // Degree-balanced sharding invariant at full scale.
-    let bounds = wide.degree_balanced_bounds(shards);
-    let loads: Vec<usize> = (0..shards)
-        .map(|k| {
-            (bounds[k]..bounds[k + 1])
-                .map(|u| wide.degree(u as u32))
-                .sum()
-        })
-        .collect();
-    let (lo, hi) = (
-        *loads.iter().min().expect("shards >= 1"),
-        *loads.iter().max().expect("shards >= 1"),
-    );
-    let load_ratio = hi as f64 / lo.max(1) as f64;
-    eprintln!(
-        "[shard] {shards} shards, edge-load ratio {load_ratio:.3} (gate ≤ {MAX_SHARD_LOAD_RATIO})"
-    );
-
     eprintln!("[score] OddBall fit + top-k at full scale");
     let events = synthetic_stream(&wide, batch, SEED + 1);
     let t0 = Instant::now();
-    let mut engine = StreamEngine::from_csr(
-        wide,
-        StreamConfig {
-            shards,
-            ..StreamConfig::default()
-        },
-    );
+    let mut engine = StreamEngine::from_csr(wide, StreamConfig::default());
     let fit_s = t0.elapsed().as_secs_f64();
     let top = engine.top_k(10).expect("fit degenerate at scale");
     eprintln!(
@@ -177,13 +149,6 @@ fn main() {
             events.len() as f64 / ingest_s,
             "events/s",
         )
-        .metric("shards", shards as f64, "count")
-        .metric("shard_load_ratio", load_ratio, "x")
         .write_if_requested(&args)
         .expect("write bench json");
-
-    if load_ratio > MAX_SHARD_LOAD_RATIO {
-        eprintln!("FAIL: shard edge-load ratio {load_ratio:.3} > {MAX_SHARD_LOAD_RATIO}");
-        std::process::exit(1);
-    }
 }

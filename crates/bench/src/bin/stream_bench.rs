@@ -4,9 +4,9 @@
 //! Replays a synthetic insert/delete event stream over an Erdős–Rényi
 //! base graph in fixed-size batches, two ways:
 //!
-//! * **engine** — [`ba_stream::StreamEngine`]: net the batch, patch the
-//!   touched adjacency rows and feature rows, O(1) OLS refit at the
-//!   batch boundary (plus periodic overlay compaction);
+//! * **engine** — [`ba_stream::StreamEngine`]: net the batch, toggle
+//!   each net edge with the exact egonet delta rule, O(1) OLS refit at
+//!   the batch boundary (plus periodic overlay compaction);
 //! * **full refit** — maintain a mutable [`ba_graph::Graph`] and, at
 //!   every batch boundary, re-extract all egonet features and refit
 //!   OddBall from scratch — what serving the stream without the
@@ -40,14 +40,8 @@ fn time_best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
 }
 
 /// One engine pass over the stream; returns the per-batch betas.
-fn run_engine(g: &ba_graph::Graph, batches: &[&[StreamEvent]], shards: usize) -> Vec<(u64, u64)> {
-    let mut engine = StreamEngine::new(
-        g,
-        StreamConfig {
-            shards,
-            ..StreamConfig::default()
-        },
-    );
+fn run_engine(g: &ba_graph::Graph, batches: &[&[StreamEvent]]) -> Vec<(u64, u64)> {
+    let mut engine = StreamEngine::new(g, StreamConfig::default());
     batches
         .iter()
         .map(|batch| {
@@ -108,18 +102,16 @@ fn main() {
     );
 
     // Cross-check before timing: per-batch betas bit-identical between
-    // the engine (at several shard counts) and the full refit.
+    // the engine and the full refit.
     let reference = run_full_refit(&g, &batches);
-    for shards in [1usize, 4] {
-        let engine_betas = run_engine(&g, &batches, shards);
-        assert_eq!(
-            engine_betas, reference,
-            "engine (shards={shards}) and full-refit betas disagree"
-        );
-    }
+    assert_eq!(
+        run_engine(&g, &batches),
+        reference,
+        "engine and full-refit betas disagree"
+    );
 
     let engine_s = time_best_of(engine_reps, || {
-        run_engine(&g, &batches, 1);
+        run_engine(&g, &batches);
     });
     let full_s = time_best_of(full_reps, || {
         run_full_refit(&g, &batches);

@@ -22,9 +22,8 @@
 //! approved dependency set has no CLI parser; the grammar is small).
 //!
 //! `stream` output on stdout is **deterministic**: a pure function of
-//! the graph, the event file, and the batch size — never of `--shards`
-//! or of a snapshot/`--resume` cut. The CI determinism job diffs these
-//! bytes across shard counts. `client` transcripts are likewise pure
+//! the graph, the event file, and the batch size — never of a
+//! snapshot/`--resume` cut. `client` transcripts are likewise pure
 //! functions of (server graph, request log) — never of `--clients` —
 //! and the CI serve-replay step diffs them across client counts.
 
@@ -53,10 +52,10 @@ USAGE:
                      [--ops <both|add|delete>] [--seed N] [--no-memo]
   binattack transfer --graph <file> --budget B --system <gal|refex> [--seed N]
   binattack gen-stream --graph <file> --out <file> --events N [--seed N]
-  binattack stream   --graph <file> --events <file> [--batch N] [--shards S]
+  binattack stream   --graph <file> --events <file> [--batch N]
                      [--top K] [--regressor <ols|huber|ransac>] [--seed N]
                      [--compact-frac F] [--snapshot <file>] [--resume]
-  binattack serve    --graph <file> --addr HOST:PORT [--retain N] [--shards S]
+  binattack serve    --graph <file> --addr HOST:PORT [--retain N]
                      [--regressor <ols|huber|ransac>] [--seed N]
   binattack gen-requests --graph <file> --out <file> [--batches B]
                      [--batch-size S] [--queries Q] [--topk K] [--seed N]
@@ -372,9 +371,9 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
     let batch_size = flags.usize_or("batch", 100).max(1);
     let top = flags.usize_or("top", 5);
     let cfg = StreamConfig {
-        shards: flags.usize_or("shards", 0),
         compact_fraction: flags.f64_or("compact-frac", 0.125),
         regressor: parse_regressor(flags)?,
+        ..StreamConfig::default()
     };
     let snapshot = flags.get("snapshot");
 
@@ -383,7 +382,7 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
     // re-printed, so output byte-identity holds for the printed suffix.
     let mut engine = match snapshot {
         Some(path) if flags.has("resume") && std::path::Path::new(path).exists() => {
-            let engine = StreamEngine::restore_snapshot(path, cfg.shards)
+            let engine = StreamEngine::restore_snapshot(path)
                 .map_err(|e| format!("restoring {path}: {e}"))?;
             eprintln!(
                 "[stream] resumed from {path}: {} batches / {} events already ingested",
@@ -463,7 +462,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let g = load_graph(flags)?;
     let addr = flags.require("addr")?;
     let cfg = StreamConfig {
-        shards: flags.usize_or("shards", 0),
         regressor: parse_regressor(flags)?,
         ..StreamConfig::default()
     };

@@ -257,12 +257,10 @@ fn smoke_er_generate_score_attack_roundtrip() {
     );
 }
 
-/// gen-stream → stream round-trip: shard counts never change the
-/// stdout bytes, and a snapshot-resumed run continues the suffix
-/// byte-identically (the contract the CI determinism job re-checks at
-/// larger scale).
+/// gen-stream → stream round-trip: a snapshot-resumed run continues
+/// the stdout suffix byte-identically.
 #[test]
-fn stream_shard_invariance_and_snapshot_resume() {
+fn stream_snapshot_resume() {
     let graph = tmp("stream.edges");
     let events = tmp("stream.events");
     binattack()
@@ -297,7 +295,7 @@ fn stream_shard_invariance_and_snapshot_resume() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    let run = |shards: &str, extra: &[&str]| -> (bool, String) {
+    let run = |extra: &[&str]| -> (bool, String) {
         let mut args = vec![
             "stream",
             "--graph",
@@ -308,8 +306,6 @@ fn stream_shard_invariance_and_snapshot_resume() {
             "100",
             "--top",
             "3",
-            "--shards",
-            shards,
         ];
         args.extend_from_slice(extra);
         let out = binattack().args(&args).output().unwrap();
@@ -319,15 +315,10 @@ fn stream_shard_invariance_and_snapshot_resume() {
         )
     };
 
-    let (ok, reference) = run("1", &[]);
+    let (ok, reference) = run(&[]);
     assert!(ok);
     assert!(reference.contains("batch 4:"), "{reference}");
     assert!(reference.contains("stream done:"), "{reference}");
-    for shards in ["4", "8"] {
-        let (ok, text) = run(shards, &[]);
-        assert!(ok);
-        assert_eq!(text, reference, "stdout differs at --shards {shards}");
-    }
 
     // First half with a snapshot, then resume over the full stream: the
     // resumed stdout must be the byte-identical tail of the reference.
@@ -348,8 +339,6 @@ fn stream_shard_invariance_and_snapshot_resume() {
             "100",
             "--top",
             "3",
-            "--shards",
-            "2",
             "--snapshot",
             snapshot.to_str().unwrap(),
         ])
@@ -361,7 +350,7 @@ fn stream_shard_invariance_and_snapshot_resume() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(snapshot.exists());
-    let (ok, resumed) = run("2", &["--snapshot", snapshot.to_str().unwrap(), "--resume"]);
+    let (ok, resumed) = run(&["--snapshot", snapshot.to_str().unwrap(), "--resume"]);
     assert!(ok);
     let resumed_body = resumed
         .strip_suffix(&format!(

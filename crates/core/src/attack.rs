@@ -258,7 +258,7 @@ impl AttackOutcome {
                         (op.v, op.u)
                     };
                     if overlay.has_edge(u, v) != op.added {
-                        inc.toggle_with(&mut overlay, u, v, |m| dirty.push(m));
+                        inc.toggle_with(&mut overlay, u, v, |m, _, _| dirty.push(m));
                     }
                     let differs = csr.has_edge(u, v) != op.added;
                     match applied.binary_search(&(u, v)) {
@@ -298,7 +298,7 @@ impl AttackOutcome {
                             desired[j - 1]
                         }
                     };
-                    inc.toggle_with(&mut overlay, u, v, |m| dirty.push(m));
+                    inc.toggle_with(&mut overlay, u, v, |m, _, _| dirty.push(m));
                 }
                 applied = desired;
             }

@@ -13,11 +13,12 @@
 
 use crate::view::{EditableGraph, GraphView};
 use crate::zobrist::{edge_key, edge_set_hash};
-use crate::{EdgeOp, Graph, NodeId};
+use crate::{Graph, NodeId};
 
 /// Compressed-sparse-row adjacency: `cols[offsets[u]..offsets[u+1]]` is
-/// the strictly increasing neighbour list of `u`. Immutable by design —
-/// edits go through a [`DeltaOverlay`].
+/// the strictly increasing neighbour list of `u`. Frozen by design —
+/// edits go through a [`DeltaOverlay`], and [`CsrGraph::absorb`] folds
+/// a batch of them back in.
 ///
 /// ```
 /// use ba_graph::{CsrGraph, Graph, GraphView};
@@ -100,45 +101,96 @@ impl CsrGraph {
 
     /// Materialises a mutable [`Graph`] with the same edge set.
     pub fn to_graph(&self) -> Graph {
-        let mut g = Graph::new(self.num_nodes());
-        self.for_each_edge(|u, v| {
-            g.add_edge(u, v);
-        });
-        g
+        Graph::from_view(self)
     }
 
-    /// Splits the node space into `shards` contiguous ranges balanced by
-    /// *cumulative degree* rather than node count. Returns `shards + 1`
-    /// monotone boundaries with `bounds[0] == 0` and
-    /// `bounds[shards] == n`; shard `k` owns nodes
-    /// `bounds[k]..bounds[k + 1]` and carries close to `2m / shards`
-    /// adjacency entries.
+    /// Folds edits detached from this graph into it in place, leaving
+    /// it equal to [`DeltaOverlay::compact`] of the overlay they came
+    /// from. This is the *compaction* step of the streaming engine:
+    /// once enough rows have diverged, overlay reads pay for the
+    /// indirection and resets stop being cheap, so the edits become
+    /// the new base and the overlay starts clean again. Unlike
+    /// `compact`, the fold never holds a second CSR beside this one.
     ///
-    /// Under power-law degree distributions (every BA-style dataset in
-    /// this repo) equal-*count* ranges skew badly — the hub-heavy range
-    /// can carry an order of magnitude more adjacency entries than the
-    /// tail ranges — so sharded row work keyed on node ranges must use
-    /// these boundaries to stay balanced. Boundaries depend only on the
-    /// frozen degree sequence, never on thread timing, so any consumer
-    /// stays deterministic. Some shards may be empty (e.g. more shards
-    /// than nodes).
-    pub fn degree_balanced_bounds(&self, shards: usize) -> Vec<usize> {
-        let n = self.num_nodes();
-        let shards = shards.max(1);
-        let total = self.cols.len();
-        let mut bounds = Vec::with_capacity(shards + 1);
-        bounds.push(0);
-        for k in 1..shards {
-            // Smallest node index whose row starts at or past the k-th
-            // equal slice of the adjacency array.
-            let target = total * k / shards;
-            let cut = self.offsets.partition_point(|&o| o < target).min(n);
-            // ba-lint: allow(panic-path) -- bounds starts non-empty and only grows
-            let prev = *bounds.last().expect("bounds non-empty");
-            bounds.push(cut.max(prev));
+    /// # Panics
+    /// Panics if non-empty `edits` cover a different node count.
+    pub fn absorb(&mut self, edits: OverlayEdits) {
+        if edits.is_clean() {
+            return;
         }
-        bounds.push(n);
-        bounds
+        assert_eq!(
+            edits.rows.len(),
+            self.num_nodes(),
+            "edits detached from a different base"
+        );
+        let delta_hash = edits
+            .delta_hash
+            .unwrap_or_else(|| recompute_delta_hash(self, &edits.rows, &edits.dirty));
+        let mut dirty = edits.dirty;
+        dirty.sort_unstable();
+        self.patch_rows(&edits.rows, &dirty);
+        self.num_edges = edits.num_edges;
+        self.edge_hash ^= delta_hash;
+    }
+
+    /// Replaces the row of each node in `dirty` (ascending, every one
+    /// materialised in `rows`) in place. The clean node ranges between
+    /// dirty rows move as blocks: first the blocks shifting right, right
+    /// to left, then those shifting left, left to right, then the dirty
+    /// rows. A block moving right can only land on the old bytes of
+    /// blocks to its right that also move right, and a block moving
+    /// left only on blocks to its left that also move left; this order
+    /// has moved those already. So the column array grows at most once
+    /// and no second copy of it is ever needed.
+    fn patch_rows(&mut self, rows: &[Option<Vec<NodeId>>], dirty: &[NodeId]) {
+        let n = self.num_nodes();
+        let row = |u: usize| {
+            rows[u]
+                .as_deref()
+                // ba-lint: allow(panic-path) -- callers pass only dirty nodes, and a node only enters dirty when its row slot is filled
+                .expect("dirty row is materialised")
+        };
+        let old = std::mem::take(&mut self.offsets);
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut next_dirty = dirty.iter().map(|&d| d as usize).peekable();
+        for u in 0..n {
+            let len = match next_dirty.next_if_eq(&u) {
+                Some(_) => row(u).len(),
+                None => old[u + 1] - old[u],
+            };
+            offsets.push(offsets[u] + len);
+        }
+        // Clean node ranges [lo, hi) between consecutive dirty rows.
+        let mut blocks = Vec::with_capacity(dirty.len() + 1);
+        let mut lo = 0;
+        for hi in dirty.iter().map(|&d| d as usize).chain([n]) {
+            if lo < hi {
+                blocks.push((lo, hi));
+            }
+            lo = hi + 1;
+        }
+        let len = offsets[n];
+        let cols = &mut self.cols;
+        if len > cols.len() {
+            cols.reserve_exact(len - cols.len());
+            cols.resize(len, 0);
+        }
+        let right = blocks
+            .iter()
+            .rev()
+            .filter(|&&(lo, _)| offsets[lo] > old[lo]);
+        let left = blocks.iter().filter(|&&(lo, _)| offsets[lo] < old[lo]);
+        for &(lo, hi) in right.chain(left) {
+            cols.copy_within(old[lo]..old[hi], offsets[lo]);
+        }
+        for &u in dirty {
+            let u = u as usize;
+            cols[offsets[u]..offsets[u + 1]].copy_from_slice(row(u));
+        }
+        cols.truncate(len);
+        cols.shrink_to_fit();
+        self.offsets = offsets;
     }
 }
 
@@ -377,172 +429,24 @@ impl<'a> DeltaOverlay<'a> {
 
     /// Materialises a standalone [`Graph`] of the current edge set.
     pub fn to_graph(&self) -> Graph {
-        let mut g = Graph::new(self.num_nodes());
-        self.for_each_edge(|u, v| {
-            g.add_edge(u, v);
-        });
-        g
+        Graph::from_view(self)
     }
 
-    /// Materialises the overlay back into a fresh frozen [`CsrGraph`].
-    ///
-    /// This is the *compaction* step of the streaming engine: once the
-    /// dirty-row count crosses a threshold, overlay reads start paying
-    /// for the indirection (and resets stop being cheap), so the edits
-    /// are folded into a new base and the overlay starts clean again.
-    /// Clean row *ranges* between consecutive dirty rows are copied
-    /// from the base column array in single `extend_from_slice` spans,
-    /// so compaction is a near-memcpy `O(n + m)` rather than a per-row
-    /// walk; the result is byte-identical to rebuilding a CSR from the
-    /// current edge set from scratch (`CsrGraph::from_view`).
+    /// Materialises the overlay back into a fresh frozen [`CsrGraph`],
+    /// byte-identical to rebuilding a CSR from the current edge set
+    /// from scratch (`CsrGraph::from_view`). The base is copied and the
+    /// edits are folded into the copy as [`CsrGraph::absorb`] folds
+    /// them into the base itself.
     pub fn compact(&self) -> CsrGraph {
-        let n = self.num_nodes();
-        let mut dirty_sorted = self.dirty.clone();
-        dirty_sorted.sort_unstable();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut cols = Vec::with_capacity(2 * self.num_edges);
-        offsets.push(0);
-        // `cursor` walks the node space; dirty rows interrupt the clean
-        // spans served straight from the base.
-        let mut cursor: usize = 0;
-        let base_off = self.base.offsets();
-        let base_cols = self.base.cols();
-        let copy_clean_span = |cols: &mut Vec<NodeId>, offsets: &mut Vec<usize>, lo, hi| {
-            if lo < hi {
-                // ba-lint: allow(panic-path) -- offsets is seeded with a leading 0 before any span is copied, so last() always exists
-                let shift = offsets.last().copied().expect("offsets non-empty") as isize
-                    - base_off[lo] as isize;
-                cols.extend_from_slice(&base_cols[base_off[lo]..base_off[hi]]);
-                offsets.extend(
-                    base_off[lo + 1..=hi]
-                        .iter()
-                        .map(|&o| (o as isize + shift) as usize),
-                );
-            }
-        };
-        for &d in &dirty_sorted {
-            let d = d as usize;
-            copy_clean_span(&mut cols, &mut offsets, cursor, d);
-            // ba-lint: allow(panic-path) -- d iterates the dirty list, and a node only enters dirty when its row slot is filled
-            let row = self.rows[d].as_deref().expect("dirty row is materialised");
-            cols.extend_from_slice(row);
-            offsets.push(cols.len());
-            cursor = d + 1;
-        }
-        copy_clean_span(&mut cols, &mut offsets, cursor, n);
-        CsrGraph {
-            offsets,
-            cols,
-            num_edges: self.num_edges,
-            // XOR-folding is set-associative, so the frozen hash of the
-            // compacted graph is exactly base ⊕ delta — no rescan.
-            edge_hash: self.base.edge_hash ^ self.delta_hash,
-        }
-    }
-
-    /// Applies a batch of *consistent* edge ops (each add targets an
-    /// absent edge, each delete a present one — as produced by netting a
-    /// stream batch against the current state) with the row updates
-    /// sharded across `shards` threads. Each shard owns a contiguous
-    /// node range balanced by cumulative base degree
-    /// ([`CsrGraph::degree_balanced_bounds`] — equal node *counts* skew
-    /// badly under power-law degrees) and applies exactly the op
-    /// endpoints that fall in it, so the resulting adjacency — and
-    /// therefore everything downstream — is byte-identical at any shard
-    /// count, including `1`.
-    ///
-    /// `shards == 0` autodetects from [`std::thread::available_parallelism`].
-    ///
-    /// # Panics
-    /// Panics (debug builds) if an op is inconsistent with the current
-    /// state; ops must be pre-netted by the caller.
-    pub fn apply_ops_sharded(&mut self, ops: &[EdgeOp], shards: usize) {
-        let n = self.num_nodes();
-        let shards = if shards == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            shards
-        };
-        let adds = ops.iter().filter(|op| op.added).count();
-        if shards <= 1 || ops.len() < 2 || n < 2 {
-            for op in ops {
-                if op.added {
-                    let fresh = self.add_edge(op.u, op.v);
-                    debug_assert!(fresh, "op adds an existing edge {op:?}");
-                } else {
-                    let existed = self.remove_edge(op.u, op.v);
-                    debug_assert!(existed, "op deletes a missing edge {op:?}");
-                }
-            }
-            return;
-        }
-        // Ops are pre-netted and consistent, so each one toggles exactly
-        // one pair's presence: fold its key before fanning out (the
-        // serial path above folds through add_edge/remove_edge).
-        for op in ops {
-            self.delta_hash ^= edge_key(op.u, op.v);
-        }
-        let base = self.base;
-        // Shard boundaries follow the base's cumulative degree, so the
-        // row-copy work (O(deg) per touched row) splits evenly even when
-        // a few hubs hold most of the adjacency. Each node still lives
-        // in exactly one shard — the only property byte-identity needs.
-        let bounds = base.degree_balanced_bounds(shards);
-        let newly_dirty: Vec<Vec<NodeId>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(shards);
-            let mut rest: &mut [Option<Vec<NodeId>>] = &mut self.rows;
-            for k in 0..shards {
-                let (lo, hi) = (bounds[k], bounds[k + 1]);
-                let (slice, tail) = rest.split_at_mut(hi - lo);
-                rest = tail;
-                if slice.is_empty() {
-                    continue;
-                }
-                handles.push(scope.spawn(move || {
-                    let mut newly: Vec<NodeId> = Vec::new();
-                    for op in ops {
-                        for (a, b) in [(op.u, op.v), (op.v, op.u)] {
-                            let i = a as usize;
-                            if i < lo || i >= hi {
-                                continue;
-                            }
-                            let slot = &mut slice[i - lo];
-                            if slot.is_none() {
-                                *slot = Some(base.neighbors_sorted(a).to_vec());
-                                newly.push(a);
-                            }
-                            // ba-lint: allow(panic-path) -- the branch above fills the slot when it is None, so it is Some here
-                            let row = slot.as_mut().expect("just materialised");
-                            match (row.binary_search(&b), op.added) {
-                                (Err(pos), true) => row.insert(pos, b),
-                                (Ok(pos), false) => {
-                                    row.remove(pos);
-                                }
-                                (Ok(_), true) => {
-                                    debug_assert!(false, "op adds an existing edge {op:?}")
-                                }
-                                (Err(_), false) => {
-                                    debug_assert!(false, "op deletes a missing edge {op:?}")
-                                }
-                            }
-                        }
-                    }
-                    newly
-                }));
-            }
-            handles
-                .into_iter()
-                // ba-lint: allow(panic-path) -- a join Err means the shard worker panicked; re-raising preserves the original panic
-                .map(|h| h.join().expect("shard worker"))
-                .collect()
-        });
-        for mut newly in newly_dirty {
-            // Rows freshly materialised by a shard were not dirty before
-            // (shards only see rows they own, and each node lives in
-            // exactly one shard), so this stays duplicate-free.
-            self.dirty.append(&mut newly);
-        }
-        self.num_edges = self.num_edges + adds - (ops.len() - adds);
+        let mut dirty = self.dirty.clone();
+        dirty.sort_unstable();
+        let mut fresh = self.base.clone();
+        fresh.patch_rows(&self.rows, &dirty);
+        fresh.num_edges = self.num_edges;
+        // XOR-folding is set-associative, so the frozen hash of the
+        // compacted graph is exactly base ⊕ delta — no rescan.
+        fresh.edge_hash ^= self.delta_hash;
+        fresh
     }
 
     fn row_mut(&mut self, u: NodeId) -> &mut Vec<NodeId> {
@@ -776,6 +680,37 @@ mod tests {
     }
 
     #[test]
+    fn absorb_in_place_equals_from_scratch_rebuild() {
+        // Rows both grow and shrink, so clean blocks shift both ways.
+        let g = crate::generators::barabasi_albert(60, 3, 11);
+        let csr = CsrGraph::from(&g);
+        let mut ov = DeltaOverlay::new(&csr);
+        for (u, v) in [(0u32, 59u32), (1, 2), (30, 31), (0, 1), (58, 3), (10, 45)] {
+            ov.toggle_edge(u, v);
+        }
+        let rebuilt = CsrGraph::from_view(&ov);
+        assert_eq!(rebuilt.edge_hash(), edge_set_hash(&ov));
+        let (n, m) = (ov.num_nodes(), ov.num_edges());
+        let edits = ov.detach();
+        let rows: Vec<(NodeId, Vec<NodeId>)> = edits
+            .dirty_rows_sorted()
+            .into_iter()
+            .map(|(u, r)| (u, r.to_vec()))
+            .collect();
+        let mut folded = csr.clone();
+        folded.absorb(edits);
+        assert_eq!(folded, rebuilt);
+        // Rows rebuilt from a snapshot carry no delta hash; absorb
+        // derives it from the base.
+        let mut restored = csr.clone();
+        restored.absorb(OverlayEdits::from_rows(n, m, rows));
+        assert_eq!(restored, rebuilt);
+        // An empty edit set leaves the graph untouched.
+        folded.absorb(OverlayEdits::default());
+        assert_eq!(folded, rebuilt);
+    }
+
+    #[test]
     fn detach_attach_roundtrip_preserves_state() {
         let g = sample();
         let csr = CsrGraph::from(&g);
@@ -816,136 +751,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_apply_matches_serial_at_any_shard_count() {
-        let g = Graph::from_edges(
-            10,
-            [
-                (0, 1),
-                (1, 2),
-                (2, 3),
-                (3, 4),
-                (4, 5),
-                (5, 6),
-                (6, 7),
-                (8, 9),
-            ],
-        );
-        let csr = CsrGraph::from(&g);
-        let ops = [
-            EdgeOp::new(0, 9, true),
-            EdgeOp::new(1, 2, false),
-            EdgeOp::new(3, 7, true),
-            EdgeOp::new(8, 9, false),
-            EdgeOp::new(2, 4, true),
-        ];
-        let mut serial = DeltaOverlay::new(&csr);
-        EditableGraph::apply_ops(&mut serial, &ops);
-        for shards in [0usize, 1, 2, 3, 8, 16] {
-            let mut ov = DeltaOverlay::new(&csr);
-            ov.apply_ops_sharded(&ops, shards);
-            assert_eq!(ov.num_edges(), serial.num_edges(), "shards={shards}");
-            for u in 0..10u32 {
-                assert_eq!(
-                    ov.neighbors_sorted(u),
-                    serial.neighbors_sorted(u),
-                    "row {u} at shards={shards}"
-                );
-            }
-            assert_eq!(ov.dirty_rows(), serial.dirty_rows(), "shards={shards}");
-            // Compaction of either overlay freezes the same bytes.
-            assert_eq!(ov.compact(), serial.compact(), "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn degree_balanced_bounds_bound_shard_edge_load_on_ba() {
-        // The regression the cumulative-degree bucketing fixes: on a
-        // power-law graph, equal node-count ranges skew, degree-balanced
-        // ranges stay within 2x of each other.
-        let g = crate::generators::barabasi_albert(2000, 5, 17);
-        let csr = CsrGraph::from(&g);
-        let off = csr.offsets();
-        let n = csr.num_nodes();
-        for shards in [2usize, 4, 8] {
-            let bounds = csr.degree_balanced_bounds(shards);
-            assert_eq!(bounds.len(), shards + 1);
-            assert_eq!(bounds[0], 0);
-            assert_eq!(bounds[shards], n);
-            assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-            let loads: Vec<usize> = bounds.windows(2).map(|w| off[w[1]] - off[w[0]]).collect();
-            let max = *loads.iter().max().unwrap();
-            let min = *loads.iter().min().unwrap();
-            assert!(min > 0, "empty shard at shards={shards}: {loads:?}");
-            assert!(
-                max <= 2 * min,
-                "edge-load ratio > 2 at shards={shards}: {loads:?}"
-            );
-        }
-        // The replaced strategy — equal node counts — violates the same
-        // bound on this graph: BA hubs concentrate at low ids.
-        let shards = 8usize;
-        let chunk = n.div_ceil(shards);
-        let naive: Vec<usize> = (0..shards)
-            .map(|k| off[((k + 1) * chunk).min(n)] - off[(k * chunk).min(n)])
-            .collect();
-        let nmax = *naive.iter().max().unwrap();
-        let nmin = *naive.iter().min().unwrap();
-        assert!(
-            nmax > 2 * nmin,
-            "expected contiguous-range skew on BA, got {naive:?}"
-        );
-    }
-
-    #[test]
-    fn degree_balanced_bounds_degenerate_shapes() {
-        // More shards than nodes, and an edgeless graph: bounds stay
-        // monotone and cover the node space; empty shards are allowed.
-        let g = Graph::from_edges(3, [(0, 1)]);
-        let csr = CsrGraph::from(&g);
-        let bounds = csr.degree_balanced_bounds(8);
-        assert_eq!(bounds.len(), 9);
-        assert_eq!(bounds[0], 0);
-        assert_eq!(bounds[8], 3);
-        assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-
-        let empty = CsrGraph::from(&Graph::new(4));
-        let b = empty.degree_balanced_bounds(3);
-        assert_eq!(b[0], 0);
-        assert_eq!(b[3], 4);
-        assert!(b.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn sharded_apply_is_byte_identical_on_ba_at_any_shard_count() {
-        // End-to-end check of the degree-bucketed sharding on a graph
-        // where the buckets are genuinely uneven in node count.
-        let g = crate::generators::barabasi_albert(300, 3, 5);
-        let csr = CsrGraph::from(&g);
-        // Derive a consistent op batch from the graph itself: delete two
-        // present edges, add one absent pair per region of the id space.
-        let row0: Vec<NodeId> = csr.neighbors_sorted(0).to_vec();
-        let mut ops = vec![
-            EdgeOp::new(0, row0[0], false),
-            EdgeOp::new(0, row0[1], false),
-        ];
-        for u in [0u32, 100, 200] {
-            let v = (u + 1..300)
-                .rev()
-                .find(|&v| !csr.has_edge(u, v))
-                .expect("some absent pair");
-            ops.push(EdgeOp::new(u, v, true));
-        }
-        let mut serial = DeltaOverlay::new(&csr);
-        EditableGraph::apply_ops(&mut serial, &ops);
-        for shards in [2usize, 3, 5, 16, 300, 1000] {
-            let mut ov = DeltaOverlay::new(&csr);
-            ov.apply_ops_sharded(&ops, shards);
-            assert_eq!(ov.compact(), serial.compact(), "shards={shards}");
-            assert_eq!(ov.delta_hash(), serial.delta_hash(), "shards={shards}");
-        }
-    }
-
-    #[test]
     fn incremental_hash_tracks_materialised_edge_set() {
         let g = sample();
         let csr = CsrGraph::from(&g);
@@ -965,23 +770,6 @@ mod tests {
         ov.reset();
         assert_eq!(ov.delta_hash(), 0);
         assert_eq!(ov.edge_set_hash(), csr.edge_hash());
-    }
-
-    #[test]
-    fn sharded_apply_and_serial_agree_on_hash() {
-        let g = sample();
-        let csr = CsrGraph::from(&g);
-        let ops = [
-            EdgeOp::new(0, 3, true),
-            EdgeOp::new(0, 1, false),
-            EdgeOp::new(2, 5, true),
-        ];
-        let mut serial = DeltaOverlay::new(&csr);
-        EditableGraph::apply_ops(&mut serial, &ops);
-        let mut sharded = DeltaOverlay::new(&csr);
-        sharded.apply_ops_sharded(&ops, 3);
-        assert_eq!(serial.delta_hash(), sharded.delta_hash());
-        assert_eq!(sharded.edge_set_hash(), edge_set_hash(&sharded));
     }
 
     #[test]

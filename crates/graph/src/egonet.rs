@@ -12,9 +12,10 @@
 //! [`CsrGraph`](crate::CsrGraph), and the
 //! [`DeltaOverlay`](crate::DeltaOverlay) identically. The incremental
 //! updater maintains `(N, E)` under single-edge toggles in
-//! `O(deg(u) + deg(v))` on any [`EditableGraph`]; the greedy attack flips
-//! one edge per step, so recomputing all features from scratch there
-//! would be quadratic.
+//! `O(deg(u) + deg(v))` on any [`EditableGraph`]. It is the one
+//! feature-update kernel of the workspace: the greedy attack, the τ_as
+//! curve evaluation and stream ingest all flip edges through it, where
+//! recomputing features from scratch would be quadratic.
 
 use crate::view::{merge_common, EditableGraph, GraphView};
 use crate::{EdgeOp, NodeId};
@@ -90,85 +91,70 @@ impl IncrementalEgonet {
     /// Toggles `{u, v}` in `g` and patches the features. Returns the op
     /// performed, or `None` for a self-loop.
     ///
-    /// Feature deltas for toggling `{u,v}`:
-    /// * `N_u`, `N_v` change by ±1;
-    /// * `E_u` changes by ±1 (its own spoke) ± the number of common
-    ///   neighbours (each common neighbour `m` forms/breaks a neighbour
-    ///   edge `v–m`... precisely: edges among u's neighbours gained =
-    ///   |nbrs(u) ∩ nbrs(v)| because `v` joins/leaves the egonet bringing
-    ///   its edges to u's other neighbours); symmetrically for `E_v`;
-    /// * for every common neighbour `m`, `E_m` changes by ±1 (the edge
-    ///   `{u,v}` lies inside m's egonet).
+    /// Let `c = |nbrs(u) ∩ nbrs(v)|`; the edge `{u,v}` never lies in
+    /// that intersection, so `c` is the same before and after the flip.
+    /// Adding `{u,v}` (removing is the exact negation):
+    /// * `N_u` and `N_v` rise by 1;
+    /// * `E_u` rises by `1 + c`: the new spoke `u–v`, plus one
+    ///   neighbour edge `v–m` per common neighbour `m`, since `v` and
+    ///   each such `m` are now both in u's egonet; symmetrically `E_v`;
+    /// * `E_m` rises by 1 for every common neighbour `m`: the edge
+    ///   `{u,v}` now lies inside m's egonet.
+    ///
+    /// Every delta is an integer, so on integer-valued features the
+    /// patched rows equal a fresh [`egonet_features`] bit for bit.
     pub fn toggle<G: EditableGraph + ?Sized>(
         &mut self,
         g: &mut G,
         u: NodeId,
         v: NodeId,
     ) -> Option<EdgeOp> {
-        self.toggle_with(g, u, v, |_| {})
+        self.toggle_with(g, u, v, |_, _, _| {})
     }
 
     /// [`IncrementalEgonet::toggle`] that additionally reports every
     /// node whose `(N, E)` row changed — the two endpoints and their
-    /// common neighbours — to `on_dirty`. Consumers that mirror the
-    /// features into derived state (the incremental detector refit in
-    /// `ba-oddball`) patch exactly these rows instead of rescanning all
-    /// `n`. A node may be reported more than once across consecutive
-    /// toggles; callers that need a set should dedup.
+    /// common neighbours — to `on_dirty(node, n_before, e_before)`,
+    /// together with that row's value just before this toggle.
+    /// Consumers that mirror the features into derived state (the
+    /// incremental detector refit in `ba-oddball`) patch exactly these
+    /// rows instead of rescanning all `n`. A node may be reported more
+    /// than once across consecutive toggles; callers that need a set
+    /// should dedup, and the first report of a node carries its value
+    /// before the whole sequence.
     pub fn toggle_with<G: EditableGraph + ?Sized>(
         &mut self,
         g: &mut G,
         u: NodeId,
         v: NodeId,
-        mut on_dirty: impl FnMut(NodeId),
+        mut on_dirty: impl FnMut(NodeId, f64, f64),
     ) -> Option<EdgeOp> {
         if u == v {
             return None;
         }
-        on_dirty(u);
-        on_dirty(v);
+        let feats = &mut self.feats;
+        let (ui, vi) = (u as usize, v as usize);
+        on_dirty(u, feats.n[ui], feats.e[ui]);
+        on_dirty(v, feats.n[vi], feats.e[vi]);
         let adding = !g.has_edge(u, v);
+        let delta = if adding { 1.0 } else { -1.0 };
+        let mut common = 0.0;
+        merge_common(g.neighbors_sorted(u), g.neighbors_sorted(v), |m| {
+            let mi = m as usize;
+            on_dirty(m, feats.n[mi], feats.e[mi]);
+            feats.e[mi] += delta;
+            common += 1.0;
+        });
         if adding {
-            // Common neighbours *before* adding determine the new
-            // neighbour-edges; compute first, then mutate.
-            let mut commons: Vec<NodeId> = Vec::new();
-            merge_common(g.neighbors_sorted(u), g.neighbors_sorted(v), |m| {
-                commons.push(m)
-            });
             g.add_edge(u, v);
-            self.feats.n[u as usize] += 1.0;
-            self.feats.n[v as usize] += 1.0;
-            // Spoke for each endpoint:
-            self.feats.e[u as usize] += 1.0;
-            self.feats.e[v as usize] += 1.0;
-            for &m in &commons {
-                // Edge {u,v} is inside m's egonet; and m's edges to u/v are
-                // now inside u's/v's egonets.
-                on_dirty(m);
-                self.feats.e[m as usize] += 1.0;
-                self.feats.e[u as usize] += 1.0;
-                self.feats.e[v as usize] += 1.0;
-            }
-            Some(EdgeOp::new(u, v, true))
         } else {
             g.remove_edge(u, v);
-            // Common neighbours *after* removal = triangles that were broken.
-            let mut commons: Vec<NodeId> = Vec::new();
-            merge_common(g.neighbors_sorted(u), g.neighbors_sorted(v), |m| {
-                commons.push(m)
-            });
-            self.feats.n[u as usize] -= 1.0;
-            self.feats.n[v as usize] -= 1.0;
-            self.feats.e[u as usize] -= 1.0;
-            self.feats.e[v as usize] -= 1.0;
-            for &m in &commons {
-                on_dirty(m);
-                self.feats.e[m as usize] -= 1.0;
-                self.feats.e[u as usize] -= 1.0;
-                self.feats.e[v as usize] -= 1.0;
-            }
-            Some(EdgeOp::new(u, v, false))
         }
+        feats.n[ui] += delta;
+        feats.n[vi] += delta;
+        feats.e[ui] += delta * (1.0 + common);
+        feats.e[vi] += delta * (1.0 + common);
+        Some(EdgeOp::new(u, v, adding))
     }
 }
 
@@ -289,7 +275,12 @@ mod tests {
         for &(u, v) in edits {
             let before = inc.features().clone();
             let mut dirty: Vec<NodeId> = Vec::new();
-            inc.toggle_with(&mut g, u, v, |m| dirty.push(m)).unwrap();
+            inc.toggle_with(&mut g, u, v, |m, n_m, e_m| {
+                // Each report carries the row as it was before the toggle.
+                assert_eq!((n_m, e_m), (before.n[m as usize], before.e[m as usize]));
+                dirty.push(m);
+            })
+            .unwrap();
             dirty.sort_unstable();
             dirty.dedup();
             // Every row that moved is reported, and every unreported row
@@ -318,7 +309,9 @@ mod tests {
         let mut g = Graph::from_edges(3, [(0, 1)]);
         let mut inc = IncrementalEgonet::new(&g);
         let mut dirty: Vec<NodeId> = Vec::new();
-        assert!(inc.toggle_with(&mut g, 1, 1, |m| dirty.push(m)).is_none());
+        assert!(inc
+            .toggle_with(&mut g, 1, 1, |m, _, _| dirty.push(m))
+            .is_none());
         assert!(dirty.is_empty());
     }
 

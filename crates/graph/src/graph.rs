@@ -49,6 +49,17 @@ impl Graph {
         }
     }
 
+    /// Copies any [`GraphView`] row by row: each sorted neighbour slice
+    /// becomes one exactly-sized row, with no per-edge insertion.
+    pub(crate) fn from_view<V: GraphView + ?Sized>(g: &V) -> Self {
+        Self {
+            adj: (0..g.num_nodes() as NodeId)
+                .map(|u| g.neighbors_sorted(u).to_vec())
+                .collect(),
+            num_edges: g.num_edges(),
+        }
+    }
+
     /// Builds a graph from an iterator of edges. Self-loops and duplicate
     /// edges are ignored.
     pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (NodeId, NodeId)>) -> Self {

@@ -238,10 +238,13 @@ proptest! {
                     ov.reset();
                     prop_assert_eq!(ov.delta_hash(), 0);
                 }
-                // Occasional sharded batch apply of one toggle.
+                // Occasional explicit add/remove of one pair.
                 1 if u != v => {
-                    let added = !ov.has_edge(u, v);
-                    ov.apply_ops_sharded(&[ba_graph::EdgeOp::new(u, v, added)], 2);
+                    if ov.has_edge(u, v) {
+                        ov.remove_edge(u, v);
+                    } else {
+                        ov.add_edge(u, v);
+                    }
                 }
                 _ => {
                     ov.toggle_edge(u, v);

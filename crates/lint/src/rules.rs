@@ -9,7 +9,7 @@
 //! * **determinism** (R2) — no `HashMap`/`HashSet`, `SystemTime::now`,
 //!   `thread_rng`, or `rand::random` in crates/paths tagged
 //!   deterministic. Output must be byte-identical at any
-//!   `--threads/--shards/--clients/--peers` count; iteration over a
+//!   `--threads/--clients/--peers` count; iteration over a
 //!   randomized-order container in a merge path silently breaks that.
 //! * **float-order** (R3) — no `partial_cmp` anywhere in library code:
 //!   a NaN reaching a `sort_by(partial_cmp…unwrap)` comparator is the

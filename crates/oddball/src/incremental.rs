@@ -200,7 +200,8 @@ mod tests {
         let edits: &[(NodeId, NodeId)] = &[(0, 1), (3, 7), (0, 1), (2, 9), (5, 40), (3, 7)];
         for &(a, b) in edits {
             let mut dirty: Vec<NodeId> = Vec::new();
-            inc.toggle_with(&mut g, a, b, |m| dirty.push(m)).unwrap();
+            inc.toggle_with(&mut g, a, b, |m, _, _| dirty.push(m))
+                .unwrap();
             dirty.sort_unstable();
             dirty.dedup();
             let feats = inc.features();

@@ -71,7 +71,7 @@ proptest! {
         batches in arb_batches(20, 5),
     ) {
         let n = g.num_nodes();
-        let cfg = StreamConfig { shards: 1, ..StreamConfig::default() };
+        let cfg = StreamConfig::default();
         let lived = ServeState::new(StreamEngine::new(&g, cfg), usize::MAX);
         for batch in &batches {
             lived.ingest(batch);

@@ -11,44 +11,40 @@
 //!    (queries are only served at batch boundaries), so redundant
 //!    inserts/deletes and insert→delete churn cost nothing downstream.
 //!    Net ops come out keyed in sorted `(u, v)` order — deterministic.
-//! 2. **Apply (sharded).** [`DeltaOverlay::apply_ops_sharded`] patches
-//!    the touched adjacency rows across a `std::thread::scope` pool;
-//!    each shard owns a contiguous node range, so the resulting rows
-//!    are byte-identical at any `--shards` value.
-//! 3. **Dirty set.** The nodes whose `(N, E)` can have moved: the net
-//!    ops' endpoints plus their common neighbours in the pre- and
-//!    post-batch graphs (a superset is harmless — unchanged rows are
-//!    skipped by the refit's no-op check, so the fitted parameters
-//!    depend only on the rows that actually moved). Sorted + deduped.
-//! 4. **Recompute (sharded).** `(N_i, E_i)` is re-derived for dirty
-//!    nodes by read-only sorted-merge triangle counting over the new
-//!    graph — exact integer counts, so recomputation is bit-identical
-//!    to incremental patching.
-//! 5. **Merge (serial, sorted).** Dirty rows are fed to
-//!    [`IncrementalFit::update_row`] in ascending node order — the one
-//!    serialisation point that keeps the OLS sufficient statistics
-//!    bit-identical across shard counts — then the model refits (O(1)
-//!    for OLS) and the batch summary is emitted.
+//! 2. **Toggle.** Each net op is applied in that canonical order through
+//!    [`IncrementalEgonet::toggle_with`]: one `O(deg u + deg v)`
+//!    common-neighbour merge patches `(N, E)` by exact integer deltas at
+//!    the two endpoints and their common neighbours, and reports each of
+//!    those rows with its value before the toggle.
+//! 3. **Dirty set.** The reported rows, sorted by node and deduped
+//!    keeping each node's first report — its pre-batch `(N, E)`, so the
+//!    rows that really moved are counted without an `O(n)` copy. A row
+//!    that moved and moved back is harmless: the refit's no-op check
+//!    skips it, so the fitted parameters depend only on the rows that
+//!    actually moved.
+//! 4. **Merge (serial, sorted).** Dirty rows are fed to
+//!    [`IncrementalFit::update_row`] in ascending node order, then the
+//!    model refits (O(1) for OLS) and the batch summary is emitted.
 //!
 //! **Compaction.** Overlay reads pay an indirection per touched row and
 //! resets/compactions pay O(dirty), so once the dirty-row count crosses
-//! `compact_fraction · n` the overlay is folded into a fresh frozen
-//! `CsrGraph` ([`DeltaOverlay::compact`]) and ingest continues over a
+//! `compact_fraction · n` the overlay is folded into the frozen base in
+//! place ([`CsrGraph::absorb`]) and ingest continues over a
 //! clean overlay. Compaction is invisible to scores and adjacency
 //! (pinned by proptest), so steady-state ingest stays O(batch).
 
 use crate::StreamEvent;
-use ba_graph::egonet::{egonet_features, EgonetFeatures};
-use ba_graph::view::merge_common;
-use ba_graph::{CsrGraph, DeltaOverlay, EdgeOp, GraphView, NodeId, OverlayEdits};
+use ba_graph::egonet::{EgonetFeatures, IncrementalEgonet};
+use ba_graph::{CsrGraph, DeltaOverlay, GraphView, NodeId, OverlayEdits};
 use ba_oddball::{FitParams, IncrementalFit, Regressor};
 use std::collections::BTreeMap;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamConfig {
-    /// Ingestion shards (`0` = autodetect). Output is byte-identical at
-    /// any value; shards only distribute independent per-row work.
+    /// Inert: ingest is serial and ignores this value. Kept only so
+    /// existing struct literals that set it still compile; it goes at
+    /// the next benchmark change.
     pub shards: usize,
     /// Compact the overlay into a fresh frozen base once more than
     /// `compact_fraction · num_nodes` rows have diverged.
@@ -69,8 +65,8 @@ impl Default for StreamConfig {
 
 /// What one [`StreamEngine::ingest_batch`] call did. Every field is a
 /// pure function of (initial graph, event stream, batch boundaries) —
-/// never of shard count or timing — so formatted summaries are safe to
-/// byte-compare across `--shards` values and snapshot/restore cuts.
+/// never of timing — so formatted summaries are safe to byte-compare
+/// across snapshot/restore cuts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchSummary {
     /// 1-based index of this batch since the engine was created.
@@ -79,7 +75,7 @@ pub struct BatchSummary {
     pub events: usize,
     /// Net edge flips actually applied (after in-batch netting).
     pub applied: usize,
-    /// Feature rows that moved and were re-fed to the regression.
+    /// Feature rows whose `(N, E)` differs from its pre-batch value.
     pub dirty_rows: usize,
     /// Edges after the batch.
     pub edges: usize,
@@ -97,7 +93,7 @@ pub struct BatchSummary {
 /// freezing the adjacency would cost O(n + m) on every publish. The
 /// snapshot holds no reference into the live engine. Every field is a
 /// pure function of (initial graph, ingested event prefix), never of
-/// shard count or timing, which is what makes epoch-pinned responses
+/// timing, which is what makes epoch-pinned responses
 /// replayable byte-for-byte.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochSnapshot {
@@ -122,10 +118,11 @@ impl EpochSnapshot {
         self.num_edges
     }
 
-    /// Anomaly score of one node under this epoch's model.
+    /// Anomaly score of one node under this epoch's model; `Err` for a
+    /// node outside the graph.
     pub fn score(&self, node: NodeId) -> Result<f64, &str> {
         let params = self.params.as_ref().map_err(|e| e.as_str())?;
-        Ok(params.score(self.feats.n[node as usize], self.feats.e[node as usize]))
+        score_of(params, &self.feats, node)
     }
 
     /// The `k` highest-scoring nodes as `(node, score)`, descending;
@@ -143,7 +140,7 @@ pub struct StreamEngine {
     cfg: StreamConfig,
     base: CsrGraph,
     edits: OverlayEdits,
-    feats: EgonetFeatures,
+    inc: IncrementalEgonet,
     fit: IncrementalFit,
     params: Result<FitParams, String>,
     batches: u64,
@@ -189,15 +186,15 @@ impl StreamEngine {
         compactions: u64,
     ) -> Self {
         let view = DeltaOverlay::attach(&base, edits);
-        let feats = egonet_features(&view);
+        let inc = IncrementalEgonet::new(&view);
         let edits = view.detach();
-        let fit = IncrementalFit::new(cfg.regressor, &feats);
+        let fit = IncrementalFit::new(cfg.regressor, inc.features());
         let params = fit.refit().map_err(|e| e.to_string());
         Self {
             cfg,
             base,
             edits,
-            feats,
+            inc,
             fit,
             params,
             batches,
@@ -253,7 +250,7 @@ impl StreamEngine {
 
     /// Current per-node egonet features.
     pub fn features(&self) -> &EgonetFeatures {
-        &self.feats
+        self.inc.features()
     }
 
     /// The current model, or the degeneracy reason of the last refit.
@@ -267,10 +264,11 @@ impl StreamEngine {
         DeltaOverlay::attach(&self.base, self.edits.clone()).to_graph()
     }
 
-    /// Anomaly score of one node under the current model.
+    /// Anomaly score of one node under the current model; `Err` for a
+    /// node outside the graph.
     pub fn score(&self, node: NodeId) -> Result<f64, &str> {
         let params = self.params()?;
-        Ok(params.score(self.feats.n[node as usize], self.feats.e[node as usize]))
+        score_of(&params, self.features(), node)
     }
 
     /// The `k` highest-scoring nodes as `(node, score)`, descending;
@@ -278,7 +276,7 @@ impl StreamEngine {
     /// `OddBallModel::top_k`).
     pub fn top_k(&self, k: usize) -> Result<Vec<(NodeId, f64)>, &str> {
         let params = self.params()?;
-        Ok(top_k_from(&params, &self.feats, k))
+        Ok(top_k_from(&params, self.features(), k))
     }
 
     /// Freezes the current state into an [`EpochSnapshot`]: the edge
@@ -289,7 +287,7 @@ impl StreamEngine {
         EpochSnapshot {
             epoch: self.batches,
             num_edges: self.num_edges(),
-            feats: self.feats.clone(),
+            feats: self.features().clone(),
             params: self.params.clone(),
         }
     }
@@ -306,7 +304,7 @@ impl StreamEngine {
         let mut view = DeltaOverlay::attach(&self.base, edits);
 
         // 1. Net the batch: the last event per edge decides its final
-        // presence; an op is emitted only when that differs from the
+        // presence; an op is applied only when that differs from the
         // current state. BTreeMap keys make the op order canonical.
         let mut finals: BTreeMap<(NodeId, NodeId), bool> = BTreeMap::new();
         for ev in events {
@@ -316,51 +314,34 @@ impl StreamEngine {
             let key = (ev.u.min(ev.v), ev.u.max(ev.v));
             finals.insert(key, ev.insert);
         }
-        let net_ops: Vec<EdgeOp> = finals
-            .iter()
-            .filter(|&(&(u, v), &present)| view.has_edge(u, v) != present)
-            .map(|(&(u, v), &present)| EdgeOp::new(u, v, present))
-            .collect();
 
-        // 2./3. Common neighbours in the old graph, sharded row apply,
-        // common neighbours in the new graph: together the superset of
-        // nodes whose (N, E) can have moved.
-        let mut dirty: Vec<NodeId> = Vec::with_capacity(4 * net_ops.len());
-        for op in &net_ops {
-            dirty.push(op.u);
-            dirty.push(op.v);
-            merge_common(
-                view.neighbors_sorted(op.u),
-                view.neighbors_sorted(op.v),
-                |m| dirty.push(m),
-            );
+        // 2. Toggle each net op, collecting every reported row with its
+        // value before that toggle. A toggle never changes another
+        // pair's presence, so netting against the live view is exact.
+        let mut applied = 0usize;
+        let mut dirty: Vec<(NodeId, f64, f64)> = Vec::with_capacity(4 * finals.len());
+        for (&(u, v), &present) in &finals {
+            if view.has_edge(u, v) != present {
+                self.inc
+                    .toggle_with(&mut view, u, v, |m, n_m, e_m| dirty.push((m, n_m, e_m)));
+                applied += 1;
+            }
         }
-        view.apply_ops_sharded(&net_ops, self.cfg.shards);
-        for op in &net_ops {
-            merge_common(
-                view.neighbors_sorted(op.u),
-                view.neighbors_sorted(op.v),
-                |m| dirty.push(m),
-            );
-        }
-        dirty.sort_unstable();
-        dirty.dedup();
 
-        // 4. Recompute (N, E) for the dirty rows on the new graph —
-        // read-only and independent per row, so sharded chunks of the
-        // sorted dirty list slot results deterministically.
-        let updates = recompute_features(&view, &dirty, self.cfg.shards);
+        // 3. Stable sort + dedup keeps each node's first report: its
+        // pre-batch row.
+        dirty.sort_by_key(|&(m, _, _)| m);
+        dirty.dedup_by_key(|&mut (m, _, _)| m);
 
-        // 5. Serial merge in ascending node order, then refit.
+        // 4. Serial merge in ascending node order, then refit.
+        let feats = self.inc.features();
         let mut moved = 0usize;
-        for &(i, n_i, e_i) in &updates {
-            let idx = i as usize;
-            if self.feats.n[idx] != n_i || self.feats.e[idx] != e_i {
+        for &(m, n_before, e_before) in &dirty {
+            let (n_m, e_m) = (feats.n[m as usize], feats.e[m as usize]);
+            if n_m != n_before || e_m != e_before {
                 moved += 1;
             }
-            self.feats.n[idx] = n_i;
-            self.feats.e[idx] = e_i;
-            self.fit.update_row(idx, n_i, e_i);
+            self.fit.update_row(m as usize, n_m, e_m);
         }
         self.params = self.fit.refit().map_err(|e| e.to_string());
 
@@ -370,9 +351,8 @@ impl StreamEngine {
         let threshold = (self.cfg.compact_fraction * self.base.num_nodes() as f64).ceil() as usize;
         let compacted = view.dirty_rows() > threshold.max(1);
         if compacted {
-            let fresh = view.compact();
-            drop(view);
-            self.base = fresh;
+            let edits = view.detach();
+            self.base.absorb(edits);
             self.edits = OverlayEdits::default();
             self.compactions += 1;
         } else {
@@ -382,13 +362,22 @@ impl StreamEngine {
         BatchSummary {
             batch: self.batches,
             events: events.len(),
-            applied: net_ops.len(),
+            applied,
             dirty_rows: moved,
             edges,
             compacted,
             params: self.params.clone(),
         }
     }
+}
+
+/// `node`'s score under `params`, or `Err` when `node` is out of range.
+fn score_of<'a>(params: &FitParams, feats: &EgonetFeatures, node: NodeId) -> Result<f64, &'a str> {
+    let i = node as usize;
+    if i >= feats.len() {
+        return Err("node out of range");
+    }
+    Ok(params.score(feats.n[i], feats.e[i]))
 }
 
 /// The `k` highest scores under `params` over `feats`, descending, ties
@@ -410,43 +399,11 @@ fn top_k_from(params: &FitParams, feats: &EgonetFeatures, k: usize) -> Vec<(Node
         .collect()
 }
 
-/// `(node, N, E)` for every node in the sorted `dirty` list, recomputed
-/// on `view` by chunk-sharded read-only scans.
-fn recompute_features(
-    view: &DeltaOverlay<'_>,
-    dirty: &[NodeId],
-    shards: usize,
-) -> Vec<(NodeId, f64, f64)> {
-    let shards = if shards == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        shards
-    };
-    let row = |&u: &NodeId| {
-        let deg = view.degree(u) as f64;
-        (u, deg, deg + view.triangles_at(u) as f64)
-    };
-    if shards <= 1 || dirty.len() < 2 {
-        return dirty.iter().map(row).collect();
-    }
-    let chunk = dirty.len().div_ceil(shards);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = dirty
-            .chunks(chunk)
-            .map(|part| scope.spawn(move || part.iter().map(row).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            // ba-lint: allow(panic-path) -- a join Err means the shard worker panicked; re-raising preserves the original panic
-            .flat_map(|h| h.join().expect("feature shard"))
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::synthetic_stream;
+    use ba_graph::egonet::egonet_features;
     use ba_graph::generators;
     use ba_oddball::OddBall;
 
@@ -467,12 +424,11 @@ mod tests {
         assert_eq!(a.to_graph(), b.to_graph());
     }
 
-    fn engine_over_er(shards: usize, compact_fraction: f64) -> (ba_graph::Graph, StreamEngine) {
+    fn engine_over_er(compact_fraction: f64) -> (ba_graph::Graph, StreamEngine) {
         let g = generators::erdos_renyi(150, 0.04, 7);
         let cfg = StreamConfig {
-            shards,
             compact_fraction,
-            regressor: Regressor::Ols,
+            ..StreamConfig::default()
         };
         let engine = StreamEngine::new(&g, cfg);
         (g, engine)
@@ -482,7 +438,7 @@ mod tests {
     /// the materialised graph — features, parameters, and scores.
     #[test]
     fn engine_matches_full_refit_every_batch() {
-        let (g, mut engine) = engine_over_er(1, 0.25);
+        let (g, mut engine) = engine_over_er(0.25);
         let events = synthetic_stream(&g, 300, 5);
         let mut baseline = g.clone();
         for batch in events.chunks(30) {
@@ -520,21 +476,48 @@ mod tests {
         }
     }
 
-    /// Shard count never changes the summaries (the determinism
-    /// contract the CI job diffs end to end through the CLI).
+    /// `dirty_rows` counts rows whose raw `(N, E)` ends the batch away
+    /// from its pre-batch value — including `N` 1→0, which the fit's
+    /// clamped log rows cannot see — and not rows that moved and moved
+    /// back within the batch.
     #[test]
-    fn summaries_identical_across_shard_counts() {
-        let reference: Vec<BatchSummary> = {
-            let (g, mut engine) = engine_over_er(1, 0.1);
-            let events = synthetic_stream(&g, 240, 9);
-            events.chunks(24).map(|b| engine.ingest_batch(b)).collect()
-        };
-        for shards in [2usize, 4, 8] {
-            let (g, mut engine) = engine_over_er(shards, 0.1);
-            let events = synthetic_stream(&g, 240, 9);
-            let summaries: Vec<BatchSummary> =
-                events.chunks(24).map(|b| engine.ingest_batch(b)).collect();
-            assert_eq!(summaries, reference, "shards = {shards}");
+    fn dirty_rows_count_exactly_the_rows_that_moved() {
+        let g = ba_graph::Graph::from_edges(10, [(0, 1), (3, 4), (3, 5), (3, 6), (4, 6), (8, 9)]);
+        let mut engine = StreamEngine::new(&g, StreamConfig::default());
+        let before = engine.features().clone();
+        let summary = engine.ingest_batch(&[
+            // (a) Two new edges close the triangle 0–1–2.
+            StreamEvent::new(0, 0, 2, true),
+            StreamEvent::new(1, 2, 1, true),
+            // (b) Removing their only edge isolates 8 and 9 (N 1→0).
+            StreamEvent::new(2, 9, 8, false),
+            // (c) 3 is a common neighbour of both pairs, so E_3 moves
+            // +1 then −1; 4 gains and loses one edge and ends unchanged.
+            StreamEvent::new(3, 4, 5, true),
+            StreamEvent::new(4, 4, 6, false),
+        ]);
+        let after = engine.features();
+        assert_eq!(after, &egonet_features(&engine.to_graph()));
+        assert_eq!((before.n[3], before.e[3]), (after.n[3], after.e[3]));
+        assert_eq!((before.n[4], before.e[4]), (after.n[4], after.e[4]));
+        assert_eq!((before.n[8], after.n[8]), (1.0, 0.0));
+        assert_eq!(summary.applied, 5);
+        // 0, 1, 2 (triangle), 5, 6 (the (c) pairs), 8, 9 (isolated).
+        assert_eq!(summary.dirty_rows, 7);
+    }
+
+    /// Out-of-range point queries are an error on the engine and on an
+    /// epoch snapshot alike, never an index panic.
+    #[test]
+    fn score_rejects_out_of_range_nodes() {
+        let (_, engine) = engine_over_er(0.25);
+        let snap = engine.epoch_snapshot();
+        let n = engine.num_nodes() as NodeId;
+        assert!(engine.score(n - 1).is_ok());
+        assert!(snap.score(n - 1).is_ok());
+        for node in [n, NodeId::MAX] {
+            assert!(engine.score(node).is_err());
+            assert!(snap.score(node).is_err());
         }
     }
 
@@ -542,7 +525,7 @@ mod tests {
     /// batch applies nothing.
     #[test]
     fn redundant_events_net_to_nothing() {
-        let (_, mut engine) = engine_over_er(1, 0.25);
+        let (_, mut engine) = engine_over_er(0.25);
         let edges_before = engine.num_edges();
         let summary = engine.ingest_batch(&[
             StreamEvent::new(0, 0, 149, true),
@@ -564,8 +547,8 @@ mod tests {
             let g = generators::erdos_renyi(150, 0.04, 7);
             synthetic_stream(&g, 300, 13)
         };
-        let (_, mut eager) = engine_over_er(1, 0.0); // compact whenever dirty > 1
-        let (_, mut lazy) = engine_over_er(1, 1.0); // never compact
+        let (_, mut eager) = engine_over_er(0.0); // compact whenever dirty > 1
+        let (_, mut lazy) = engine_over_er(1.0); // never compact
         for batch in events.chunks(25) {
             let a = eager.ingest_batch(batch);
             let b = lazy.ingest_batch(batch);
@@ -585,7 +568,7 @@ mod tests {
     /// moment of freezing bit-for-bit and is immune to later batches.
     #[test]
     fn epoch_snapshot_is_frozen_and_bit_identical() {
-        let (g, mut engine) = engine_over_er(1, 0.1);
+        let (g, mut engine) = engine_over_er(0.1);
         let events = synthetic_stream(&g, 200, 21);
         let mut batches = events.chunks(40);
         engine.ingest_batch(batches.next().unwrap());

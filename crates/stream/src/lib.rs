@@ -14,9 +14,10 @@
 //! * **Full-refit equivalence** — after every batch the model and all
 //!   scores are bit-identical to refitting OddBall from scratch on the
 //!   materialised graph;
-//! * **Shard invariance** — ingestion fans row updates and feature
-//!   recomputation across `std::thread::scope` shards, with output
-//!   byte-identical at any shard count;
+//! * **One feature-update kernel** — ingest patches features with the
+//!   same exact delta rule the attack and curve evaluation use
+//!   ([`IncrementalEgonet::toggle_with`](ba_graph::egonet::IncrementalEgonet::toggle_with)),
+//!   one common-neighbour merge per net edge flip;
 //! * **Bit-exact resume** — [`StreamEngine::save_snapshot`] /
 //!   [`StreamEngine::restore_snapshot`] (atomic rename + exact IEEE-754
 //!   text codec, from the leaf [`ba_net::codec`]) let a killed stream

@@ -130,10 +130,8 @@ impl StreamEngine {
         write_atomic(path.as_ref(), &out)
     }
 
-    /// Restores an engine from a snapshot. `shards` is a runtime knob,
-    /// not part of the persisted state — outputs are byte-identical at
-    /// any value.
-    pub fn restore_snapshot<P: AsRef<Path>>(path: P, shards: usize) -> Result<Self, SnapshotError> {
+    /// Restores an engine from a snapshot.
+    pub fn restore_snapshot<P: AsRef<Path>>(path: P) -> Result<Self, SnapshotError> {
         let text = std::fs::read_to_string(path)?;
         let malformed = |what: &str| SnapshotError::Malformed(what.to_string());
         let mut lines = text.lines();
@@ -193,6 +191,11 @@ impl StreamEngine {
             .split_once(' ')
             .and_then(|(a, b)| Some((a.parse::<usize>().ok()?, b.parse::<usize>().ok()?)))
             .ok_or_else(|| malformed("edits"))?;
+        // At most one edit row per node: a larger count is corrupt, and
+        // trusting it would size the allocation below from the file.
+        if dirty_count > nodes {
+            return Err(malformed("more edit rows than nodes"));
+        }
         let mut dirty_rows: Vec<(NodeId, Vec<NodeId>)> = Vec::with_capacity(dirty_count);
         for _ in 0..dirty_count {
             let line = lines.next().ok_or_else(|| malformed("edit row"))?;
@@ -221,9 +224,9 @@ impl StreamEngine {
         }
 
         let cfg = StreamConfig {
-            shards,
             compact_fraction,
             regressor,
+            ..StreamConfig::default()
         };
         let engine = Self::from_parts(base, edits, cfg, batches, events_seen, compactions);
         // Integrity check: the re-derived fit must reproduce the stored
@@ -266,7 +269,7 @@ mod tests {
         }
         let path = temp("roundtrip");
         engine.save_snapshot(&path).unwrap();
-        let restored = StreamEngine::restore_snapshot(&path, 1).unwrap();
+        let restored = StreamEngine::restore_snapshot(&path).unwrap();
         assert_eq!(restored.num_nodes(), engine.num_nodes());
         assert_eq!(restored.num_edges(), engine.num_edges());
         assert_eq!(restored.batches_ingested(), engine.batches_ingested());
@@ -293,7 +296,7 @@ mod tests {
         let cut = text.len() - 10;
         std::fs::write(&path, &text[..cut]).unwrap();
         assert!(matches!(
-            StreamEngine::restore_snapshot(&path, 1),
+            StreamEngine::restore_snapshot(&path),
             Err(SnapshotError::Malformed(_))
         ));
         let _ = std::fs::remove_file(&path);
@@ -320,10 +323,35 @@ mod tests {
             std::fs::write(&path, bad.join("\n") + "\n").unwrap();
             assert!(
                 matches!(
-                    StreamEngine::restore_snapshot(&path, 1),
+                    StreamEngine::restore_snapshot(&path),
                     Err(SnapshotError::Malformed(_))
                 ),
                 "corrupting line {corrupt_at} did not surface as Malformed"
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn oversized_edit_count_rejected_before_allocating() {
+        let g = generators::erdos_renyi(40, 0.1, 1);
+        let engine = StreamEngine::new(&g, StreamConfig::default());
+        let path = temp("oversized_edits");
+        engine.save_snapshot(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let edits = text.lines().find(|l| l.starts_with("edits ")).unwrap();
+        let num_edges = edits.split(' ').nth(2).unwrap();
+        // One row more than there are nodes, and a count whose
+        // reservation alone would abort the process.
+        for count in ["41", "1000000000000"] {
+            let bad = text.replace(edits, &format!("edits {count} {num_edges}"));
+            std::fs::write(&path, bad).unwrap();
+            assert!(
+                matches!(
+                    StreamEngine::restore_snapshot(&path),
+                    Err(SnapshotError::Malformed(_))
+                ),
+                "edits count {count} was not rejected"
             );
         }
         let _ = std::fs::remove_file(&path);
@@ -340,7 +368,7 @@ mod tests {
         let tampered = text.replace(&enc_f64(p.beta0), &enc_f64(p.beta0 + 1.0));
         std::fs::write(&path, tampered).unwrap();
         assert!(matches!(
-            StreamEngine::restore_snapshot(&path, 1),
+            StreamEngine::restore_snapshot(&path),
             Err(SnapshotError::ParamsMismatch)
         ));
         let _ = std::fs::remove_file(&path);

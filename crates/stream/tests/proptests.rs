@@ -72,7 +72,7 @@ proptest! {
         g in arb_graph(24),
         batches in arb_batches(24, 6),
     ) {
-        let cfg = |frac: f64| StreamConfig { shards: 1, compact_fraction: frac, ..StreamConfig::default() };
+        let cfg = |frac: f64| StreamConfig { compact_fraction: frac, ..StreamConfig::default() };
         let mut eager = StreamEngine::new(&g, cfg(0.0)); // compact almost every batch
         let mut lazy = StreamEngine::new(&g, cfg(1.0));  // never compact
         for batch in &batches {
@@ -119,12 +119,11 @@ proptest! {
         g in arb_graph(24),
         batches in arb_batches(24, 6),
         cut_sel in 0usize..100,
-        shards in 1usize..4,
     ) {
-        let cfg = StreamConfig { shards, compact_fraction: 0.2, ..StreamConfig::default() };
+        let cfg = StreamConfig { compact_fraction: 0.2, ..StreamConfig::default() };
         let cut = cut_sel % batches.len();
         let path = std::env::temp_dir().join(format!(
-            "ba_stream_proptest_{}_{cut}_{shards}.snapshot",
+            "ba_stream_proptest_{}_{cut}.snapshot",
             std::process::id()
         ));
 
@@ -141,7 +140,7 @@ proptest! {
         }
 
         // Killed-and-restored run over the remaining batches.
-        let mut resumed = StreamEngine::restore_snapshot(&path, shards).expect("restore");
+        let mut resumed = StreamEngine::restore_snapshot(&path).expect("restore");
         prop_assert_eq!(resumed.batches_ingested() as usize, cut + 1);
         let mut resumed_summaries: Vec<BatchSummary> = Vec::new();
         for batch in &batches[cut + 1..] {
@@ -152,24 +151,5 @@ proptest! {
         prop_assert_eq!(resumed.to_graph(), reference.to_graph());
         prop_assert_eq!(resumed.compactions(), reference.compactions());
         let _ = std::fs::remove_file(&path);
-    }
-
-    /// Shard invariance at the engine level for arbitrary streams (the
-    /// CLI-level byte-diff is covered by `tests/determinism.rs` and CI).
-    #[test]
-    fn shard_count_never_changes_summaries(
-        g in arb_graph(24),
-        batches in arb_batches(24, 4),
-    ) {
-        let run = |shards: usize| -> (Vec<BatchSummary>, Option<Vec<(NodeId, u64)>>) {
-            let cfg = StreamConfig { shards, compact_fraction: 0.2, ..StreamConfig::default() };
-            let mut engine = StreamEngine::new(&g, cfg);
-            let summaries = batches.iter().map(|b| engine.ingest_batch(b)).collect();
-            (summaries, scores_bits(&engine))
-        };
-        let reference = run(1);
-        for shards in [2usize, 5] {
-            prop_assert_eq!(&run(shards), &reference, "shards = {}", shards);
-        }
     }
 }
