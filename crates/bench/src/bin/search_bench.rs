@@ -18,10 +18,18 @@
 //! memory for wall-clock, never results.
 //!
 //! Exits non-zero if the memoized path is less than 2× faster end to
-//! end — the CI perf gate for this optimisation. `--quick` shrinks the
-//! workload (CI), `--json` writes `BENCH_search.json` with the timing,
-//! both tiers' hit/miss counters, the assembly LRU's stores and
-//! evictions, and the forward-pass and loss call counts.
+//! end — the CI perf gate for this optimisation. That gate passes by
+//! construction, because pass 2 is a pure outcome replay, so a second,
+//! **single-pass** workload stands beside it: one sweep on a memoized
+//! session against one sweep on a cold session, where the only reuse is
+//! within the search (the assembly LRU). It gates
+//! `single_pass_speedup > 1.0` and at least one assembly-LRU hit in that
+//! pass, and can fail if the LRU stops paying for itself.
+//!
+//! `--quick` shrinks the workload (CI), `--json` writes
+//! `BENCH_search.json` with the timings, both tiers' hit/miss counters,
+//! the assembly LRU's stores and evictions, the pass-1 LRU hits, and the
+//! forward-pass and loss call counts.
 
 use ba_core::{
     AttackConfig, AttackOutcome, AttackSession, BinarizedAttack, GradMaxSearch, StructuralAttack,
@@ -31,6 +39,9 @@ use ba_oddball::OddBall;
 use std::time::Instant;
 
 const REQUIRED_SPEEDUP: f64 = 2.0;
+
+/// The single-pass gate: within-search reuse alone must not lose time.
+const REQUIRED_SINGLE_PASS_SPEEDUP: f64 = 1.0;
 
 /// The fixed-seed workload: an ER substrate with a planted near-clique
 /// (so OddBall has true positives to rank) and several disjoint target
@@ -155,6 +166,32 @@ fn main() {
     }
     let stats = memo_stats.expect("memo was attached");
 
+    // Single pass: one sweep per session, so no cell repeats and the
+    // run-outcome tier cannot answer. Cold and memoized sweeps alternate
+    // within each rep; the best of each is kept.
+    let mut single_cold_s = f64::INFINITY;
+    let mut single_memo_s = f64::INFINITY;
+    let mut single_outcomes = Vec::new();
+    let mut pass1_stats = None;
+    for _ in 0..reps {
+        let mut cold = AttackSession::new(&csr, &target_sets[0])
+            .expect("session")
+            .with_threads(threads);
+        let t0 = Instant::now();
+        run_sweep(&mut cold, &target_sets, budget, iterations);
+        single_cold_s = single_cold_s.min(t0.elapsed().as_secs_f64());
+        let mut memo = AttackSession::new(&csr, &target_sets[0])
+            .expect("session")
+            .with_threads(threads)
+            .with_memo();
+        let t0 = Instant::now();
+        single_outcomes = run_sweep(&mut memo, &target_sets, budget, iterations);
+        single_memo_s = single_memo_s.min(t0.elapsed().as_secs_f64());
+        pass1_stats = memo.memo_stats();
+    }
+    let pass1 = pass1_stats.expect("memo was attached");
+    assert_eq!(pass1.outcome_hits, 0, "a single pass repeats no cell");
+
     // Bit identity: the memo must be invisible in the results.
     assert_eq!(cold_outcomes.len(), memo_outcomes.len());
     for (c, m) in cold_outcomes.iter().zip(&memo_outcomes) {
@@ -175,9 +212,22 @@ fn main() {
             c.name
         );
     }
+    for (c, m) in cold_outcomes.iter().zip(&single_outcomes) {
+        assert_eq!(
+            c.ops_per_budget, m.ops_per_budget,
+            "{}: single pass",
+            c.name
+        );
+        assert_eq!(
+            c.loss_trajectory, m.loss_trajectory,
+            "{}: single pass",
+            c.name
+        );
+    }
     eprintln!(
-        "bit-identity check passed ({} outcomes)",
-        cold_outcomes.len()
+        "bit-identity check passed ({} outcomes, {} single-pass)",
+        cold_outcomes.len(),
+        single_outcomes.len()
     );
 
     let speedup = cold_s / memo_s;
@@ -185,6 +235,14 @@ fn main() {
     println!("cold  sweep: {:>10.3} ms", cold_s * 1e3);
     println!("memo  sweep: {:>10.3} ms", memo_s * 1e3);
     println!("speedup:     {speedup:>10.2}x (gate: ≥{REQUIRED_SPEEDUP}x)");
+    let single_pass_speedup = single_cold_s / single_memo_s;
+    println!(
+        "single pass: cold {:.3} ms, memo {:.3} ms, {single_pass_speedup:.2}x \
+         (gate: >{REQUIRED_SINGLE_PASS_SPEEDUP}x), {} LRU hits (gate: >0)",
+        single_cold_s * 1e3,
+        single_memo_s * 1e3,
+        pass1.grads_hits
+    );
     println!(
         "assembly LRU: {} hits / {} misses, {} stores, {} evictions, capacity {}",
         lru.hits, lru.misses, lru.stores, lru.evictions, lru.capacity
@@ -206,6 +264,10 @@ fn main() {
         .metric("cold_s", cold_s, "s")
         .metric("memo_s", memo_s, "s")
         .metric("speedup", speedup, "x")
+        .metric("single_cold_s", single_cold_s, "s")
+        .metric("single_memo_s", single_memo_s, "s")
+        .metric("single_pass_speedup", single_pass_speedup, "x")
+        .metric("pass1_grads_hits", pass1.grads_hits as f64, "count")
         .metric("forward_passes", stats.ng_misses as f64, "count")
         .metric("loss_evals", stats.loss_misses as f64, "count")
         .metric("grads_hits", stats.grads_hits as f64, "count")
@@ -216,8 +278,20 @@ fn main() {
         .metric("outcome_misses", stats.outcome_misses as f64, "count")
         .write_if_requested(&args)
         .expect("write bench json");
+    let mut failed = false;
     if speedup < REQUIRED_SPEEDUP {
         eprintln!("FAIL: memoized sweep is only {speedup:.2}x faster (need {REQUIRED_SPEEDUP}x)");
+        failed = true;
+    }
+    if single_pass_speedup <= REQUIRED_SINGLE_PASS_SPEEDUP || pass1.grads_hits == 0 {
+        eprintln!(
+            "FAIL: single pass is {single_pass_speedup:.2}x with {} LRU hits \
+             (need >{REQUIRED_SINGLE_PASS_SPEEDUP}x and >0 hits)",
+            pass1.grads_hits
+        );
+        failed = true;
+    }
+    if failed {
         std::process::exit(1);
     }
 }

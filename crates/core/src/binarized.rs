@@ -20,11 +20,12 @@
 //!
 //! Cost layout: everything fixed for a whole attack stays out of the
 //! loops. `A₀` per candidate is read from the clean graph once, so an
-//! iteration is one assembly plus plain slice passes (sign, then the
-//! PGD step fused with the re-binarise scan) and decodes only the pairs
-//! whose flip state changed. Extraction ranks each `Ż` snapshot once and
-//! walks it once: the walk's first `b` accepted flips are budget `b`'s
-//! solution, so one walk serves every budget (`extract_budgets`).
+//! iteration is one assembly, which also applies the straight-through
+//! sign and returns max|G|, plus one slice pass (the PGD step fused with
+//! the re-binarise scan). It decodes only the pairs whose flip state
+//! changed. Extraction ranks each `Ż` snapshot once and walks it once:
+//! the walk's first `b` accepted flips are budget `b`'s solution, so one
+//! walk serves every budget (`extract_budgets`).
 //!
 //! Implementation notes vs the paper: gradients are normalised by their
 //! max-abs before the step (the paper does not specify a step-size
@@ -32,7 +33,7 @@
 //! The `ablation` bench quantifies both choices.
 
 use crate::attack::{AttackConfig, AttackError, AttackOutcome, StructuralAttack};
-use crate::pair::{static_mask, Candidates};
+use crate::pair::{edge_flags, static_mask, Candidates};
 use crate::session::AttackSession;
 use ba_graph::{EdgeOp, GraphView};
 
@@ -102,7 +103,6 @@ impl BinarizedAttack {
     ) -> Result<(Vec<Vec<f64>>, Vec<f64>), AttackError> {
         session.reset();
         let mut zdot = vec![0.0f64; candidates.len()];
-        let mut grads = vec![0.0f64; candidates.len()];
         // Current flip set (candidate indices with Ż > ½).
         let mut flipped = vec![false; candidates.len()];
         let mut changed: Vec<usize> = Vec::new();
@@ -118,19 +118,10 @@ impl BinarizedAttack {
             // (features are maintained incrementally by the session).
             let ng = session.node_grads()?;
             trajectory.push(ng.loss);
-            // Backward: sparse parallel assembly of G_ij per candidate,
-            // then the straight-through sign `1 − 2A₀_ij` and the
-            // normalised-step scale. Masked-off grads are already 0.0.
-            session.pair_gradients_into(&ng, candidates, mask, &mut grads);
-            let mut max_abs = 0.0f64;
-            for ((gr, &on), &edge) in grads.iter_mut().zip(mask).zip(is_edge) {
-                if on {
-                    if edge {
-                        *gr = -*gr;
-                    }
-                    max_abs = max_abs.max(gr.abs());
-                }
-            }
+            // Backward: sparse assembly of G_ij per candidate with the
+            // straight-through sign `1 − 2A₀_ij` applied, and max|G| for
+            // the normalised-step scale. Masked-off grads are 0.0.
+            let (grads, max_abs) = session.pair_gradients(&ng, candidates, mask, Some(is_edge));
             if max_abs == 0.0 {
                 break; // zero gradient everywhere: nothing to optimise
             }
@@ -141,12 +132,17 @@ impl BinarizedAttack {
             // re-binarise scan: masked-off entries stay at Ż = 0, so
             // they never enter the flip set.
             changed.clear();
-            for (idx, z) in zdot.iter_mut().enumerate() {
-                if !mask[idx] {
+            for (idx, ((z, &gr), (&on, &was))) in zdot
+                .iter_mut()
+                .zip(grads)
+                .zip(mask.iter().zip(&flipped))
+                .enumerate()
+            {
+                if !on {
                     continue;
                 }
-                *z = (*z - scale * grads[idx] - shrink).clamp(0.0, 1.0);
-                if (*z > 0.5) != flipped[idx] {
+                *z = (*z - scale * gr - shrink).clamp(0.0, 1.0);
+                if (*z > 0.5) != was {
                     changed.push(idx);
                 }
             }
@@ -268,8 +264,7 @@ impl StructuralAttack for BinarizedAttack {
         );
         // A₀ per candidate, for the straight-through sign: the clean
         // graph never changes, so one lookup pass serves every iteration.
-        let mut is_edge = vec![false; candidates.len()];
-        candidates.for_each(|idx, i, j| is_edge[idx] = base.has_edge(i, j));
+        let is_edge = edge_flags(&candidates, base);
 
         // Optimise per λ, extracting every budget from each Ż snapshot
         // of the sweep. The session is reused across λs and extractions:
@@ -529,8 +524,7 @@ mod tests {
         let csr = CsrGraph::from(&g);
         let mut session = AttackSession::new(&csr, &targets).unwrap();
         let candidates = Candidates::build(CandidateScope::Full, &csr, &targets);
-        let mut is_edge = vec![false; candidates.len()];
-        candidates.for_each(|idx, i, j| is_edge[idx] = csr.has_edge(i, j));
+        let is_edge = edge_flags(&candidates, &csr);
         let mut rng = StdRng::seed_from_u64(63);
         for trial in 0..24 {
             let forbid_singletons = trial % 2 == 0;

@@ -21,7 +21,7 @@
 //! optimisation, as the cached≡uncached golden suite verifies.
 
 use crate::attack::{AttackConfig, AttackError, AttackOutcome, StructuralAttack};
-use crate::pair::{CandidateScope, Candidates, IndexBitSet};
+use crate::pair::{edge_flags, CandidateScope, Candidates, IndexBitSet};
 use crate::session::AttackSession;
 use ba_graph::{GraphView, NodeId};
 
@@ -84,10 +84,7 @@ impl StructuralAttack for GradMaxSearch {
         // toggled, so it sits in `pool` and is never eligible (a reverted
         // toggle restores the clean state); for every eligible candidate
         // the overlay and the clean graph therefore agree.
-        let mut is_edge_cache = vec![false; candidates.len()];
-        let base = session.base();
-        candidates.for_each(|idx, i, j| is_edge_cache[idx] = base.has_edge(i, j));
-        let mut grads = vec![0.0f64; candidates.len()];
+        let is_edge_cache = edge_flags(&candidates, session.base());
         // Principal variation: last step's top movers, best-first.
         let mut pv: Vec<u32> = Vec::with_capacity(PV_WIDTH);
         let mut top: Vec<(f64, u32)> = Vec::with_capacity(PV_WIDTH + 1);
@@ -102,7 +99,8 @@ impl StructuralAttack for GradMaxSearch {
 
             // Mark the feasible moves (never-revisited pool, op kind,
             // singleton protection against the evolving poisoned graph),
-            // then assemble their gradients sparsely in parallel.
+            // then assemble their straight-through gradients
+            // `s = G·(1 − 2A₀)` sparsely.
             let kind = self.config.op_kind;
             let forbid_singletons = self.config.forbid_singletons;
             let g = session.graph();
@@ -112,7 +110,8 @@ impl StructuralAttack for GradMaxSearch {
                     && kind.allows(is_edge)
                     && !(is_edge && forbid_singletons && !g.deletion_keeps_no_singletons(i, j));
             });
-            session.pair_gradients_into(&ng, &candidates, &eligible, &mut grads);
+            let (grads, _) =
+                session.pair_gradients(&ng, &candidates, &eligible, Some(&is_edge_cache));
 
             // Argmax over sign-consistent moves, with a *total*
             // comparator — larger |G| wins, smaller index breaks ties —
@@ -131,18 +130,15 @@ impl StructuralAttack for GradMaxSearch {
                 if !eligible[idx] {
                     return;
                 }
-                let grad = grads[idx];
-                // Sign consistency: adding requires dL/dA < 0; deleting
-                // requires dL/dA > 0.
-                let valid = if is_edge_cache[idx] {
-                    grad > 0.0
-                } else {
-                    grad < 0.0
-                };
+                let s = grads[idx];
+                // Sign consistency: adding requires dL/dA < 0 and
+                // deleting requires dL/dA > 0. Both read `s < 0`, and
+                // |s| = |G|.
+                let valid = s < 0.0;
                 if !valid {
                     return;
                 }
-                let a = grad.abs();
+                let a = s.abs();
                 let replace = match *best {
                     None => true,
                     Some((bidx, _, _)) => a > *best_abs || (a == *best_abs && idx < bidx),

@@ -64,8 +64,8 @@ pub use binarized::BinarizedAttack;
 pub use continuous::ContinuousA;
 pub use dense::{dense_features, dense_pair_gradient};
 pub use grad::{
-    assemble_pair_grads, assemble_pair_grads_into, assemble_pair_grads_with_scratch,
-    correction_map, node_grads, pair_grad, resolve_threads, NodeGrads,
+    assemble_pair_grads, assemble_pair_grads_into, correction_map, node_grads, pair_grad,
+    resolve_threads, NodeGrads,
 };
 pub use gradmax::GradMaxSearch;
 pub use loss::{fit_beta, surrogate_loss_from_features, LossError};

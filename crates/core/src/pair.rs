@@ -108,7 +108,11 @@ impl PairSpace {
 pub enum Candidates {
     /// The full pair space.
     Full(PairSpace),
-    /// An explicit pair list (deduplicated, each `(i, j)` with `i < j`).
+    /// An explicit pair list: each `(i, j)` with `i < j`, sorted
+    /// ascending with no duplicates. [`Candidates::index_of`] binary
+    /// searches it, and the gradient assembly's row kernel relies on each
+    /// smaller endpoint's pairs being one contiguous run in ascending
+    /// `j`.
     List(Vec<(NodeId, NodeId)>),
 }
 
@@ -277,6 +281,15 @@ impl IndexBitSet {
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
+}
+
+/// `A₀` per candidate: `flags[idx]` is whether the pair at `idx` is an
+/// edge of `g0`. The attacks read the clean graph's flags once per run,
+/// because the clean graph never changes.
+pub(crate) fn edge_flags<V: GraphView + ?Sized>(candidates: &Candidates, g0: &V) -> Vec<bool> {
+    let mut flags = vec![false; candidates.len()];
+    candidates.for_each(|idx, i, j| flags[idx] = g0.has_edge(i, j));
+    flags
 }
 
 /// Static validity mask for a candidate set: pairs excluded by the op

@@ -9,8 +9,13 @@
 //! share one forward/score/flip implementation instead of each cloning
 //! the graph and re-deriving features. Resetting to the clean graph
 //! (done once per λ sweep and once per budget extraction) drops the
-//! overlay's dirty rows and restores cached base features: `O(edits)`,
-//! not `O(n + m)`.
+//! overlay's dirty rows and clones the cached base features back:
+//! `O(edits + n)`, not the `O(n + m)` of re-deriving them.
+//!
+//! The backward pass has one entry point,
+//! [`AttackSession::pair_gradients`]. It fuses the straight-through sign
+//! into the assembly when asked and returns a borrowed gradient slice
+//! plus its max-abs, so an iteration makes no candidate-length copy.
 //!
 //! ## Search memoization
 //!
@@ -19,9 +24,12 @@
 //! hash, maintained in O(1) per [`AttackSession::toggle`]) keying a
 //! two-tier cache —
 //!
-//! * an LRU of recent whole-assembly outputs (state + mask ⇒ memcpy),
-//!   which absorbs the PGD tail where the re-binarised graph cycles
-//!   through a handful of states;
+//! * an LRU of recent whole-assembly outputs, keyed by state, mask and
+//!   whether the output is signed, which absorbs the PGD tail where the
+//!   re-binarised graph cycles through a handful of states. It lends its
+//!   slots: a hit returns the resident slot, and a miss assembles
+//!   straight into the slot it installs (the eviction victim's buffer);
+//!   neither copies the output;
 //! * an LRU of whole-run [`AttackOutcome`]s, so a suite that repeats a
 //!   search cell replays it instead of re-searching.
 //!
@@ -38,7 +46,7 @@
 //! ([`AttackSession::with_memo`] opts in).
 
 use crate::attack::{validate_targets, AttackError, AttackOutcome};
-use crate::grad::{assemble_pair_grads_with_scratch, node_grads, NodeGrads};
+use crate::grad::{node_grads, GradKernel, NodeGrads};
 use crate::loss::surrogate_loss_from_features;
 use crate::pair::Candidates;
 use ba_graph::egonet::{EgonetFeatures, IncrementalEgonet};
@@ -77,7 +85,7 @@ const GRADS_SLOTS_MAX: usize = 24;
 const OUTCOME_SLOTS: usize = 32;
 
 /// Counters of the whole-assembly LRU behind
-/// [`AttackSession::pair_gradients_into`].
+/// [`AttackSession::pair_gradients`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LruStats {
     /// Lookups answered from the LRU.
@@ -112,8 +120,8 @@ pub struct MemoStats {
     /// Forward passes ([`AttackSession::node_grads`]).
     pub ng_misses: u64,
     /// Whole-assembly short-circuits: a recent
-    /// [`AttackSession::pair_gradients_into`] call had the identical
-    /// state and mask, so its output was copied wholesale.
+    /// [`AttackSession::pair_gradients`] call had the identical state,
+    /// mask and signing, so its output was lent out unchanged.
     pub grads_hits: u64,
     /// Assemblies that missed the whole-assembly LRU and were computed
     /// in full.
@@ -126,13 +134,16 @@ pub struct MemoStats {
     pub outcome_misses: u64,
 }
 
-/// One resident whole-assembly output: the exact `(state, mask)` query
-/// and the vector it produced.
+/// One resident whole-assembly output: the exact `(state, mask,
+/// signed)` query, the vector it produced and that vector's max-abs
+/// over the mask.
 #[derive(Debug, Clone, Default)]
 struct GradsSlot {
     state: u64,
     mask: Vec<bool>,
+    signed: bool,
     out: Vec<f64>,
+    max_abs: f64,
 }
 
 /// Session-attached memoization state: the whole-assembly and
@@ -147,8 +158,10 @@ struct GradsSlot {
 pub struct SearchMemo {
     forward_passes: u64,
     loss_evals: u64,
-    /// Whole-assembly LRU, most recent first. Exact state *and* mask
-    /// match required — no hashing, no collision risk.
+    /// Whole-assembly LRU, most recent first. A hit needs the same
+    /// state hash, the same signing and a verbatim-equal mask. The state
+    /// is a 64-bit Zobrist hash, so two distinct states alias with
+    /// probability about 2⁻⁶⁴ per pair of states (DESIGN.md §9).
     grads_slots: Vec<GradsSlot>,
     grads_hits: u64,
     grads_misses: u64,
@@ -221,10 +234,11 @@ pub struct AttackSession<'g> {
     /// Zobrist fold of `targets` — combined with the overlay's edge-set
     /// hash this keys all memoized evaluations.
     target_hash: u64,
-    threads: usize,
-    /// Reusable correction buffer for the backward pass (one assembly
-    /// per optimiser iteration; candidate-sized).
-    grad_scratch: Vec<(f64, f64)>,
+    /// The backward pass's worker count and row buffer.
+    kernel: GradKernel,
+    /// Output buffer of the backward pass when no memo is attached
+    /// (with a memo, the LRU slots are the buffers).
+    grads: Vec<f64>,
     /// Optional search memoization (off by default; boxed because the
     /// memo dwarfs the rest of the session).
     memo: Option<Box<SearchMemo>>,
@@ -243,16 +257,18 @@ impl<'g> AttackSession<'g> {
             base_feats,
             targets: targets.to_vec(),
             target_hash: target_set_hash(targets),
-            threads: 0,
-            grad_scratch: Vec::new(),
+            kernel: GradKernel::default(),
+            grads: Vec::new(),
             memo: None,
         })
     }
 
-    /// Overrides the worker-thread count for gradient assembly
-    /// (`0` = autodetect).
+    /// Overrides the worker-thread count of the gradient assembly's
+    /// per-pair merge path (`0` = autodetect). The row-blocked path,
+    /// which `Full`-scope candidate sets take, is serial whatever this
+    /// is set to.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.kernel.threads = threads;
         self
     }
 
@@ -306,7 +322,8 @@ impl<'g> AttackSession<'g> {
         self.inc.features()
     }
 
-    /// Drops all edits, returning to the clean graph in `O(dirty rows)`.
+    /// Drops all edits, returning to the clean graph: `O(dirty rows)` for
+    /// the overlay plus an `O(n)` clone of the cached base features.
     pub fn reset(&mut self) {
         self.overlay.reset();
         self.inc = IncrementalEgonet::from_features(self.base_feats.clone());
@@ -316,7 +333,7 @@ impl<'g> AttackSession<'g> {
     ///
     /// This is the cheap path for running many attacks over one frozen
     /// substrate: the cached base features survive, so swapping targets
-    /// costs `O(dirty rows)` instead of the `O(n + m)` feature pass a
+    /// costs `O(dirty rows + n)` instead of the `O(n + m)` feature pass a
     /// fresh [`AttackSession::new`] performs. Equivalence with a fresh
     /// session is pinned by a proptest in `tests/session_equivalence.rs`.
     /// An attached memo survives too — its entries are keyed by the
@@ -365,50 +382,52 @@ impl<'g> AttackSession<'g> {
     }
 
     /// Backward pass: assembles `G_ij` for every masked candidate pair
-    /// into `out` via parallel sorted-merge common-neighbour scans over
-    /// the current graph view. No dense matrix is allocated.
+    /// over the current graph view and returns it with its max-abs over
+    /// the mask. Masked-off entries are `0.0`. No dense matrix is
+    /// allocated, and the output is borrowed, never copied.
+    ///
+    /// With `sign = Some(a0)`, where `a0[idx]` is `A₀` at candidate
+    /// `idx` (see `pair::edge_flags`), each masked entry comes back as
+    /// the straight-through gradient `G·(1 − 2A₀)`: negated on clean
+    /// edges. The max-abs is the same either way.
     ///
     /// With a [`SearchMemo`] attached, a recent call with the identical
-    /// state and mask replays by memcpy from the whole-assembly LRU (the
+    /// state, mask and signing is answered by lending its LRU slot (the
     /// PGD tail, where the re-binarised graph cycles through a handful
-    /// of states); any other call is assembled in full and installed in
-    /// the LRU. The LRU returns only values the uncached path computed,
-    /// so results are bit-identical either way.
-    pub fn pair_gradients_into(
+    /// of states); any other call is assembled straight into the slot
+    /// it installs. The LRU returns only values the uncached path
+    /// computed, so results are bit-identical either way. A session
+    /// signs for one candidate set: the key does not cover `a0` itself.
+    pub fn pair_gradients(
         &mut self,
         ng: &NodeGrads,
         candidates: &Candidates,
         mask: &[bool],
-        out: &mut [f64],
-    ) {
+        sign: Option<&[bool]>,
+    ) -> (&[f64], f64) {
+        let len = candidates.len();
         let state = self.state_hash();
-        if let Some(memo) = self.memo.as_deref_mut() {
-            // Mask equality is checked verbatim (cheap: a state match
-            // already filters to near-certain hits).
-            if let Some(pos) = memo
-                .grads_slots
-                .iter()
-                .position(|s| s.state == state && s.mask == mask)
-            {
-                memo.grads_slots[..=pos].rotate_right(1);
-                out.copy_from_slice(&memo.grads_slots[0].out);
-                memo.grads_hits += 1;
-                return;
-            }
+        let signed = sign.is_some();
+        let Some(memo) = self.memo.as_deref_mut() else {
+            self.grads.resize(len, 0.0);
+            let max_abs =
+                self.kernel
+                    .assemble(&self.overlay, ng, candidates, mask, sign, &mut self.grads);
+            return (&self.grads, max_abs);
+        };
+        // Mask equality is checked verbatim (cheap: a state match
+        // already filters to near-certain hits).
+        if let Some(pos) = memo
+            .grads_slots
+            .iter()
+            .position(|s| s.state == state && s.signed == signed && s.mask == mask)
+        {
+            memo.grads_slots[..=pos].rotate_right(1);
+            memo.grads_hits += 1;
+        } else {
             memo.grads_misses += 1;
-        }
-        assemble_pair_grads_with_scratch(
-            &self.overlay,
-            ng,
-            candidates,
-            mask,
-            self.threads,
-            out,
-            &mut self.grad_scratch,
-        );
-        if let Some(memo) = self.memo.as_deref_mut() {
             // The eviction victim's buffers are reused for the new slot.
-            let cap = SearchMemo::grads_capacity(candidates.len());
+            let cap = SearchMemo::grads_capacity(len);
             memo.grads_capacity = cap;
             let mut slot = GradsSlot::default();
             if memo.grads_slots.len() >= cap {
@@ -417,12 +436,28 @@ impl<'g> AttackSession<'g> {
                 slot = memo.grads_slots.pop().unwrap_or_default();
             }
             slot.state = state;
+            slot.signed = signed;
             slot.mask.clear();
             slot.mask.extend_from_slice(mask);
-            slot.out.clear();
-            slot.out.extend_from_slice(out);
+            slot.out.resize(len, 0.0);
+            slot.max_abs =
+                self.kernel
+                    .assemble(&self.overlay, ng, candidates, mask, sign, &mut slot.out);
             memo.grads_slots.insert(0, slot);
         }
+        let slot = &memo.grads_slots[0];
+        (&slot.out, slot.max_abs)
+    }
+
+    /// [`AttackSession::pair_gradients`], unsigned, copied into `out`.
+    pub fn pair_gradients_into(
+        &mut self,
+        ng: &NodeGrads,
+        candidates: &Candidates,
+        mask: &[bool],
+        out: &mut [f64],
+    ) {
+        out.copy_from_slice(self.pair_gradients(ng, candidates, mask, None).0);
     }
 
     /// Memo key for a whole search run: the current state hash (edge
@@ -525,6 +560,51 @@ mod tests {
         s.pair_gradients_into(&ng, &candidates, &mask, &mut out);
         let reference = crate::grad::assemble_pair_grads(s.graph(), &ng, &candidates, &mask, 1);
         assert_eq!(out, reference);
+    }
+
+    #[test]
+    fn signed_assembly_negates_clean_edges_and_keys_the_lru() {
+        let g = generators::barabasi_albert(60, 3, 8);
+        let csr = CsrGraph::from(&g);
+        let targets = [2u32, 5];
+        let mut memo = AttackSession::new(&csr, &targets).unwrap().with_memo();
+        let mut plain = AttackSession::new(&csr, &targets).unwrap();
+        for s in [&mut memo, &mut plain] {
+            s.toggle(0, 7);
+        }
+        let ng = memo.node_grads().unwrap();
+        let candidates = Candidates::build(CandidateScope::Full, &g, &targets);
+        let flags = crate::pair::edge_flags(&candidates, &csr);
+        let mut mask = vec![true; candidates.len()];
+        mask[3] = false;
+
+        let (unsigned, max_u) = memo.pair_gradients(&ng, &candidates, &mask, None);
+        let unsigned = unsigned.to_vec();
+        let (signed, max_s) = memo.pair_gradients(&ng, &candidates, &mask, Some(&flags));
+        let signed = signed.to_vec();
+        let stats = memo.memo_stats().unwrap();
+        assert_eq!((stats.grads_hits, stats.grads_misses), (0, 2), "{stats:?}");
+        assert!(flags.iter().zip(&mask).any(|(&f, &on)| f && on));
+        let mut want_max = 0.0f64;
+        for idx in 0..candidates.len() {
+            let want = match (mask[idx], flags[idx]) {
+                (false, _) => 0.0,
+                (true, true) => -unsigned[idx],
+                (true, false) => unsigned[idx],
+            };
+            assert_eq!(signed[idx].to_bits(), want.to_bits(), "idx {idx}");
+            if mask[idx] {
+                want_max = want_max.max(unsigned[idx].abs());
+            }
+        }
+        assert_eq!((max_u, max_s), (want_max, want_max));
+
+        // A repeat is lent from the LRU; a memo-less session agrees.
+        let (again, max_again) = memo.pair_gradients(&ng, &candidates, &mask, Some(&flags));
+        assert_eq!((again, max_again), (signed.as_slice(), max_s));
+        assert_eq!(memo.memo_stats().unwrap().grads_hits, 1);
+        let (cold, max_cold) = plain.pair_gradients(&ng, &candidates, &mask, Some(&flags));
+        assert_eq!((cold, max_cold), (signed.as_slice(), max_s));
     }
 
     #[test]
