@@ -5,17 +5,17 @@
 //! graph of ≥ 10^6 nodes / ≥ 10^7 edges (default `n = 1_000_000`,
 //! `m = 11`):
 //!
-//! 1. **verify** — at a small `n`, the streamed generator + u32
-//!    builder are cross-checked bit-identical (offsets, columns, edge
-//!    hash) against the in-memory generator + u64 CSR; a mismatch
-//!    aborts before any timing is reported.
+//! 1. **verify** — at a small `n`, the streamed generator + builder
+//!    are cross-checked bit-identical (offsets, columns, edge hash)
+//!    against the in-memory generator + CSR freeze; a mismatch aborts
+//!    before any timing is reported.
 //! 2. **gen** — `barabasi_albert_stream` → `compact::from_edge_stream`:
-//!    the graph is born directly in u32 CSR form, never existing as an
+//!    the graph is born directly in CSR form, never existing as an
 //!    edge list or mutable adjacency.
 //! 3. **store** — `graphstore::write_chunked` to disk, an out-of-core
 //!    chunk fold (`fold_degree_stats`, whose hash must equal the
 //!    manifest's), and a fully verified `read_chunked` reload.
-//! 4. **score** — `StreamEngine::from_csr` over the promoted graph:
+//! 4. **score** — `StreamEngine::from_csr` over the generated graph:
 //!    egonet features + OddBall fit + top-k AScore ranking at full
 //!    scale, then one event batch through the ingest pipeline.
 //!
@@ -24,7 +24,7 @@
 
 use ba_bench::graphstore;
 use ba_graph::compact::from_edge_stream;
-use ba_graph::{generators, CsrGraph, CsrGraph32, GraphView};
+use ba_graph::{generators, CsrGraph, GraphView};
 use ba_net::BenchReport;
 use ba_stream::{synthetic_stream, StreamConfig, StreamEngine};
 use std::time::Instant;
@@ -38,18 +38,16 @@ fn arg_value(args: &[String], flag: &str) -> Option<usize> {
         .and_then(|s| s.parse().ok())
 }
 
-/// Cross-check the streamed u32 path against the in-memory u64 path at
-/// a size where both fit comfortably; abort on any divergence.
+/// Cross-check the streamed path against the in-memory path at a size
+/// where both fit comfortably; abort on any divergence.
 fn verify_small(n: usize, m: usize) {
-    let wide = CsrGraph::from(&generators::barabasi_albert(n, m, SEED));
-    let narrow = from_edge_stream(n, || generators::barabasi_albert_stream(n, m, SEED))
+    let in_memory = CsrGraph::from(&generators::barabasi_albert(n, m, SEED));
+    let streamed = from_edge_stream(n, || generators::barabasi_albert_stream(n, m, SEED))
         .expect("streamed build failed");
     assert_eq!(
-        narrow,
-        CsrGraph32::from_csr(&wide).expect("u32 compaction failed"),
-        "streamed u32 CSR diverges from in-memory u64 CSR"
+        streamed, in_memory,
+        "streamed CSR diverges from in-memory CSR"
     );
-    assert_eq!(narrow.promote(), wide, "promotion is not the inverse");
 }
 
 fn main() {
@@ -63,16 +61,16 @@ fn main() {
     let store_dir = std::env::temp_dir().join(format!("ba_large_bench_{n}_{m}"));
     let _ = std::fs::remove_dir_all(&store_dir);
 
-    eprintln!("[verify] small-n bit-identity (streamed u32 vs in-memory u64)");
+    eprintln!("[verify] small-n bit-identity (streamed vs in-memory)");
     verify_small(3_000, m);
 
     eprintln!("[gen] BA n = {n}, m = {m} via streamed builder");
     let t0 = Instant::now();
-    let g32 = from_edge_stream(n, || generators::barabasi_albert_stream(n, m, SEED))
+    let g = from_edge_stream(n, || generators::barabasi_albert_stream(n, m, SEED))
         .expect("streamed build failed");
     let gen_s = t0.elapsed().as_secs_f64();
-    let edges = g32.num_edges();
-    let resident_bytes = 4 * (n + 1 + 2 * edges);
+    let edges = g.num_edges();
+    let resident_bytes = 8 * (n + 1 + edges);
     eprintln!(
         "      {edges} edges in {gen_s:.2}s ({:.0} edges/s), {:.1} MiB resident CSR",
         edges as f64 / gen_s,
@@ -81,7 +79,7 @@ fn main() {
 
     let chunk_rows = 65_536;
     let t0 = Instant::now();
-    let meta = graphstore::write_chunked(&store_dir, &g32, chunk_rows).expect("store write failed");
+    let meta = graphstore::write_chunked(&store_dir, &g, chunk_rows).expect("store write failed");
     let write_s = t0.elapsed().as_secs_f64();
     eprintln!(
         "[store] wrote {} chunks ({chunk_rows} rows each) in {write_s:.2}s",
@@ -93,26 +91,21 @@ fn main() {
         graphstore::fold_degree_stats(&store_dir).expect("chunk fold failed");
     let fold_s = t0.elapsed().as_secs_f64();
     assert_eq!(deg_sum, 2 * edges, "chunk fold lost entries");
-    assert_eq!(fold_hash, g32.edge_hash(), "chunk fold hash mismatch");
+    assert_eq!(fold_hash, g.edge_hash(), "chunk fold hash mismatch");
     eprintln!("[store] out-of-core fold in {fold_s:.2}s (max degree {max_deg})");
 
     let t0 = Instant::now();
     let reloaded = graphstore::read_chunked(&store_dir).expect("store read failed");
     let read_s = t0.elapsed().as_secs_f64();
-    assert_eq!(reloaded, g32, "store round-trip changed the graph");
+    assert_eq!(reloaded, g, "store round-trip changed the graph");
     eprintln!("[store] verified full reload in {read_s:.2}s");
     drop(reloaded);
     let _ = std::fs::remove_dir_all(&store_dir);
 
-    let t0 = Instant::now();
-    let wide = g32.promote();
-    let promote_s = t0.elapsed().as_secs_f64();
-    drop(g32);
-
     eprintln!("[score] OddBall fit + top-k at full scale");
-    let events = synthetic_stream(&wide, batch, SEED + 1);
+    let events = synthetic_stream(&g, batch, SEED + 1);
     let t0 = Instant::now();
-    let mut engine = StreamEngine::from_csr(wide, StreamConfig::default());
+    let mut engine = StreamEngine::from_csr(g, StreamConfig::default());
     let fit_s = t0.elapsed().as_secs_f64();
     let top = engine.top_k(10).expect("fit degenerate at scale");
     eprintln!(
@@ -141,7 +134,6 @@ fn main() {
         .metric("store_write_s", write_s, "s")
         .metric("store_fold_s", fold_s, "s")
         .metric("store_read_s", read_s, "s")
-        .metric("promote_s", promote_s, "s")
         .metric("fit_s", fit_s, "s")
         .metric("ingest_s", ingest_s, "s")
         .metric(

@@ -1,7 +1,7 @@
-//! Chunked on-disk store for compacted CSR graphs — the out-of-core leg
-//! of the million-node substrate (DESIGN.md §13).
+//! Chunked on-disk store for CSR graphs — the out-of-core leg of the
+//! million-node substrate (DESIGN.md §13).
 //!
-//! A [`ba_graph::CsrGraph32`] is split into fixed-size node ranges and
+//! A [`ba_graph::CsrGraph`] is split into fixed-size node ranges and
 //! written as one text file per range plus a JSON manifest, all through
 //! the same atomic-rename codec the experiment artifact layer uses
 //! ([`ba_net::codec::write_atomic`], with the manifest's `edge_hash`
@@ -11,7 +11,10 @@
 //! ([`read_chunked`]) reassembles and *verifies*: it replays every edge
 //! through [`ba_graph::compact::from_edge_stream`], so a reloaded graph
 //! is bit-identical to the one written — offsets, columns, and Zobrist
-//! edge hash — or the read fails loudly.
+//! edge hash — or the read fails loudly. The manifest is outside input:
+//! a shape no writer emits is rejected before any chunk is read, and
+//! every buffer grows from the bytes actually read, never from the
+//! manifest's counts.
 //!
 //! ## Layout
 //!
@@ -32,7 +35,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use ba_graph::compact::{from_edge_stream, CompactError};
-use ba_graph::{zobrist, CsrGraph32, GraphView, NodeId};
+use ba_graph::{zobrist, CsrGraph, GraphView, NodeId};
 
 use crate::artifact::{json_str_field, json_usize_field};
 use ba_net::codec::write_atomic;
@@ -55,9 +58,36 @@ pub struct GraphStoreMeta {
 impl GraphStoreMeta {
     /// Node range `[lo, hi)` covered by chunk `k`.
     pub fn chunk_bounds(&self, k: usize) -> (usize, usize) {
-        let lo = (k * self.chunk_rows).min(self.num_nodes);
-        let hi = ((k + 1) * self.chunk_rows).min(self.num_nodes);
+        let lo = k.saturating_mul(self.chunk_rows).min(self.num_nodes);
+        let hi = lo.saturating_add(self.chunk_rows).min(self.num_nodes);
         (lo, hi)
+    }
+
+    /// Rejects a shape [`write_chunked`] never emits: more nodes than
+    /// `NodeId` can name, empty chunks over a non-empty graph, or a
+    /// chunk count that does not tile the node range.
+    fn check_shape(&self) -> Result<(), String> {
+        let id_space = NodeId::MAX as usize + 1;
+        if self.num_nodes > id_space {
+            return Err(format!(
+                "{} nodes exceed the {id_space}-node id space",
+                self.num_nodes
+            ));
+        }
+        let expected = match self.chunk_rows {
+            0 if self.num_nodes > 0 => {
+                return Err(format!("chunk_rows is 0 for {} nodes", self.num_nodes))
+            }
+            0 => 0,
+            rows => self.num_nodes.div_ceil(rows),
+        };
+        if self.num_chunks != expected {
+            return Err(format!(
+                "{} chunks listed, but {} nodes in chunks of {} rows make {expected}",
+                self.num_chunks, self.num_nodes, self.chunk_rows
+            ));
+        }
+        Ok(())
     }
 
     fn to_json(&self) -> String {
@@ -137,7 +167,7 @@ fn chunk_path(dir: &Path, k: usize) -> PathBuf {
 /// Writes `g` to `dir` as `ceil(n / chunk_rows)` chunk files plus a
 /// manifest, each committed by atomic rename. Peak transient memory is
 /// one chunk's text, not the whole serialisation.
-pub fn write_chunked(dir: &Path, g: &CsrGraph32, chunk_rows: usize) -> io::Result<GraphStoreMeta> {
+pub fn write_chunked(dir: &Path, g: &CsrGraph, chunk_rows: usize) -> io::Result<GraphStoreMeta> {
     assert!(chunk_rows >= 1, "chunk_rows must be >= 1");
     std::fs::create_dir_all(dir)?;
     let n = g.num_nodes();
@@ -172,11 +202,13 @@ pub fn write_chunked(dir: &Path, g: &CsrGraph32, chunk_rows: usize) -> io::Resul
     Ok(meta)
 }
 
-/// Loads the store manifest.
+/// Loads the store manifest and checks its shape.
 pub fn read_meta(dir: &Path) -> Result<GraphStoreMeta, StoreError> {
     let text = std::fs::read_to_string(manifest_path(dir))?;
-    GraphStoreMeta::from_json(&text)
-        .ok_or_else(|| StoreError::Corrupt(format!("unreadable manifest {text:?}")))
+    let meta = GraphStoreMeta::from_json(&text)
+        .ok_or_else(|| StoreError::Corrupt(format!("unreadable manifest {text:?}")))?;
+    meta.check_shape().map_err(StoreError::Corrupt)?;
+    Ok(meta)
 }
 
 /// Reads one chunk's adjacency rows (nodes `meta.chunk_bounds(k)`),
@@ -189,7 +221,7 @@ pub fn read_chunk_rows(
 ) -> Result<Vec<Vec<NodeId>>, StoreError> {
     let (lo, hi) = meta.chunk_bounds(k);
     let text = std::fs::read_to_string(chunk_path(dir, k))?;
-    let mut rows = Vec::with_capacity(hi - lo);
+    let mut rows = Vec::new();
     for line in text.lines() {
         let mut row = Vec::new();
         for tok in line.split_ascii_whitespace() {
@@ -218,15 +250,15 @@ pub fn read_chunk_rows(
 /// the manifest's edge count and hash exactly. A store written by
 /// [`write_chunked`] therefore round-trips byte-for-byte (pinned by
 /// proptest), and any mutation of the files fails the read.
-pub fn read_chunked(dir: &Path) -> Result<CsrGraph32, StoreError> {
+pub fn read_chunked(dir: &Path) -> Result<CsrGraph, StoreError> {
     let meta = read_meta(dir)?;
     // One pass over the chunks collects the upper-triangle edges (in
     // row-major order — row-monotone for the cursor-fill builder: node
     // u's smaller neighbours arrive while scanning their rows, then its
     // larger ones from its own row, all ascending) and the raw column
     // array for post-build verification.
-    let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(meta.num_edges);
-    let mut stored_cols: Vec<NodeId> = Vec::with_capacity(2 * meta.num_edges);
+    let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+    let mut stored_cols: Vec<NodeId> = Vec::new();
     for k in 0..meta.num_chunks {
         let (lo, _) = meta.chunk_bounds(k);
         for (i, row) in read_chunk_rows(dir, &meta, k)?.iter().enumerate() {
@@ -288,7 +320,7 @@ pub fn fold_degree_stats(dir: &Path) -> Result<(usize, usize, u64), StoreError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ba_graph::{generators, CsrGraph};
+    use ba_graph::generators;
 
     fn temp_store(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ba_graphstore_{name}"));
@@ -299,21 +331,19 @@ mod tests {
     #[test]
     fn round_trip_is_bit_exact() {
         let dir = temp_store("roundtrip");
-        let wide = CsrGraph::from(&generators::barabasi_albert(700, 4, 19));
-        let narrow = CsrGraph32::from_csr(&wide).unwrap();
-        let meta = write_chunked(&dir, &narrow, 128).unwrap();
+        let g = CsrGraph::from(&generators::barabasi_albert(700, 4, 19));
+        let meta = write_chunked(&dir, &g, 128).unwrap();
         assert_eq!(meta.num_chunks, 6);
         assert_eq!(read_meta(&dir).unwrap(), meta);
         let back = read_chunked(&dir).unwrap();
-        assert_eq!(back, narrow, "store round-trip changed the CSR");
-        assert_eq!(back.promote(), wide);
+        assert_eq!(back, g, "store round-trip changed the CSR");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn chunked_fold_matches_in_memory_stats() {
         let dir = temp_store("fold");
-        let g = CsrGraph32::from_view(&generators::erdos_renyi(400, 0.03, 5)).unwrap();
+        let g = CsrGraph::from(&generators::erdos_renyi(400, 0.03, 5));
         write_chunked(&dir, &g, 37).unwrap();
         let (max_deg, deg_sum, hash) = fold_degree_stats(&dir).unwrap();
         let expect_max = (0..400).map(|u| g.degree(u)).max().unwrap();
@@ -326,7 +356,7 @@ mod tests {
     #[test]
     fn tampered_store_fails_loudly() {
         let dir = temp_store("tamper");
-        let g = CsrGraph32::from_view(&generators::barabasi_albert(120, 3, 2)).unwrap();
+        let g = CsrGraph::from(&generators::barabasi_albert(120, 3, 2));
         let meta = write_chunked(&dir, &g, 50).unwrap();
         // Flip one neighbour id in the middle chunk.
         let path = chunk_path(&dir, 1);
@@ -343,21 +373,131 @@ mod tests {
             Err(StoreError::Corrupt(msg)) => assert!(msg.contains("rows"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
-        // Bad manifest hash.
+        // Intact chunks under a bad manifest hash.
+        std::fs::write(&path, text).unwrap();
+        assert_eq!(read_chunked(&dir).unwrap(), g);
         let mut bad = meta.clone();
         bad.edge_hash ^= 1;
         write_atomic(&manifest_path(&dir), &bad.to_json()).unwrap();
+        match read_chunked(&dir) {
+            Err(StoreError::Corrupt(msg)) => assert!(msg.contains("edge hash"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Writes a valid 120-node store in chunks of 50, then overwrites
+    /// its manifest with `edit` applied; returns what both readers say.
+    fn read_with_manifest(
+        name: &str,
+        edit: impl FnOnce(&mut GraphStoreMeta),
+    ) -> [Result<(), StoreError>; 2] {
+        let dir = temp_store(name);
+        let g = CsrGraph::from(&generators::barabasi_albert(120, 3, 2));
+        let mut meta = write_chunked(&dir, &g, 50).unwrap();
+        edit(&mut meta);
+        write_atomic(&manifest_path(&dir), &meta.to_json()).unwrap();
+        let out = [
+            read_chunked(&dir).map(drop),
+            fold_degree_stats(&dir).map(drop),
+        ];
+        let _ = std::fs::remove_dir_all(&dir);
+        out
+    }
+
+    fn assert_corrupt(results: [Result<(), StoreError>; 2], needle: &str) {
+        for r in results {
+            match r {
+                Err(StoreError::Corrupt(msg)) => assert!(msg.contains(needle), "{msg}"),
+                other => panic!("expected Corrupt({needle:?}), got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn huge_edge_count_is_not_an_allocation() {
+        let results = read_with_manifest("huge_edges", |m| m.num_edges = 1_000_000_000_000_000);
+        // The fold never reads `num_edges`; the full reader counts the
+        // edges it read and rejects the claim.
+        assert!(matches!(
+            &results[0],
+            Err(StoreError::Corrupt(msg)) if msg.contains("upper-triangle edges")
+        ));
+        assert!(results[1].is_ok());
+    }
+
+    #[test]
+    fn zero_chunk_rows_rejected() {
+        assert_corrupt(
+            read_with_manifest("zero_rows", |m| m.chunk_rows = 0),
+            "chunk_rows is 0",
+        );
+    }
+
+    #[test]
+    fn chunk_count_must_tile_the_nodes() {
+        assert_corrupt(
+            read_with_manifest("few_chunks", |m| m.num_chunks = 2),
+            "chunks listed",
+        );
+        assert_corrupt(
+            read_with_manifest("many_chunks", |m| m.num_chunks = usize::MAX),
+            "chunks listed",
+        );
+    }
+
+    #[test]
+    fn node_count_past_id_space_rejected() {
+        let too_many = NodeId::MAX as usize + 2;
+        assert_corrupt(
+            read_with_manifest("too_many_nodes", |m| {
+                m.num_nodes = too_many;
+                m.chunk_rows = too_many;
+                m.num_chunks = 1;
+            }),
+            "id space",
+        );
+    }
+
+    #[test]
+    fn oversized_shapes_fail_on_the_data_read() {
+        // A consistent shape whose first chunk claims 2^32 rows reserves
+        // nothing from that claim: the 50-row chunk file fails the read.
+        assert_corrupt(
+            read_with_manifest("max_nodes", |m| {
+                m.num_nodes = NodeId::MAX as usize + 1;
+                m.chunk_rows = m.num_nodes;
+                m.num_chunks = 1;
+            }),
+            "rows",
+        );
+        // `chunk_rows` near `usize::MAX` must not overflow chunk bounds.
+        assert_corrupt(
+            read_with_manifest("huge_rows", |m| {
+                m.chunk_rows = usize::MAX;
+                m.num_chunks = 1;
+            }),
+            "rows",
+        );
+        let meta = GraphStoreMeta {
+            num_nodes: 10,
+            num_edges: 0,
+            chunk_rows: usize::MAX,
+            num_chunks: 1,
+            edge_hash: 0,
+        };
+        assert_eq!(meta.chunk_bounds(0), (0, 10));
+        assert_eq!(meta.chunk_bounds(usize::MAX), (10, 10));
     }
 
     #[test]
     fn empty_and_single_chunk_stores() {
         let dir = temp_store("empty");
-        let g = CsrGraph32::from_view(&ba_graph::Graph::new(0)).unwrap();
+        let g = CsrGraph::from(&ba_graph::Graph::new(0));
         let meta = write_chunked(&dir, &g, 1000).unwrap();
         assert_eq!(meta.num_chunks, 0);
         assert_eq!(read_chunked(&dir).unwrap(), g);
-        let one = CsrGraph32::from_view(&generators::erdos_renyi(30, 0.2, 1)).unwrap();
+        let one = CsrGraph::from(&generators::erdos_renyi(30, 0.2, 1));
         let meta = write_chunked(&dir, &one, 1000).unwrap();
         assert_eq!(meta.num_chunks, 1);
         assert_eq!(read_chunked(&dir).unwrap(), one);

@@ -213,7 +213,7 @@ fn cmd_gen_large(flags: &Flags) -> Result<(), String> {
     let seed = flags.u64_or("seed", 7);
     let chunk_rows = flags.usize_or("chunk-rows", 65_536).max(1);
     // Streamed generation: the restartable edge stream feeds the
-    // two-pass u32 CSR builder, so peak memory is the final CSR plus
+    // two-pass CSR builder, so peak memory is the final CSR plus
     // the generator's own state — no intermediate edge list. The
     // result is bit-identical to the in-memory generators at equal
     // (model, n, seed); see DESIGN.md §13.

@@ -9,19 +9,14 @@
 //! pairs is never revisited, and deletions that would create singleton
 //! nodes are skipped (both rules are explicit in the paper).
 //!
-//! Two scan-order refinements keep results bit-identical while cutting
-//! wall-clock: the never-revisit pool is a candidate-indexed
-//! [`IndexBitSet`] (one shift-and-mask instead of a hash probe per
-//! candidate per step), and the argmax scan is *PV-seeded* — last
-//! step's best movers are probed first, so by the time the full scan
-//! runs, almost every candidate fails the `|G| > |best|` test on the
-//! first compare. The selection comparator is total (magnitude, then
-//! index), so the winner is the same whatever order candidates are
-//! visited in; the principal-variation ordering is a pure wall-clock
-//! optimisation, as the cached≡uncached golden suite verifies.
+//! The never-revisit pool is a candidate-indexed [`IndexBitSet`] (one
+//! shift-and-mask instead of a hash probe per candidate per step), and
+//! the argmax is one full scan with a total comparator (magnitude, then
+//! index), so the winner does not depend on the order candidates are
+//! visited in.
 
 use crate::attack::{AttackConfig, AttackError, AttackOutcome, StructuralAttack};
-use crate::pair::{edge_flags, CandidateScope, Candidates, IndexBitSet};
+use crate::pair::{edge_flags, Candidates, IndexBitSet};
 use crate::session::AttackSession;
 use ba_graph::{GraphView, NodeId};
 
@@ -48,10 +43,6 @@ impl Default for GradMaxSearch {
         Self::new(AttackConfig::default())
     }
 }
-
-/// Number of previous-step best movers probed before the full argmax
-/// scan (the principal variation). Affects wall-clock only.
-const PV_WIDTH: usize = 8;
 
 impl StructuralAttack for GradMaxSearch {
     fn name(&self) -> &'static str {
@@ -85,9 +76,6 @@ impl StructuralAttack for GradMaxSearch {
         // toggle restores the clean state); for every eligible candidate
         // the overlay and the clean graph therefore agree.
         let is_edge_cache = edge_flags(&candidates, session.base());
-        // Principal variation: last step's top movers, best-first.
-        let mut pv: Vec<u32> = Vec::with_capacity(PV_WIDTH);
-        let mut top: Vec<(f64, u32)> = Vec::with_capacity(PV_WIDTH + 1);
         let mut ops = Vec::new();
         let mut ops_per_budget = Vec::with_capacity(budget);
         let mut loss_per_budget = Vec::with_capacity(budget);
@@ -115,18 +103,10 @@ impl StructuralAttack for GradMaxSearch {
 
             // Argmax over sign-consistent moves, with a *total*
             // comparator — larger |G| wins, smaller index breaks ties —
-            // so the winner does not depend on visit order and the PV
-            // pre-pass below can only speed the scan up, never steer it.
+            // so the winner does not depend on visit order.
             let mut best: Option<(usize, NodeId, NodeId)> = None;
             let mut best_abs = 0.0f64;
-            top.clear();
-            let consider = |idx: usize,
-                            i: NodeId,
-                            j: NodeId,
-                            collect_top: bool,
-                            best: &mut Option<(usize, NodeId, NodeId)>,
-                            best_abs: &mut f64,
-                            top: &mut Vec<(f64, u32)>| {
+            candidates.for_each(|idx, i, j| {
                 if !eligible[idx] {
                     return;
                 }
@@ -139,42 +119,15 @@ impl StructuralAttack for GradMaxSearch {
                     return;
                 }
                 let a = s.abs();
-                let replace = match *best {
+                let replace = match best {
                     None => true,
-                    Some((bidx, _, _)) => a > *best_abs || (a == *best_abs && idx < bidx),
+                    Some((bidx, _, _)) => a > best_abs || (a == best_abs && idx < bidx),
                 };
                 if replace {
-                    *best = Some((idx, i, j));
-                    *best_abs = a;
+                    best = Some((idx, i, j));
+                    best_abs = a;
                 }
-                // Collect next step's PV during the full scan only (the
-                // PV pre-pass would double-insert its own entries).
-                if collect_top && (top.len() < PV_WIDTH || top.last().is_none_or(|&(ta, _)| a > ta))
-                {
-                    let pos = top.partition_point(|&(ta, _)| ta > a);
-                    top.insert(pos, (a, idx as u32));
-                    top.truncate(PV_WIDTH);
-                }
-            };
-            // PV pre-pass: seed `best` with last step's movers so the
-            // full scan fails the `a > best_abs` compare early.
-            for &idx in &pv {
-                let (i, j) = candidates.pair(idx as usize);
-                consider(
-                    idx as usize,
-                    i,
-                    j,
-                    false,
-                    &mut best,
-                    &mut best_abs,
-                    &mut top,
-                );
-            }
-            candidates.for_each(|idx, i, j| {
-                consider(idx, i, j, true, &mut best, &mut best_abs, &mut top)
             });
-            pv.clear();
-            pv.extend(top.iter().map(|&(_, idx)| idx));
 
             let Some((idx, i, j)) = best else {
                 break; // saturated: no feasible move improves the objective
@@ -212,13 +165,10 @@ impl StructuralAttack for GradMaxSearch {
     }
 }
 
-/// Re-export of the scope type for ergonomic construction in examples.
-pub type Scope = CandidateScope;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pair::EdgeOpKind;
+    use crate::pair::{CandidateScope, EdgeOpKind};
     use ba_graph::{generators, Graph};
     use ba_oddball::OddBall;
     use std::collections::HashSet;

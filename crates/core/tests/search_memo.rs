@@ -1,6 +1,6 @@
 //! Memoization correctness suite.
 //!
-//! Two properties guard the search memo and PV ordering:
+//! Two properties guard the search memo:
 //!
 //! 1. **Hash contract** — the session's incremental Zobrist state hash
 //!    must equal the from-scratch hash of the materialised edge set

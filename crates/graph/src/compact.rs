@@ -1,41 +1,22 @@
-//! The u32-compacted CSR substrate for million-node graphs.
+//! The streamed two-pass CSR builder for million-node graphs.
 //!
-//! [`CsrGraph`] stores its row-pointer array as `Vec<usize>` — 8 bytes
-//! per node on 64-bit targets. At the 10^6–10^7-node scale the ROADMAP
-//! targets, halving that to `u32` matters twice over: it cuts the
-//! resident offsets array in half, and it fixes the on-disk chunk
-//! format (`ba-bench`'s graph store) to one integer width on every
-//! platform. A `u32` row pointer addresses up to `2m = u32::MAX`
-//! adjacency entries — comfortably past 10^9 half-edges, i.e. half a
-//! billion undirected edges — and the compaction path is *checked*:
-//! [`CsrGraph32::from_csr`] returns [`CompactError::TooManyEdges`]
-//! instead of truncating, and [`CsrGraph32::promote`] widens back to
-//! the `usize` representation infallibly.
-//!
-//! [`from_edge_stream`](crate::compact::from_edge_stream) closes the
-//! other memory gap: it builds the
-//! compacted CSR directly from a restartable edge iterator in two
+//! [`from_edge_stream`](crate::compact::from_edge_stream) builds a
+//! [`CsrGraph`] directly from a restartable edge iterator in two
 //! counting passes — degrees + hash first, column fill second — so the
 //! full edge list is never materialised. Paired with the streamed
 //! generators ([`crate::generators::erdos_renyi_stream`] /
 //! [`crate::generators::barabasi_albert_stream`]) the peak resident
 //! cost of building an `n`-node, `m`-edge graph is the final CSR plus
 //! `O(n)` scratch, not the `O(m)` edge `Vec` the in-memory builders
-//! temporarily hold. Bit-identity between every path (in-memory →
-//! `CsrGraph` → `from_csr` vs streamed → [`CsrGraph32`]) is pinned by
-//! the proptests in `tests/proptests.rs`.
+//! temporarily hold. Bit-identity between the streamed and in-memory
+//! paths is pinned by the proptests in `tests/proptests.rs`.
 
-use crate::view::GraphView;
 use crate::zobrist::edge_key;
 use crate::{CsrGraph, NodeId};
 
-/// Why a graph could not be narrowed to the u32-compacted layout, or a
-/// streamed build could not be completed.
+/// Why a streamed build could not be completed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompactError {
-    /// The adjacency array needs more than `u32::MAX` entries, so u32
-    /// row pointers cannot address it. Carries `2m`, the entry count.
-    TooManyEdges(usize),
     /// A streamed edge was a self-loop or referenced a node `>= n`.
     BadEdge {
         /// First endpoint as emitted.
@@ -60,11 +41,6 @@ pub enum CompactError {
 impl std::fmt::Display for CompactError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CompactError::TooManyEdges(entries) => write!(
-                f,
-                "adjacency needs {entries} entries; u32 offsets address at most {}",
-                u32::MAX
-            ),
             CompactError::BadEdge { u, v } => {
                 write!(f, "streamed edge ({u}, {v}) is a self-loop or out of range")
             }
@@ -82,104 +58,7 @@ impl std::fmt::Display for CompactError {
 
 impl std::error::Error for CompactError {}
 
-/// Compressed-sparse-row adjacency with `u32` row pointers:
-/// `cols[offsets[u]..offsets[u + 1]]` is the strictly increasing
-/// neighbour list of `u`, exactly as in [`CsrGraph`], at half the
-/// offsets footprint. Immutable; read through [`GraphView`], so every
-/// downstream consumer (egonet features, the OddBall fit, the pair
-/// gradients) is bit-identical on the two representations.
-///
-/// ```
-/// use ba_graph::{compact::CsrGraph32, CsrGraph, Graph, GraphView};
-///
-/// let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
-/// let wide = CsrGraph::from_view(&g);
-/// let narrow = CsrGraph32::from_csr(&wide).unwrap();
-/// assert_eq!(narrow.neighbors_sorted(1), wide.neighbors_sorted(1));
-/// assert_eq!(narrow.promote(), wide); // widening is lossless
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsrGraph32 {
-    offsets: Vec<u32>,
-    cols: Vec<NodeId>,
-    num_edges: usize,
-    edge_hash: u64,
-}
-
-impl CsrGraph32 {
-    /// Narrows a frozen [`CsrGraph`] to u32 row pointers. Fails with
-    /// [`CompactError::TooManyEdges`] when the adjacency array exceeds
-    /// `u32::MAX` entries — never truncates.
-    pub fn from_csr(csr: &CsrGraph) -> Result<Self, CompactError> {
-        let entries = csr.cols().len();
-        if u32::try_from(entries).is_err() {
-            return Err(CompactError::TooManyEdges(entries));
-        }
-        let offsets = csr.offsets().iter().map(|&o| o as u32).collect();
-        Ok(Self {
-            offsets,
-            cols: csr.cols().to_vec(),
-            num_edges: csr.num_edges(),
-            edge_hash: csr.edge_hash(),
-        })
-    }
-
-    /// Builds the compacted CSR from any graph view, via the same
-    /// checked narrowing as [`CsrGraph32::from_csr`].
-    pub fn from_view<V: GraphView + ?Sized>(g: &V) -> Result<Self, CompactError> {
-        Self::from_csr(&CsrGraph::from_view(g))
-    }
-
-    /// Widens back to the `usize`-offset [`CsrGraph`]. Infallible: u32
-    /// row pointers always fit in `usize`, and the column array is
-    /// shared verbatim, so `promote` then [`CsrGraph32::from_csr`] is a
-    /// bit-exact round trip.
-    pub fn promote(&self) -> CsrGraph {
-        CsrGraph::from_raw_parts(
-            self.offsets.iter().map(|&o| o as usize).collect(),
-            self.cols.clone(),
-            self.num_edges,
-            self.edge_hash,
-        )
-    }
-
-    /// Zobrist hash of the edge set (see [`crate::zobrist`]) — equal to
-    /// the wide representation's [`CsrGraph::edge_hash`] by
-    /// construction.
-    #[inline]
-    pub fn edge_hash(&self) -> u64 {
-        self.edge_hash
-    }
-
-    /// Row pointer array, length `n + 1`, in u32.
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
-    }
-
-    /// Concatenated column indices, length `2m`.
-    pub fn cols(&self) -> &[NodeId] {
-        &self.cols
-    }
-}
-
-impl GraphView for CsrGraph32 {
-    #[inline]
-    fn num_nodes(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    #[inline]
-    fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    #[inline]
-    fn neighbors_sorted(&self, u: NodeId) -> &[NodeId] {
-        &self.cols[self.offsets[u as usize] as usize..self.offsets[u as usize + 1] as usize]
-    }
-}
-
-/// Builds a [`CsrGraph32`] from a *restartable* edge stream without
+/// Builds a [`CsrGraph`] from a *restartable* edge stream without
 /// materialising the edge list.
 ///
 /// `make_edges` is called twice and must yield the identical sequence
@@ -187,52 +66,43 @@ impl GraphView for CsrGraph32 {
 /// each node's incident edges arrive with monotonically increasing
 /// other-endpoints — the *row-monotone* contract the streamed
 /// generators guarantee; see `DESIGN.md` §13). Pass one counts degrees
-/// and folds the Zobrist edge hash; pass two drops each half-edge into
-/// its row cursor. Peak scratch is the `n + 1` cursor array — the
-/// final CSR aside, nothing grows with `m`.
+/// into the row pointers and folds the Zobrist edge hash; pass two
+/// drops each half-edge into its row cursor. Peak scratch is the `n`
+/// cursor array — the final CSR aside, nothing grows with `m`.
 ///
 /// Every edge is validated (no self-loops, endpoints `< n`), the final
 /// rows are checked strictly increasing, and a stream that yields
 /// different edge counts across the two passes is reported as
 /// [`CompactError::NonRestartableStream`] rather than producing a
 /// corrupt graph.
-pub fn from_edge_stream<I, F>(n: usize, make_edges: F) -> Result<CsrGraph32, CompactError>
+pub fn from_edge_stream<I, F>(n: usize, make_edges: F) -> Result<CsrGraph, CompactError>
 where
     F: Fn() -> I,
     I: Iterator<Item = (NodeId, NodeId)>,
 {
-    // Pass 1: degrees, edge count, hash.
-    let mut degree = vec![0u32; n];
+    // Pass 1: degrees (counted at `offsets[u + 1]`), edge count, hash.
+    let mut offsets = vec![0usize; n + 1];
     let mut num_edges = 0usize;
     let mut edge_hash = 0u64;
     for (u, v) in make_edges() {
         if u == v || u as usize >= n || v as usize >= n {
             return Err(CompactError::BadEdge { u, v });
         }
-        degree[u as usize] += 1;
-        degree[v as usize] += 1;
+        offsets[u as usize + 1] += 1;
+        offsets[v as usize + 1] += 1;
         num_edges += 1;
         edge_hash ^= edge_key(u, v);
     }
-    let entries = 2 * num_edges;
-    if u32::try_from(entries).is_err() {
-        return Err(CompactError::TooManyEdges(entries));
-    }
 
-    // Prefix-sum the degrees into row pointers; reuse a copy as the
-    // per-row write cursors for pass 2.
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0u32);
-    let mut acc = 0u32;
-    for &d in &degree {
-        acc += d;
-        offsets.push(acc);
+    // Prefix-sum the degrees into row pointers; a copy of the row
+    // starts is the per-row write cursor for pass 2.
+    for u in 0..n {
+        offsets[u + 1] += offsets[u];
     }
-    drop(degree);
-    let mut cursor: Vec<u32> = offsets[..n].to_vec();
+    let mut cursor = offsets[..n].to_vec();
 
     // Pass 2: fill both half-edges at their row cursors.
-    let mut cols = vec![0 as NodeId; entries];
+    let mut cols = vec![0 as NodeId; 2 * num_edges];
     let mut second = 0usize;
     for (u, v) in make_edges() {
         if u == v || u as usize >= n || v as usize >= n {
@@ -242,9 +112,9 @@ where
         if second > num_edges {
             break;
         }
-        cols[cursor[u as usize] as usize] = v;
+        cols[cursor[u as usize]] = v;
         cursor[u as usize] += 1;
-        cols[cursor[v as usize] as usize] = u;
+        cols[cursor[v as usize]] = u;
         cursor[v as usize] += 1;
     }
     if second != num_edges {
@@ -258,55 +128,28 @@ where
     // verify it in O(2m) so a misbehaving stream fails typed instead of
     // silently breaking the sorted-row invariant downstream.
     for u in 0..n {
-        let row = &cols[offsets[u] as usize..offsets[u + 1] as usize];
+        let row = &cols[offsets[u]..offsets[u + 1]];
         if row.windows(2).any(|w| w[0] >= w[1]) {
             return Err(CompactError::UnsortedRow(u as NodeId));
         }
     }
 
-    Ok(CsrGraph32 {
-        offsets,
-        cols,
-        num_edges,
-        edge_hash,
-    })
+    Ok(CsrGraph::from_raw_parts(
+        offsets, cols, num_edges, edge_hash,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::egonet::egonet_features;
-    use crate::{generators, Graph};
-
-    #[test]
-    fn narrow_promote_round_trip_is_bit_exact() {
-        let g = generators::barabasi_albert(500, 4, 9);
-        let wide = CsrGraph::from_view(&g);
-        let narrow = CsrGraph32::from_csr(&wide).unwrap();
-        assert_eq!(narrow.num_nodes(), wide.num_nodes());
-        assert_eq!(narrow.num_edges(), wide.num_edges());
-        assert_eq!(narrow.edge_hash(), wide.edge_hash());
-        assert_eq!(narrow.cols(), wide.cols());
-        for u in 0..wide.num_nodes() as NodeId {
-            assert_eq!(narrow.neighbors_sorted(u), wide.neighbors_sorted(u));
-        }
-        assert_eq!(narrow.promote(), wide);
-    }
-
-    #[test]
-    fn downstream_features_identical_across_widths() {
-        let g = generators::erdos_renyi(300, 0.03, 4);
-        let wide = CsrGraph::from_view(&g);
-        let narrow = CsrGraph32::from_csr(&wide).unwrap();
-        assert_eq!(egonet_features(&narrow), egonet_features(&wide));
-    }
+    use crate::{generators, Graph, GraphView};
 
     #[test]
     fn streamed_build_matches_in_memory_er() {
         let (n, p, seed) = (400usize, 0.02f64, 7u64);
         let streamed = from_edge_stream(n, || generators::erdos_renyi_stream(n, p, seed)).unwrap();
-        let in_memory = CsrGraph::from_view(&generators::erdos_renyi(n, p, seed));
-        assert_eq!(streamed, CsrGraph32::from_csr(&in_memory).unwrap());
+        let in_memory = CsrGraph::from(&generators::erdos_renyi(n, p, seed));
+        assert_eq!(streamed, in_memory);
         assert_eq!(streamed.edge_hash(), in_memory.edge_hash());
     }
 
@@ -315,8 +158,8 @@ mod tests {
         let (n, m, seed) = (600usize, 3usize, 13u64);
         let streamed =
             from_edge_stream(n, || generators::barabasi_albert_stream(n, m, seed)).unwrap();
-        let in_memory = CsrGraph::from_view(&generators::barabasi_albert(n, m, seed));
-        assert_eq!(streamed, CsrGraph32::from_csr(&in_memory).unwrap());
+        let in_memory = CsrGraph::from(&generators::barabasi_albert(n, m, seed));
+        assert_eq!(streamed, in_memory);
     }
 
     #[test]
@@ -361,6 +204,6 @@ mod tests {
         assert_eq!(empty.num_edges(), 0);
         let edgeless = from_edge_stream(5, std::iter::empty).unwrap();
         assert_eq!(edgeless.num_nodes(), 5);
-        assert_eq!(edgeless.promote(), CsrGraph::from_view(&Graph::new(5)));
+        assert_eq!(edgeless, CsrGraph::from(&Graph::new(5)));
     }
 }

@@ -42,11 +42,11 @@ pub struct CsrGraph {
 }
 
 impl CsrGraph {
-    /// Assembles a CSR from already-validated parts — the widening path
-    /// out of [`crate::compact::CsrGraph32`]. Callers guarantee the
-    /// offsets/cols invariants (length `n + 1`, monotone offsets,
-    /// strictly increasing rows) and that `edge_hash` matches the edge
-    /// set.
+    /// Assembles a CSR from already-validated parts — the output path of
+    /// the streamed builder [`crate::compact::from_edge_stream`]. Callers
+    /// guarantee the offsets/cols invariants (length `n + 1`, monotone
+    /// offsets, strictly increasing rows) and that `edge_hash` matches
+    /// the edge set.
     pub(crate) fn from_raw_parts(
         offsets: Vec<usize>,
         cols: Vec<NodeId>,
@@ -79,6 +79,14 @@ impl CsrGraph {
             num_edges: g.num_edges(),
             edge_hash: edge_set_hash(g),
         }
+    }
+
+    /// Returns `self` unchanged: moves it and copies nothing. Inert:
+    /// kept only so existing callers that widened the streamed
+    /// builder's output still compile; it goes at the next benchmark
+    /// change.
+    pub fn promote(self) -> CsrGraph {
+        self
     }
 
     /// Zobrist hash of this graph's edge set — the frozen half of

@@ -119,7 +119,7 @@ impl Iterator for ErdosRenyiStream {
 /// That order is row-monotone (an arriving node's targets are all
 /// smaller than it and sorted; later attachments to any node arrive
 /// with increasing attacher id), so
-/// [`crate::compact::from_edge_stream`] builds the compacted CSR from
+/// [`crate::compact::from_edge_stream`] builds the CSR from
 /// it directly. Resident state is the `O(n·m)` endpoint list the model
 /// itself requires — the `O(n)` adjacency `Vec`s of the in-memory
 /// path are never allocated.

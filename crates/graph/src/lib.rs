@@ -36,9 +36,9 @@
 //!
 //! ## Scaling
 //!
-//! For instances past ~10^5 nodes, the [`compact`] module provides a
-//! u32-compacted CSR ([`CsrGraph32`]) built directly from streamed
-//! generators ([`generators::erdos_renyi_stream`],
+//! For instances past ~10^5 nodes, the [`compact`] module builds a
+//! [`CsrGraph`] directly from streamed generators
+//! ([`generators::erdos_renyi_stream`],
 //! [`generators::barabasi_albert_stream`]) without materialising an
 //! edge list; DESIGN.md §13 states the memory model and determinism
 //! contract. Public-API documentation in this crate is enforced twice:
@@ -49,8 +49,7 @@
 
 /// Dense adjacency-matrix helpers for small cross-check graphs.
 pub mod adjacency;
-/// u32-compacted CSR and the streamed two-pass builder (scale model,
-/// DESIGN.md §13).
+/// The streamed two-pass CSR builder (scale model, DESIGN.md §13).
 pub mod compact;
 /// Frozen CSR representation and its copy-on-write delta overlay.
 pub mod csr;
@@ -71,7 +70,7 @@ pub mod view;
 /// Zobrist edge-set hashing.
 pub mod zobrist;
 
-pub use compact::{CompactError, CsrGraph32};
+pub use compact::CompactError;
 pub use csr::{CsrGraph, DeltaOverlay, OverlayEdits};
 pub use graph::{EdgeOp, Graph, NodeId};
 pub use view::{EditableGraph, GraphView};
