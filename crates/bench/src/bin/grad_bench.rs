@@ -1,23 +1,32 @@
-//! Pair-gradient assembly micro-benchmark: sparse CSR merge vs dense
-//! matmul.
+//! Pair-gradient assembly micro-benchmark: sparse CSR kernel vs dense
+//! matmul, and the row kernel on one worker vs split across threads.
 //!
 //! Times one full backward pass of the attack engine — `G_ij` for every
 //! unordered candidate pair — on a 1000-node, ~5000-edge Erdős–Rényi
-//! graph, two ways:
+//! graph, three ways:
 //!
 //! * **sparse** — [`ba_core::assemble_pair_grads`] over the frozen
-//!   [`CsrGraph`]: parallel sorted-merge common-neighbour scans,
-//!   `O(Σ_pairs deg(i)+deg(j))`, no `n×n` allocation;
+//!   [`CsrGraph`] with one worker per core: the row-blocked wedge
+//!   scatter, split into equal contiguous chunks, no `n×n`
+//!   allocation;
+//! * **row serial vs split** — the same kernel into a reused output
+//!   buffer, as in the PGD loop, on one worker and split across the
+//!   threads;
 //! * **dense** — [`ba_core::dense_pair_gradient`]: the two `n×n`
 //!   products (`A²`, `A·diag(gE)·A`) the pre-CSR engine paid per step
 //!   (retained in production only for ContinuousA's fractional state).
 //!
-//! Exits non-zero if the sparse path is less than 5× faster — the CI
-//! smoke gate for the "no dense matmuls in the attack hot path"
-//! acceptance criterion. `--quick` runs fewer repetitions (CI), `--csv`
-//! emits a machine-readable line.
+//! Exits non-zero if the sparse path is less than 5× faster than dense —
+//! the CI smoke gate for the "no dense matmuls in the attack hot path"
+//! acceptance criterion — if the split output differs from the serial
+//! one in any bit, or if, with two or more threads, the split is not
+//! faster than one worker (`row_split_speedup ≤ 1`). `--quick` runs
+//! fewer repetitions (CI), `--csv` emits a machine-readable line.
 
-use ba_core::{assemble_pair_grads, dense_pair_gradient, node_grads, CandidateScope, Candidates};
+use ba_core::{
+    assemble_pair_grads, assemble_pair_grads_into, dense_pair_gradient, node_grads, CandidateScope,
+    Candidates,
+};
 use ba_graph::egonet::egonet_features;
 use ba_graph::{generators, CsrGraph};
 use std::time::Instant;
@@ -38,7 +47,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let csv = args.iter().any(|a| a == "--csv");
-    let (sparse_reps, dense_reps) = if quick { (5, 1) } else { (20, 3) };
+    let (sparse_reps, dense_reps, row_reps) = if quick { (5, 1, 20) } else { (20, 3, 50) };
 
     // ~5000 edges: p = 0.01 on n = 1000 gives E[m] ≈ 4995.
     let n = 1000usize;
@@ -57,11 +66,28 @@ fn main() {
         candidates.len()
     );
 
-    // Sparse: parallel merge assembly over the CSR substrate.
+    // Sparse: the row kernel split across the threads, allocating its
+    // output as the attacks' first assembly does.
     let mut sparse_out = Vec::new();
     let sparse_s = time_best_of(sparse_reps, || {
         sparse_out = assemble_pair_grads(&csr, &ng, &candidates, &mask, threads);
     });
+    // The row kernel alone, into a reused output as in the PGD loop: one
+    // worker against the split.
+    let mut serial_out = vec![0.0; candidates.len()];
+    let row_serial_s = time_best_of(row_reps, || {
+        assemble_pair_grads_into(&csr, &ng, &candidates, &mask, 1, &mut serial_out);
+    });
+    let mut split_out = vec![0.0; candidates.len()];
+    let row_split_s = time_best_of(row_reps, || {
+        assemble_pair_grads_into(&csr, &ng, &candidates, &mask, threads, &mut split_out);
+    });
+    let same_bits = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+    assert!(
+        same_bits(&serial_out, &split_out) && same_bits(&serial_out, &sparse_out),
+        "split assembly differs from one worker"
+    );
+    let row_split_speedup = row_serial_s / row_split_s;
 
     // Dense: the retired hot-path (two n×n products + n² assembly).
     let a = ba_linalg::Matrix::from_vec(n, n, ba_graph::adjacency::to_row_major(&g));
@@ -83,9 +109,11 @@ fn main() {
 
     let speedup = dense_s / sparse_s;
     if csv {
-        println!("n,m,pairs,threads,sparse_s,dense_s,speedup");
         println!(
-            "{n},{},{},{threads},{sparse_s:.6},{dense_s:.6},{speedup:.2}",
+            "n,m,pairs,threads,sparse_s,dense_s,speedup,row_serial_s,row_split_s,row_split_speedup"
+        );
+        println!(
+            "{n},{},{},{threads},{sparse_s:.6},{dense_s:.6},{speedup:.2},{row_serial_s:.6},{row_split_s:.6},{row_split_speedup:.2}",
             g.num_edges(),
             candidates.len()
         );
@@ -93,6 +121,9 @@ fn main() {
         println!("sparse assembly: {:>10.3} ms", sparse_s * 1e3);
         println!("dense  assembly: {:>10.3} ms", dense_s * 1e3);
         println!("speedup:         {speedup:>10.2}x (gate: ≥{REQUIRED_SPEEDUP}x)");
+        println!("row, 1 worker:   {:>10.3} ms", row_serial_s * 1e3);
+        println!("row, split:      {:>10.3} ms", row_split_s * 1e3);
+        println!("row split:       {row_split_speedup:>10.2}x on {threads} threads (gate: >1x)");
     }
     ba_net::BenchReport::new("grad")
         .metric("n", n as f64, "count")
@@ -102,10 +133,19 @@ fn main() {
         .metric("sparse_s", sparse_s, "s")
         .metric("dense_s", dense_s, "s")
         .metric("speedup", speedup, "x")
+        .metric("row_serial_ms", row_serial_s * 1e3, "ms")
+        .metric("row_split_ms", row_split_s * 1e3, "ms")
+        .metric("row_split_speedup", row_split_speedup, "x")
         .write_if_requested(&args)
         .expect("write bench json");
     if speedup < REQUIRED_SPEEDUP {
         eprintln!("FAIL: sparse path is only {speedup:.2}x faster (need {REQUIRED_SPEEDUP}x)");
+        std::process::exit(1);
+    }
+    if threads >= 2 && row_split_speedup <= 1.0 {
+        eprintln!(
+            "FAIL: the row split on {threads} threads is {row_split_speedup:.2}x one worker (need >1x)"
+        );
         std::process::exit(1);
     }
 }

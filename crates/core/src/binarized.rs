@@ -23,9 +23,12 @@
 //! iteration is one assembly, which also applies the straight-through
 //! sign and returns max|G|, plus one slice pass (the PGD step fused with
 //! the re-binarise scan). It decodes only the pairs whose flip state
-//! changed. Extraction ranks each `Ż` snapshot once and walks it once:
-//! the walk's first `b` accepted flips are budget `b`'s solution, so one
-//! walk serves every budget (`extract_budgets`).
+//! changed. The assembly and the slice pass split on one partition of
+//! the candidates across the session's threads, so each worker steps on
+//! the gradients it assembled; the changed indices come back chunk by
+//! chunk, in ascending order. Extraction ranks each `Ż` snapshot once
+//! and walks it once: the walk's first `b` accepted flips are budget
+//! `b`'s solution, so one walk serves every budget (`extract_budgets`).
 //!
 //! Implementation notes vs the paper: gradients are normalised by their
 //! max-abs before the step (the paper does not specify a step-size
@@ -35,6 +38,7 @@
 use crate::attack::{AttackConfig, AttackError, AttackOutcome, StructuralAttack};
 use crate::pair::{edge_flags, static_mask, Candidates};
 use crate::session::AttackSession;
+use crate::split::for_chunks;
 use ba_graph::{EdgeOp, GraphView};
 
 /// The BinarizedAttack optimiser.
@@ -105,7 +109,15 @@ impl BinarizedAttack {
         let mut zdot = vec![0.0f64; candidates.len()];
         // Current flip set (candidate indices with Ż > ½).
         let mut flipped = vec![false; candidates.len()];
-        let mut changed: Vec<usize> = Vec::new();
+        // The assembly and the PGD step split on one partition. Each
+        // chunk collects its changed indices into its own list, reserved
+        // here for the whole chunk so that no worker allocates (pages are
+        // touched only as entries are written).
+        let split = session.partition(candidates);
+        let mut changed: Vec<Vec<usize>> = split
+            .ranges()
+            .map(|r| Vec::with_capacity(r.len()))
+            .collect();
         let mut trajectory = Vec::with_capacity(self.iterations);
         let mut snapshots: Vec<Vec<f64>> = Vec::new();
         let snap_every = (self.iterations / 4).max(10);
@@ -121,7 +133,8 @@ impl BinarizedAttack {
             // Backward: sparse assembly of G_ij per candidate with the
             // straight-through sign `1 − 2A₀_ij` applied, and max|G| for
             // the normalised-step scale. Masked-off grads are 0.0.
-            let (grads, max_abs) = session.pair_gradients(&ng, candidates, mask, Some(is_edge));
+            let (grads, max_abs) =
+                session.pair_gradients(&ng, candidates, &split, mask, Some(is_edge));
             if max_abs == 0.0 {
                 break; // zero gradient everywhere: nothing to optimise
             }
@@ -130,25 +143,31 @@ impl BinarizedAttack {
             // PGD step with the LASSO subgradient (Ż ≥ 0 always, so
             // sign(Ż) = +1) and projection onto [0,1], fused with the
             // re-binarise scan: masked-off entries stay at Ż = 0, so
-            // they never enter the flip set.
-            changed.clear();
-            for (idx, ((z, &gr), (&on, &was))) in zdot
-                .iter_mut()
-                .zip(grads)
-                .zip(mask.iter().zip(&flipped))
-                .enumerate()
-            {
-                if !on {
-                    continue;
-                }
-                *z = (*z - scale * gr - shrink).clamp(0.0, 1.0);
-                if (*z > 0.5) != was {
-                    changed.push(idx);
-                }
-            }
+            // they never enter the flip set. Each chunk reads the run of
+            // gradients its own worker assembled.
+            for_chunks(
+                split.split_mut(&mut zdot).zip(changed.iter_mut()),
+                |((range, zdot), changed)| {
+                    changed.clear();
+                    let lo = range.start;
+                    let inputs = grads[range.clone()]
+                        .iter()
+                        .zip(&mask[range.clone()])
+                        .zip(&flipped[range]);
+                    for (k, (z, ((&gr, &on), &was))) in zdot.iter_mut().zip(inputs).enumerate() {
+                        if !on {
+                            continue;
+                        }
+                        *z = (*z - scale * gr - shrink).clamp(0.0, 1.0);
+                        if (*z > 0.5) != was {
+                            changed.push(lo + k);
+                        }
+                    }
+                },
+            );
             // Toggle the graph wherever the flip set changed, in
-            // ascending candidate order.
-            for &idx in &changed {
+            // ascending candidate order (chunk lists in chunk order).
+            for &idx in changed.iter().flatten() {
                 let (i, j) = candidates.pair(idx);
                 session
                     .toggle(i, j)

@@ -26,21 +26,25 @@
 //! and finite differences in `tests/grad_check.rs`.
 //!
 //! A whole-candidate-set assembly picks one of two strategies by a cost
-//! model: per-pair merges (threaded over candidate chunks) for sparse
-//! candidate sets, or a serial row-blocked wedge scatter for dense ones
-//! (see [`assemble_pair_grads_into`]). The attacks reach both through
-//! [`crate::AttackSession::pair_gradients`], which can also fold in the
-//! straight-through sign `1 − 2A₀` and returns `max |G|` from the same
-//! pass, so a PGD iteration makes one candidate-length pass for its
-//! backward step. Both strategies are pinned bit for bit to the
-//! [`correction_map`] reference.
+//! model: per-pair merges for sparse candidate sets, or a row-blocked
+//! wedge scatter for dense ones (see [`assemble_pair_grads_into`]). Both
+//! split the candidate range into equal contiguous chunks, one per worker
+//! thread; the attacks' PGD step and argmax passes split on the same
+//! partition, so each worker reads back the gradients it wrote. The
+//! attacks reach the assembly through the session's `pair_gradients`,
+//! which can also fold in the straight-through sign `1 − 2A₀` and
+//! returns `max |G|` from the same pass, so a PGD iteration makes one
+//! candidate-length pass for its backward step. Both strategies are pinned bit for bit, at any worker
+//! count, to the [`correction_map`] reference.
 
 use crate::loss::{fit_beta, safe_exp, LossError};
 use crate::pair::Candidates;
+use crate::split::{self, fold_chunks, Partition};
 use ba_graph::view::merge_count_weighted;
 use ba_graph::{GraphView, NodeId};
 use std::collections::BTreeMap;
 use std::mem::take;
+use std::ops::Range;
 
 /// Per-node derivatives of the surrogate loss, plus the fitted regression
 /// and the loss value itself (the forward pass is a by-product).
@@ -183,11 +187,10 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// Two sparse strategies, chosen by a cost model:
 ///
 /// * **per-pair merge** — a sorted-merge common-neighbour scan per
-///   candidate, `O(deg(i) + deg(j))` each, parallelised over candidate
-///   chunks with scoped threads. Wins when the candidate set is small
-///   relative to the graph (e.g. `TargetNeighborhood` scope).
-/// * **row-blocked wedge scatter** — serial. For each smaller endpoint
-///   `a`, scatter the wedges `a–m–b` (`b > a`) into an `n`-length
+///   candidate, `O(deg(i) + deg(j))` each. Wins when the candidate set is
+///   small relative to the graph (e.g. `TargetNeighborhood` scope).
+/// * **row-blocked wedge scatter** — for each smaller endpoint `a`,
+///   scatter the wedges `a–m–b` (`b > a`) into an `n`-length
 ///   `(count, Σ gE_m)` row buffer, then combine the row's contiguous run
 ///   of candidates from it, re-zeroing each entry as it is read. Costs
 ///   `O(Σ_m deg(m)²)` plus one pass over the candidates, and the row
@@ -195,8 +198,12 @@ pub fn resolve_threads(threads: usize) -> usize {
 ///   space (`Full` scope), where per-pair merges would re-walk every
 ///   adjacency list `n` times.
 ///
-/// Both accumulate common-neighbour contributions in increasing `m` and
-/// combine with the same expression, so they agree to the last bit.
+/// Both split the candidate range into equal contiguous chunks, one per
+/// worker: at most `threads`, and no more than the assembly's modelled
+/// cost pays for (see `split.rs`). Each worker writes its own run of
+/// `out`, with its own row buffer. Both accumulate common-neighbour
+/// contributions in increasing `m` and combine with the same expression,
+/// so they agree to the last bit at any worker count.
 pub fn assemble_pair_grads_into<V: GraphView + Sync + ?Sized>(
     g: &V,
     ng: &NodeGrads,
@@ -205,33 +212,113 @@ pub fn assemble_pair_grads_into<V: GraphView + Sync + ?Sized>(
     threads: usize,
     out: &mut [f64],
 ) {
-    GradKernel {
-        threads,
-        row: Vec::new(),
-    }
-    .assemble(g, ng, candidates, mask, None, out);
+    let mut kernel = GradKernel::new(threads);
+    let split = kernel.partition(g, candidates);
+    kernel.assemble(g, ng, candidates, &split, mask, None, out);
 }
 
-/// Reusable state of the pair-gradient assembly: the per-pair merge
-/// path's worker count and the row kernel's `n`-length accumulator,
-/// which every call leaves all-zero, so the next call needs no clearing
-/// pass.
-#[derive(Debug, Clone, Default)]
+/// The two strategies of [`assemble_pair_grads_into`].
+#[derive(Debug, Clone, Copy)]
+enum Strategy {
+    Merge,
+    Row,
+}
+
+/// Time of one sorted-merge step (a compare and a branch) in row-kernel
+/// adjacency touches (a streaming add). Timing each strategy on one
+/// worker over ER (mean degree 13.5) and BA `Full` and
+/// `TargetNeighborhood` instances on a 2-core VM gave 4.5–5.3 ns per
+/// merge step on ER (6.9–7.0 on BA) against 1.5–2.5 ns per touch for
+/// the row kernel on `Full` sets.
+const MERGE_STEP: f64 = 2.5;
+
+/// The cost model: the cheaper strategy for `len` candidates over `g`,
+/// and its cost, in row-kernel adjacency touches (so one
+/// [`split::MIN_WORK`] serves both strategies). Merge re-walks both
+/// endpoint lists per pair; scatter touches every wedge once plus a
+/// constant amount per candidate slot.
+fn plan<V: GraphView + ?Sized>(g: &V, len: usize) -> (Strategy, f64) {
+    let n = g.num_nodes().max(1);
+    let avg_deg = 2.0 * g.num_edges() as f64 / n as f64;
+    let merge_cost = MERGE_STEP * len as f64 * (2.0 * avg_deg + 4.0);
+    let wedges: f64 = (0..n as NodeId)
+        .map(|m| {
+            let d = g.degree(m) as f64;
+            d * (d - 1.0) * 0.5
+        })
+        .sum();
+    let scatter_cost = wedges + 4.0 * len as f64;
+    if scatter_cost < merge_cost {
+        (Strategy::Row, scatter_cost)
+    } else {
+        (Strategy::Merge, merge_cost)
+    }
+}
+
+/// Reusable state of the pair-gradient assembly: the worker count and
+/// one `n`-length row accumulator per worker. Every call leaves the
+/// accumulators all-zero, so the next call needs no clearing pass.
+#[derive(Debug, Clone)]
 pub(crate) struct GradKernel {
-    /// Worker threads for the per-pair merge path (`0` = autodetect).
-    /// The row kernel is serial.
-    pub(crate) threads: usize,
-    row: Vec<(f64, f64)>,
+    /// Worker threads; `0` asks for autodetection, which
+    /// [`GradKernel::partition`] resolves on first use and caches, so no
+    /// assembly ever resolves it.
+    threads: usize,
+    rows: Vec<Vec<(f64, f64)>>,
 }
 
 impl GradKernel {
-    /// [`assemble_pair_grads_into`] with the straight-through sign fused
-    /// in: when `sign` is given, `out[idx]` is negated wherever
-    /// `sign[idx]` is set (`G·(1 − 2A₀)` for `sign = A₀`). Returns
-    /// `max |out[idx]|` over the masked entries (`0.0` when none),
-    /// which does not depend on visit order.
+    /// A kernel with `threads` workers (`0` = autodetect).
+    pub(crate) fn new(threads: usize) -> Self {
+        Self {
+            threads,
+            rows: Vec::new(),
+        }
+    }
+
+    /// The partition of `candidates` that an attack's passes share: as
+    /// many chunks as the assembly's modelled cost over `g` pays for
+    /// ([`split::workers`]), at most the kernel's thread count.
+    pub(crate) fn partition<V: GraphView + ?Sized>(
+        &mut self,
+        g: &V,
+        candidates: &Candidates,
+    ) -> Partition {
+        if self.threads == 0 {
+            self.threads = resolve_threads(0);
+        }
+        let (_, cost) = plan(g, candidates.len());
+        Partition::new(candidates.len(), split::workers(self.threads, cost))
+    }
+
+    /// [`assemble_pair_grads_into`] on the chunks of `split` (built for
+    /// `candidates` by [`GradKernel::partition`]), with the
+    /// straight-through sign fused in: when `sign` is given, `out[idx]` is negated
+    /// wherever `sign[idx]` is set (`G·(1 − 2A₀)` for `sign = A₀`).
+    /// Returns `max |out[idx]|` over the masked entries (`0.0` when
+    /// none), which does not depend on visit order.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble<V: GraphView + Sync + ?Sized>(
         &mut self,
+        g: &V,
+        ng: &NodeGrads,
+        candidates: &Candidates,
+        split: &Partition,
+        mask: &[bool],
+        sign: Option<&[bool]>,
+        out: &mut [f64],
+    ) -> f64 {
+        let (strategy, _) = plan(g, candidates.len());
+        self.run(strategy, split, g, ng, candidates, mask, sign, out)
+    }
+
+    /// Runs one strategy on the chunks of `split`. The max-abs is an
+    /// exact max, folded in chunk order.
+    #[allow(clippy::too_many_arguments)]
+    fn run<V: GraphView + Sync + ?Sized>(
+        &mut self,
+        strategy: Strategy,
+        split: &Partition,
         g: &V,
         ng: &NodeGrads,
         candidates: &Candidates,
@@ -245,26 +332,49 @@ impl GradKernel {
         if let Some(sign) = sign {
             assert_eq!(sign.len(), len, "sign length mismatch");
         }
+        assert_eq!(split.len(), len, "split length mismatch");
         if len == 0 {
             return 0.0;
         }
-        // Cost model (unit = one adjacency touch). Merge re-walks both
-        // endpoint lists per pair; scatter touches every wedge once plus a
-        // constant amount per candidate slot.
-        let n = g.num_nodes().max(1);
-        let avg_deg = 2.0 * g.num_edges() as f64 / n as f64;
-        let merge_cost = len as f64 * (2.0 * avg_deg + 4.0);
-        let wedges: f64 = (0..n as NodeId)
-            .map(|m| {
-                let d = g.degree(m) as f64;
-                d * (d - 1.0) * 0.5
-            })
-            .sum();
-        let scatter_cost = wedges + 4.0 * len as f64;
-        if scatter_cost < merge_cost {
-            row_pair_grads(g, ng, candidates, mask, sign, out, &mut self.row)
-        } else {
-            merge_pair_grads(g, ng, candidates, mask, sign, self.threads, out)
+        let chunks = split.split_mut(out);
+        match strategy {
+            Strategy::Merge => fold_chunks(
+                chunks,
+                |(range, out)| merge_pair_grads(g, ng, candidates, mask, sign, range, out),
+                0.0,
+                f64::max,
+            ),
+            Strategy::Row => {
+                let n = g.num_nodes();
+                match candidates {
+                    Candidates::Full(ps) => {
+                        assert_eq!(ps.nodes(), n, "pair space does not match the graph");
+                    }
+                    Candidates::List(pairs) => debug_assert!(
+                        pairs.windows(2).all(|w| w[0] < w[1]),
+                        "candidate list must be sorted ascending"
+                    ),
+                }
+                // Row buffers are sized here, on the calling thread, so
+                // no worker allocates.
+                let workers = split.chunks();
+                if self.rows.len() < workers {
+                    self.rows.resize_with(workers, Vec::new);
+                }
+                for row in &mut self.rows[..workers] {
+                    if row.len() < n {
+                        row.resize(n, (0.0, 0.0));
+                    }
+                }
+                fold_chunks(
+                    chunks.zip(&mut self.rows),
+                    |((range, out), row)| {
+                        row_pair_grads(g, ng, candidates, mask, sign, range, out, &mut row[..n])
+                    },
+                    0.0,
+                    f64::max,
+                )
+            }
         }
     }
 }
@@ -282,100 +392,103 @@ fn finish(grad: f64, on: bool, flip: bool, max_abs: &mut f64) -> f64 {
     v
 }
 
-/// Per-pair sorted-merge strategy (see [`assemble_pair_grads_into`]).
-fn merge_pair_grads<V: GraphView + Sync + ?Sized>(
+/// Per-pair sorted-merge strategy (see [`assemble_pair_grads_into`]) over
+/// the candidates in `range`, written to `out` (that range's run).
+/// Returns the run's max-abs over the mask.
+fn merge_pair_grads<V: GraphView + ?Sized>(
     g: &V,
     ng: &NodeGrads,
     candidates: &Candidates,
     mask: &[bool],
     sign: Option<&[bool]>,
-    threads: usize,
+    range: Range<usize>,
     out: &mut [f64],
 ) -> f64 {
-    let len = candidates.len();
-    let threads = resolve_threads(threads).min(len.max(1));
-    let fill = |start: usize, chunk: &mut [f64]| {
-        let end = start + chunk.len();
-        let mut max_abs = 0.0f64;
-        // Candidates arrive grouped by first endpoint, so the leading
-        // row slice is hoisted across each run of pairs sharing it.
-        let mut cur_i: Option<NodeId> = None;
-        let mut row_i: &[NodeId] = &[];
-        candidates.for_each_range(start, end, |idx, i, j| {
-            let grad = if mask[idx] {
-                if cur_i != Some(i) {
-                    cur_i = Some(i);
-                    row_i = g.neighbors_sorted(i);
-                }
-                pair_grad_row(g, ng, i, row_i, j)
-            } else {
-                0.0
-            };
-            let flip = sign.is_some_and(|s| s[idx]);
-            chunk[idx - start] = finish(grad, mask[idx], flip, &mut max_abs);
-        });
-        max_abs
-    };
-    if threads <= 1 || len < 1024 {
-        return fill(0, out);
-    }
-    let chunk = len.div_ceil(threads);
-    let mut maxes = vec![0.0f64; len.div_ceil(chunk)];
-    let fill = &fill;
-    std::thread::scope(|scope| {
-        for ((c, out_chunk), max) in out.chunks_mut(chunk).enumerate().zip(&mut maxes) {
-            scope.spawn(move || *max = fill(c * chunk, out_chunk));
-        }
+    let start = range.start;
+    let mut max_abs = 0.0f64;
+    // Candidates arrive grouped by first endpoint, so the leading row
+    // slice is hoisted across each run of pairs sharing it.
+    let mut cur_i: Option<NodeId> = None;
+    let mut row_i: &[NodeId] = &[];
+    candidates.for_each_range(start, range.end, |idx, i, j| {
+        let grad = if mask[idx] {
+            if cur_i != Some(i) {
+                cur_i = Some(i);
+                row_i = g.neighbors_sorted(i);
+            }
+            pair_grad_row(g, ng, i, row_i, j)
+        } else {
+            0.0
+        };
+        let flip = sign.is_some_and(|s| s[idx]);
+        out[idx - start] = finish(grad, mask[idx], flip, &mut max_abs);
     });
-    maxes.into_iter().fold(0.0, f64::max)
+    max_abs
 }
 
-/// Row-blocked wedge-scatter strategy (see [`assemble_pair_grads_into`]):
+/// Row-blocked wedge-scatter strategy (see [`assemble_pair_grads_into`])
+/// over the candidates in `range`, written to `out` (that range's run):
 /// the flat-array descendant of [`correction_map`] — same sums, no
-/// hashing, no candidate-length scratch. `row` must be all-zero on entry
-/// (beyond its length counts as zero) and is left all-zero.
+/// hashing, no candidate-length scratch. `row` is `n` long, must be
+/// all-zero on entry and is left all-zero. Returns the run's max-abs
+/// over the mask.
 ///
 /// Candidates sharing a smaller endpoint are contiguous in both
 /// [`Candidates`] forms, in ascending larger endpoint, so each row of
-/// the pair space is one run of `out`. Enumeration is endpoint-ordered —
+/// the pair space is one run of `out`; `range` may start or end inside
+/// a row, and such a row is scattered whole but combined only over the
+/// part in `range`. Enumeration is endpoint-ordered —
 /// `m ∈ N(a)` ascending, then `b ∈ N(m)` past `a` — which delivers each
 /// pair's contributions in ascending `m`, so the accumulated sums are
 /// bit-identical to the sorted merge's.
+#[allow(clippy::too_many_arguments)]
 fn row_pair_grads<V: GraphView + ?Sized>(
     g: &V,
     ng: &NodeGrads,
     candidates: &Candidates,
     mask: &[bool],
     sign: Option<&[bool]>,
+    range: Range<usize>,
     out: &mut [f64],
-    row: &mut Vec<(f64, f64)>,
+    row: &mut [(f64, f64)],
 ) -> f64 {
-    let n = g.num_nodes();
-    if row.len() < n {
-        row.resize(n, (0.0, 0.0));
+    debug_assert_eq!(out.len(), range.len());
+    if range.is_empty() {
+        return 0.0;
     }
-    let row = &mut row[..n];
     let mut sink = RowSink {
         ng,
         mask,
         sign,
+        base: range.start,
         out,
         max_abs: 0.0,
     };
     match candidates {
         Candidates::Full(ps) => {
-            assert_eq!(ps.nodes(), n, "pair space does not match the graph");
-            for a in 0..n.saturating_sub(1) as NodeId {
+            let n = ps.nodes();
+            let (first, _) = ps.pair(range.start);
+            let (last, _) = ps.pair(range.end - 1);
+            for a in first..=last {
+                // Row `a` is the run of `{a, j}`, `j ∈ (a, n)`, from index
+                // `start`; a chunk edge may leave this chunk only the
+                // candidates `lo..hi`, whose larger endpoints are `cols`.
+                let (au, start) = (a as usize, ps.index(a, a + 1));
+                let lo = start.max(range.start);
+                let hi = (start + n - 1 - au).min(range.end);
+                let cols = au + 1 + (lo - start)..au + 1 + (hi - start);
+                let whole = cols.len() == n - 1 - au;
                 scatter_row(g, &ng.g_e, a, row, false);
-                sink.combine_full(a as usize, ps.index(a, a + 1), row);
+                sink.combine_full(au, cols, lo, row);
+                if !whole {
+                    // Entries outside `cols` were scattered but not read.
+                    scatter_row(g, &ng.g_e, a, row, true);
+                }
             }
         }
         Candidates::List(pairs) => {
-            debug_assert!(
-                pairs.windows(2).all(|w| w[0] < w[1]),
-                "candidate list must be sorted ascending"
-            );
-            let mut lo = 0;
+            let pairs = &pairs[..range.end];
+            let mut lo = range.start;
             while lo < pairs.len() {
                 let a = pairs[lo].0;
                 let hi = lo + pairs[lo..].partition_point(|&(i, _)| i == a);
@@ -391,18 +504,20 @@ fn row_pair_grads<V: GraphView + ?Sized>(
 }
 
 /// Output side of [`row_pair_grads`]: everything a row's combine pass
-/// reads or writes besides the row buffer.
+/// reads or writes besides the row buffer. `out` is the run of the
+/// output that starts at candidate `base`.
 struct RowSink<'a> {
     ng: &'a NodeGrads,
     mask: &'a [bool],
     sign: Option<&'a [bool]>,
+    base: usize,
     out: &'a mut [f64],
     max_abs: f64,
 }
 
 impl RowSink<'_> {
-    /// Combines the run `out[lo..]` of row `a`, whose larger endpoints
-    /// are `js`, reading and re-zeroing each row entry.
+    /// Combines the run starting at candidate `lo` of row `a`, whose
+    /// larger endpoints are `js`, reading and re-zeroing each row entry.
     #[inline]
     fn combine(
         &mut self,
@@ -417,26 +532,29 @@ impl RowSink<'_> {
             let j = j as usize;
             let grad = row_grad(h_a, ge_a, ng.h[j], ng.g_e[j], take(&mut row[j]));
             let flip = self.sign.is_some_and(|s| s[idx]);
-            self.out[idx] = finish(grad, self.mask[idx], flip, &mut self.max_abs);
+            self.out[idx - self.base] = finish(grad, self.mask[idx], flip, &mut self.max_abs);
         }
     }
 
-    /// [`RowSink::combine`] for a `Full` row, whose larger endpoints are
-    /// every `j > a`: all operands are then contiguous slices, walked in
-    /// lockstep with no per-entry bounds checks. On `grad_bench --quick`
-    /// (ER 1000, 499,500 pairs, 2-core container) this took one assembly
-    /// from 1.5 ms through the generic walk to 0.96 ms.
+    /// [`RowSink::combine`] for a run of a `Full` row, whose larger
+    /// endpoints are the contiguous `cols`, starting at candidate `lo`:
+    /// all operands are then contiguous slices, walked in lockstep with
+    /// no per-entry bounds checks. On `grad_bench --quick` (ER 1000,
+    /// 499,500 pairs, 2-core container) this took one assembly from
+    /// 1.5 ms through the generic walk to 0.96 ms.
     #[inline]
-    fn combine_full(&mut self, a: usize, lo: usize, row: &mut [(f64, f64)]) {
+    fn combine_full(&mut self, a: usize, cols: Range<usize>, lo: usize, row: &mut [(f64, f64)]) {
         let ng = self.ng;
         let (h_a, ge_a) = (ng.h[a], ng.g_e[a]);
-        let hi = lo + row.len() - a - 1;
-        let grads = row[a + 1..]
+        let hi = lo + cols.len();
+        let grads = row[cols.clone()]
             .iter_mut()
-            .zip(&ng.h[a + 1..])
-            .zip(&ng.g_e[a + 1..])
+            .zip(&ng.h[cols.clone()])
+            .zip(&ng.g_e[cols])
             .map(|((slot, &h_j), &ge_j)| row_grad(h_a, ge_a, h_j, ge_j, take(slot)));
-        let outs = self.out[lo..hi].iter_mut().zip(&self.mask[lo..hi]);
+        let outs = self.out[lo - self.base..hi - self.base]
+            .iter_mut()
+            .zip(&self.mask[lo..hi]);
         let max_abs = &mut self.max_abs;
         match self.sign {
             None => {
@@ -670,19 +788,9 @@ mod tests {
             let mut mask = vec![true; candidates.len()];
             mask[candidates.len() / 2] = false;
             for sign in [None, Some(flags.as_slice())] {
-                let mut via_merge = vec![0.0; candidates.len()];
-                let mut via_row = vec![0.0; candidates.len()];
-                let max_merge =
-                    super::merge_pair_grads(&g, &ng, &candidates, &mask, sign, 3, &mut via_merge);
-                let max_row = super::row_pair_grads(
-                    &g,
-                    &ng,
-                    &candidates,
-                    &mask,
-                    sign,
-                    &mut via_row,
-                    &mut Vec::new(),
-                );
+                let (via_merge, max_merge) =
+                    run(Strategy::Merge, 3, &g, &ng, &candidates, &mask, sign);
+                let (via_row, max_row) = run(Strategy::Row, 1, &g, &ng, &candidates, &mask, sign);
                 assert_eq!(bits(&via_merge), bits(&via_row), "scope {scope:?}");
                 assert_eq!(max_merge.to_bits(), max_row.to_bits(), "scope {scope:?}");
             }
@@ -691,6 +799,50 @@ mod tests {
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One assembly by `strategy` on `kernel`, split into at most
+    /// `workers` chunks: the output (NaN-filled first, so an unwritten
+    /// entry shows) and its max-abs.
+    #[allow(clippy::too_many_arguments)]
+    fn run_on<V: GraphView + Sync + ?Sized>(
+        kernel: &mut GradKernel,
+        strategy: Strategy,
+        workers: usize,
+        g: &V,
+        ng: &NodeGrads,
+        candidates: &Candidates,
+        mask: &[bool],
+        sign: Option<&[bool]>,
+    ) -> (Vec<f64>, f64) {
+        let split = Partition::new(candidates.len(), workers);
+        assert!(split.chunks() <= workers.max(1));
+        let mut out = vec![f64::NAN; candidates.len()];
+        let max = kernel.run(strategy, &split, g, ng, candidates, mask, sign, &mut out);
+        (out, max)
+    }
+
+    /// [`run_on`] on a fresh kernel.
+    fn run<V: GraphView + Sync + ?Sized>(
+        strategy: Strategy,
+        workers: usize,
+        g: &V,
+        ng: &NodeGrads,
+        candidates: &Candidates,
+        mask: &[bool],
+        sign: Option<&[bool]>,
+    ) -> (Vec<f64>, f64) {
+        let mut kernel = GradKernel::new(1);
+        run_on(
+            &mut kernel,
+            strategy,
+            workers,
+            g,
+            ng,
+            candidates,
+            mask,
+            sign,
+        )
     }
 
     /// The map-based reference for the row kernel: `G` from
@@ -760,16 +912,8 @@ mod tests {
                     for sign in [None, Some(flags.as_slice())] {
                         let (want, want_max) =
                             reference_signed(view, &ng, &candidates, &mask, sign);
-                        let mut out = vec![f64::NAN; candidates.len()];
-                        let got_max = super::row_pair_grads(
-                            view,
-                            &ng,
-                            &candidates,
-                            &mask,
-                            sign,
-                            &mut out,
-                            &mut Vec::new(),
-                        );
+                        let (out, got_max) =
+                            run(Strategy::Row, 1, view, &ng, &candidates, &mask, sign);
                         let what = format!(
                             "view {v}, {scope:?}, hole {hole}, signed {}",
                             sign.is_some()
@@ -790,8 +934,10 @@ mod tests {
 
     #[test]
     fn row_kernel_leaves_its_buffer_zeroed() {
-        // One kernel reused across graphs of different sizes and both
-        // candidate forms must match a fresh kernel on every call.
+        // One kernel reused across graphs of different sizes, both
+        // candidate forms and several worker counts must match a fresh
+        // single-worker kernel on every call, and leave every worker's
+        // row buffer all-zero.
         let big = CsrGraph::from(&generators::barabasi_albert(150, 6, 5));
         let small = CsrGraph::from(&generators::erdos_renyi(60, 0.2, 6));
         let views = [
@@ -800,7 +946,7 @@ mod tests {
             edited_overlay(&big),
             DeltaOverlay::new(&big),
         ];
-        let mut kernel = GradKernel::default();
+        let mut kernel = GradKernel::new(1);
         for (v, view) in views.iter().enumerate() {
             let feats = egonet_features(view);
             let targets = [1u32, 4];
@@ -808,33 +954,88 @@ mod tests {
             for scope in [CandidateScope::TargetNeighborhood, CandidateScope::Full] {
                 let candidates = Candidates::build(scope, view, &targets);
                 let mask = vec![true; candidates.len()];
-                let mut reused = vec![0.0; candidates.len()];
-                let mut fresh = vec![0.0; candidates.len()];
-                super::row_pair_grads(
-                    view,
-                    &ng,
-                    &candidates,
-                    &mask,
-                    None,
-                    &mut reused,
-                    &mut kernel.row,
-                );
-                assert!(
-                    kernel.row.iter().all(|&slot| slot == (0.0, 0.0)),
-                    "view {v}, {scope:?}: row buffer left dirty"
-                );
-                super::row_pair_grads(
-                    view,
-                    &ng,
-                    &candidates,
-                    &mask,
-                    None,
-                    &mut fresh,
-                    &mut Vec::new(),
-                );
-                assert_eq!(bits(&reused), bits(&fresh), "view {v}, {scope:?}");
+                for workers in [3, 1, 7] {
+                    let (reused, _) = run_on(
+                        &mut kernel,
+                        Strategy::Row,
+                        workers,
+                        view,
+                        &ng,
+                        &candidates,
+                        &mask,
+                        None,
+                    );
+                    assert!(
+                        kernel.rows.iter().flatten().all(|&slot| slot == (0.0, 0.0)),
+                        "view {v}, {scope:?}, {workers} workers: row buffer left dirty"
+                    );
+                    let (fresh, _) = run(Strategy::Row, 1, view, &ng, &candidates, &mask, None);
+                    assert_eq!(bits(&reused), bits(&fresh), "view {v}, {scope:?}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn split_assembly_is_bit_identical_at_any_worker_count() {
+        // Small graphs, so the explicit worker count, not the session's
+        // minimum work per chunk, decides the split. Covers both
+        // strategies, both candidate forms, signed and unsigned output,
+        // masks with holes, an overlay with dirty rows and an edited last
+        // row, chunk edges inside rows, and more workers than rows or
+        // candidates.
+        let er = generators::erdos_renyi(80, 0.08, 3);
+        let csr = CsrGraph::from(&er);
+        let tiny = CsrGraph::from(&Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3)]));
+        let ov = edited_overlay(&csr);
+        let views = [DeltaOverlay::new(&csr), ov, DeltaOverlay::new(&tiny)];
+        for (v, view) in views.iter().enumerate() {
+            let feats = egonet_features(view);
+            let targets = [0u32, 3];
+            let ng = node_grads(&feats.n, &feats.e, &targets).unwrap();
+            for scope in [CandidateScope::Full, CandidateScope::TargetNeighborhood] {
+                let candidates = Candidates::build(scope, view, &targets);
+                let flags = edge_flags(&candidates, view);
+                for hole in [1usize, 3] {
+                    let mask: Vec<bool> = (0..candidates.len()).map(|k| k % hole != 2).collect();
+                    for sign in [None, Some(flags.as_slice())] {
+                        for strategy in [Strategy::Row, Strategy::Merge] {
+                            let (serial, serial_max) =
+                                run(strategy, 1, view, &ng, &candidates, &mask, sign);
+                            let mut kernel = GradKernel::new(1);
+                            for workers in [1usize, 2, 3, 7, 13] {
+                                let what = format!(
+                                    "view {v}, {scope:?}, hole {hole}, signed {}, \
+                                     {strategy:?}, {workers} workers",
+                                    sign.is_some()
+                                );
+                                let (out, max) = run_on(
+                                    &mut kernel,
+                                    strategy,
+                                    workers,
+                                    view,
+                                    &ng,
+                                    &candidates,
+                                    &mask,
+                                    sign,
+                                );
+                                assert_eq!(bits(&out), bits(&serial), "{what}");
+                                assert_eq!(max.to_bits(), serial_max.to_bits(), "{what}");
+                                assert!(
+                                    kernel.rows.iter().flatten().all(|&s| s == (0.0, 0.0)),
+                                    "{what}: row buffer left dirty"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // The tiny graph's Full space has 10 candidates in 4 rows, so 7
+        // workers cut inside rows and 13 get one candidate each.
+        let candidates = Candidates::build(CandidateScope::Full, &tiny, &[0]);
+        assert_eq!(Partition::new(candidates.len(), 7).chunks(), 7);
+        assert_eq!(Partition::new(candidates.len(), 13).chunks(), 10);
     }
 
     #[test]

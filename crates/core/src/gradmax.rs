@@ -13,12 +13,35 @@
 //! shift-and-mask instead of a hash probe per candidate per step), and
 //! the argmax is one full scan with a total comparator (magnitude, then
 //! index), so the winner does not depend on the order candidates are
-//! visited in.
+//! visited in. The eligibility mark and the argmax split on the
+//! partition the gradient assembly uses, across the session's threads;
+//! chunk winners are combined with the same comparator.
 
 use crate::attack::{AttackConfig, AttackError, AttackOutcome, StructuralAttack};
 use crate::pair::{edge_flags, Candidates, IndexBitSet};
 use crate::session::AttackSession;
+use crate::split::{fold_chunks, for_chunks};
 use ba_graph::{GraphView, NodeId};
+
+/// A sign-consistent move: candidate `idx` = `{i, j}` with gradient
+/// magnitude `abs`.
+#[derive(Debug, Clone, Copy)]
+struct Move {
+    idx: usize,
+    i: NodeId,
+    j: NodeId,
+    abs: f64,
+}
+
+/// The better of two moves by the argmax's total order: larger `abs`
+/// wins, and the smaller index breaks ties.
+fn better(cur: Option<Move>, next: Option<Move>) -> Option<Move> {
+    match (cur, next) {
+        (Some(c), Some(n)) if n.abs > c.abs || (n.abs == c.abs && n.idx < c.idx) => Some(n),
+        (Some(c), _) => Some(c),
+        (None, n) => n,
+    }
+}
 
 /// The greedy per-edge gradient attack.
 #[derive(Debug, Clone, Copy)]
@@ -76,6 +99,7 @@ impl StructuralAttack for GradMaxSearch {
         // toggle restores the clean state); for every eligible candidate
         // the overlay and the clean graph therefore agree.
         let is_edge_cache = edge_flags(&candidates, session.base());
+        let split = session.partition(&candidates);
         let mut ops = Vec::new();
         let mut ops_per_budget = Vec::with_capacity(budget);
         let mut loss_per_budget = Vec::with_capacity(budget);
@@ -88,48 +112,49 @@ impl StructuralAttack for GradMaxSearch {
             // Mark the feasible moves (never-revisited pool, op kind,
             // singleton protection against the evolving poisoned graph),
             // then assemble their straight-through gradients
-            // `s = G·(1 − 2A₀)` sparsely.
+            // `s = G·(1 − 2A₀)` sparsely. Both scans split on the
+            // partition the assembly uses.
             let kind = self.config.op_kind;
             let forbid_singletons = self.config.forbid_singletons;
             let g = session.graph();
-            candidates.for_each(|idx, i, j| {
-                let is_edge = is_edge_cache[idx];
-                eligible[idx] = !pool.contains(idx)
-                    && kind.allows(is_edge)
-                    && !(is_edge && forbid_singletons && !g.deletion_keeps_no_singletons(i, j));
+            for_chunks(split.split_mut(&mut eligible), |(range, eligible)| {
+                let lo = range.start;
+                candidates.for_each_range(lo, range.end, |idx, i, j| {
+                    let is_edge = is_edge_cache[idx];
+                    eligible[idx - lo] = !pool.contains(idx)
+                        && kind.allows(is_edge)
+                        && !(is_edge && forbid_singletons && !g.deletion_keeps_no_singletons(i, j));
+                });
             });
             let (grads, _) =
-                session.pair_gradients(&ng, &candidates, &eligible, Some(&is_edge_cache));
+                session.pair_gradients(&ng, &candidates, &split, &eligible, Some(&is_edge_cache));
 
-            // Argmax over sign-consistent moves, with a *total*
-            // comparator — larger |G| wins, smaller index breaks ties —
-            // so the winner does not depend on visit order.
-            let mut best: Option<(usize, NodeId, NodeId)> = None;
-            let mut best_abs = 0.0f64;
-            candidates.for_each(|idx, i, j| {
-                if !eligible[idx] {
-                    return;
-                }
-                let s = grads[idx];
-                // Sign consistency: adding requires dL/dA < 0 and
-                // deleting requires dL/dA > 0. Both read `s < 0`, and
-                // |s| = |G|.
-                let valid = s < 0.0;
-                if !valid {
-                    return;
-                }
-                let a = s.abs();
-                let replace = match best {
-                    None => true,
-                    Some((bidx, _, _)) => a > best_abs || (a == best_abs && idx < bidx),
-                };
-                if replace {
-                    best = Some((idx, i, j));
-                    best_abs = a;
-                }
-            });
+            // Argmax over sign-consistent moves, per chunk and then over
+            // the chunk winners, with one *total* comparator, so the
+            // winner does not depend on visit order or on the split.
+            let best = fold_chunks(
+                split.ranges(),
+                |range| {
+                    let mut best = None;
+                    candidates.for_each_range(range.start, range.end, |idx, i, j| {
+                        if !eligible[idx] {
+                            return;
+                        }
+                        // Sign consistency: adding requires dL/dA < 0 and
+                        // deleting requires dL/dA > 0. Both read `s < 0`,
+                        // and |s| = |G|.
+                        let s = grads[idx];
+                        if s < 0.0 {
+                            best = better(best, Some(Move { idx, i, j, abs: -s }));
+                        }
+                    });
+                    best
+                },
+                None,
+                better,
+            );
 
-            let Some((idx, i, j)) = best else {
+            let Some(Move { idx, i, j, .. }) = best else {
                 break; // saturated: no feasible move improves the objective
             };
             let op = session

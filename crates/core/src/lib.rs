@@ -57,6 +57,7 @@ pub mod gradmax;
 pub mod loss;
 pub mod pair;
 pub mod session;
+mod split;
 
 pub use attack::{AttackConfig, AttackError, AttackOutcome, CurveError, StructuralAttack};
 pub use baselines::{CliqueBreaker, RandomAttack};

@@ -12,10 +12,13 @@
 //! overlay's dirty rows and clones the cached base features back:
 //! `O(edits + n)`, not the `O(n + m)` of re-deriving them.
 //!
-//! The backward pass has one entry point,
-//! [`AttackSession::pair_gradients`]. It fuses the straight-through sign
-//! into the assembly when asked and returns a borrowed gradient slice
-//! plus its max-abs, so an iteration makes no candidate-length copy.
+//! The backward pass has one entry point, the crate-private
+//! `pair_gradients`, which the attacks call with the candidate partition
+//! they split every pass on. It fuses the straight-through sign into the
+//! assembly when asked and returns a borrowed gradient slice plus its
+//! max-abs, so an iteration makes no candidate-length copy.
+//! [`AttackSession::pair_gradients_into`] wraps it for other callers:
+//! unsigned, copied out.
 //!
 //! ## Search memoization
 //!
@@ -49,6 +52,7 @@ use crate::attack::{validate_targets, AttackError, AttackOutcome};
 use crate::grad::{node_grads, GradKernel, NodeGrads};
 use crate::loss::surrogate_loss_from_features;
 use crate::pair::Candidates;
+use crate::split::Partition;
 use ba_graph::egonet::{EgonetFeatures, IncrementalEgonet};
 use ba_graph::zobrist::splitmix64;
 use ba_graph::{CsrGraph, DeltaOverlay, EdgeOp, NodeId};
@@ -84,8 +88,8 @@ const GRADS_SLOTS_MAX: usize = 24;
 /// (attack, target set, budget) cells a suite revisits.
 const OUTCOME_SLOTS: usize = 32;
 
-/// Counters of the whole-assembly LRU behind
-/// [`AttackSession::pair_gradients`].
+/// Counters of the whole-assembly LRU behind the session's backward
+/// pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LruStats {
     /// Lookups answered from the LRU.
@@ -119,9 +123,10 @@ pub struct MemoStats {
     pub ng_hits: u64,
     /// Forward passes ([`AttackSession::node_grads`]).
     pub ng_misses: u64,
-    /// Whole-assembly short-circuits: a recent
-    /// [`AttackSession::pair_gradients`] call had the identical state,
-    /// mask and signing, so its output was lent out unchanged.
+    /// Whole-assembly short-circuits: a recent backward pass (an
+    /// attack's, or [`AttackSession::pair_gradients_into`]) had the
+    /// identical state, mask and signing, so its output was lent out
+    /// unchanged.
     pub grads_hits: u64,
     /// Assemblies that missed the whole-assembly LRU and were computed
     /// in full.
@@ -234,7 +239,8 @@ pub struct AttackSession<'g> {
     /// Zobrist fold of `targets` — combined with the overlay's edge-set
     /// hash this keys all memoized evaluations.
     target_hash: u64,
-    /// The backward pass's worker count and row buffer.
+    /// The session's worker count and the backward pass's per-worker
+    /// row buffers.
     kernel: GradKernel,
     /// Output buffer of the backward pass when no memo is attached
     /// (with a memo, the LRU slots are the buffers).
@@ -257,19 +263,32 @@ impl<'g> AttackSession<'g> {
             base_feats,
             targets: targets.to_vec(),
             target_hash: target_set_hash(targets),
-            kernel: GradKernel::default(),
+            kernel: GradKernel::new(0),
             grads: Vec::new(),
             memo: None,
         })
     }
 
-    /// Overrides the worker-thread count of the gradient assembly's
-    /// per-pair merge path (`0` = autodetect). The row-blocked path,
-    /// which `Full`-scope candidate sets take, is serial whatever this
-    /// is set to.
+    /// Overrides the session's worker-thread count (`0` = autodetect,
+    /// the default, resolved once, when the first attack splits its
+    /// candidates). The gradient assembly, BinarizedAttack's PGD step
+    /// and GradMaxSearch's mark and argmax passes split the candidate
+    /// range into equal contiguous chunks across up to this many
+    /// threads, one chunk per fixed minimum of modelled assembly work,
+    /// so small candidate sets stay on the calling thread. Results are
+    /// bit-identical at any count.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.kernel.threads = threads;
+        self.kernel = GradKernel::new(threads);
         self
+    }
+
+    /// The partition of `candidates` that an attack's passes split on,
+    /// sized by the assembly's cost over the current graph (see
+    /// [`AttackSession::with_threads`]). An attack builds it once per
+    /// candidate set and hands it to every
+    /// [`AttackSession::pair_gradients`] call.
+    pub(crate) fn partition(&mut self, candidates: &Candidates) -> Partition {
+        self.kernel.partition(&self.overlay, candidates)
     }
 
     /// Attaches a [`SearchMemo`]. Memoized sessions return
@@ -382,8 +401,9 @@ impl<'g> AttackSession<'g> {
     }
 
     /// Backward pass: assembles `G_ij` for every masked candidate pair
-    /// over the current graph view and returns it with its max-abs over
-    /// the mask. Masked-off entries are `0.0`. No dense matrix is
+    /// over the current graph view, on the chunks of `split` (from
+    /// [`AttackSession::partition`] for `candidates`), and returns it
+    /// with its max-abs over the mask. Masked-off entries are `0.0`. No dense matrix is
     /// allocated, and the output is borrowed, never copied.
     ///
     /// With `sign = Some(a0)`, where `a0[idx]` is `A₀` at candidate
@@ -398,10 +418,11 @@ impl<'g> AttackSession<'g> {
     /// it installs. The LRU returns only values the uncached path
     /// computed, so results are bit-identical either way. A session
     /// signs for one candidate set: the key does not cover `a0` itself.
-    pub fn pair_gradients(
+    pub(crate) fn pair_gradients(
         &mut self,
         ng: &NodeGrads,
         candidates: &Candidates,
+        split: &Partition,
         mask: &[bool],
         sign: Option<&[bool]>,
     ) -> (&[f64], f64) {
@@ -410,9 +431,15 @@ impl<'g> AttackSession<'g> {
         let signed = sign.is_some();
         let Some(memo) = self.memo.as_deref_mut() else {
             self.grads.resize(len, 0.0);
-            let max_abs =
-                self.kernel
-                    .assemble(&self.overlay, ng, candidates, mask, sign, &mut self.grads);
+            let max_abs = self.kernel.assemble(
+                &self.overlay,
+                ng,
+                candidates,
+                split,
+                mask,
+                sign,
+                &mut self.grads,
+            );
             return (&self.grads, max_abs);
         };
         // Mask equality is checked verbatim (cheap: a state match
@@ -440,16 +467,25 @@ impl<'g> AttackSession<'g> {
             slot.mask.clear();
             slot.mask.extend_from_slice(mask);
             slot.out.resize(len, 0.0);
-            slot.max_abs =
-                self.kernel
-                    .assemble(&self.overlay, ng, candidates, mask, sign, &mut slot.out);
+            slot.max_abs = self.kernel.assemble(
+                &self.overlay,
+                ng,
+                candidates,
+                split,
+                mask,
+                sign,
+                &mut slot.out,
+            );
             memo.grads_slots.insert(0, slot);
         }
         let slot = &memo.grads_slots[0];
         (&slot.out, slot.max_abs)
     }
 
-    /// [`AttackSession::pair_gradients`], unsigned, copied into `out`.
+    /// Backward pass: assembles `G_ij` for every masked candidate pair
+    /// over the current graph view into `out` (masked-off entries are
+    /// `0.0`), through the attacks' memoized path, unsigned and split
+    /// as [`AttackSession::with_threads`] describes.
     pub fn pair_gradients_into(
         &mut self,
         ng: &NodeGrads,
@@ -457,7 +493,8 @@ impl<'g> AttackSession<'g> {
         mask: &[bool],
         out: &mut [f64],
     ) {
-        out.copy_from_slice(self.pair_gradients(ng, candidates, mask, None).0);
+        let split = self.partition(candidates);
+        out.copy_from_slice(self.pair_gradients(ng, candidates, &split, mask, None).0);
     }
 
     /// Memo key for a whole search run: the current state hash (edge
@@ -577,10 +614,11 @@ mod tests {
         let flags = crate::pair::edge_flags(&candidates, &csr);
         let mut mask = vec![true; candidates.len()];
         mask[3] = false;
+        let split = memo.partition(&candidates);
 
-        let (unsigned, max_u) = memo.pair_gradients(&ng, &candidates, &mask, None);
+        let (unsigned, max_u) = memo.pair_gradients(&ng, &candidates, &split, &mask, None);
         let unsigned = unsigned.to_vec();
-        let (signed, max_s) = memo.pair_gradients(&ng, &candidates, &mask, Some(&flags));
+        let (signed, max_s) = memo.pair_gradients(&ng, &candidates, &split, &mask, Some(&flags));
         let signed = signed.to_vec();
         let stats = memo.memo_stats().unwrap();
         assert_eq!((stats.grads_hits, stats.grads_misses), (0, 2), "{stats:?}");
@@ -600,10 +638,10 @@ mod tests {
         assert_eq!((max_u, max_s), (want_max, want_max));
 
         // A repeat is lent from the LRU; a memo-less session agrees.
-        let (again, max_again) = memo.pair_gradients(&ng, &candidates, &mask, Some(&flags));
+        let (again, max_again) = memo.pair_gradients(&ng, &candidates, &split, &mask, Some(&flags));
         assert_eq!((again, max_again), (signed.as_slice(), max_s));
         assert_eq!(memo.memo_stats().unwrap().grads_hits, 1);
-        let (cold, max_cold) = plain.pair_gradients(&ng, &candidates, &mask, Some(&flags));
+        let (cold, max_cold) = plain.pair_gradients(&ng, &candidates, &split, &mask, Some(&flags));
         assert_eq!((cold, max_cold), (signed.as_slice(), max_s));
     }
 
