@@ -24,11 +24,14 @@
 //! sign and returns max|G|, plus one slice pass (the PGD step fused with
 //! the re-binarise scan). It decodes only the pairs whose flip state
 //! changed. The assembly and the slice pass split on one partition of
-//! the candidates across the session's threads, so each worker steps on
-//! the gradients it assembled; the changed indices come back chunk by
-//! chunk, in ascending order. Extraction ranks each `Ż` snapshot once
-//! and walks it once: the walk's first `b` accepted flips are budget
-//! `b`'s solution, so one walk serves every budget (`extract_budgets`).
+//! the candidates and run on one crew of threads, spawned once per λ
+//! (`split.rs`): chunk k's `Ż`, flip set and changed list live with the
+//! thread that runs chunk k, which steps on the gradients it assembled.
+//! An iteration whose gradients the assembly LRU holds skips the
+//! assembly pass. The changed indices come back chunk by chunk, in
+//! ascending order. Extraction ranks each `Ż` snapshot once and walks it
+//! once: the walk's first `b` accepted flips are budget `b`'s solution,
+//! so one walk serves every budget (`extract_budgets`).
 //!
 //! Implementation notes vs the paper: gradients are normalised by their
 //! max-abs before the step (the paper does not specify a step-size
@@ -36,10 +39,12 @@
 //! The `ablation` bench quantifies both choices.
 
 use crate::attack::{AttackConfig, AttackError, AttackOutcome, StructuralAttack};
+use crate::grad::Assembly;
 use crate::pair::{edge_flags, static_mask, Candidates};
 use crate::session::AttackSession;
-use crate::split::for_chunks;
+use crate::split::{read, with_crew, write, Cells};
 use ba_graph::{EdgeOp, GraphView};
+use std::sync::{PoisonError, RwLock};
 
 /// The BinarizedAttack optimiser.
 #[derive(Debug, Clone)]
@@ -106,77 +111,171 @@ impl BinarizedAttack {
         lambda: f64,
     ) -> Result<(Vec<Vec<f64>>, Vec<f64>), AttackError> {
         session.reset();
-        let mut zdot = vec![0.0f64; candidates.len()];
-        // Current flip set (candidate indices with Ż > ½).
-        let mut flipped = vec![false; candidates.len()];
-        // The assembly and the PGD step split on one partition. Each
-        // chunk collects its changed indices into its own list, reserved
-        // here for the whole chunk so that no worker allocates (pages are
-        // touched only as entries are written).
+        // The assembly and the PGD step split on one partition and run on
+        // one crew, spawned for this λ's loop. Chunk k's `Ż`, flip set and
+        // changed list live in its cell, beside its share of the backward
+        // pass; the gradient slot's chunk k is moved there for each
+        // iteration's passes.
         let split = session.partition(candidates);
-        let mut changed: Vec<Vec<usize>> = split
-            .ranges()
-            .map(|r| Vec::with_capacity(r.len()))
-            .collect();
+        let masks: Vec<&[bool]> = split.split(mask).collect();
+        let signs: Vec<&[bool]> = split.split(is_edge).collect();
+        let grads = session.grad_cells(&split);
+        let cells = Cells::new(split.ranges().map(|range| StepChunk {
+            zdot: vec![0.0; range.len()],
+            flipped: vec![false; range.len()],
+            // Reserved for the whole chunk, so that no worker allocates
+            // (pages are touched only as entries are written).
+            changed: Vec::with_capacity(range.len()),
+        }));
+        let shared = RwLock::new(StepState {
+            session,
+            phase: Phase::Step {
+                scale: 0.0,
+                shrink: 0.0,
+            },
+        });
+        let job = |k: usize| {
+            let state = read(&shared);
+            let range = split.range(k);
+            match &state.phase {
+                Phase::Assemble(pass) => grads.get(k).assemble(
+                    pass,
+                    state.session.graph(),
+                    candidates,
+                    range,
+                    masks[k],
+                    Some(signs[k]),
+                ),
+                Phase::Step { scale, shrink } => {
+                    let run = &grads.get(k).grads;
+                    cells
+                        .get(k)
+                        .step(range.start, masks[k], run, *scale, *shrink);
+                }
+            }
+        };
         let mut trajectory = Vec::with_capacity(self.iterations);
         let mut snapshots: Vec<Vec<f64>> = Vec::new();
         let snap_every = (self.iterations / 4).max(10);
+        let zdot = || {
+            cells.fold(Vec::with_capacity(split.len()), |mut z, c| {
+                z.extend_from_slice(&c.zdot);
+                z
+            })
+        };
 
-        for t in 0..self.iterations {
-            if t > 0 && t % snap_every == 0 {
-                snapshots.push(zdot.clone());
-            }
-            // Forward: objective and node grads on the *discrete* graph
-            // (features are maintained incrementally by the session).
-            let ng = session.node_grads()?;
-            trajectory.push(ng.loss);
-            // Backward: sparse assembly of G_ij per candidate with the
-            // straight-through sign `1 − 2A₀_ij` applied, and max|G| for
-            // the normalised-step scale. Masked-off grads are 0.0.
-            let (grads, max_abs) =
-                session.pair_gradients(&ng, candidates, &split, mask, Some(is_edge));
-            if max_abs == 0.0 {
-                break; // zero gradient everywhere: nothing to optimise
-            }
-            let scale = self.learning_rate / max_abs;
-            let shrink = self.learning_rate * lambda;
-            // PGD step with the LASSO subgradient (Ż ≥ 0 always, so
-            // sign(Ż) = +1) and projection onto [0,1], fused with the
-            // re-binarise scan: masked-off entries stay at Ż = 0, so
-            // they never enter the flip set. Each chunk reads the run of
-            // gradients its own worker assembled.
-            for_chunks(
-                split.split_mut(&mut zdot).zip(changed.iter_mut()),
-                |((range, zdot), changed)| {
-                    changed.clear();
-                    let lo = range.start;
-                    let inputs = grads[range.clone()]
-                        .iter()
-                        .zip(&mask[range.clone()])
-                        .zip(&flipped[range]);
-                    for (k, (z, ((&gr, &on), &was))) in zdot.iter_mut().zip(inputs).enumerate() {
-                        if !on {
-                            continue;
-                        }
-                        *z = (*z - scale * gr - shrink).clamp(0.0, 1.0);
-                        if (*z > 0.5) != was {
-                            changed.push(lo + k);
-                        }
+        let looped = with_crew(split.chunks(), job, |crew| {
+            for t in 0..self.iterations {
+                if t > 0 && t % snap_every == 0 {
+                    snapshots.push(zdot());
+                }
+                // Forward: objective and node grads on the *discrete*
+                // graph (features are maintained incrementally by the
+                // session). Then the lookup half of the backward pass.
+                let (mut slot, fresh) = {
+                    let mut state = write(&shared);
+                    let ng = state.session.node_grads()?;
+                    trajectory.push(ng.loss);
+                    let (slot, fresh) = state.session.lend_grads(&masks, true, &split);
+                    if fresh {
+                        let pass = grads.plan(state.session.graph(), ng, split.len());
+                        state.phase = Phase::Assemble(pass);
                     }
-                },
-            );
-            // Toggle the graph wherever the flip set changed, in
-            // ascending candidate order (chunk lists in chunk order).
-            for &idx in changed.iter().flatten() {
-                let (i, j) = candidates.pair(idx);
-                session
-                    .toggle(i, j)
-                    .ok_or(AttackError::InvalidCandidatePair(i, j))?;
-                flipped[idx] = !flipped[idx];
+                    (slot, fresh)
+                };
+                grads.swap(&mut slot);
+                // Backward: sparse assembly of G_ij per candidate with the
+                // straight-through sign `1 − 2A₀_ij` applied, and max|G|
+                // for the normalised-step scale, unless the slot holds
+                // them already. Masked-off grads are 0.0.
+                if fresh {
+                    crew.run();
+                    slot.max_abs = grads.max_abs();
+                }
+                let max_abs = slot.max_abs;
+                if max_abs != 0.0 {
+                    // PGD step with the LASSO subgradient (Ż ≥ 0 always,
+                    // so sign(Ż) = +1) and projection onto [0,1], fused
+                    // with the re-binarise scan. Each chunk steps on the
+                    // run of gradients its own thread assembled.
+                    write(&shared).phase = Phase::Step {
+                        scale: self.learning_rate / max_abs,
+                        shrink: self.learning_rate * lambda,
+                    };
+                    crew.run();
+                }
+                grads.swap(&mut slot);
+                let mut state = write(&shared);
+                state.session.return_grads(slot);
+                if max_abs == 0.0 {
+                    break; // zero gradient everywhere: nothing to optimise
+                }
+                // Toggle the graph wherever the flip set changed, in
+                // ascending candidate order (chunk lists in chunk order).
+                for k in 0..split.chunks() {
+                    for &idx in &cells.get(k).changed {
+                        let (i, j) = candidates.pair(idx);
+                        state
+                            .session
+                            .toggle(i, j)
+                            .ok_or(AttackError::InvalidCandidatePair(i, j))?;
+                    }
+                }
+            }
+            Ok::<(), AttackError>(())
+        });
+        looped?;
+        snapshots.push(zdot());
+        let state = shared.into_inner().unwrap_or_else(PoisonError::into_inner);
+        state.session.close_grad_cells(grads);
+        Ok((snapshots, trajectory))
+    }
+}
+
+/// What the crew threads of one λ's loop read in a pass: the session
+/// (for the graph), written by the calling thread only between passes,
+/// and the pass to run.
+struct StepState<'s, 'g> {
+    session: &'s mut AttackSession<'g>,
+    phase: Phase,
+}
+
+/// The two passes of a PGD iteration.
+enum Phase {
+    /// Assemble the signed gradients into each chunk's run.
+    Assemble(Assembly),
+    /// Step `Ż` on them.
+    Step { scale: f64, shrink: f64 },
+}
+
+/// One chunk's optimiser state across a λ's loop.
+struct StepChunk {
+    /// `Ż` over the chunk.
+    zdot: Vec<f64>,
+    /// Current flip set (`Ż > ½`) over the chunk.
+    flipped: Vec<bool>,
+    /// Indices whose flip state the last step changed, ascending.
+    changed: Vec<usize>,
+}
+
+impl StepChunk {
+    /// One PGD step over the chunk, which starts at candidate `lo`, on
+    /// the chunk's run of the signed gradients: masked-off entries stay
+    /// at `Ż = 0`, so they never enter the flip set. Records every index
+    /// whose flip state changed.
+    fn step(&mut self, lo: usize, mask: &[bool], grads: &[f64], scale: f64, shrink: f64) {
+        self.changed.clear();
+        let inputs = grads.iter().zip(mask).zip(self.flipped.iter_mut());
+        for (k, (z, ((&gr, &on), was))) in self.zdot.iter_mut().zip(inputs).enumerate() {
+            if !on {
+                continue;
+            }
+            *z = (*z - scale * gr - shrink).clamp(0.0, 1.0);
+            if (*z > 0.5) != *was {
+                *was = !*was;
+                self.changed.push(lo + k);
             }
         }
-        snapshots.push(zdot);
-        Ok((snapshots, trajectory))
     }
 }
 

@@ -28,18 +28,20 @@
 //! A whole-candidate-set assembly picks one of two strategies by a cost
 //! model: per-pair merges for sparse candidate sets, or a row-blocked
 //! wedge scatter for dense ones (see [`assemble_pair_grads_into`]). Both
-//! split the candidate range into equal contiguous chunks, one per worker
-//! thread; the attacks' PGD step and argmax passes split on the same
-//! partition, so each worker reads back the gradients it wrote. The
-//! attacks reach the assembly through the session's `pair_gradients`,
-//! which can also fold in the straight-through sign `1 − 2A₀` and
-//! returns `max |G|` from the same pass, so a PGD iteration makes one
-//! candidate-length pass for its backward step. Both strategies are pinned bit for bit, at any worker
-//! count, to the [`correction_map`] reference.
+//! split the candidate range into equal contiguous chunks, one per crew
+//! thread (`split.rs`). The attacks' search loops run their assembly, PGD
+//! step and argmax passes on one crew over the same partition, chunk by
+//! chunk through `assemble_chunk`, so each thread reads back the
+//! gradients it wrote; a one-shot assembly runs a one-pass crew. The
+//! straight-through sign `1 − 2A₀` can be folded into the assembly, and
+//! `max |G|` comes back from the same pass, so a PGD iteration makes one
+//! candidate-length pass for its backward step. Both strategies are
+//! pinned bit for bit, at any worker count, to the [`correction_map`]
+//! reference.
 
 use crate::loss::{fit_beta, safe_exp, LossError};
 use crate::pair::Candidates;
-use crate::split::{self, fold_chunks, Partition};
+use crate::split::{self, with_crew, Cells, Partition};
 use ba_graph::view::merge_count_weighted;
 use ba_graph::{GraphView, NodeId};
 use std::collections::BTreeMap;
@@ -200,10 +202,10 @@ pub fn resolve_threads(threads: usize) -> usize {
 ///
 /// Both split the candidate range into equal contiguous chunks, one per
 /// worker: at most `threads`, and no more than the assembly's modelled
-/// cost pays for (see `split.rs`). Each worker writes its own run of
-/// `out`, with its own row buffer. Both accumulate common-neighbour
-/// contributions in increasing `m` and combine with the same expression,
-/// so they agree to the last bit at any worker count.
+/// cost pays for (see `split.rs`). The workers are a one-pass crew; each
+/// writes its own run of `out`, with its own row buffer. Both accumulate
+/// common-neighbour contributions in increasing `m` and combine with the
+/// same expression, so they agree to the last bit at any worker count.
 pub fn assemble_pair_grads_into<V: GraphView + Sync + ?Sized>(
     g: &V,
     ng: &NodeGrads,
@@ -212,14 +214,15 @@ pub fn assemble_pair_grads_into<V: GraphView + Sync + ?Sized>(
     threads: usize,
     out: &mut [f64],
 ) {
+    assert_eq!(out.len(), candidates.len(), "output length mismatch");
     let mut kernel = GradKernel::new(threads);
     let split = kernel.partition(g, candidates);
-    kernel.assemble(g, ng, candidates, &split, mask, None, out);
+    kernel.assemble(g, ng, candidates, &split, mask, None, split.split_mut(out));
 }
 
 /// The two strategies of [`assemble_pair_grads_into`].
 #[derive(Debug, Clone, Copy)]
-enum Strategy {
+pub(crate) enum Strategy {
     Merge,
     Row,
 }
@@ -237,7 +240,7 @@ const MERGE_STEP: f64 = 2.5;
 /// [`split::MIN_WORK`] serves both strategies). Merge re-walks both
 /// endpoint lists per pair; scatter touches every wedge once plus a
 /// constant amount per candidate slot.
-fn plan<V: GraphView + ?Sized>(g: &V, len: usize) -> (Strategy, f64) {
+pub(crate) fn plan<V: GraphView + ?Sized>(g: &V, len: usize) -> (Strategy, f64) {
     let n = g.num_nodes().max(1);
     let avg_deg = 2.0 * g.num_edges() as f64 / n as f64;
     let merge_cost = MERGE_STEP * len as f64 * (2.0 * avg_deg + 4.0);
@@ -291,14 +294,33 @@ impl GradKernel {
         Partition::new(candidates.len(), split::workers(self.threads, cost))
     }
 
+    /// The row buffers of `chunks` chunks, lent out by value, for a crew
+    /// that keeps them for a whole search loop. Each is all-zero; pass it
+    /// through [`prepare_row`] before a row-kernel pass, and hand them
+    /// back with [`GradKernel::restore_rows`].
+    pub(crate) fn take_rows(&mut self, chunks: usize) -> Vec<Vec<(f64, f64)>> {
+        if self.rows.len() < chunks {
+            self.rows.resize_with(chunks, Vec::new);
+        }
+        self.rows.drain(..chunks).collect()
+    }
+
+    /// Takes back the row buffers [`GradKernel::take_rows`] lent, each
+    /// all-zero.
+    pub(crate) fn restore_rows(&mut self, rows: impl IntoIterator<Item = Vec<(f64, f64)>>) {
+        let lent: Vec<_> = rows.into_iter().collect();
+        self.rows.splice(0..0, lent);
+    }
+
     /// [`assemble_pair_grads_into`] on the chunks of `split` (built for
-    /// `candidates` by [`GradKernel::partition`]), with the
-    /// straight-through sign fused in: when `sign` is given, `out[idx]` is negated
-    /// wherever `sign[idx]` is set (`G·(1 − 2A₀)` for `sign = A₀`).
-    /// Returns `max |out[idx]|` over the masked entries (`0.0` when
-    /// none), which does not depend on visit order.
+    /// `candidates` by [`GradKernel::partition`]), into `outs`, one run
+    /// of the output per chunk, in order. With the straight-through sign
+    /// fused in: when `sign` is given, entry `idx` is negated wherever
+    /// `sign[idx]` is set (`G·(1 − 2A₀)` for `sign = A₀`). Returns
+    /// `max |G|` over the masked entries (`0.0` when none), which does not
+    /// depend on visit order.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble<V: GraphView + Sync + ?Sized>(
+    pub(crate) fn assemble<'o, V: GraphView + Sync + ?Sized>(
         &mut self,
         g: &V,
         ng: &NodeGrads,
@@ -306,16 +328,16 @@ impl GradKernel {
         split: &Partition,
         mask: &[bool],
         sign: Option<&[bool]>,
-        out: &mut [f64],
+        outs: impl IntoIterator<Item = &'o mut [f64]>,
     ) -> f64 {
         let (strategy, _) = plan(g, candidates.len());
-        self.run(strategy, split, g, ng, candidates, mask, sign, out)
+        self.run(strategy, split, g, ng, candidates, mask, sign, outs)
     }
 
-    /// Runs one strategy on the chunks of `split`. The max-abs is an
-    /// exact max, folded in chunk order.
+    /// Runs one strategy on the chunks of `split`, as a one-pass crew.
+    /// The max-abs is an exact max, folded in chunk order.
     #[allow(clippy::too_many_arguments)]
-    fn run<V: GraphView + Sync + ?Sized>(
+    fn run<'o, V: GraphView + Sync + ?Sized>(
         &mut self,
         strategy: Strategy,
         split: &Partition,
@@ -324,57 +346,103 @@ impl GradKernel {
         candidates: &Candidates,
         mask: &[bool],
         sign: Option<&[bool]>,
-        out: &mut [f64],
+        outs: impl IntoIterator<Item = &'o mut [f64]>,
     ) -> f64 {
         let len = candidates.len();
         assert_eq!(mask.len(), len, "mask length mismatch");
-        assert_eq!(out.len(), len, "output length mismatch");
         if let Some(sign) = sign {
             assert_eq!(sign.len(), len, "sign length mismatch");
         }
         assert_eq!(split.len(), len, "split length mismatch");
-        if len == 0 {
-            return 0.0;
-        }
-        let chunks = split.split_mut(out);
-        match strategy {
-            Strategy::Merge => fold_chunks(
-                chunks,
-                |(range, out)| merge_pair_grads(g, ng, candidates, mask, sign, range, out),
-                0.0,
-                f64::max,
-            ),
-            Strategy::Row => {
-                let n = g.num_nodes();
-                match candidates {
-                    Candidates::Full(ps) => {
-                        assert_eq!(ps.nodes(), n, "pair space does not match the graph");
-                    }
-                    Candidates::List(pairs) => debug_assert!(
-                        pairs.windows(2).all(|w| w[0] < w[1]),
-                        "candidate list must be sorted ascending"
-                    ),
+        let outs: Vec<&mut [f64]> = outs.into_iter().collect();
+        assert_eq!(outs.len(), split.chunks(), "one output run per chunk");
+        let n = g.num_nodes();
+        let rows = self.take_rows(split.chunks());
+        let cells = Cells::new(outs.into_iter().zip(rows).map(|(out, mut row)| {
+            prepare_row(strategy, n, &mut row);
+            (out, row, 0.0f64)
+        }));
+        with_crew(
+            split.chunks(),
+            |k| {
+                let range = split.range(k);
+                let mut cell = cells.get(k);
+                let (out, row, max_abs) = &mut *cell;
+                let sign = sign.map(|s| &s[range.clone()]);
+                *max_abs = assemble_chunk(
+                    strategy,
+                    g,
+                    ng,
+                    candidates,
+                    range.clone(),
+                    &mask[range],
+                    sign,
+                    out,
+                    row,
+                );
+            },
+            |crew| crew.run(),
+        );
+        let max_abs = cells.fold(0.0f64, |max, (_, _, chunk_max)| max.max(*chunk_max));
+        self.restore_rows(cells.into_inner().map(|(_, row, _)| row));
+        max_abs
+    }
+}
+
+/// A search loop's assembly pass, owned so that the loop can publish it
+/// to its crew: the forward pass and the strategy the cost model picked
+/// for the current graph.
+#[derive(Debug)]
+pub(crate) struct Assembly {
+    pub(crate) ng: NodeGrads,
+    pub(crate) strategy: Strategy,
+}
+
+/// Sizes `row` for a `strategy` pass over an `n`-node graph, on the
+/// calling thread, so that no crew thread allocates: the row kernel
+/// needs `n` entries, the merge path none.
+pub(crate) fn prepare_row(strategy: Strategy, n: usize, row: &mut Vec<(f64, f64)>) {
+    if matches!(strategy, Strategy::Row) && row.len() < n {
+        row.resize(n, (0.0, 0.0));
+    }
+}
+
+/// One chunk of an assembly pass: `strategy` over the candidates in
+/// `range`, written to `out`. `mask`, `sign` and `out` are that range's
+/// runs. `row` is the chunk's row buffer, sized by [`prepare_row`],
+/// all-zero on entry and left all-zero. Returns the run's max-abs over
+/// the mask.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn assemble_chunk<V: GraphView + ?Sized>(
+    strategy: Strategy,
+    g: &V,
+    ng: &NodeGrads,
+    candidates: &Candidates,
+    range: Range<usize>,
+    mask: &[bool],
+    sign: Option<&[bool]>,
+    out: &mut [f64],
+    row: &mut [(f64, f64)],
+) -> f64 {
+    assert_eq!(out.len(), range.len(), "output run length mismatch");
+    assert_eq!(mask.len(), range.len(), "mask run length mismatch");
+    if let Some(sign) = sign {
+        assert_eq!(sign.len(), range.len(), "sign run length mismatch");
+    }
+    match strategy {
+        Strategy::Merge => merge_pair_grads(g, ng, candidates, mask, sign, range, out),
+        Strategy::Row => {
+            let n = g.num_nodes();
+            match candidates {
+                Candidates::Full(ps) => {
+                    assert_eq!(ps.nodes(), n, "pair space does not match the graph");
                 }
-                // Row buffers are sized here, on the calling thread, so
-                // no worker allocates.
-                let workers = split.chunks();
-                if self.rows.len() < workers {
-                    self.rows.resize_with(workers, Vec::new);
-                }
-                for row in &mut self.rows[..workers] {
-                    if row.len() < n {
-                        row.resize(n, (0.0, 0.0));
-                    }
-                }
-                fold_chunks(
-                    chunks.zip(&mut self.rows),
-                    |((range, out), row)| {
-                        row_pair_grads(g, ng, candidates, mask, sign, range, out, &mut row[..n])
-                    },
-                    0.0,
-                    f64::max,
-                )
+                Candidates::List(pairs) => debug_assert!(
+                    pairs[range.clone()].windows(2).all(|w| w[0] < w[1]),
+                    "candidate list must be sorted ascending"
+                ),
             }
+            row_pair_grads(g, ng, candidates, mask, sign, range, out, &mut row[..n])
         }
     }
 }
@@ -393,8 +461,8 @@ fn finish(grad: f64, on: bool, flip: bool, max_abs: &mut f64) -> f64 {
 }
 
 /// Per-pair sorted-merge strategy (see [`assemble_pair_grads_into`]) over
-/// the candidates in `range`, written to `out` (that range's run).
-/// Returns the run's max-abs over the mask.
+/// the candidates in `range`, written to `out`; `mask`, `sign` and `out`
+/// are that range's runs. Returns the run's max-abs over the mask.
 fn merge_pair_grads<V: GraphView + ?Sized>(
     g: &V,
     ng: &NodeGrads,
@@ -411,7 +479,8 @@ fn merge_pair_grads<V: GraphView + ?Sized>(
     let mut cur_i: Option<NodeId> = None;
     let mut row_i: &[NodeId] = &[];
     candidates.for_each_range(start, range.end, |idx, i, j| {
-        let grad = if mask[idx] {
+        let k = idx - start;
+        let grad = if mask[k] {
             if cur_i != Some(i) {
                 cur_i = Some(i);
                 row_i = g.neighbors_sorted(i);
@@ -420,18 +489,18 @@ fn merge_pair_grads<V: GraphView + ?Sized>(
         } else {
             0.0
         };
-        let flip = sign.is_some_and(|s| s[idx]);
-        out[idx - start] = finish(grad, mask[idx], flip, &mut max_abs);
+        let flip = sign.is_some_and(|s| s[k]);
+        out[k] = finish(grad, mask[k], flip, &mut max_abs);
     });
     max_abs
 }
 
 /// Row-blocked wedge-scatter strategy (see [`assemble_pair_grads_into`])
-/// over the candidates in `range`, written to `out` (that range's run):
-/// the flat-array descendant of [`correction_map`] — same sums, no
-/// hashing, no candidate-length scratch. `row` is `n` long, must be
-/// all-zero on entry and is left all-zero. Returns the run's max-abs
-/// over the mask.
+/// over the candidates in `range`, written to `out`; `mask`, `sign` and
+/// `out` are that range's runs. The flat-array descendant of
+/// [`correction_map`] — same sums, no hashing, no candidate-length
+/// scratch. `row` is `n` long, must be all-zero on entry and is left
+/// all-zero. Returns the run's max-abs over the mask.
 ///
 /// Candidates sharing a smaller endpoint are contiguous in both
 /// [`Candidates`] forms, in ascending larger endpoint, so each row of
@@ -504,8 +573,8 @@ fn row_pair_grads<V: GraphView + ?Sized>(
 }
 
 /// Output side of [`row_pair_grads`]: everything a row's combine pass
-/// reads or writes besides the row buffer. `out` is the run of the
-/// output that starts at candidate `base`.
+/// reads or writes besides the row buffer. `mask`, `sign` and `out` are
+/// the runs that start at candidate `base`.
 struct RowSink<'a> {
     ng: &'a NodeGrads,
     mask: &'a [bool],
@@ -528,11 +597,11 @@ impl RowSink<'_> {
     ) {
         let ng = self.ng;
         let (h_a, ge_a) = (ng.h[a as usize], ng.g_e[a as usize]);
-        for (idx, j) in (lo..).zip(js) {
+        for (k, j) in (lo - self.base..).zip(js) {
             let j = j as usize;
             let grad = row_grad(h_a, ge_a, ng.h[j], ng.g_e[j], take(&mut row[j]));
-            let flip = self.sign.is_some_and(|s| s[idx]);
-            self.out[idx - self.base] = finish(grad, self.mask[idx], flip, &mut self.max_abs);
+            let flip = self.sign.is_some_and(|s| s[k]);
+            self.out[k] = finish(grad, self.mask[k], flip, &mut self.max_abs);
         }
     }
 
@@ -546,15 +615,15 @@ impl RowSink<'_> {
     fn combine_full(&mut self, a: usize, cols: Range<usize>, lo: usize, row: &mut [(f64, f64)]) {
         let ng = self.ng;
         let (h_a, ge_a) = (ng.h[a], ng.g_e[a]);
-        let hi = lo + cols.len();
+        let run = lo - self.base..lo - self.base + cols.len();
         let grads = row[cols.clone()]
             .iter_mut()
             .zip(&ng.h[cols.clone()])
             .zip(&ng.g_e[cols])
             .map(|((slot, &h_j), &ge_j)| row_grad(h_a, ge_a, h_j, ge_j, take(slot)));
-        let outs = self.out[lo - self.base..hi - self.base]
+        let outs = self.out[run.clone()]
             .iter_mut()
-            .zip(&self.mask[lo..hi]);
+            .zip(&self.mask[run.clone()]);
         let max_abs = &mut self.max_abs;
         match self.sign {
             None => {
@@ -563,7 +632,7 @@ impl RowSink<'_> {
                 }
             }
             Some(sign) => {
-                for (((o, &on), &flip), grad) in outs.zip(&sign[lo..hi]).zip(grads) {
+                for (((o, &on), &flip), grad) in outs.zip(&sign[run]).zip(grads) {
                     *o = finish(grad, on, flip, max_abs);
                 }
             }
@@ -818,7 +887,16 @@ mod tests {
         let split = Partition::new(candidates.len(), workers);
         assert!(split.chunks() <= workers.max(1));
         let mut out = vec![f64::NAN; candidates.len()];
-        let max = kernel.run(strategy, &split, g, ng, candidates, mask, sign, &mut out);
+        let max = kernel.run(
+            strategy,
+            &split,
+            g,
+            ng,
+            candidates,
+            mask,
+            sign,
+            split.split_mut(&mut out),
+        );
         (out, max)
     }
 

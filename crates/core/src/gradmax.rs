@@ -11,25 +11,27 @@
 //!
 //! The never-revisit pool is a candidate-indexed [`IndexBitSet`] (one
 //! shift-and-mask instead of a hash probe per candidate per step), and
-//! the argmax is one full scan with a total comparator (magnitude, then
-//! index), so the winner does not depend on the order candidates are
-//! visited in. The eligibility mark and the argmax split on the
-//! partition the gradient assembly uses, across the session's threads;
-//! chunk winners are combined with the same comparator.
+//! the argmax is one full select scan with a total order (magnitude,
+//! then index), so the winner does not depend on the order candidates
+//! are visited in. A step makes two passes over the partition the
+//! gradient assembly uses, on one crew of threads spawned for the whole
+//! search (`split.rs`): the eligibility mark, then the assembly (skipped
+//! when the assembly LRU holds the step's gradients) fused with the
+//! argmax. Chunk winners are combined with the same total order.
 
 use crate::attack::{AttackConfig, AttackError, AttackOutcome, StructuralAttack};
+use crate::grad::Assembly;
 use crate::pair::{edge_flags, Candidates, IndexBitSet};
 use crate::session::AttackSession;
-use crate::split::{fold_chunks, for_chunks};
-use ba_graph::{GraphView, NodeId};
+use crate::split::{read, with_crew, write, Cells};
+use ba_graph::GraphView;
+use std::sync::{PoisonError, RwLock};
 
-/// A sign-consistent move: candidate `idx` = `{i, j}` with gradient
-/// magnitude `abs`.
+/// A sign-consistent move: candidate `idx`, with gradient magnitude
+/// `abs`.
 #[derive(Debug, Clone, Copy)]
 struct Move {
     idx: usize,
-    i: NodeId,
-    j: NodeId,
     abs: f64,
 }
 
@@ -41,6 +43,24 @@ fn better(cur: Option<Move>, next: Option<Move>) -> Option<Move> {
         (Some(c), _) => Some(c),
         (None, n) => n,
     }
+}
+
+/// The best sign-consistent move in `grads`, the signed gradients `s` of
+/// the candidates from `lo` on: the largest `|s|` among `s < 0`, the
+/// lowest index among equals, as [`better`] orders them. Masked-off
+/// entries are `0.0`, so they never qualify, and the scan needs no mask.
+/// It keeps a running `(|s|, index)` and takes a candidate only on a
+/// strict `>`, walking indices in ascending order: a select with no
+/// branch on the sign, and no pair decoded but the winner's.
+fn select(grads: &[f64], lo: usize) -> Option<Move> {
+    let (mut abs, mut at) = (0.0f64, None);
+    for (k, &s) in grads.iter().enumerate() {
+        if -s > abs {
+            abs = -s;
+            at = Some(k);
+        }
+    }
+    at.map(|k| Move { idx: lo + k, abs })
 }
 
 /// The greedy per-edge gradient attack.
@@ -91,91 +111,135 @@ impl StructuralAttack for GradMaxSearch {
         if candidates.is_empty() {
             return Err(AttackError::NoCandidates);
         }
-        let mut pool = IndexBitSet::new(candidates.len());
-        let mut eligible = vec![false; candidates.len()];
         // Edge state per candidate, read once from the clean graph. A pair
         // whose state on the overlay differs from the clean graph was
-        // toggled, so it sits in `pool` and is never eligible (a reverted
-        // toggle restores the clean state); for every eligible candidate
-        // the overlay and the clean graph therefore agree.
+        // toggled, so it sits in the pool and is never eligible (a
+        // reverted toggle restores the clean state); for every eligible
+        // candidate the overlay and the clean graph therefore agree.
         let is_edge_cache = edge_flags(&candidates, session.base());
+        // Every pass splits on the partition the assembly uses and runs
+        // on one crew, spawned for the whole search. Chunk k's
+        // eligibility marks and winner live in its cell, beside its share
+        // of the backward pass; the gradient slot's chunk k is moved
+        // there for each step.
         let split = session.partition(&candidates);
+        let signs: Vec<&[bool]> = split.split(&is_edge_cache).collect();
+        let grads = session.grad_cells(&split);
+        let cells = Cells::new(split.ranges().map(|range| ScanChunk {
+            eligible: vec![false; range.len()],
+            best: None,
+        }));
+        let shared = RwLock::new(ScanState {
+            session,
+            pool: IndexBitSet::new(candidates.len()),
+            phase: Phase::Mark,
+        });
+        let kind = self.config.op_kind;
+        let forbid_singletons = self.config.forbid_singletons;
+        let job = |k: usize| {
+            let state = read(&shared);
+            let mut cell = cells.get(k);
+            let range = split.range(k);
+            let g = state.session.graph();
+            match &state.phase {
+                // The feasible moves: never-revisited pool, op kind, and
+                // singleton protection against the evolving poisoned
+                // graph.
+                Phase::Mark => {
+                    let lo = range.start;
+                    candidates.for_each_range(lo, range.end, |idx, i, j| {
+                        let is_edge = is_edge_cache[idx];
+                        cell.eligible[idx - lo] = !state.pool.contains(idx)
+                            && kind.allows(is_edge)
+                            && !(is_edge
+                                && forbid_singletons
+                                && !g.deletion_keeps_no_singletons(i, j));
+                    });
+                }
+                // Their straight-through gradients `s = G·(1 − 2A₀)`,
+                // unless the slot holds them already, then the chunk's
+                // best sign-consistent move. Both are chunk-local, so one
+                // pass runs them back to back.
+                Phase::Select(assembly) => {
+                    let mut chunk = grads.get(k);
+                    if let Some(pass) = assembly {
+                        let sign = Some(signs[k]);
+                        chunk.assemble(pass, g, &candidates, range.clone(), &cell.eligible, sign);
+                    }
+                    cell.best = select(&chunk.grads, range.start);
+                }
+            }
+        };
         let mut ops = Vec::new();
         let mut ops_per_budget = Vec::with_capacity(budget);
         let mut loss_per_budget = Vec::with_capacity(budget);
         let mut trajectory = Vec::with_capacity(budget + 1);
 
-        for _step in 0..budget {
-            let ng = session.node_grads()?;
-            trajectory.push(ng.loss);
+        let searched = with_crew(split.chunks(), job, |crew| {
+            for _step in 0..budget {
+                let ng = {
+                    let mut state = write(&shared);
+                    state.phase = Phase::Mark;
+                    state.session.node_grads()?
+                };
+                let loss_before = ng.loss;
+                trajectory.push(loss_before);
+                crew.run();
 
-            // Mark the feasible moves (never-revisited pool, op kind,
-            // singleton protection against the evolving poisoned graph),
-            // then assemble their straight-through gradients
-            // `s = G·(1 − 2A₀)` sparsely. Both scans split on the
-            // partition the assembly uses.
-            let kind = self.config.op_kind;
-            let forbid_singletons = self.config.forbid_singletons;
-            let g = session.graph();
-            for_chunks(split.split_mut(&mut eligible), |(range, eligible)| {
-                let lo = range.start;
-                candidates.for_each_range(lo, range.end, |idx, i, j| {
-                    let is_edge = is_edge_cache[idx];
-                    eligible[idx - lo] = !pool.contains(idx)
-                        && kind.allows(is_edge)
-                        && !(is_edge && forbid_singletons && !g.deletion_keeps_no_singletons(i, j));
-                });
-            });
-            let (grads, _) =
-                session.pair_gradients(&ng, &candidates, &split, &eligible, Some(&is_edge_cache));
-
-            // Argmax over sign-consistent moves, per chunk and then over
-            // the chunk winners, with one *total* comparator, so the
-            // winner does not depend on visit order or on the split.
-            let best = fold_chunks(
-                split.ranges(),
-                |range| {
-                    let mut best = None;
-                    candidates.for_each_range(range.start, range.end, |idx, i, j| {
-                        if !eligible[idx] {
-                            return;
-                        }
-                        // Sign consistency: adding requires dL/dA < 0 and
-                        // deleting requires dL/dA > 0. Both read `s < 0`,
-                        // and |s| = |G|.
-                        let s = grads[idx];
-                        if s < 0.0 {
-                            best = better(best, Some(Move { idx, i, j, abs: -s }));
-                        }
-                    });
-                    best
-                },
-                None,
-                better,
-            );
-
-            let Some(Move { idx, i, j, .. }) = best else {
-                break; // saturated: no feasible move improves the objective
-            };
-            let op = session
-                .toggle(i, j)
-                .ok_or(AttackError::InvalidCandidatePair(i, j))?;
-            let loss = session.loss()?;
-            // The gradient is a linearisation; a discrete ±1 flip can
-            // overshoot once the objective is nearly minimised. Revert
-            // and stop — the attack has saturated (paper: "we stop
-            // attacking until the changes of AScore saturated").
-            if loss > ng.loss + 1e-12 {
-                session
+                // The eligibility marks are the assembly's mask, and the
+                // LRU's key.
+                let (mut slot, fresh) = {
+                    let mut state = write(&shared);
+                    let marks: Vec<_> = (0..split.chunks()).map(|k| cells.get(k)).collect();
+                    let mask: Vec<&[bool]> = marks.iter().map(|c| c.eligible.as_slice()).collect();
+                    let (slot, fresh) = state.session.lend_grads(&mask, true, &split);
+                    drop(marks);
+                    let assembly =
+                        fresh.then(|| grads.plan(state.session.graph(), ng, split.len()));
+                    state.phase = Phase::Select(assembly);
+                    (slot, fresh)
+                };
+                grads.swap(&mut slot);
+                crew.run();
+                grads.swap(&mut slot);
+                if fresh {
+                    slot.max_abs = grads.max_abs();
+                }
+                let mut state = write(&shared);
+                state.session.return_grads(slot);
+                // Chunk winners meet the scan's *total* order, so the
+                // winner does not depend on the split.
+                let best = cells.fold(None, |best, c| better(best, c.best));
+                let Some(Move { idx, .. }) = best else {
+                    break; // saturated: no feasible move improves the objective
+                };
+                let (i, j) = candidates.pair(idx);
+                let op = state
+                    .session
                     .toggle(i, j)
                     .ok_or(AttackError::InvalidCandidatePair(i, j))?;
-                break;
+                let loss = state.session.loss()?;
+                // The gradient is a linearisation; a discrete ±1 flip can
+                // overshoot once the objective is nearly minimised. Revert
+                // and stop — the attack has saturated (paper: "we stop
+                // attacking until the changes of AScore saturated").
+                if loss > loss_before + 1e-12 {
+                    state
+                        .session
+                        .toggle(i, j)
+                        .ok_or(AttackError::InvalidCandidatePair(i, j))?;
+                    break;
+                }
+                state.pool.insert(idx);
+                ops.push(op);
+                ops_per_budget.push(ops.clone());
+                loss_per_budget.push(loss);
             }
-            pool.insert(idx);
-            ops.push(op);
-            ops_per_budget.push(ops.clone());
-            loss_per_budget.push(loss);
-        }
+            Ok::<(), AttackError>(())
+        });
+        searched?;
+        let state = shared.into_inner().unwrap_or_else(PoisonError::into_inner);
+        state.session.close_grad_cells(grads);
         if let Some(&last) = loss_per_budget.last() {
             trajectory.push(last);
         }
@@ -185,17 +249,44 @@ impl StructuralAttack for GradMaxSearch {
             surrogate_loss_per_budget: loss_per_budget,
             loss_trajectory: trajectory,
         };
-        session.memo_run_store(run_key, &outcome);
+        state.session.memo_run_store(run_key, &outcome);
         Ok(outcome)
     }
+}
+
+/// What the crew threads of a search read in a pass: the session (for
+/// the graph) and the never-revisit pool, written by the calling thread
+/// only between passes, and the pass to run.
+struct ScanState<'s, 'g> {
+    session: &'s mut AttackSession<'g>,
+    pool: IndexBitSet,
+    phase: Phase,
+}
+
+/// The two passes of a step.
+enum Phase {
+    /// Mark the feasible moves.
+    Mark,
+    /// Assemble, on an LRU miss, then select.
+    Select(Option<Assembly>),
+}
+
+/// One chunk's scan state across a search.
+struct ScanChunk {
+    /// The feasible moves over the chunk: the assembly's mask.
+    eligible: Vec<bool>,
+    /// The chunk's best move in the last select.
+    best: Option<Move>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pair::{CandidateScope, EdgeOpKind};
-    use ba_graph::{generators, Graph};
+    use ba_graph::{generators, Graph, NodeId};
     use ba_oddball::OddBall;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::collections::HashSet;
 
     fn anomalous_graph(seed: u64) -> (Graph, Vec<NodeId>) {
@@ -303,6 +394,40 @@ mod tests {
                     .iter()
                     .any(|&t| g.neighbors(t).contains(&op.u) && g.neighbors(t).contains(&op.v));
             assert!(touches, "op {op:?} outside scope");
+        }
+    }
+
+    #[test]
+    fn select_matches_the_comparator_scan() {
+        // Quantised values give ties, exact zeros (masked-off entries),
+        // both signs, `-0.0` and NaN; the scan must pick what a
+        // `better` call per sign-consistent candidate picks.
+        let mut rng = StdRng::seed_from_u64(5);
+        for len in [0usize, 1, 2, 7, 300] {
+            for lo in [0usize, 1000] {
+                let grads: Vec<f64> = (0..len)
+                    .map(|_| match rng.gen_range(0..10) {
+                        0 => -0.0,
+                        1 => f64::NAN,
+                        v => (v as f64 - 5.0) * 0.25,
+                    })
+                    .collect();
+                let mut want = None;
+                for (k, &s) in grads.iter().enumerate() {
+                    if s < 0.0 {
+                        want = better(
+                            want,
+                            Some(Move {
+                                idx: lo + k,
+                                abs: -s,
+                            }),
+                        );
+                    }
+                }
+                let got = select(&grads, lo);
+                let key = |m: Option<Move>| m.map(|m| (m.idx, m.abs.to_bits()));
+                assert_eq!(key(got), key(want), "len {len}, lo {lo}: {grads:?}");
+            }
         }
     }
 

@@ -12,13 +12,18 @@
 //! overlay's dirty rows and clones the cached base features back:
 //! `O(edits + n)`, not the `O(n + m)` of re-deriving them.
 //!
-//! The backward pass has one entry point, the crate-private
-//! `pair_gradients`, which the attacks call with the candidate partition
-//! they split every pass on. It fuses the straight-through sign into the
-//! assembly when asked and returns a borrowed gradient slice plus its
-//! max-abs, so an iteration makes no candidate-length copy.
-//! [`AttackSession::pair_gradients_into`] wraps it for other callers:
-//! unsigned, copied out.
+//! The backward pass is split in two, so that a search loop's crew
+//! (`split.rs`) can fill or read it in place. The crate-private
+//! `lend_grads` is the lookup: it lends out, by value, the output slot
+//! for the current state, mask and signing, holding one buffer per chunk
+//! of the attack's partition, and says whether the slot must be
+//! assembled. The loop moves each chunk's buffer to the crew thread that
+//! runs that chunk, which assembles into it (with the straight-through
+//! sign fused in) or steps on what it holds, and moves it back; then
+//! `return_grads` takes the slot back. No iteration copies the gradients
+//! or keeps a second candidate-length buffer.
+//! [`AttackSession::pair_gradients_into`] serves other callers: unsigned,
+//! assembled by a one-pass crew, copied out.
 //!
 //! ## Search memoization
 //!
@@ -30,8 +35,8 @@
 //! * an LRU of recent whole-assembly outputs, keyed by state, mask and
 //!   whether the output is signed, which absorbs the PGD tail where the
 //!   re-binarised graph cycles through a handful of states. It lends its
-//!   slots: a hit returns the resident slot, and a miss assembles
-//!   straight into the slot it installs (the eviction victim's buffer);
+//!   slots: a hit lends the resident slot, and a miss lends the slot it
+//!   installs (the eviction victim's buffers) to be assembled into;
 //!   neither copies the output;
 //! * an LRU of whole-run [`AttackOutcome`]s, so a suite that repeats a
 //!   search cell replays it instead of re-searching.
@@ -49,13 +54,16 @@
 //! ([`AttackSession::with_memo`] opts in).
 
 use crate::attack::{validate_targets, AttackError, AttackOutcome};
-use crate::grad::{node_grads, GradKernel, NodeGrads};
+use crate::grad::{assemble_chunk, node_grads, plan, prepare_row};
+use crate::grad::{Assembly, GradKernel, NodeGrads};
 use crate::loss::surrogate_loss_from_features;
 use crate::pair::Candidates;
-use crate::split::Partition;
+use crate::split::{Cells, Partition};
 use ba_graph::egonet::{EgonetFeatures, IncrementalEgonet};
 use ba_graph::zobrist::splitmix64;
-use ba_graph::{CsrGraph, DeltaOverlay, EdgeOp, NodeId};
+use ba_graph::{CsrGraph, DeltaOverlay, EdgeOp, GraphView, NodeId};
+use std::mem::take;
+use std::ops::Range;
 
 /// Seed for the target-set fold in [`target_set_hash`]. Fixed — part of
 /// the determinism contract, like [`ba_graph::zobrist::EDGE_KEY_SEED`].
@@ -139,16 +147,116 @@ pub struct MemoStats {
     pub outcome_misses: u64,
 }
 
-/// One resident whole-assembly output: the exact `(state, mask,
-/// signed)` query, the vector it produced and that vector's max-abs
-/// over the mask.
+/// One whole-assembly output: the exact `(state, mask, signed)` query,
+/// the vector it produced, one buffer per chunk of the partition it was
+/// lent for, and that vector's max-abs over the mask.
 #[derive(Debug, Clone, Default)]
-struct GradsSlot {
+pub(crate) struct GradsSlot {
     state: u64,
     mask: Vec<bool>,
     signed: bool,
-    out: Vec<f64>,
+    /// The output, chunk by chunk, in order.
+    pub(crate) chunks: Vec<Vec<f64>>,
+    /// Max-abs of the output over the mask.
+    pub(crate) max_abs: f64,
+}
+
+impl GradsSlot {
+    /// Whether the output buffers are cut along `split`.
+    fn is_cut_along(&self, split: &Partition) -> bool {
+        self.chunks.len() == split.chunks()
+            && self
+                .chunks
+                .iter()
+                .zip(split.ranges())
+                .all(|(c, r)| c.len() == r.len())
+    }
+
+    /// Cuts the output buffers along `split`, for an assembly; free when
+    /// they already are.
+    fn cut_along(&mut self, split: &Partition) {
+        self.chunks.resize_with(split.chunks(), Vec::new);
+        for (chunk, range) in self.chunks.iter_mut().zip(split.ranges()) {
+            chunk.resize(range.len(), 0.0);
+        }
+    }
+}
+
+/// One crew chunk's share of a search loop's backward pass: its run of
+/// the gradient slot lent for the iteration, its row buffer, and the
+/// max-abs of its last assembly.
+#[derive(Debug, Default)]
+pub(crate) struct GradChunk {
+    /// The chunk's run of the lent slot's output.
+    pub(crate) grads: Vec<f64>,
+    row: Vec<(f64, f64)>,
     max_abs: f64,
+}
+
+impl GradChunk {
+    /// Assembles the candidates in `range` into the lent run, by `pass`
+    /// over `g`; `mask` and `sign` are that range's runs (see
+    /// `grad::assemble_chunk`).
+    pub(crate) fn assemble<V: GraphView + ?Sized>(
+        &mut self,
+        pass: &Assembly,
+        g: &V,
+        candidates: &Candidates,
+        range: Range<usize>,
+        mask: &[bool],
+        sign: Option<&[bool]>,
+    ) {
+        self.max_abs = assemble_chunk(
+            pass.strategy,
+            g,
+            &pass.ng,
+            candidates,
+            range,
+            mask,
+            sign,
+            &mut self.grads,
+            &mut self.row,
+        );
+    }
+}
+
+impl Cells<GradChunk> {
+    /// Exchanges `slot`'s chunk buffers with the cells' runs: once to
+    /// lend the buffers to the crew for an iteration's passes, and once
+    /// more to take them back. Moves, never copies.
+    pub(crate) fn swap(&self, slot: &mut GradsSlot) {
+        for (k, chunk) in slot.chunks.iter_mut().enumerate() {
+            std::mem::swap(chunk, &mut self.get(k).grads);
+        }
+    }
+
+    /// An assembly pass over `g` for `ng`: the strategy the cost model
+    /// picks for `len` candidates, with every chunk's row buffer sized
+    /// for it here, on the calling thread.
+    pub(crate) fn plan<V: GraphView + ?Sized>(&self, g: &V, ng: NodeGrads, len: usize) -> Assembly {
+        let (strategy, _) = plan(g, len);
+        self.fold((), |(), chunk| {
+            prepare_row(strategy, g.num_nodes(), &mut chunk.row)
+        });
+        Assembly { ng, strategy }
+    }
+
+    /// Max-abs of the last assembly: an exact max, folded in chunk order.
+    pub(crate) fn max_abs(&self) -> f64 {
+        self.fold(0.0, |max, chunk| max.max(chunk.max_abs))
+    }
+}
+
+/// Whether `full` is the concatenation of `chunks`.
+fn mask_eq(full: &[bool], chunks: &[&[bool]]) -> bool {
+    let mut rest = full;
+    for chunk in chunks {
+        match rest.split_at_checked(chunk.len()) {
+            Some((head, tail)) if head == *chunk => rest = tail,
+            _ => return false,
+        }
+    }
+    rest.is_empty()
 }
 
 /// Session-attached memoization state: the whole-assembly and
@@ -242,9 +350,9 @@ pub struct AttackSession<'g> {
     /// The session's worker count and the backward pass's per-worker
     /// row buffers.
     kernel: GradKernel,
-    /// Output buffer of the backward pass when no memo is attached
+    /// The search loops' backward-pass output when no memo is attached
     /// (with a memo, the LRU slots are the buffers).
-    grads: Vec<f64>,
+    scratch: GradsSlot,
     /// Optional search memoization (off by default; boxed because the
     /// memo dwarfs the rest of the session).
     memo: Option<Box<SearchMemo>>,
@@ -264,7 +372,7 @@ impl<'g> AttackSession<'g> {
             targets: targets.to_vec(),
             target_hash: target_set_hash(targets),
             kernel: GradKernel::new(0),
-            grads: Vec::new(),
+            scratch: GradsSlot::default(),
             memo: None,
         })
     }
@@ -275,8 +383,11 @@ impl<'g> AttackSession<'g> {
     /// and GradMaxSearch's mark and argmax passes split the candidate
     /// range into equal contiguous chunks across up to this many
     /// threads, one chunk per fixed minimum of modelled assembly work,
-    /// so small candidate sets stay on the calling thread. Results are
-    /// bit-identical at any count.
+    /// so small candidate sets stay on the calling thread. A search loop
+    /// (one λ of BinarizedAttack, a whole GradMaxSearch) spawns its
+    /// threads once and runs every pass on them; a one-shot assembly
+    /// ([`AttackSession::pair_gradients_into`]) spawns them for its one
+    /// pass. Results are bit-identical at any count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.kernel = GradKernel::new(threads);
         self
@@ -285,8 +396,8 @@ impl<'g> AttackSession<'g> {
     /// The partition of `candidates` that an attack's passes split on,
     /// sized by the assembly's cost over the current graph (see
     /// [`AttackSession::with_threads`]). An attack builds it once per
-    /// candidate set and hands it to every
-    /// [`AttackSession::pair_gradients`] call.
+    /// candidate set, runs its crew on it and lends every gradient slot
+    /// on it ([`AttackSession::lend_grads`]).
     pub(crate) fn partition(&mut self, candidates: &Candidates) -> Partition {
         self.kernel.partition(&self.overlay, candidates)
     }
@@ -400,73 +511,110 @@ impl<'g> AttackSession<'g> {
         )?)
     }
 
-    /// Backward pass: assembles `G_ij` for every masked candidate pair
-    /// over the current graph view, on the chunks of `split` (from
-    /// [`AttackSession::partition`] for `candidates`), and returns it
-    /// with its max-abs over the mask. Masked-off entries are `0.0`. No dense matrix is
-    /// allocated, and the output is borrowed, never copied.
+    /// A search loop's crew cells for the backward pass over `split`,
+    /// one per chunk, holding the kernel's row buffers until
+    /// [`AttackSession::close_grad_cells`] takes them back.
+    pub(crate) fn grad_cells(&mut self, split: &Partition) -> Cells<GradChunk> {
+        let rows = self.kernel.take_rows(split.chunks());
+        Cells::new(rows.into_iter().map(|row| GradChunk {
+            row,
+            ..GradChunk::default()
+        }))
+    }
+
+    /// Takes back the row buffers of a loop's [`GradChunk`] cells.
+    pub(crate) fn close_grad_cells(&mut self, cells: Cells<GradChunk>) {
+        self.kernel
+            .restore_rows(cells.into_inner().map(|chunk| chunk.row));
+    }
+
+    /// The lookup half of the backward pass: lends out the output slot
+    /// for the current state, the mask whose chunks along `split` are
+    /// `mask`, and the signing, with one output buffer per chunk of
+    /// `split`. Returns `true` with a slot that must be assembled, `false`
+    /// with a slot that holds the output and its max-abs.
     ///
-    /// With `sign = Some(a0)`, where `a0[idx]` is `A₀` at candidate
-    /// `idx` (see `pair::edge_flags`), each masked entry comes back as
-    /// the straight-through gradient `G·(1 − 2A₀)`: negated on clean
-    /// edges. The max-abs is the same either way.
-    ///
-    /// With a [`SearchMemo`] attached, a recent call with the identical
-    /// state, mask and signing is answered by lending its LRU slot (the
+    /// With a [`SearchMemo`] attached, a recent pass with the identical
+    /// state, mask and signing is a hit, and its LRU slot is lent (the
     /// PGD tail, where the re-binarised graph cycles through a handful
-    /// of states); any other call is assembled straight into the slot
-    /// it installs. The LRU returns only values the uncached path
-    /// computed, so results are bit-identical either way. A session
-    /// signs for one candidate set: the key does not cover `a0` itself.
-    pub(crate) fn pair_gradients(
+    /// of states); any other lookup installs a slot, reusing the eviction
+    /// victim's buffers. A hit also needs the slot cut along `split`: the
+    /// same state gives the same partition, unless the session's thread
+    /// count changed after the slot was assembled. Without a memo the
+    /// session's one scratch slot is lent, always to be assembled. The
+    /// slot goes back with
+    /// [`AttackSession::return_grads`] before the next lookup; a slot
+    /// that never comes back (a loop that failed mid-pass) drops out of
+    /// the LRU. The LRU returns only values the uncached path computed,
+    /// so results are bit-identical either way. A session signs for one
+    /// candidate set: the key does not cover the sign flags themselves.
+    pub(crate) fn lend_grads(
+        &mut self,
+        mask: &[&[bool]],
+        signed: bool,
+        split: &Partition,
+    ) -> (GradsSlot, bool) {
+        let state = self.state_hash();
+        let Some(memo) = self.memo.as_deref_mut() else {
+            let mut slot = take(&mut self.scratch);
+            slot.cut_along(split);
+            return (slot, true);
+        };
+        // Mask equality is checked verbatim (cheap: a state match
+        // already filters to near-certain hits).
+        if let Some(pos) = memo.grads_slots.iter().position(|s| {
+            s.state == state
+                && s.signed == signed
+                && s.is_cut_along(split)
+                && mask_eq(&s.mask, mask)
+        }) {
+            memo.grads_hits += 1;
+            return (memo.grads_slots.remove(pos), false);
+        }
+        memo.grads_misses += 1;
+        // The eviction victim's buffers are reused for the new slot.
+        let cap = SearchMemo::grads_capacity(split.len());
+        memo.grads_capacity = cap;
+        let mut slot = GradsSlot::default();
+        if memo.grads_slots.len() >= cap {
+            memo.grads_evictions += (memo.grads_slots.len() + 1 - cap) as u64;
+            memo.grads_slots.truncate(cap);
+            slot = memo.grads_slots.pop().unwrap_or_default();
+        }
+        slot.state = state;
+        slot.signed = signed;
+        slot.mask.clear();
+        for chunk in mask {
+            slot.mask.extend_from_slice(chunk);
+        }
+        slot.cut_along(split);
+        (slot, true)
+    }
+
+    /// Takes back a slot [`AttackSession::lend_grads`] lent, filled: as
+    /// the most recent LRU entry, or as the scratch slot without a memo.
+    pub(crate) fn return_grads(&mut self, slot: GradsSlot) {
+        match self.memo.as_deref_mut() {
+            Some(memo) => memo.grads_slots.insert(0, slot),
+            None => self.scratch = slot,
+        }
+    }
+
+    /// One-shot backward pass through the LRU: the slot for `mask` and
+    /// `sign` on the chunks of `split`, assembled by a one-pass crew on a
+    /// miss. The caller hands it back with
+    /// [`AttackSession::return_grads`].
+    fn lend_assembled(
         &mut self,
         ng: &NodeGrads,
         candidates: &Candidates,
         split: &Partition,
         mask: &[bool],
         sign: Option<&[bool]>,
-    ) -> (&[f64], f64) {
-        let len = candidates.len();
-        let state = self.state_hash();
-        let signed = sign.is_some();
-        let Some(memo) = self.memo.as_deref_mut() else {
-            self.grads.resize(len, 0.0);
-            let max_abs = self.kernel.assemble(
-                &self.overlay,
-                ng,
-                candidates,
-                split,
-                mask,
-                sign,
-                &mut self.grads,
-            );
-            return (&self.grads, max_abs);
-        };
-        // Mask equality is checked verbatim (cheap: a state match
-        // already filters to near-certain hits).
-        if let Some(pos) = memo
-            .grads_slots
-            .iter()
-            .position(|s| s.state == state && s.signed == signed && s.mask == mask)
-        {
-            memo.grads_slots[..=pos].rotate_right(1);
-            memo.grads_hits += 1;
-        } else {
-            memo.grads_misses += 1;
-            // The eviction victim's buffers are reused for the new slot.
-            let cap = SearchMemo::grads_capacity(len);
-            memo.grads_capacity = cap;
-            let mut slot = GradsSlot::default();
-            if memo.grads_slots.len() >= cap {
-                memo.grads_evictions += (memo.grads_slots.len() + 1 - cap) as u64;
-                memo.grads_slots.truncate(cap);
-                slot = memo.grads_slots.pop().unwrap_or_default();
-            }
-            slot.state = state;
-            slot.signed = signed;
-            slot.mask.clear();
-            slot.mask.extend_from_slice(mask);
-            slot.out.resize(len, 0.0);
+    ) -> GradsSlot {
+        let chunks: Vec<&[bool]> = split.split(mask).collect();
+        let (mut slot, fresh) = self.lend_grads(&chunks, sign.is_some(), split);
+        if fresh {
             slot.max_abs = self.kernel.assemble(
                 &self.overlay,
                 ng,
@@ -474,18 +622,18 @@ impl<'g> AttackSession<'g> {
                 split,
                 mask,
                 sign,
-                &mut slot.out,
+                slot.chunks.iter_mut().map(Vec::as_mut_slice),
             );
-            memo.grads_slots.insert(0, slot);
         }
-        let slot = &memo.grads_slots[0];
-        (&slot.out, slot.max_abs)
+        slot
     }
 
     /// Backward pass: assembles `G_ij` for every masked candidate pair
     /// over the current graph view into `out` (masked-off entries are
-    /// `0.0`), through the attacks' memoized path, unsigned and split
-    /// as [`AttackSession::with_threads`] describes.
+    /// `0.0`), unsigned and split as [`AttackSession::with_threads`]
+    /// describes. With a memo attached it goes through the attacks'
+    /// assembly LRU and copies the slot out; without one it assembles
+    /// straight into `out`.
     pub fn pair_gradients_into(
         &mut self,
         ng: &NodeGrads,
@@ -493,8 +641,20 @@ impl<'g> AttackSession<'g> {
         mask: &[bool],
         out: &mut [f64],
     ) {
+        assert_eq!(out.len(), candidates.len(), "output length mismatch");
+        assert_eq!(mask.len(), candidates.len(), "mask length mismatch");
         let split = self.partition(candidates);
-        out.copy_from_slice(self.pair_gradients(ng, candidates, &split, mask, None).0);
+        if self.memo.is_none() {
+            let outs = split.split_mut(out);
+            self.kernel
+                .assemble(&self.overlay, ng, candidates, &split, mask, None, outs);
+            return;
+        }
+        let slot = self.lend_assembled(ng, candidates, &split, mask, None);
+        for (out, chunk) in split.split_mut(out).zip(&slot.chunks) {
+            out.copy_from_slice(chunk);
+        }
+        self.return_grads(slot);
     }
 
     /// Memo key for a whole search run: the current state hash (edge
@@ -616,10 +776,8 @@ mod tests {
         mask[3] = false;
         let split = memo.partition(&candidates);
 
-        let (unsigned, max_u) = memo.pair_gradients(&ng, &candidates, &split, &mask, None);
-        let unsigned = unsigned.to_vec();
-        let (signed, max_s) = memo.pair_gradients(&ng, &candidates, &split, &mask, Some(&flags));
-        let signed = signed.to_vec();
+        let (unsigned, max_u) = one_shot(&mut memo, &ng, &candidates, &split, &mask, None);
+        let (signed, max_s) = one_shot(&mut memo, &ng, &candidates, &split, &mask, Some(&flags));
         let stats = memo.memo_stats().unwrap();
         assert_eq!((stats.grads_hits, stats.grads_misses), (0, 2), "{stats:?}");
         assert!(flags.iter().zip(&mask).any(|(&f, &on)| f && on));
@@ -638,11 +796,27 @@ mod tests {
         assert_eq!((max_u, max_s), (want_max, want_max));
 
         // A repeat is lent from the LRU; a memo-less session agrees.
-        let (again, max_again) = memo.pair_gradients(&ng, &candidates, &split, &mask, Some(&flags));
-        assert_eq!((again, max_again), (signed.as_slice(), max_s));
+        let again = one_shot(&mut memo, &ng, &candidates, &split, &mask, Some(&flags));
+        assert_eq!(again, (signed.clone(), max_s));
         assert_eq!(memo.memo_stats().unwrap().grads_hits, 1);
-        let (cold, max_cold) = plain.pair_gradients(&ng, &candidates, &split, &mask, Some(&flags));
-        assert_eq!((cold, max_cold), (signed.as_slice(), max_s));
+        let cold = one_shot(&mut plain, &ng, &candidates, &split, &mask, Some(&flags));
+        assert_eq!(cold, (signed, max_s));
+    }
+
+    /// A one-shot backward pass through the lend/return cycle: the
+    /// output, concatenated, and its max-abs.
+    fn one_shot(
+        s: &mut AttackSession<'_>,
+        ng: &NodeGrads,
+        candidates: &Candidates,
+        split: &Partition,
+        mask: &[bool],
+        sign: Option<&[bool]>,
+    ) -> (Vec<f64>, f64) {
+        let slot = s.lend_assembled(ng, candidates, split, mask, sign);
+        let got = (slot.chunks.concat(), slot.max_abs);
+        s.return_grads(slot);
+        got
     }
 
     #[test]
@@ -681,6 +855,35 @@ mod tests {
         let stats = memo.memo_stats().unwrap();
         assert!(stats.grads_hits > 0, "revisited states must hit: {stats:?}");
         assert_eq!(plain.memo_stats(), None);
+    }
+
+    #[test]
+    fn a_slot_cut_for_another_thread_count_is_not_lent() {
+        // Large enough to split three ways (see `split::workers`).
+        let g = generators::erdos_renyi(300, 0.03, 77);
+        let csr = CsrGraph::from(&g);
+        let targets = [2u32, 5];
+        let candidates = Candidates::build(CandidateScope::Full, &g, &targets);
+        let mask = vec![true; candidates.len()];
+        let mut s = AttackSession::new(&csr, &targets)
+            .unwrap()
+            .with_threads(1)
+            .with_memo();
+        let ng = s.node_grads().unwrap();
+        let mut serial = vec![0.0; candidates.len()];
+        s.pair_gradients_into(&ng, &candidates, &mask, &mut serial);
+        let mut s = s.with_threads(3);
+        assert_eq!(s.partition(&candidates).chunks(), 3);
+        let mut split = vec![f64::NAN; candidates.len()];
+        for _ in 0..2 {
+            s.pair_gradients_into(&ng, &candidates, &mask, &mut split);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&split), bits(&serial));
+        }
+        // The one-chunk slot is not lent to the three-chunk split, whose
+        // own slot answers the repeat.
+        let stats = s.memo_stats().unwrap();
+        assert_eq!((stats.grads_hits, stats.grads_misses), (1, 2), "{stats:?}");
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! instance has 300 nodes and 44,850 `Full`-scope candidates: enough for
 //! several chunks, with cuts inside rows.
 //! Every outcome (ops per budget, loss bits, trajectory bits) must match
-//! the single-thread run, with the search memo on and off.
+//! the single-thread run, with the search memo on and off, including
+//! when a search loop ends early and its crew of threads must stop.
 
 use ba_core::{
-    AttackConfig, AttackOutcome, AttackSession, BinarizedAttack, GradMaxSearch, StructuralAttack,
+    AttackConfig, AttackOutcome, AttackSession, BinarizedAttack, EdgeOpKind, GradMaxSearch,
+    StructuralAttack,
 };
 use ba_graph::{generators, CsrGraph, GraphView, NodeId};
 use ba_oddball::OddBall;
@@ -58,6 +60,46 @@ fn attacks_are_bit_identical_at_any_thread_count() {
         let mut serial = AttackSession::new(&csr, &targets).unwrap().with_threads(1);
         let want = attack.attack_with_session(&mut serial, budget).unwrap();
         assert!(!want.ops_per_budget.is_empty(), "{}", attack.name());
+        for threads in [1usize, 2, 3, 8] {
+            for memo in [false, true] {
+                let session = AttackSession::new(&csr, &targets)
+                    .unwrap()
+                    .with_threads(threads);
+                let mut session = if memo { session.with_memo() } else { session };
+                let got = attack.attack_with_session(&mut session, budget).unwrap();
+                let what = format!("{}, {threads} threads, memo {memo}", attack.name());
+                assert_identical(&want, &got, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn early_exits_are_bit_identical_at_any_thread_count() {
+    // The search loops' crews must stop cleanly wherever a loop ends
+    // early, and leave the same result: GradMaxSearch saturating long
+    // before its budget, and BinarizedAttack with fewer iterations than
+    // its snapshot period, so each λ keeps only its final `Ż`.
+    let (csr, targets) = instance();
+    let delete_only = AttackConfig {
+        op_kind: EdgeOpKind::DeleteOnly,
+        ..AttackConfig::default()
+    };
+    let gradmax = GradMaxSearch::new(delete_only);
+    let binarized = BinarizedAttack::new(AttackConfig::default())
+        .with_iterations(7)
+        .with_lambdas(vec![0.002, 0.02]);
+    let budget = 60;
+    let attacks: [&dyn StructuralAttack; 2] = [&gradmax, &binarized];
+    for attack in attacks {
+        let mut serial = AttackSession::new(&csr, &targets).unwrap().with_threads(1);
+        let want = attack.attack_with_session(&mut serial, budget).unwrap();
+        if attack.name() == gradmax.name() {
+            let steps = want.ops_per_budget.len();
+            assert!(steps > 0 && steps < budget, "saturated after {steps} steps");
+        } else {
+            assert_eq!(want.loss_trajectory.len(), 7);
+        }
         for threads in [1usize, 2, 3, 8] {
             for memo in [false, true] {
                 let session = AttackSession::new(&csr, &targets)
