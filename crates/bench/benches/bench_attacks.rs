@@ -28,7 +28,7 @@ fn bench_attacks(c: &mut Criterion) {
         b.iter(|| black_box(attack.attack(&g, &targets, budget).unwrap()))
     });
     group.bench_function("continuousA", |b| {
-        let attack = ContinuousA::default().with_iterations(15).with_threads(4);
+        let attack = ContinuousA::default().with_iterations(15);
         b.iter(|| black_box(attack.attack(&g, &targets, budget).unwrap()))
     });
     group.bench_function("random", |b| {

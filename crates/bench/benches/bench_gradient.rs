@@ -1,11 +1,11 @@
 //! Criterion benches for the analytic gradient engine — the inner loop
-//! of every attack. The headline comparison (sparse assembly vs the
-//! retired dense path, with the ≥5× gate) lives in the `grad_bench`
-//! binary; these benches track the individual kernels.
+//! of every attack. The headline comparison (sparse assembly vs
+//! ContinuousA's dense step, with the ≥5× gate) lives in the
+//! `grad_bench` binary; these benches track the individual kernels.
 
 use ba_bench::sample_targets;
 use ba_core::{
-    assemble_pair_grads, correction_map, dense_pair_gradient, node_grads, pair_grad,
+    assemble_pair_grads, correction_map, dense_pair_gradients, node_grads, pair_grad,
     CandidateScope, Candidates,
 };
 use ba_datasets::Dataset;
@@ -84,10 +84,11 @@ fn bench_dense_gradient(c: &mut Criterion) {
     let feats = egonet_features(&g);
     let targets = sample_targets(&g, 5, 30, 1);
     let ng = node_grads(&feats.n, &feats.e, &targets).unwrap();
+    let candidates = Candidates::build(CandidateScope::Full, &g, &targets);
     let mut group = c.benchmark_group("dense_pair_gradient_n300");
     for threads in [1usize, 4] {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| black_box(dense_pair_gradient(&a, &ng, t)));
+            b.iter(|| black_box(dense_pair_gradients(&a, &ng, &candidates, t)));
         });
     }
     group.finish();

@@ -1,5 +1,5 @@
-//! Pair-gradient assembly micro-benchmark: sparse CSR kernel vs dense
-//! matmul, and the row kernel on one worker vs split across threads.
+//! Pair-gradient assembly micro-benchmark: sparse CSR kernel vs the
+//! dense step, and the row kernel on one worker vs split across threads.
 //!
 //! Times one full backward pass of the attack engine — `G_ij` for every
 //! unordered candidate pair — on a 1000-node, ~5000-edge Erdős–Rényi
@@ -12,20 +12,21 @@
 //! * **row serial vs split** — the same kernel into a reused output
 //!   buffer, as in the PGD loop, on one worker and split across the
 //!   threads;
-//! * **dense** — [`ba_core::dense_pair_gradient`]: the two `n×n`
-//!   products (`A²`, `A·diag(gE)·A`) the pre-CSR engine paid per step
-//!   (retained in production only for ContinuousA's fractional state).
+//! * **dense** — [`ba_core::dense_pair_gradients`]: ContinuousA's dense
+//!   step, which a fractional adjacency needs, here on the binary one:
+//!   `A²` and `A·diag(gE)·A` over the upper triangle and `G` at the
+//!   candidates, split across the same threads.
 //!
 //! Exits non-zero if the sparse path is less than 5× faster than dense —
-//! the CI smoke gate for the "no dense matmuls in the attack hot path"
-//! acceptance criterion — if the split output differs from the serial
+//! the CI smoke gate that keeps dense products out of the binary-graph
+//! attacks' hot path — if the split output differs from the serial
 //! one in any bit, or if, with two or more threads, the split is not
 //! faster than one worker (`row_split_speedup ≤ 1`). `--quick` runs
 //! fewer repetitions (CI), `--csv` emits a machine-readable line.
 
 use ba_core::{
-    assemble_pair_grads, assemble_pair_grads_into, dense_pair_gradient, node_grads, CandidateScope,
-    Candidates,
+    assemble_pair_grads, assemble_pair_grads_into, dense_pair_gradients, node_grads,
+    CandidateScope, Candidates,
 };
 use ba_graph::egonet::egonet_features;
 use ba_graph::{generators, CsrGraph};
@@ -89,19 +90,18 @@ fn main() {
     );
     let row_split_speedup = row_serial_s / row_split_s;
 
-    // Dense: the retired hot-path (two n×n products + n² assembly).
+    // Dense: ContinuousA's step (two triangle products + the candidates).
     let a = ba_linalg::Matrix::from_vec(n, n, ba_graph::adjacency::to_row_major(&g));
-    let mut dense_out = ba_linalg::Matrix::zeros(0, 0);
+    let mut dense_out = Vec::new();
     let dense_s = time_best_of(dense_reps, || {
-        dense_out = dense_pair_gradient(&a, &ng, threads);
+        dense_out = dense_pair_gradients(&a, &ng, &candidates, threads);
     });
 
     // Cross-check before reporting: both paths must agree.
-    let mut max_diff = 0.0f64;
-    candidates.for_each(|idx, i, j| {
-        let d = (sparse_out[idx] - dense_out[(i as usize, j as usize)]).abs();
-        max_diff = max_diff.max(d);
-    });
+    let max_diff = sparse_out
+        .iter()
+        .zip(&dense_out)
+        .fold(0.0f64, |m, (s, d)| m.max((s - d).abs()));
     assert!(
         max_diff < 1e-9,
         "sparse/dense gradient mismatch: max |Δ| = {max_diff:e}"

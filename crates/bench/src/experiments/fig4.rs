@@ -238,7 +238,6 @@ impl Experiment for Fig4Experiment {
             g.num_nodes()
         )];
         let cfg = AttackConfig::default();
-        let inner_threads = ctx.inner_threads();
         let outcome: Result<AttackOutcome, AttackError> =
             ctx.session(ds, &targets)
                 .and_then(|session| match self.methods[mi] {
@@ -251,7 +250,6 @@ impl Experiment for Fig4Experiment {
                     }
                     Fig4Method::Continuous => ContinuousA::new(cfg)
                         .with_iterations(self.cont_iters)
-                        .with_threads(inner_threads)
                         .attack_with_session(session, budget),
                 });
         // Attack errors and degenerate-refit curve errors both fail the

@@ -267,6 +267,9 @@ pub struct CellCtx<'p, 'w> {
     exp_name: &'w str,
     cell: usize,
     base_seed: u64,
+    /// The thread count of the worker's sessions: 1 when the pool itself
+    /// is parallel, so cells don't oversubscribe the machine; 0
+    /// (autodetect) when the pool is serial.
     inner_threads: usize,
     pool: &'p SubstratePool,
     ds_map: &'w [usize],
@@ -317,13 +320,6 @@ impl<'p> CellCtx<'p, '_> {
     /// OddBall fitted once on the clean substrate.
     pub fn model(&self, ds: usize) -> &'p OddBallModel {
         &self.dataset(ds).model
-    }
-
-    /// Worker threads attack internals may use (1 when the pool itself
-    /// is parallel, so cells don't oversubscribe the machine; 0 =
-    /// autodetect when the pool is serial).
-    pub fn inner_threads(&self) -> usize {
-        self.inner_threads
     }
 
     /// This worker's reusable session on dataset `ds`, re-pointed at

@@ -6,18 +6,22 @@
 //! the `b` pairs with the largest `|Ã − A₀|` (paper: "pick those edges
 //! associated with the top-B absolute differences").
 //!
-//! The forward pass computes fractional egonet features
-//! `N = Ã·1`, `E = N + ½·diag(Ã³)` with dense (thread-parallel) matrix
-//! products; this is the one attack whose state genuinely densifies,
-//! which is why the paper observes it scales poorly and converts
-//! erratically — behaviour this implementation reproduces.
+//! Each PGD iteration is one dense step (`dense.rs`): one `A²` over the
+//! upper triangle gives the fractional egonet features
+//! `N = Ã·1`, `E = N + ½·diag(Ã³)`; the gradient pass then forms `G` at
+//! the candidate pairs only. Both passes split the triangle across the
+//! session's threads, on one crew for the whole loop, bit-identically at
+//! any thread count. This is the one attack whose state genuinely
+//! densifies, which is why the paper observes it scales poorly and
+//! converts erratically — behaviour this implementation reproduces.
 
 use crate::attack::{AttackConfig, AttackError, AttackOutcome, StructuralAttack};
 use crate::binarized::extract_budgets;
-use crate::dense::{dense_features, dense_pair_gradient};
-use crate::grad::{node_grads, resolve_threads};
+use crate::dense::DenseStep;
+use crate::grad::node_grads;
 use crate::pair::{static_mask, Candidates};
 use crate::session::AttackSession;
+use crate::split::with_crew;
 use ba_graph::GraphView;
 use ba_linalg::Matrix;
 
@@ -29,8 +33,6 @@ pub struct ContinuousA {
     pub iterations: usize,
     /// Step size after gradient normalisation.
     pub learning_rate: f64,
-    /// Worker threads for the dense products (0 ⇒ autodetect).
-    pub threads: usize,
 }
 
 impl ContinuousA {
@@ -40,7 +42,6 @@ impl ContinuousA {
             config,
             iterations: 60,
             learning_rate: 0.05,
-            threads: 0,
         }
     }
 
@@ -59,16 +60,6 @@ impl ContinuousA {
     pub fn with_learning_rate(mut self, lr: f64) -> Self {
         self.learning_rate = lr;
         self
-    }
-
-    /// Builder-style override of the thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    fn thread_count(&self) -> usize {
-        resolve_threads(self.threads)
     }
 }
 
@@ -102,39 +93,30 @@ impl StructuralAttack for ContinuousA {
             self.config.op_kind,
             self.config.forbid_singletons,
         );
-        let threads = self.thread_count();
 
         // Relaxed adjacency, initialised at the clean graph.
-        let mut a = Matrix::from_vec(n, n, ba_graph::adjacency::to_row_major(base));
+        let a = Matrix::from_vec(n, n, ba_graph::adjacency::to_row_major(base));
+        let dense = DenseStep::new(a, &candidates, session.threads());
         let mut trajectory = Vec::with_capacity(self.iterations);
-
-        for _t in 0..self.iterations {
-            let (nfeat, efeat) = dense_features(&a, threads);
-            let ng = node_grads(&nfeat, &efeat, &targets)?;
-            trajectory.push(ng.loss);
-            let grad = dense_pair_gradient(&a, &ng, threads);
-
-            // Normalised PGD step over the candidate pairs only.
-            let mut max_abs = 0.0f64;
-            candidates.for_each(|idx, i, j| {
-                if mask[idx] {
-                    max_abs = max_abs.max(grad[(i as usize, j as usize)].abs());
+        let looped = with_crew(
+            dense.chunks(),
+            |k| dense.run(k),
+            |crew| {
+                for _t in 0..self.iterations {
+                    let (nfeat, efeat) = dense.features(crew);
+                    let ng = node_grads(&nfeat, &efeat, &targets)?;
+                    trajectory.push(ng.loss);
+                    dense.gradients(crew, ng);
+                    // Normalised PGD step over the candidate pairs only.
+                    if !dense.step(&mask, self.learning_rate) {
+                        break;
+                    }
                 }
-            });
-            if max_abs == 0.0 {
-                break;
-            }
-            let step = self.learning_rate / max_abs;
-            candidates.for_each(|idx, i, j| {
-                if !mask[idx] {
-                    return;
-                }
-                let (iu, ju) = (i as usize, j as usize);
-                let v = (a[(iu, ju)] - step * grad[(iu, ju)]).clamp(0.0, 1.0);
-                a[(iu, ju)] = v;
-                a[(ju, iu)] = v;
-            });
-        }
+                Ok::<(), AttackError>(())
+            },
+        );
+        looped?;
+        let a = dense.into_adjacency();
 
         // Soft scores: |Ã − A₀| per candidate (the rounding rule).
         let mut scores = vec![0.0f64; candidates.len()];
@@ -181,7 +163,7 @@ mod tests {
     #[test]
     fn optimiser_decreases_relaxed_objective() {
         let (g, targets) = anomalous_graph(51);
-        let attack = ContinuousA::default().with_iterations(30).with_threads(2);
+        let attack = ContinuousA::default().with_iterations(30);
         let outcome = attack.attack(&g, &targets, 5).unwrap();
         let traj = &outcome.loss_trajectory;
         assert!(traj.len() >= 10);
@@ -194,7 +176,7 @@ mod tests {
     #[test]
     fn produces_valid_discrete_ops() {
         let (g, targets) = anomalous_graph(53);
-        let attack = ContinuousA::default().with_iterations(25).with_threads(2);
+        let attack = ContinuousA::default().with_iterations(25);
         let outcome = attack.attack(&g, &targets, 8).unwrap();
         assert_eq!(outcome.max_budget(), 8);
         let poisoned = outcome.poisoned_graph(&g, 8);
@@ -212,7 +194,7 @@ mod tests {
         // property that it does not *increase* the target score and that
         // its relaxed optimisation made progress (previous test).
         let (g, targets) = anomalous_graph(55);
-        let attack = ContinuousA::default().with_iterations(30).with_threads(2);
+        let attack = ContinuousA::default().with_iterations(30);
         let outcome = attack.attack(&g, &targets, 10).unwrap();
         let curve = outcome
             .ascore_curve(&g, &targets, &OddBall::default())
@@ -224,7 +206,7 @@ mod tests {
     #[test]
     fn deterministic() {
         let (g, targets) = anomalous_graph(57);
-        let attack = ContinuousA::default().with_iterations(15).with_threads(2);
+        let attack = ContinuousA::default().with_iterations(15);
         let a = attack.attack(&g, &targets, 4).unwrap();
         let b = attack.attack(&g, &targets, 4).unwrap();
         assert_eq!(a.ops_per_budget, b.ops_per_budget);

@@ -264,7 +264,7 @@ pub(crate) fn plan<V: GraphView + ?Sized>(g: &V, len: usize) -> (Strategy, f64) 
 #[derive(Debug, Clone)]
 pub(crate) struct GradKernel {
     /// Worker threads; `0` asks for autodetection, which
-    /// [`GradKernel::partition`] resolves on first use and caches, so no
+    /// [`GradKernel::threads`] resolves on first use and caches, so no
     /// assembly ever resolves it.
     threads: usize,
     rows: Vec<Vec<(f64, f64)>>,
@@ -287,11 +287,17 @@ impl GradKernel {
         g: &V,
         candidates: &Candidates,
     ) -> Partition {
+        let (_, cost) = plan(g, candidates.len());
+        Partition::new(candidates.len(), split::workers(self.threads(), cost))
+    }
+
+    /// The kernel's thread count, autodetected on first use when it was
+    /// created with `0`.
+    pub(crate) fn threads(&mut self) -> usize {
         if self.threads == 0 {
             self.threads = resolve_threads(0);
         }
-        let (_, cost) = plan(g, candidates.len());
-        Partition::new(candidates.len(), split::workers(self.threads, cost))
+        self.threads
     }
 
     /// The row buffers of `chunks` chunks, lent out by value, for a crew

@@ -63,7 +63,7 @@ pub use attack::{AttackConfig, AttackError, AttackOutcome, CurveError, Structura
 pub use baselines::{CliqueBreaker, RandomAttack};
 pub use binarized::BinarizedAttack;
 pub use continuous::ContinuousA;
-pub use dense::{dense_features, dense_pair_gradient};
+pub use dense::dense_pair_gradients;
 pub use grad::{
     assemble_pair_grads, assemble_pair_grads_into, correction_map, node_grads, pair_grad,
     resolve_threads, NodeGrads,

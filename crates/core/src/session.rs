@@ -383,14 +383,22 @@ impl<'g> AttackSession<'g> {
     /// and GradMaxSearch's mark and argmax passes split the candidate
     /// range into equal contiguous chunks across up to this many
     /// threads, one chunk per fixed minimum of modelled assembly work,
-    /// so small candidate sets stay on the calling thread. A search loop
-    /// (one λ of BinarizedAttack, a whole GradMaxSearch) spawns its
-    /// threads once and runs every pass on them; a one-shot assembly
+    /// so small candidate sets stay on the calling thread. ContinuousA's
+    /// dense passes split the upper triangle of its `n × n` products the
+    /// same way (`dense.rs`). A search loop (one λ of BinarizedAttack, a
+    /// whole GradMaxSearch or ContinuousA) spawns its threads once and
+    /// runs every pass on them; a one-shot assembly
     /// ([`AttackSession::pair_gradients_into`]) spawns them for its one
     /// pass. Results are bit-identical at any count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.kernel = GradKernel::new(threads);
         self
+    }
+
+    /// The session's worker-thread count (see
+    /// [`AttackSession::with_threads`]), resolved on first use.
+    pub(crate) fn threads(&mut self) -> usize {
+        self.kernel.threads()
     }
 
     /// The partition of `candidates` that an attack's passes split on,

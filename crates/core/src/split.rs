@@ -11,6 +11,8 @@
 //! at any worker count. A cut may fall inside a row (the candidates
 //! sharing a smaller endpoint); the row kernel then scatters that row
 //! once in each of the two chunks, which costs one row's wedges per cut.
+//! ContinuousA's dense step cuts the packed upper triangle of its
+//! `n × n` products the same way, on a crew of its own (`dense.rs`).
 //!
 //! [`with_crew`] spawns one worker per chunk past the first, once per
 //! search loop, inside one `std::thread::scope`. Every pass of the loop
@@ -154,6 +156,11 @@ impl<T> Cells<T> {
     /// One cell per item, in chunk order.
     pub(crate) fn new(items: impl IntoIterator<Item = T>) -> Self {
         Self(items.into_iter().map(Mutex::new).collect())
+    }
+
+    /// Number of cells.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
     }
 
     /// Chunk `k`'s state.

@@ -107,7 +107,7 @@ fn continuous_a_is_erratic_but_runs_end_to_end() {
     // that it runs, respects the interface, and does not crash; and that
     // at least it moves the relaxed objective (asserted in unit tests).
     let (g, targets) = anomalous_graph(401, 120);
-    let attack = ContinuousA::default().with_iterations(25).with_threads(2);
+    let attack = ContinuousA::default().with_iterations(25);
     let outcome = attack.attack(&g, &targets, 10).unwrap();
     assert_eq!(outcome.max_budget(), 10);
     let curve = outcome

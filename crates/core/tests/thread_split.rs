@@ -2,17 +2,19 @@
 //!
 //! The gradient assembly, BinarizedAttack's PGD step and GradMaxSearch's
 //! mark and argmax passes split the candidate range across the session's
-//! threads, but only one chunk per fixed minimum of modelled assembly
-//! work, so the golden suites' 150-node instances never split. This
-//! instance has 300 nodes and 44,850 `Full`-scope candidates: enough for
-//! several chunks, with cuts inside rows.
+//! threads, and ContinuousA's dense passes split the upper triangle of
+//! its `n × n` products, but only one chunk per fixed minimum of
+//! modelled work, so the golden suites' 150-node instances never split
+//! the sparse passes. This instance has 300 nodes and 44,850
+//! `Full`-scope candidates: enough for several chunks, with cuts inside
+//! rows.
 //! Every outcome (ops per budget, loss bits, trajectory bits) must match
 //! the single-thread run, with the search memo on and off, including
 //! when a search loop ends early and its crew of threads must stop.
 
 use ba_core::{
-    AttackConfig, AttackOutcome, AttackSession, BinarizedAttack, EdgeOpKind, GradMaxSearch,
-    StructuralAttack,
+    AttackConfig, AttackOutcome, AttackSession, BinarizedAttack, ContinuousA, EdgeOpKind,
+    GradMaxSearch, StructuralAttack,
 };
 use ba_graph::{generators, CsrGraph, GraphView, NodeId};
 use ba_oddball::OddBall;
@@ -55,7 +57,9 @@ fn attacks_are_bit_identical_at_any_thread_count() {
         .with_iterations(40)
         .with_lambdas(vec![0.002, 0.02]);
     let gradmax = GradMaxSearch::new(AttackConfig::default());
-    let attacks: [(&dyn StructuralAttack, usize); 2] = [(&binarized, 8), (&gradmax, 10)];
+    let continuous = ContinuousA::new(AttackConfig::default()).with_iterations(4);
+    let attacks: [(&dyn StructuralAttack, usize); 3] =
+        [(&binarized, 8), (&gradmax, 10), (&continuous, 8)];
     for (attack, budget) in attacks {
         let mut serial = AttackSession::new(&csr, &targets).unwrap().with_threads(1);
         let want = attack.attack_with_session(&mut serial, budget).unwrap();

@@ -55,7 +55,8 @@ impl DenseAdj {
     }
 
     /// Naive dense product, for cross-checking sparse kernels in tests
-    /// only (real dense work routes through `ba_linalg::par_matmul`).
+    /// only (real dense work uses `ba_linalg::Matrix`, whose `matmul`
+    /// is the reference for ContinuousA's dense step in `ba-core`).
     #[cfg(test)]
     pub(crate) fn matmul(&self, other: &DenseAdj) -> DenseAdj {
         assert_eq!(self.n, other.n);

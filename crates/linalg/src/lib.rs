@@ -4,11 +4,12 @@
 //!
 //! The attack (`ba-core`), the OddBall detector (`ba-oddball`) and the
 //! representation-learning GAD systems (`ba-gad`) all need a small set of
-//! numerical kernels: dense matrices with a cache-friendly blocked matmul,
-//! Gaussian elimination, 2×2 closed-form solves for the OLS normal
-//! equations, simple/weighted linear regression, and a power-iteration PCA
-//! used to project node embeddings. No suitable crate is available offline,
-//! so this crate implements them from scratch with `f64` throughout.
+//! numerical kernels: dense matrices with an i-k-j matmul (the reference
+//! for ContinuousA's dense step), Gaussian elimination, 2×2 closed-form
+//! solves for the OLS normal equations, simple/weighted linear regression,
+//! and a power-iteration PCA used to project node embeddings. No suitable
+//! crate is available offline, so this crate implements them from scratch
+//! with `f64` throughout.
 //!
 //! ## Quick example
 //!
@@ -24,7 +25,6 @@
 
 mod decomp;
 mod matrix;
-mod parallel;
 mod regression;
 mod solve;
 mod stats;
@@ -32,7 +32,6 @@ mod vector;
 
 pub use decomp::{pca, power_iteration, symmetric_topk, PcaModel};
 pub use matrix::Matrix;
-pub use parallel::par_matmul;
 pub use regression::{simple_ols, weighted_ols, LinearFit, Ols2Error};
 pub use solve::{inverse, solve, solve2, LinalgError};
 pub use stats::{CompensatedSum, OlsStats};

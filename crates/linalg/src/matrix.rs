@@ -1,4 +1,4 @@
-//! Dense row-major `f64` matrix with blocked multiplication.
+//! Dense row-major `f64` matrix.
 
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
@@ -6,8 +6,8 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 /// A dense, row-major matrix of `f64` values.
 ///
 /// The storage is a single contiguous `Vec<f64>` of length `rows * cols`,
-/// which keeps row traversals cache-friendly; the blocked [`Matrix::matmul`]
-/// kernel exploits this layout.
+/// which keeps row traversals cache-friendly; the i-k-j loop of
+/// [`Matrix::matmul`] exploits this layout.
 #[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
@@ -171,8 +171,21 @@ impl Matrix {
             "matmul dimension mismatch: {}x{} * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        matmul_into(self, other, &mut out);
+        let (n, p) = (self.cols, other.cols);
+        let mut out = Matrix::zeros(self.rows, p);
+        for i in 0..self.rows {
+            let out_row = &mut out.data[i * p..(i + 1) * p];
+            let a_row = &self.data[i * n..(i + 1) * n];
+            for (k, &aik) in a_row.iter().enumerate() {
+                if aik == 0.0 {
+                    continue; // common case for sparse-ish adjacency matrices
+                }
+                let b_row = &other.data[k * p..(k + 1) * p];
+                for (o, &bkj) in out_row.iter_mut().zip(b_row) {
+                    *o += aik * bkj;
+                }
+            }
+        }
         out
     }
 
@@ -280,30 +293,6 @@ impl Matrix {
     /// Trace (sum of diagonal entries).
     pub fn trace(&self) -> f64 {
         self.diagonal().iter().sum()
-    }
-}
-
-/// Writes `a * b` into `out` (which must be pre-sized and is overwritten).
-/// Extracted so the parallel kernel can reuse the same inner loop.
-pub(crate) fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    assert_eq!(a.cols, b.rows);
-    assert_eq!(out.rows, a.rows);
-    assert_eq!(out.cols, b.cols);
-    out.data.fill(0.0);
-    let n = a.cols;
-    let p = b.cols;
-    for i in 0..a.rows {
-        let out_row = &mut out.data[i * p..(i + 1) * p];
-        let a_row = &a.data[i * n..(i + 1) * n];
-        for (k, &aik) in a_row.iter().enumerate() {
-            if aik == 0.0 {
-                continue; // common case for sparse-ish adjacency matrices
-            }
-            let b_row = &b.data[k * p..(k + 1) * p];
-            for (o, &bkj) in out_row.iter_mut().zip(b_row) {
-                *o += aik * bkj;
-            }
-        }
     }
 }
 

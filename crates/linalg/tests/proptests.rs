@@ -1,6 +1,6 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use ba_linalg::{inverse, par_matmul, simple_ols, solve, solve2, Matrix, Vector};
+use ba_linalg::{inverse, simple_ols, solve, solve2, Matrix, Vector};
 use proptest::prelude::*;
 
 fn small_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
@@ -42,14 +42,6 @@ proptest! {
         let left = a.matmul(&b).matmul(&c);
         let right = a.matmul(&b.matmul(&c));
         prop_assert!((&left - &right).max_abs() < 1e-6);
-    }
-
-    #[test]
-    fn par_matmul_matches_serial(a in small_matrix(12), threads in 1usize..6) {
-        let b = a.transpose();
-        let serial = a.matmul(&b);
-        let parallel = par_matmul(&a, &b, threads);
-        prop_assert!((&serial - &parallel).max_abs() < 1e-10);
     }
 
     #[test]

@@ -160,6 +160,9 @@ pub struct LintReport {
     pub violations: Vec<Violation>,
     pub pragma_errors: Vec<PragmaError>,
     pub files_scanned: usize,
+    /// Lines per crate over the files scanned, `#[cfg(test)]` items left
+    /// out: the size of each crate's library code.
+    pub src_lines: BTreeMap<String, usize>,
 }
 
 impl LintReport {
@@ -182,8 +185,8 @@ impl LintReport {
     }
 
     /// Renders the [`BenchReport`] JSON summary (bench `"lint"`), so CI
-    /// can upload the violation-count trajectory next to the
-    /// `BENCH_*.json` perf artifacts.
+    /// can upload the violation-count and library-size trajectories next
+    /// to the `BENCH_*.json` perf artifacts.
     pub fn to_bench_json(&self) -> String {
         let counts = self.counts();
         let mut report = BenchReport::new("lint");
@@ -200,7 +203,13 @@ impl LintReport {
             let name = format!("{}_{}", metric_name(rule.key()), metric_name(krate));
             report = report.metric(&name, *count as f64, "count");
         }
+        for (krate, lines) in &self.src_lines {
+            let name = format!("src_lines_{}", metric_name(krate));
+            report = report.metric(&name, *lines as f64, "count");
+        }
+        let total_lines: usize = self.src_lines.values().sum();
         report
+            .metric("src_lines_total", total_lines as f64, "count")
             .metric("suppressed_total", self.suppressed_count() as f64, "count")
             .metric("files_scanned", self.files_scanned as f64, "count")
             .to_json()
@@ -285,6 +294,8 @@ pub fn lint_workspace(config: &LintConfig) -> Result<LintReport, LintError> {
             report.violations.extend(violations);
             report.pragma_errors.extend(pragma_errors);
             report.files_scanned += 1;
+            *report.src_lines.entry(crate_name.clone()).or_insert(0) +=
+                rules::library_lines(&src_text);
         }
     }
     Ok(report)

@@ -372,6 +372,35 @@ fn r5_missing_docs(
     }
 }
 
+/// Lines of `src` outside its `#[cfg(test)]` items: the file's library
+/// code, its comments and blank lines included. A test item spans the
+/// lines from its attribute to its last token.
+pub fn library_lines(src: &str) -> usize {
+    let toks = lex(src);
+    let code: Vec<&Tok> = toks
+        .iter()
+        .filter(|t| !matches!(t.kind, TokKind::Comment(_)))
+        .collect();
+    let in_test = test_regions(&code);
+    let mut test_lines = 0;
+    let mut region: Option<(u32, u32)> = None;
+    for (tok, &t) in code.iter().zip(&in_test) {
+        region = match (region, t) {
+            (None, true) => Some((tok.line, tok.line)),
+            (Some((first, _)), true) => Some((first, tok.line)),
+            (Some((first, last)), false) => {
+                test_lines += (last - first + 1) as usize;
+                None
+            }
+            (None, false) => None,
+        };
+    }
+    if let Some((first, last)) = region {
+        test_lines += (last - first + 1) as usize;
+    }
+    src.lines().count().saturating_sub(test_lines)
+}
+
 /// Computes, per token, whether it sits inside a `#[cfg(test)]` item
 /// (module, fn, impl, or `use`). Conservative in the right direction:
 /// an unrecognized shape is treated as non-test, so real violations
@@ -547,6 +576,14 @@ mod tests {
     fn unwrap_in_cfg_test_mod_is_ignored() {
         let src = "pub fn f() {}\n#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { Some(1).unwrap(); }\n}\n";
         assert!(hits(&ctx(false, false), src).is_empty());
+    }
+
+    #[test]
+    fn library_lines_leave_out_test_items() {
+        let src = "//! Doc.\npub fn f() {}\n\n#[cfg(test)]\nmod tests {\n  // x\n  fn t() {}\n}\n#[cfg(test)] use std::fmt;\npub fn g() {}\n";
+        assert_eq!(library_lines(src), 4);
+        assert_eq!(library_lines("pub fn f() {}\n"), 1);
+        assert_eq!(library_lines(""), 0);
     }
 
     #[test]

@@ -130,6 +130,22 @@ fn json_matches_bench_report_schema() {
     assert!(json.contains("{\"metric\":\"panic_path_total\",\"value\":3,\"unit\":\"count\"}"));
     assert!(json.contains("{\"metric\":\"determinism_fx_det\",\"value\":3,\"unit\":\"count\"}"));
     assert!(json.contains("{\"metric\":\"suppressed_total\",\"value\":5,\"unit\":\"count\"}"));
+    // Library size: every scanned file's lines outside `#[cfg(test)]`
+    // items, per crate and in total (fx-panic's main.rs and src/bin/ are
+    // not library code; fx-panic and fx-docs end in 12- and 5-line test
+    // modules).
+    for (krate, lines) in [
+        ("fx_clean", 13),
+        ("fx_det", 28),
+        ("fx_docs", 23),
+        ("fx_panic", 29),
+        ("fx_wire", 34),
+        ("total", 127),
+    ] {
+        let row =
+            format!("{{\"metric\":\"src_lines_{krate}\",\"value\":{lines},\"unit\":\"count\"}}");
+        assert!(json.contains(&row), "missing {row}");
+    }
 }
 
 // ---- ratchet semantics through the real binary ----
