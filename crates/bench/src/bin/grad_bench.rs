@@ -1,5 +1,6 @@
 //! Pair-gradient assembly micro-benchmark: sparse CSR kernel vs the
-//! dense step, and the row kernel on one worker vs split across threads.
+//! dense step, the row kernel on one worker vs split across threads, and
+//! the row kernel on a `TargetNeighborhood` list vs per-pair merges.
 //!
 //! Times one full backward pass of the attack engine — `G_ij` for every
 //! unordered candidate pair — on a 1000-node, ~5000-edge Erdős–Rényi
@@ -17,15 +18,24 @@
 //!   `A²` and `A·diag(gE)·A` over the upper triangle and `G` at the
 //!   candidates, split across the same threads.
 //!
+//! Then, on the same graph, the `TargetNeighborhood` set of 3 targets
+//! sampled from the top-50 AScore pool, as the experiment grids sample
+//! them: the kernel on one worker against a loop of
+//! [`ba_core::pair_grad`] over the same list. The set holds one pair row
+//! `(x, t)` for every `x < t`, so a kernel that scatters every row loses
+//! to the plain loop there.
+//!
 //! Exits non-zero if the sparse path is less than 5× faster than dense —
 //! the CI smoke gate that keeps dense products out of the binary-graph
 //! attacks' hot path — if the split output differs from the serial
-//! one in any bit, or if, with two or more threads, the split is not
-//! faster than one worker (`row_split_speedup ≤ 1`). `--quick` runs
-//! fewer repetitions (CI), `--csv` emits a machine-readable line.
+//! one in any bit, if, with two or more threads, the split is not
+//! faster than one worker (`row_split_speedup ≤ 1`), if the
+//! `TargetNeighborhood` kernel differs from the loop in any bit, or if it
+//! takes more than 1.25× the loop's time (`tn_ratio > 1.25`). `--quick`
+//! runs fewer repetitions (CI), `--csv` emits a machine-readable line.
 
 use ba_core::{
-    assemble_pair_grads, assemble_pair_grads_into, dense_pair_gradients, node_grads,
+    assemble_pair_grads, assemble_pair_grads_into, dense_pair_gradients, node_grads, pair_grad,
     CandidateScope, Candidates,
 };
 use ba_graph::egonet::egonet_features;
@@ -33,6 +43,13 @@ use ba_graph::{generators, CsrGraph};
 use std::time::Instant;
 
 const REQUIRED_SPEEDUP: f64 = 5.0;
+
+/// Most time the kernel may take on the `TargetNeighborhood` list, as a
+/// multiple of the per-pair loop's.
+const TN_MAX_RATIO: f64 = 1.25;
+
+/// Seed of the `TargetNeighborhood` target sample.
+const TN_SEED: u64 = 1;
 
 fn time_best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     let mut best = f64::INFINITY;
@@ -48,7 +65,11 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let csv = args.iter().any(|a| a == "--csv");
-    let (sparse_reps, dense_reps, row_reps) = if quick { (5, 1, 20) } else { (20, 3, 50) };
+    let (sparse_reps, dense_reps, row_reps, tn_reps) = if quick {
+        (5, 1, 20, 60)
+    } else {
+        (20, 3, 50, 200)
+    };
 
     // ~5000 edges: p = 0.01 on n = 1000 gives E[m] ≈ 4995.
     let n = 1000usize;
@@ -107,15 +128,41 @@ fn main() {
         "sparse/dense gradient mismatch: max |Δ| = {max_diff:e}"
     );
 
+    // TargetNeighborhood: the kernel on one worker against per-pair
+    // merges over the same list, cross-checked bit for bit first. The
+    // two are timed in alternation, so that host drift hits both.
+    let tn_targets = ba_bench::sample_targets(&g, 3, 50, TN_SEED);
+    let tn_ng = node_grads(&feats.n, &feats.e, &tn_targets).expect("node grads");
+    let tn = Candidates::build(CandidateScope::TargetNeighborhood, &g, &tn_targets);
+    let tn_mask = vec![true; tn.len()];
+    let tn_kernel = |out: &mut [f64]| assemble_pair_grads_into(&csr, &tn_ng, &tn, &tn_mask, 1, out);
+    let tn_loop =
+        |out: &mut [f64]| tn.for_each(|idx, i, j| out[idx] = pair_grad(&csr, &tn_ng, i, j));
+    let mut tn_kernel_out = vec![0.0; tn.len()];
+    let mut tn_loop_out = vec![0.0; tn.len()];
+    tn_kernel(&mut tn_kernel_out);
+    tn_loop(&mut tn_loop_out);
+    assert!(
+        same_bits(&tn_kernel_out, &tn_loop_out),
+        "TargetNeighborhood assembly differs from per-pair merges"
+    );
+    let (mut tn_kernel_s, mut tn_loop_s) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..tn_reps {
+        tn_kernel_s = tn_kernel_s.min(time_best_of(1, || tn_kernel(&mut tn_kernel_out)));
+        tn_loop_s = tn_loop_s.min(time_best_of(1, || tn_loop(&mut tn_loop_out)));
+    }
+    let tn_ratio = tn_kernel_s / tn_loop_s;
+
     let speedup = dense_s / sparse_s;
     if csv {
         println!(
-            "n,m,pairs,threads,sparse_s,dense_s,speedup,row_serial_s,row_split_s,row_split_speedup"
+            "n,m,pairs,threads,sparse_s,dense_s,speedup,row_serial_s,row_split_s,row_split_speedup,tn_pairs,tn_kernel_s,tn_loop_s,tn_ratio"
         );
         println!(
-            "{n},{},{},{threads},{sparse_s:.6},{dense_s:.6},{speedup:.2},{row_serial_s:.6},{row_split_s:.6},{row_split_speedup:.2}",
+            "{n},{},{},{threads},{sparse_s:.6},{dense_s:.6},{speedup:.2},{row_serial_s:.6},{row_split_s:.6},{row_split_speedup:.2},{},{tn_kernel_s:.6},{tn_loop_s:.6},{tn_ratio:.2}",
             g.num_edges(),
-            candidates.len()
+            candidates.len(),
+            tn.len()
         );
     } else {
         println!("sparse assembly: {:>10.3} ms", sparse_s * 1e3);
@@ -124,6 +171,10 @@ fn main() {
         println!("row, 1 worker:   {:>10.3} ms", row_serial_s * 1e3);
         println!("row, split:      {:>10.3} ms", row_split_s * 1e3);
         println!("row split:       {row_split_speedup:>10.2}x on {threads} threads (gate: >1x)");
+        println!("TN targets:      {tn_targets:?}, {} pairs", tn.len());
+        println!("TN, kernel:      {:>10.3} ms", tn_kernel_s * 1e3);
+        println!("TN, pair loop:   {:>10.3} ms", tn_loop_s * 1e3);
+        println!("TN kernel/loop:  {tn_ratio:>10.2}x (gate: ≤{TN_MAX_RATIO}x)");
     }
     ba_net::BenchReport::new("grad")
         .metric("n", n as f64, "count")
@@ -136,6 +187,10 @@ fn main() {
         .metric("row_serial_ms", row_serial_s * 1e3, "ms")
         .metric("row_split_ms", row_split_s * 1e3, "ms")
         .metric("row_split_speedup", row_split_speedup, "x")
+        .metric("tn_pairs", tn.len() as f64, "count")
+        .metric("tn_kernel_ms", tn_kernel_s * 1e3, "ms")
+        .metric("tn_loop_ms", tn_loop_s * 1e3, "ms")
+        .metric("tn_ratio", tn_ratio, "x")
         .write_if_requested(&args)
         .expect("write bench json");
     if speedup < REQUIRED_SPEEDUP {
@@ -145,6 +200,12 @@ fn main() {
     if threads >= 2 && row_split_speedup <= 1.0 {
         eprintln!(
             "FAIL: the row split on {threads} threads is {row_split_speedup:.2}x one worker (need >1x)"
+        );
+        std::process::exit(1);
+    }
+    if tn_ratio > TN_MAX_RATIO {
+        eprintln!(
+            "FAIL: the TargetNeighborhood kernel takes {tn_ratio:.2}x the per-pair loop (need ≤{TN_MAX_RATIO}x)"
         );
         std::process::exit(1);
     }

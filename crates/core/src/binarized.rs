@@ -39,7 +39,7 @@
 //! The `ablation` bench quantifies both choices.
 
 use crate::attack::{AttackConfig, AttackError, AttackOutcome, StructuralAttack};
-use crate::grad::Assembly;
+use crate::grad::NodeGrads;
 use crate::pair::{edge_flags, static_mask, Candidates};
 use crate::session::AttackSession;
 use crate::split::{read, with_crew, write, Cells};
@@ -138,8 +138,8 @@ impl BinarizedAttack {
             let state = read(&shared);
             let range = split.range(k);
             match &state.phase {
-                Phase::Assemble(pass) => grads.get(k).assemble(
-                    pass,
+                Phase::Assemble(ng) => grads.get(k).assemble(
+                    ng,
                     state.session.graph(),
                     candidates,
                     range,
@@ -178,8 +178,7 @@ impl BinarizedAttack {
                     trajectory.push(ng.loss);
                     let (slot, fresh) = state.session.lend_grads(&masks, true, &split);
                     if fresh {
-                        let pass = grads.plan(state.session.graph(), ng, split.len());
-                        state.phase = Phase::Assemble(pass);
+                        state.phase = Phase::Assemble(ng);
                     }
                     (slot, fresh)
                 };
@@ -242,8 +241,9 @@ struct StepState<'s, 'g> {
 
 /// The two passes of a PGD iteration.
 enum Phase {
-    /// Assemble the signed gradients into each chunk's run.
-    Assemble(Assembly),
+    /// Assemble the signed gradients for this forward pass into each
+    /// chunk's run.
+    Assemble(NodeGrads),
     /// Step `Ż` on them.
     Step { scale: f64, shrink: f64 },
 }

@@ -25,19 +25,20 @@
 //! [`crate::dense`]. Everything here is verified against `ba-autodiff`
 //! and finite differences in `tests/grad_check.rs`.
 //!
-//! A whole-candidate-set assembly picks one of two strategies by a cost
-//! model: per-pair merges for sparse candidate sets, or a row-blocked
-//! wedge scatter for dense ones (see [`assemble_pair_grads_into`]). Both
-//! split the candidate range into equal contiguous chunks, one per crew
-//! thread (`split.rs`). The attacks' search loops run their assembly, PGD
-//! step and argmax passes on one crew over the same partition, chunk by
-//! chunk through `assemble_chunk`, so each thread reads back the
-//! gradients it wrote; a one-shot assembly runs a one-pass crew. The
-//! straight-through sign `1 − 2A₀` can be folded into the assembly, and
-//! `max |G|` comes back from the same pass, so a PGD iteration makes one
-//! candidate-length pass for its backward step. Both strategies are
-//! pinned bit for bit, at any worker count, to the [`correction_map`]
-//! reference.
+//! A whole-candidate-set assembly is one row kernel (see
+//! [`assemble_pair_grads_into`]): each row of candidates sharing a
+//! smaller endpoint is either scattered through an `n`-length row buffer
+//! or computed by per-pair merges, whichever a per-row cost estimate
+//! says is cheaper. The candidate range is split into equal contiguous
+//! chunks, one per crew thread (`split.rs`). The attacks' search loops
+//! run their assembly, PGD step and argmax passes on one crew over the
+//! same partition, chunk by chunk through `assemble_chunk`, so each
+//! thread reads back the gradients it wrote; a one-shot assembly runs a
+//! one-pass crew. The straight-through sign `1 − 2A₀` can be folded into
+//! the assembly, and `max |G|` comes back from the same pass, so a PGD
+//! iteration makes one candidate-length pass for its backward step.
+//! Both row methods are pinned bit for bit, at any worker count, to the
+//! [`correction_map`] reference.
 
 use crate::loss::{fit_beta, safe_exp, LossError};
 use crate::pair::Candidates;
@@ -144,14 +145,14 @@ pub fn pair_grad<V: GraphView + ?Sized>(g: &V, ng: &NodeGrads, i: NodeId, j: Nod
 }
 
 /// [`pair_grad`] with the first endpoint's neighbour slice supplied by
-/// the caller. The chunked merge assembly walks candidates grouped by
-/// their first endpoint, so it fetches each leading row once per run of
-/// pairs instead of once per pair — on a `DeltaOverlay` that fetch is an
-/// indirection through the dirty-row table, and hoisting it keeps the
-/// hot loop inside the fused merge kernel. Bit-identical to
-/// [`pair_grad`]: the merge itself accumulates in ascending common
-/// neighbour, whichever strategy ([`merge_count_weighted`]'s linear or
-/// galloping path) the length ratio picks.
+/// the caller. The row kernel's merged rows share a first endpoint, so
+/// it fetches that row once per run of pairs instead of once per pair —
+/// on a `DeltaOverlay` that fetch is an indirection through the
+/// dirty-row table, and hoisting it keeps the hot loop inside the fused
+/// merge kernel. The merge accumulates in ascending common neighbour,
+/// whichever path ([`merge_count_weighted`]'s linear or galloping) the
+/// length ratio picks, and combines with [`row_grad`], so it agrees with
+/// a scattered row to the last bit.
 #[inline]
 fn pair_grad_row<V: GraphView + ?Sized>(
     g: &V,
@@ -161,10 +162,8 @@ fn pair_grad_row<V: GraphView + ?Sized>(
     j: NodeId,
 ) -> f64 {
     let (cn, wsum) = merge_count_weighted(nbrs_i, g.neighbors_sorted(j), &ng.g_e);
-    ng.h[i as usize]
-        + ng.h[j as usize]
-        + cn as f64 * (ng.g_e[i as usize] + ng.g_e[j as usize])
-        + wsum
+    let (i, j) = (i as usize, j as usize);
+    row_grad(ng.h[i], ng.g_e[i], ng.h[j], ng.g_e[j], (cn as f64, wsum))
 }
 
 /// Resolves a thread-count request: `0` means autodetect via
@@ -183,29 +182,32 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// `out`: `out[idx]` receives [`pair_grad`] for the pair at `idx` when
 /// `mask[idx]` is set, `0.0` otherwise. No `n×n` matrix is ever
 /// allocated, and the result is bit-identical for any thread count and
-/// either internal strategy — determinism the fixed-seed attack
+/// whichever method each row takes — determinism the fixed-seed attack
 /// equivalence tests rely on.
 ///
-/// Two sparse strategies, chosen by a cost model:
+/// One row kernel. Candidates sharing a smaller endpoint `a` form one
+/// contiguous run (a *row*), and each row takes one of two methods:
 ///
-/// * **per-pair merge** — a sorted-merge common-neighbour scan per
-///   candidate, `O(deg(i) + deg(j))` each. Wins when the candidate set is
-///   small relative to the graph (e.g. `TargetNeighborhood` scope).
-/// * **row-blocked wedge scatter** — for each smaller endpoint `a`,
-///   scatter the wedges `a–m–b` (`b > a`) into an `n`-length
-///   `(count, Σ gE_m)` row buffer, then combine the row's contiguous run
+/// * **wedge scatter** — scatter the wedges `a–m–b` (`b > a`) into an
+///   `n`-length `(count, Σ gE_m)` row buffer, then combine the row's run
 ///   of candidates from it, re-zeroing each entry as it is read. Costs
-///   `O(Σ_m deg(m)²)` plus one pass over the candidates, and the row
-///   buffer stays in L1. Wins when the candidates are dense in the pair
-///   space (`Full` scope), where per-pair merges would re-walk every
-///   adjacency list `n` times.
+///   the row's wedges plus one pass over its candidates, and the row
+///   buffer stays in L1. Every row of a `Full` set scatters: there a
+///   row is dense in the pair space, and per-pair merges would re-walk
+///   every adjacency list `n` times (12–17× slower).
+/// * **per-pair merge** — a sorted-merge common-neighbour scan per
+///   candidate, `O(deg(a) + deg(j))` each. A row of a `List` set merges
+///   when that is modelled cheaper than scattering and clearing the row
+///   (see `row_costs`): a `TargetNeighborhood` set for target `t` holds
+///   `t` one-pair rows `(x, t)`, and scattering a whole row for one pair
+///   made the kernel up to 11× slower than merging on ER 1000.
 ///
-/// Both split the candidate range into equal contiguous chunks, one per
+/// Both accumulate common-neighbour contributions in increasing `m` and
+/// combine with the same expression, so they agree to the last bit. The
+/// candidate range is split into equal contiguous chunks, one per
 /// worker: at most `threads`, and no more than the assembly's modelled
 /// cost pays for (see `split.rs`). The workers are a one-pass crew; each
-/// writes its own run of `out`, with its own row buffer. Both accumulate
-/// common-neighbour contributions in increasing `m` and combine with the
-/// same expression, so they agree to the last bit at any worker count.
+/// writes its own run of `out`, with its own row buffer.
 pub fn assemble_pair_grads_into<V: GraphView + Sync + ?Sized>(
     g: &V,
     ng: &NodeGrads,
@@ -220,42 +222,74 @@ pub fn assemble_pair_grads_into<V: GraphView + Sync + ?Sized>(
     kernel.assemble(g, ng, candidates, &split, mask, None, split.split_mut(out));
 }
 
-/// The two strategies of [`assemble_pair_grads_into`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Strategy {
-    Merge,
-    Row,
+/// Time of one sorted-merge step (a compare and a branch), in halves of
+/// a row-kernel adjacency touch (a streaming add): 2.5 touches. Timing
+/// each method on one worker over ER (mean degree 13.5) and BA `Full`
+/// and `TargetNeighborhood` instances on a 2-core VM gave 4.5–5.3 ns per
+/// merge step on ER (6.9–7.0 on BA) against 1.5–2.5 ns per touch for the
+/// scatter on `Full` sets.
+const MERGE_STEP: usize = 5;
+
+/// Modelled cost of one assembly of `candidates` over `g`, in row-kernel
+/// adjacency touches (so one [`split::MIN_WORK`] serves every row). A
+/// `Full` set scatters every row, touching each wedge once and each
+/// candidate slot a constant number of times; a `List` row costs the
+/// cheaper of its two methods ([`row_costs`]).
+fn assembly_cost<V: GraphView + ?Sized>(g: &V, candidates: &Candidates) -> f64 {
+    match candidates {
+        Candidates::Full(_) => {
+            let wedges: f64 = (0..g.num_nodes() as NodeId)
+                .map(|m| {
+                    let d = g.degree(m) as f64;
+                    d * (d - 1.0) * 0.5
+                })
+                .sum();
+            wedges + 4.0 * candidates.len() as f64
+        }
+        Candidates::List(pairs) => {
+            let runs = pairs.chunk_by(|x, y| x.0 == y.0);
+            let halves: usize = runs
+                .map(|run| {
+                    let (merge, scatter) = row_costs(g, run);
+                    merge.min(scatter)
+                })
+                .sum();
+            halves as f64 * 0.5
+        }
+    }
 }
 
-/// Time of one sorted-merge step (a compare and a branch) in row-kernel
-/// adjacency touches (a streaming add). Timing each strategy on one
-/// worker over ER (mean degree 13.5) and BA `Full` and
-/// `TargetNeighborhood` instances on a 2-core VM gave 4.5–5.3 ns per
-/// merge step on ER (6.9–7.0 on BA) against 1.5–2.5 ns per touch for
-/// the row kernel on `Full` sets.
-const MERGE_STEP: f64 = 2.5;
-
-/// The cost model: the cheaper strategy for `len` candidates over `g`,
-/// and its cost, in row-kernel adjacency touches (so one
-/// [`split::MIN_WORK`] serves both strategies). Merge re-walks both
-/// endpoint lists per pair; scatter touches every wedge once plus a
-/// constant amount per candidate slot.
-pub(crate) fn plan<V: GraphView + ?Sized>(g: &V, len: usize) -> (Strategy, f64) {
-    let n = g.num_nodes().max(1);
-    let avg_deg = 2.0 * g.num_edges() as f64 / n as f64;
-    let merge_cost = MERGE_STEP * len as f64 * (2.0 * avg_deg + 4.0);
-    let wedges: f64 = (0..n as NodeId)
-        .map(|m| {
-            let d = g.degree(m) as f64;
-            d * (d - 1.0) * 0.5
-        })
-        .sum();
-    let scatter_cost = wedges + 4.0 * len as f64;
-    if scatter_cost < merge_cost {
-        (Strategy::Row, scatter_cost)
-    } else {
-        (Strategy::Merge, merge_cost)
+/// The two methods' modelled costs for a `List` row `run` (its pairs
+/// `(a, j)`), in half row-kernel touches: `(merge, scatter)`. A merge
+/// costs [`MERGE_STEP`]` · (deg a + deg j + 2)` per pair; the scatter
+/// `4 · Σ_{m ∈ N(a)} deg m` (at most the row's wedges, walked to scatter
+/// and to clear) plus 8 per pair. Each sum is taken only as far as the
+/// comparison needs, so merging is cheaper exactly when
+/// `merge < scatter`, and the smaller of the two is exact: a long row
+/// stops once the scatter is known to be under the merges' floor
+/// (`deg j ≥ 0`), and a one-pair row after the first few neighbour
+/// degrees of `a`.
+fn row_costs<V: GraphView + ?Sized>(g: &V, run: &[(NodeId, NodeId)]) -> (usize, usize) {
+    let a = run[0].0;
+    let mut scatters = g.neighbors_sorted(a).iter().map(|&m| 4 * g.degree(m));
+    let mut scatter = 8 * run.len();
+    // Grows the scatter sum past `cap`, or to its end.
+    let mut scatter_past = |cap: usize| {
+        while scatter <= cap {
+            match scatters.next() {
+                Some(cost) => scatter += cost,
+                None => break,
+            }
+        }
+        scatter
+    };
+    let floor = MERGE_STEP * run.len() * (g.degree(a) + 2);
+    let under_floor = scatter_past(floor);
+    if under_floor <= floor {
+        return (floor, under_floor);
     }
+    let merge = floor + MERGE_STEP * run.iter().map(|&(_, j)| g.degree(j)).sum::<usize>();
+    (merge, scatter_past(merge))
 }
 
 /// Reusable state of the pair-gradient assembly: the worker count and
@@ -287,7 +321,7 @@ impl GradKernel {
         g: &V,
         candidates: &Candidates,
     ) -> Partition {
-        let (_, cost) = plan(g, candidates.len());
+        let cost = assembly_cost(g, candidates);
         Partition::new(candidates.len(), split::workers(self.threads(), cost))
     }
 
@@ -300,15 +334,21 @@ impl GradKernel {
         self.threads
     }
 
-    /// The row buffers of `chunks` chunks, lent out by value, for a crew
-    /// that keeps them for a whole search loop. Each is all-zero; pass it
-    /// through [`prepare_row`] before a row-kernel pass, and hand them
+    /// The row buffers of `chunks` chunks over an `n`-node graph, sized
+    /// here on the calling thread and lent out by value, for a crew that
+    /// keeps them for a whole search loop. Each is all-zero; hand them
     /// back with [`GradKernel::restore_rows`].
-    pub(crate) fn take_rows(&mut self, chunks: usize) -> Vec<Vec<(f64, f64)>> {
+    pub(crate) fn take_rows(&mut self, chunks: usize, n: usize) -> Vec<Vec<(f64, f64)>> {
         if self.rows.len() < chunks {
             self.rows.resize_with(chunks, Vec::new);
         }
-        self.rows.drain(..chunks).collect()
+        let mut rows: Vec<_> = self.rows.drain(..chunks).collect();
+        for row in &mut rows {
+            if row.len() < n {
+                row.resize(n, (0.0, 0.0));
+            }
+        }
+        rows
     }
 
     /// Takes back the row buffers [`GradKernel::take_rows`] lent, each
@@ -320,11 +360,11 @@ impl GradKernel {
 
     /// [`assemble_pair_grads_into`] on the chunks of `split` (built for
     /// `candidates` by [`GradKernel::partition`]), into `outs`, one run
-    /// of the output per chunk, in order. With the straight-through sign
-    /// fused in: when `sign` is given, entry `idx` is negated wherever
-    /// `sign[idx]` is set (`G·(1 − 2A₀)` for `sign = A₀`). Returns
-    /// `max |G|` over the masked entries (`0.0` when none), which does not
-    /// depend on visit order.
+    /// of the output per chunk, in order, as a one-pass crew. With the
+    /// straight-through sign fused in: when `sign` is given, entry `idx`
+    /// is negated wherever `sign[idx]` is set (`G·(1 − 2A₀)` for
+    /// `sign = A₀`). Returns `max |G|` over the masked entries (`0.0`
+    /// when none): an exact max, folded in chunk order.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble<'o, V: GraphView + Sync + ?Sized>(
         &mut self,
@@ -332,24 +372,6 @@ impl GradKernel {
         ng: &NodeGrads,
         candidates: &Candidates,
         split: &Partition,
-        mask: &[bool],
-        sign: Option<&[bool]>,
-        outs: impl IntoIterator<Item = &'o mut [f64]>,
-    ) -> f64 {
-        let (strategy, _) = plan(g, candidates.len());
-        self.run(strategy, split, g, ng, candidates, mask, sign, outs)
-    }
-
-    /// Runs one strategy on the chunks of `split`, as a one-pass crew.
-    /// The max-abs is an exact max, folded in chunk order.
-    #[allow(clippy::too_many_arguments)]
-    fn run<'o, V: GraphView + Sync + ?Sized>(
-        &mut self,
-        strategy: Strategy,
-        split: &Partition,
-        g: &V,
-        ng: &NodeGrads,
-        candidates: &Candidates,
         mask: &[bool],
         sign: Option<&[bool]>,
         outs: impl IntoIterator<Item = &'o mut [f64]>,
@@ -362,12 +384,12 @@ impl GradKernel {
         assert_eq!(split.len(), len, "split length mismatch");
         let outs: Vec<&mut [f64]> = outs.into_iter().collect();
         assert_eq!(outs.len(), split.chunks(), "one output run per chunk");
-        let n = g.num_nodes();
-        let rows = self.take_rows(split.chunks());
-        let cells = Cells::new(outs.into_iter().zip(rows).map(|(out, mut row)| {
-            prepare_row(strategy, n, &mut row);
-            (out, row, 0.0f64)
-        }));
+        let rows = self.take_rows(split.chunks(), g.num_nodes());
+        let cells = Cells::new(
+            outs.into_iter()
+                .zip(rows)
+                .map(|(out, row)| (out, row, 0.0f64)),
+        );
         with_crew(
             split.chunks(),
             |k| {
@@ -376,7 +398,6 @@ impl GradKernel {
                 let (out, row, max_abs) = &mut *cell;
                 let sign = sign.map(|s| &s[range.clone()]);
                 *max_abs = assemble_chunk(
-                    strategy,
                     g,
                     ng,
                     candidates,
@@ -395,32 +416,13 @@ impl GradKernel {
     }
 }
 
-/// A search loop's assembly pass, owned so that the loop can publish it
-/// to its crew: the forward pass and the strategy the cost model picked
-/// for the current graph.
-#[derive(Debug)]
-pub(crate) struct Assembly {
-    pub(crate) ng: NodeGrads,
-    pub(crate) strategy: Strategy,
-}
-
-/// Sizes `row` for a `strategy` pass over an `n`-node graph, on the
-/// calling thread, so that no crew thread allocates: the row kernel
-/// needs `n` entries, the merge path none.
-pub(crate) fn prepare_row(strategy: Strategy, n: usize, row: &mut Vec<(f64, f64)>) {
-    if matches!(strategy, Strategy::Row) && row.len() < n {
-        row.resize(n, (0.0, 0.0));
-    }
-}
-
-/// One chunk of an assembly pass: `strategy` over the candidates in
+/// One chunk of an assembly pass: the row kernel over the candidates in
 /// `range`, written to `out`. `mask`, `sign` and `out` are that range's
-/// runs. `row` is the chunk's row buffer, sized by [`prepare_row`],
-/// all-zero on entry and left all-zero. Returns the run's max-abs over
-/// the mask.
+/// runs. `row` is the chunk's row buffer, at least `n` long (see
+/// [`GradKernel::take_rows`]), all-zero on entry and left all-zero.
+/// Returns the run's max-abs over the mask.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn assemble_chunk<V: GraphView + ?Sized>(
-    strategy: Strategy,
     g: &V,
     ng: &NodeGrads,
     candidates: &Candidates,
@@ -435,22 +437,17 @@ pub(crate) fn assemble_chunk<V: GraphView + ?Sized>(
     if let Some(sign) = sign {
         assert_eq!(sign.len(), range.len(), "sign run length mismatch");
     }
-    match strategy {
-        Strategy::Merge => merge_pair_grads(g, ng, candidates, mask, sign, range, out),
-        Strategy::Row => {
-            let n = g.num_nodes();
-            match candidates {
-                Candidates::Full(ps) => {
-                    assert_eq!(ps.nodes(), n, "pair space does not match the graph");
-                }
-                Candidates::List(pairs) => debug_assert!(
-                    pairs[range.clone()].windows(2).all(|w| w[0] < w[1]),
-                    "candidate list must be sorted ascending"
-                ),
-            }
-            row_pair_grads(g, ng, candidates, mask, sign, range, out, &mut row[..n])
+    let n = g.num_nodes();
+    match candidates {
+        Candidates::Full(ps) => {
+            assert_eq!(ps.nodes(), n, "pair space does not match the graph");
         }
+        Candidates::List(pairs) => debug_assert!(
+            pairs[range.clone()].windows(2).all(|w| w[0] < w[1]),
+            "candidate list must be sorted ascending"
+        ),
     }
+    row_pair_grads(g, ng, candidates, mask, sign, range, out, &mut row[..n])
 }
 
 /// The output entry for a candidate with gradient `grad`: `0.0` when
@@ -466,44 +463,9 @@ fn finish(grad: f64, on: bool, flip: bool, max_abs: &mut f64) -> f64 {
     v
 }
 
-/// Per-pair sorted-merge strategy (see [`assemble_pair_grads_into`]) over
-/// the candidates in `range`, written to `out`; `mask`, `sign` and `out`
-/// are that range's runs. Returns the run's max-abs over the mask.
-fn merge_pair_grads<V: GraphView + ?Sized>(
-    g: &V,
-    ng: &NodeGrads,
-    candidates: &Candidates,
-    mask: &[bool],
-    sign: Option<&[bool]>,
-    range: Range<usize>,
-    out: &mut [f64],
-) -> f64 {
-    let start = range.start;
-    let mut max_abs = 0.0f64;
-    // Candidates arrive grouped by first endpoint, so the leading row
-    // slice is hoisted across each run of pairs sharing it.
-    let mut cur_i: Option<NodeId> = None;
-    let mut row_i: &[NodeId] = &[];
-    candidates.for_each_range(start, range.end, |idx, i, j| {
-        let k = idx - start;
-        let grad = if mask[k] {
-            if cur_i != Some(i) {
-                cur_i = Some(i);
-                row_i = g.neighbors_sorted(i);
-            }
-            pair_grad_row(g, ng, i, row_i, j)
-        } else {
-            0.0
-        };
-        let flip = sign.is_some_and(|s| s[k]);
-        out[k] = finish(grad, mask[k], flip, &mut max_abs);
-    });
-    max_abs
-}
-
-/// Row-blocked wedge-scatter strategy (see [`assemble_pair_grads_into`])
-/// over the candidates in `range`, written to `out`; `mask`, `sign` and
-/// `out` are that range's runs. The flat-array descendant of
+/// The row kernel (see [`assemble_pair_grads_into`]) over the
+/// candidates in `range`, written to `out`; `mask`, `sign` and `out` are
+/// that range's runs. Its scatter is the flat-array descendant of
 /// [`correction_map`] — same sums, no hashing, no candidate-length
 /// scratch. `row` is `n` long, must be all-zero on entry and is left
 /// all-zero. Returns the run's max-abs over the mask.
@@ -511,11 +473,11 @@ fn merge_pair_grads<V: GraphView + ?Sized>(
 /// Candidates sharing a smaller endpoint are contiguous in both
 /// [`Candidates`] forms, in ascending larger endpoint, so each row of
 /// the pair space is one run of `out`; `range` may start or end inside
-/// a row, and such a row is scattered whole but combined only over the
-/// part in `range`. Enumeration is endpoint-ordered —
-/// `m ∈ N(a)` ascending, then `b ∈ N(m)` past `a` — which delivers each
-/// pair's contributions in ascending `m`, so the accumulated sums are
-/// bit-identical to the sorted merge's.
+/// a row, and such a row is computed only over the part in `range` (a
+/// scattered one is scattered whole). A scatter enumerates
+/// `m ∈ N(a)` ascending, then `b ∈ N(m)` past `a`, which delivers each
+/// pair's contributions in ascending `m`, so its sums are bit-identical
+/// to a merge's.
 #[allow(clippy::too_many_arguments)]
 fn row_pair_grads<V: GraphView + ?Sized>(
     g: &V,
@@ -562,16 +524,20 @@ fn row_pair_grads<V: GraphView + ?Sized>(
             }
         }
         Candidates::List(pairs) => {
-            let pairs = &pairs[..range.end];
             let mut lo = range.start;
-            while lo < pairs.len() {
-                let a = pairs[lo].0;
-                let hi = lo + pairs[lo..].partition_point(|&(i, _)| i == a);
-                scatter_row(g, &ng.g_e, a, row, false);
-                sink.combine(a, lo, pairs[lo..hi].iter().map(|&(_, j)| j), row);
-                // Wedges may land on pairs outside the list.
-                scatter_row(g, &ng.g_e, a, row, true);
-                lo = hi;
+            for run in pairs[range].chunk_by(|x, y| x.0 == y.0) {
+                let a = run[0].0;
+                let js = run.iter().map(|&(_, j)| j);
+                let (merge, scatter) = row_costs(g, run);
+                if merge < scatter {
+                    sink.merge(g, a, lo, js);
+                } else {
+                    scatter_row(g, &ng.g_e, a, row, false);
+                    sink.combine(a, lo, js, row);
+                    // Wedges may land on pairs outside the list.
+                    scatter_row(g, &ng.g_e, a, row, true);
+                }
+                lo += run.len();
             }
         }
     }
@@ -611,6 +577,29 @@ impl RowSink<'_> {
         }
     }
 
+    /// [`RowSink::combine`] by per-pair merges, with no row buffer: each
+    /// masked-on pair is one merge of `N(a)`, fetched once, with `N(j)`.
+    #[inline]
+    fn merge<V: GraphView + ?Sized>(
+        &mut self,
+        g: &V,
+        a: NodeId,
+        lo: usize,
+        js: impl Iterator<Item = NodeId>,
+    ) {
+        let nbrs_a = g.neighbors_sorted(a);
+        for (k, j) in (lo - self.base..).zip(js) {
+            let on = self.mask[k];
+            let grad = if on {
+                pair_grad_row(g, self.ng, a, nbrs_a, j)
+            } else {
+                0.0
+            };
+            let flip = self.sign.is_some_and(|s| s[k]);
+            self.out[k] = finish(grad, on, flip, &mut self.max_abs);
+        }
+    }
+
     /// [`RowSink::combine`] for a run of a `Full` row, whose larger
     /// endpoints are the contiguous `cols`, starting at candidate `lo`:
     /// all operands are then contiguous slices, walked in lockstep with
@@ -646,8 +635,9 @@ impl RowSink<'_> {
     }
 }
 
-/// `G_ij` from row entry `(c, w)` = `(cn, Σ gE_m)`: the same expression
-/// as [`pair_grad`] (the `cn == 0` branch only skips adding exact zeros).
+/// `G_ij` from `(c, w)` = `(cn, Σ gE_m)`, the one combine that scattered
+/// rows, merged rows and [`pair_grad`] share (the `cn == 0` branch only
+/// skips adding exact zeros).
 #[inline]
 fn row_grad(h_a: f64, ge_a: f64, h_j: f64, ge_j: f64, (c, w): (f64, f64)) -> f64 {
     let base = h_a + h_j;
@@ -713,7 +703,7 @@ fn pair_key(i: NodeId, j: NodeId) -> u64 {
 /// `O(Σ_m deg(m)²)` and a tree insert per wedge. The flat-buffer
 /// assembly ([`assemble_pair_grads_into`]) replaced this in the attack
 /// hot loops, but the map remains the independent reference
-/// implementation the equivalence tests check both of its strategies
+/// implementation the equivalence tests check both of its row methods
 /// against. A `BTreeMap` rather than a hash map: lookups
 /// are the only consumer, and the determinism contract (R2) keeps
 /// randomized-iteration-order containers out of this crate entirely.
@@ -844,45 +834,20 @@ mod tests {
             let via_map = pair_grad_with_corrections(&ng, &corr, i, j);
             assert_eq!(
                 serial[idx], via_map,
-                "pair ({i},{j}): merge path must be bit-identical to the map path"
+                "pair ({i},{j}): the assembly must be bit-identical to the map path"
             );
         });
-    }
-
-    #[test]
-    fn merge_and_row_strategies_agree_bitwise() {
-        // Both internal strategies must be interchangeable to the last
-        // bit — the cost model may pick either depending on graph shape.
-        let g = generators::barabasi_albert(100, 5, 21);
-        let (n, e) = feature_vectors(&g);
-        let targets = [3u32, 11];
-        let ng = node_grads(&n, &e, &targets).unwrap();
-        for scope in [CandidateScope::Full, CandidateScope::TargetNeighborhood] {
-            let candidates = Candidates::build(scope, &g, &targets);
-            let flags = edge_flags(&candidates, &g);
-            let mut mask = vec![true; candidates.len()];
-            mask[candidates.len() / 2] = false;
-            for sign in [None, Some(flags.as_slice())] {
-                let (via_merge, max_merge) =
-                    run(Strategy::Merge, 3, &g, &ng, &candidates, &mask, sign);
-                let (via_row, max_row) = run(Strategy::Row, 1, &g, &ng, &candidates, &mask, sign);
-                assert_eq!(bits(&via_merge), bits(&via_row), "scope {scope:?}");
-                assert_eq!(max_merge.to_bits(), max_row.to_bits(), "scope {scope:?}");
-            }
-        }
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// One assembly by `strategy` on `kernel`, split into at most
-    /// `workers` chunks: the output (NaN-filled first, so an unwritten
-    /// entry shows) and its max-abs.
-    #[allow(clippy::too_many_arguments)]
+    /// One assembly on `kernel`, split into at most `workers` chunks: the
+    /// output (NaN-filled first, so an unwritten entry shows) and its
+    /// max-abs.
     fn run_on<V: GraphView + Sync + ?Sized>(
         kernel: &mut GradKernel,
-        strategy: Strategy,
         workers: usize,
         g: &V,
         ng: &NodeGrads,
@@ -893,22 +858,13 @@ mod tests {
         let split = Partition::new(candidates.len(), workers);
         assert!(split.chunks() <= workers.max(1));
         let mut out = vec![f64::NAN; candidates.len()];
-        let max = kernel.run(
-            strategy,
-            &split,
-            g,
-            ng,
-            candidates,
-            mask,
-            sign,
-            split.split_mut(&mut out),
-        );
+        let outs = split.split_mut(&mut out);
+        let max = kernel.assemble(g, ng, candidates, &split, mask, sign, outs);
         (out, max)
     }
 
     /// [`run_on`] on a fresh kernel.
     fn run<V: GraphView + Sync + ?Sized>(
-        strategy: Strategy,
         workers: usize,
         g: &V,
         ng: &NodeGrads,
@@ -916,10 +872,8 @@ mod tests {
         mask: &[bool],
         sign: Option<&[bool]>,
     ) -> (Vec<f64>, f64) {
-        let mut kernel = GradKernel::new(1);
         run_on(
-            &mut kernel,
-            strategy,
+            &mut GradKernel::new(1),
             workers,
             g,
             ng,
@@ -927,6 +881,20 @@ mod tests {
             mask,
             sign,
         )
+    }
+
+    /// How many rows of a `List` set the kernel merges and how many it
+    /// scatters, when the whole set is one chunk; `(0, 0)` for a `Full`
+    /// set.
+    fn row_methods<V: GraphView + ?Sized>(g: &V, candidates: &Candidates) -> (usize, usize) {
+        let Candidates::List(pairs) = candidates else {
+            return (0, 0);
+        };
+        let runs = pairs.chunk_by(|x, y| x.0 == y.0);
+        runs.fold((0, 0), |(merged, scattered), run| match row_costs(g, run) {
+            (merge, scatter) if merge < scatter => (merged + 1, scattered),
+            _ => (merged, scattered + 1),
+        })
     }
 
     /// The map-based reference for the row kernel: `G` from
@@ -973,9 +941,26 @@ mod tests {
         ov
     }
 
+    /// Whether some chunk edge of `workers` chunks over a `List` set
+    /// falls inside a row.
+    fn cuts_inside_a_row(candidates: &Candidates, workers: usize) -> bool {
+        let Candidates::List(pairs) = candidates else {
+            return false;
+        };
+        let split = Partition::new(pairs.len(), workers);
+        let inside = split
+            .ranges()
+            .skip(1)
+            .any(|r| pairs[r.start - 1].0 == pairs[r.start].0);
+        inside
+    }
+
     #[test]
     fn row_kernel_matches_correction_map_bitwise() {
         // One node past the ER graph, so the last row starts isolated.
+        // Target 0 gives a `TargetNeighborhood` list one long row, which
+        // scatters; the high-id targets give it many one-pair rows
+        // `(x, t)`, which merge; 2, 3 and 8 chunks cut inside rows.
         let er = generators::erdos_renyi(80, 0.08, 3);
         let isolated = er.num_nodes() as NodeId;
         let g = Graph::from_edges(er.num_nodes() + 1, er.edges());
@@ -986,30 +971,41 @@ mod tests {
         assert_eq!(ov.degree(5), 0, "node 5 is cut off");
         for (v, view) in [&DeltaOverlay::new(&csr), &ov].into_iter().enumerate() {
             let feats = egonet_features(view);
-            let targets = [0u32, 5, isolated];
+            let targets = [0u32, 5, 77, isolated];
             let ng = node_grads(&feats.n, &feats.e, &targets).unwrap();
             for scope in [CandidateScope::Full, CandidateScope::TargetNeighborhood] {
                 let candidates = Candidates::build(scope, view, &targets);
+                if scope == CandidateScope::TargetNeighborhood {
+                    let (merged, scattered) = row_methods(view, &candidates);
+                    assert!(
+                        merged >= 50 && scattered >= 1,
+                        "view {v}: {merged}, {scattered}"
+                    );
+                    for workers in [2, 3, 8] {
+                        assert!(cuts_inside_a_row(&candidates, workers), "{workers}");
+                    }
+                }
                 let flags = edge_flags(&candidates, &csr);
                 for hole in [1usize, 3, 7] {
                     let mask: Vec<bool> = (0..candidates.len()).map(|k| k % hole != 2).collect();
                     for sign in [None, Some(flags.as_slice())] {
                         let (want, want_max) =
                             reference_signed(view, &ng, &candidates, &mask, sign);
-                        let (out, got_max) =
-                            run(Strategy::Row, 1, view, &ng, &candidates, &mask, sign);
-                        let what = format!(
-                            "view {v}, {scope:?}, hole {hole}, signed {}",
-                            sign.is_some()
-                        );
-                        assert_eq!(bits(&out), bits(&want), "{what}");
-                        assert_eq!(got_max.to_bits(), want_max.to_bits(), "{what}");
-                        let masked_max = out
-                            .iter()
-                            .zip(&mask)
-                            .filter(|(_, &on)| on)
-                            .fold(0.0f64, |m, (x, _)| m.max(x.abs()));
-                        assert_eq!(got_max, masked_max, "{what}");
+                        for workers in [1usize, 2, 3, 8] {
+                            let (out, got_max) = run(workers, view, &ng, &candidates, &mask, sign);
+                            let what = format!(
+                                "view {v}, {scope:?}, hole {hole}, signed {}, {workers} workers",
+                                sign.is_some()
+                            );
+                            assert_eq!(bits(&out), bits(&want), "{what}");
+                            assert_eq!(got_max.to_bits(), want_max.to_bits(), "{what}");
+                            let masked_max = out
+                                .iter()
+                                .zip(&mask)
+                                .filter(|(_, &on)| on)
+                                .fold(0.0f64, |m, (x, _)| m.max(x.abs()));
+                            assert_eq!(got_max, masked_max, "{what}");
+                        }
                     }
                 }
             }
@@ -1039,21 +1035,13 @@ mod tests {
                 let candidates = Candidates::build(scope, view, &targets);
                 let mask = vec![true; candidates.len()];
                 for workers in [3, 1, 7] {
-                    let (reused, _) = run_on(
-                        &mut kernel,
-                        Strategy::Row,
-                        workers,
-                        view,
-                        &ng,
-                        &candidates,
-                        &mask,
-                        None,
-                    );
+                    let (reused, _) =
+                        run_on(&mut kernel, workers, view, &ng, &candidates, &mask, None);
                     assert!(
                         kernel.rows.iter().flatten().all(|&slot| slot == (0.0, 0.0)),
                         "view {v}, {scope:?}, {workers} workers: row buffer left dirty"
                     );
-                    let (fresh, _) = run(Strategy::Row, 1, view, &ng, &candidates, &mask, None);
+                    let (fresh, _) = run(1, view, &ng, &candidates, &mask, None);
                     assert_eq!(bits(&reused), bits(&fresh), "view {v}, {scope:?}");
                 }
             }
@@ -1063,11 +1051,13 @@ mod tests {
     #[test]
     fn split_assembly_is_bit_identical_at_any_worker_count() {
         // Small graphs, so the explicit worker count, not the session's
-        // minimum work per chunk, decides the split. Covers both
-        // strategies, both candidate forms, signed and unsigned output,
+        // minimum work per chunk, decides the split. Covers both row
+        // methods, both candidate forms, signed and unsigned output,
         // masks with holes, an overlay with dirty rows and an edited last
         // row, chunk edges inside rows, and more workers than rows or
-        // candidates.
+        // candidates. The high-id target 77 gives the ER views'
+        // `TargetNeighborhood` lists 77 one-pair rows, which merge,
+        // beside target 0's long row, which scatters.
         let er = generators::erdos_renyi(80, 0.08, 3);
         let csr = CsrGraph::from(&er);
         let tiny = CsrGraph::from(&Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3)]));
@@ -1075,41 +1065,39 @@ mod tests {
         let views = [DeltaOverlay::new(&csr), ov, DeltaOverlay::new(&tiny)];
         for (v, view) in views.iter().enumerate() {
             let feats = egonet_features(view);
-            let targets = [0u32, 3];
-            let ng = node_grads(&feats.n, &feats.e, &targets).unwrap();
+            let targets: &[NodeId] = if v < 2 { &[0, 3, 77] } else { &[0, 3] };
+            let ng = node_grads(&feats.n, &feats.e, targets).unwrap();
             for scope in [CandidateScope::Full, CandidateScope::TargetNeighborhood] {
-                let candidates = Candidates::build(scope, view, &targets);
+                let candidates = Candidates::build(scope, view, targets);
+                if v < 2 && scope == CandidateScope::TargetNeighborhood {
+                    let (merged, scattered) = row_methods(view, &candidates);
+                    assert!(
+                        merged >= 50 && scattered >= 1,
+                        "view {v}: {merged}, {scattered}"
+                    );
+                    for workers in [2, 3, 8] {
+                        assert!(cuts_inside_a_row(&candidates, workers), "{workers}");
+                    }
+                }
                 let flags = edge_flags(&candidates, view);
                 for hole in [1usize, 3] {
                     let mask: Vec<bool> = (0..candidates.len()).map(|k| k % hole != 2).collect();
                     for sign in [None, Some(flags.as_slice())] {
-                        for strategy in [Strategy::Row, Strategy::Merge] {
-                            let (serial, serial_max) =
-                                run(strategy, 1, view, &ng, &candidates, &mask, sign);
-                            let mut kernel = GradKernel::new(1);
-                            for workers in [1usize, 2, 3, 7, 13] {
-                                let what = format!(
-                                    "view {v}, {scope:?}, hole {hole}, signed {}, \
-                                     {strategy:?}, {workers} workers",
-                                    sign.is_some()
-                                );
-                                let (out, max) = run_on(
-                                    &mut kernel,
-                                    strategy,
-                                    workers,
-                                    view,
-                                    &ng,
-                                    &candidates,
-                                    &mask,
-                                    sign,
-                                );
-                                assert_eq!(bits(&out), bits(&serial), "{what}");
-                                assert_eq!(max.to_bits(), serial_max.to_bits(), "{what}");
-                                assert!(
-                                    kernel.rows.iter().flatten().all(|&s| s == (0.0, 0.0)),
-                                    "{what}: row buffer left dirty"
-                                );
-                            }
+                        let (serial, serial_max) = run(1, view, &ng, &candidates, &mask, sign);
+                        let mut kernel = GradKernel::new(1);
+                        for workers in [1usize, 2, 3, 7, 8, 13] {
+                            let what = format!(
+                                "view {v}, {scope:?}, hole {hole}, signed {}, {workers} workers",
+                                sign.is_some()
+                            );
+                            let (out, max) =
+                                run_on(&mut kernel, workers, view, &ng, &candidates, &mask, sign);
+                            assert_eq!(bits(&out), bits(&serial), "{what}");
+                            assert_eq!(max.to_bits(), serial_max.to_bits(), "{what}");
+                            assert!(
+                                kernel.rows.iter().flatten().all(|&s| s == (0.0, 0.0)),
+                                "{what}: row buffer left dirty"
+                            );
                         }
                     }
                 }

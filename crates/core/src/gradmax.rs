@@ -20,7 +20,7 @@
 //! argmax. Chunk winners are combined with the same total order.
 
 use crate::attack::{AttackConfig, AttackError, AttackOutcome, StructuralAttack};
-use crate::grad::Assembly;
+use crate::grad::NodeGrads;
 use crate::pair::{edge_flags, Candidates, IndexBitSet};
 use crate::session::AttackSession;
 use crate::split::{read, with_crew, write, Cells};
@@ -160,11 +160,11 @@ impl StructuralAttack for GradMaxSearch {
                 // unless the slot holds them already, then the chunk's
                 // best sign-consistent move. Both are chunk-local, so one
                 // pass runs them back to back.
-                Phase::Select(assembly) => {
+                Phase::Select(fresh) => {
                     let mut chunk = grads.get(k);
-                    if let Some(pass) = assembly {
+                    if let Some(ng) = fresh {
                         let sign = Some(signs[k]);
-                        chunk.assemble(pass, g, &candidates, range.clone(), &cell.eligible, sign);
+                        chunk.assemble(ng, g, &candidates, range.clone(), &cell.eligible, sign);
                     }
                     cell.best = select(&chunk.grads, range.start);
                 }
@@ -194,9 +194,7 @@ impl StructuralAttack for GradMaxSearch {
                     let mask: Vec<&[bool]> = marks.iter().map(|c| c.eligible.as_slice()).collect();
                     let (slot, fresh) = state.session.lend_grads(&mask, true, &split);
                     drop(marks);
-                    let assembly =
-                        fresh.then(|| grads.plan(state.session.graph(), ng, split.len()));
-                    state.phase = Phase::Select(assembly);
+                    state.phase = Phase::Select(fresh.then_some(ng));
                     (slot, fresh)
                 };
                 grads.swap(&mut slot);
@@ -267,8 +265,9 @@ struct ScanState<'s, 'g> {
 enum Phase {
     /// Mark the feasible moves.
     Mark,
-    /// Assemble, on an LRU miss, then select.
-    Select(Option<Assembly>),
+    /// Assemble for the forward pass it carries (an LRU miss), then
+    /// select.
+    Select(Option<NodeGrads>),
 }
 
 /// One chunk's scan state across a search.

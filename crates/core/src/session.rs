@@ -54,8 +54,7 @@
 //! ([`AttackSession::with_memo`] opts in).
 
 use crate::attack::{validate_targets, AttackError, AttackOutcome};
-use crate::grad::{assemble_chunk, node_grads, plan, prepare_row};
-use crate::grad::{Assembly, GradKernel, NodeGrads};
+use crate::grad::{assemble_chunk, node_grads, GradKernel, NodeGrads};
 use crate::loss::surrogate_loss_from_features;
 use crate::pair::Candidates;
 use crate::split::{Cells, Partition};
@@ -194,12 +193,12 @@ pub(crate) struct GradChunk {
 }
 
 impl GradChunk {
-    /// Assembles the candidates in `range` into the lent run, by `pass`
-    /// over `g`; `mask` and `sign` are that range's runs (see
-    /// `grad::assemble_chunk`).
+    /// Assembles the candidates in `range` into the lent run, for the
+    /// forward pass `ng` over `g`; `mask` and `sign` are that range's
+    /// runs (see `grad::assemble_chunk`).
     pub(crate) fn assemble<V: GraphView + ?Sized>(
         &mut self,
-        pass: &Assembly,
+        ng: &NodeGrads,
         g: &V,
         candidates: &Candidates,
         range: Range<usize>,
@@ -207,9 +206,8 @@ impl GradChunk {
         sign: Option<&[bool]>,
     ) {
         self.max_abs = assemble_chunk(
-            pass.strategy,
             g,
-            &pass.ng,
+            ng,
             candidates,
             range,
             mask,
@@ -228,17 +226,6 @@ impl Cells<GradChunk> {
         for (k, chunk) in slot.chunks.iter_mut().enumerate() {
             std::mem::swap(chunk, &mut self.get(k).grads);
         }
-    }
-
-    /// An assembly pass over `g` for `ng`: the strategy the cost model
-    /// picks for `len` candidates, with every chunk's row buffer sized
-    /// for it here, on the calling thread.
-    pub(crate) fn plan<V: GraphView + ?Sized>(&self, g: &V, ng: NodeGrads, len: usize) -> Assembly {
-        let (strategy, _) = plan(g, len);
-        self.fold((), |(), chunk| {
-            prepare_row(strategy, g.num_nodes(), &mut chunk.row)
-        });
-        Assembly { ng, strategy }
     }
 
     /// Max-abs of the last assembly: an exact max, folded in chunk order.
@@ -520,10 +507,13 @@ impl<'g> AttackSession<'g> {
     }
 
     /// A search loop's crew cells for the backward pass over `split`,
-    /// one per chunk, holding the kernel's row buffers until
-    /// [`AttackSession::close_grad_cells`] takes them back.
+    /// one per chunk, holding the kernel's row buffers, sized once here
+    /// for the graph, until [`AttackSession::close_grad_cells`] takes them
+    /// back.
     pub(crate) fn grad_cells(&mut self, split: &Partition) -> Cells<GradChunk> {
-        let rows = self.kernel.take_rows(split.chunks());
+        let rows = self
+            .kernel
+            .take_rows(split.chunks(), self.overlay.num_nodes());
         Cells::new(rows.into_iter().map(|row| GradChunk {
             row,
             ..GradChunk::default()

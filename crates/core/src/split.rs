@@ -9,8 +9,9 @@
 //! output and reads the inputs it wrote itself in the pass before, and
 //! results are combined in chunk order, so every pass is bit-identical
 //! at any worker count. A cut may fall inside a row (the candidates
-//! sharing a smaller endpoint); the row kernel then scatters that row
-//! once in each of the two chunks, which costs one row's wedges per cut.
+//! sharing a smaller endpoint); the row kernel then computes each part
+//! in its own chunk, and a row it scatters is scattered in both, which
+//! costs one row's wedges per cut.
 //! ContinuousA's dense step cuts the packed upper triangle of its
 //! `n × n` products the same way, on a crew of its own (`dense.rs`).
 //!
@@ -39,16 +40,17 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard
 use std::time::{Duration, Instant};
 
 /// Least assembly work, in the gradient cost model's units (one
-/// row-kernel adjacency touch; see `grad::plan`), worth one more worker.
-/// Derived from the cost of one scoped spawn and join per pass (about
-/// 45 µs on a 2-core VM), before the crew replaced the spawns; re-timing
-/// it against the crew's handoff is open. Timing one assembly on one
-/// worker against two on that VM (ER graphs of mean degree 13.5 and BA
-/// graphs, `Full` and `TargetNeighborhood` sets), two workers broke even
-/// between 64k and 115k units on the row kernel (0.80–0.90× at 64k,
-/// 1.04–1.07× at 80k, 1.45× at 158k) and between 47k and 96k on the merge
-/// path (0.72–0.80× at 47k, 1.22–1.26× at 96k), so two workers start at
-/// 80k.
+/// row-kernel adjacency touch; see `grad::assembly_cost`, which charges a
+/// merge step 2.5 touches), worth one more worker. Derived from the cost
+/// of one scoped spawn and join per pass (about 45 µs on a 2-core VM),
+/// before the crew replaced the spawns; re-timing it against the crew's
+/// handoff is open. Timing one assembly on one worker against two on
+/// that VM (ER graphs of mean degree 13.5 and BA graphs, `Full` and
+/// `TargetNeighborhood` sets), when the kernel still scattered or merged
+/// a whole set, two workers broke even between 64k and 115k units when
+/// scattering (0.80–0.90× at 64k, 1.04–1.07× at 80k, 1.45× at 158k) and
+/// between 47k and 96k when merging (0.72–0.80× at 47k, 1.22–1.26× at
+/// 96k), so two workers start at 80k.
 pub(crate) const MIN_WORK: f64 = 40_000.0;
 
 /// How long a crew thread spins before it blocks, waiting for the next
@@ -360,8 +362,8 @@ mod tests {
         assert_eq!(workers(2, 100.0 * MIN_WORK), 2);
         assert_eq!(workers(1, 100.0 * MIN_WORK), 1);
         // `tests/thread_split.rs` relies on its 300-node `Full` instance
-        // splitting three ways or more. Either strategy's cost is at
-        // least 4 units per candidate.
+        // splitting three ways or more. A `Full` set's cost is at least 4
+        // units per candidate.
         assert!(workers(8, 4.0 * (300 * 299 / 2) as f64) >= 3);
     }
 

@@ -1,46 +1,10 @@
-//! Spectral helpers: power iteration, top-k symmetric eigen-decomposition
-//! by deflation, and PCA. Used by `ba-gad` to project node embeddings
-//! (Figs. 8–9) and as the initialisation for t-SNE.
+//! Spectral helpers: power iteration and top-k symmetric
+//! eigen-decomposition by deflation. Used by `ba-oddball`'s low-rank
+//! purification defense.
 
 use crate::{Matrix, Vector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Result of a PCA fit: the mean that was subtracted and the principal
-/// axes (one per row).
-#[derive(Debug, Clone)]
-pub struct PcaModel {
-    /// Per-feature mean of the training data (length = #features).
-    pub mean: Vec<f64>,
-    /// `k × d` matrix; row `i` is the i-th principal axis (unit norm).
-    pub components: Matrix,
-    /// Eigenvalues of the covariance matrix for the kept components.
-    pub explained_variance: Vec<f64>,
-}
-
-impl PcaModel {
-    /// Projects an `n × d` data matrix into the `k`-dimensional principal
-    /// subspace, returning `n × k` scores.
-    pub fn transform(&self, data: &Matrix) -> Matrix {
-        let n = data.rows();
-        let d = data.cols();
-        assert_eq!(d, self.mean.len(), "PCA feature count mismatch");
-        let k = self.components.rows();
-        let mut out = Matrix::zeros(n, k);
-        for i in 0..n {
-            for c in 0..k {
-                let mut acc = 0.0;
-                let axis = self.components.row(c);
-                let row = data.row(i);
-                for j in 0..d {
-                    acc += (row[j] - self.mean[j]) * axis[j];
-                }
-                out[(i, c)] = acc;
-            }
-        }
-        out
-    }
-}
 
 /// Dominant eigenpair of a symmetric matrix via power iteration with a
 /// deterministic seeded start. Returns `(eigenvalue, eigenvector)`.
@@ -68,8 +32,7 @@ pub fn power_iteration(m: &Matrix, iters: usize, seed: u64) -> (f64, Vector) {
 }
 
 /// Top-`k` eigenpairs of a symmetric matrix by power iteration with
-/// Hotelling deflation. Adequate for the small covariance matrices PCA
-/// works with (d ≤ a few hundred).
+/// Hotelling deflation.
 pub fn symmetric_topk(m: &Matrix, k: usize, iters: usize, seed: u64) -> Vec<(f64, Vector)> {
     let mut work = m.clone();
     let mut pairs = Vec::with_capacity(k);
@@ -85,60 +48,6 @@ pub fn symmetric_topk(m: &Matrix, k: usize, iters: usize, seed: u64) -> Vec<(f64
         pairs.push((lambda, v));
     }
     pairs
-}
-
-/// Fits PCA with `k` components on an `n × d` data matrix (rows are
-/// samples). Deterministic given `seed`.
-pub fn pca(data: &Matrix, k: usize, seed: u64) -> PcaModel {
-    let n = data.rows();
-    let d = data.cols();
-    assert!(n >= 2, "PCA needs at least two samples");
-    let k = k.min(d);
-    // Column means.
-    let mut mean = vec![0.0; d];
-    for i in 0..n {
-        for (j, m) in mean.iter_mut().enumerate() {
-            *m += data[(i, j)];
-        }
-    }
-    for m in &mut mean {
-        *m /= n as f64;
-    }
-    // Covariance (d × d).
-    let mut cov = Matrix::zeros(d, d);
-    for i in 0..n {
-        let row = data.row(i);
-        for a in 0..d {
-            let da = row[a] - mean[a];
-            if da == 0.0 {
-                continue;
-            }
-            for b in a..d {
-                let v = da * (row[b] - mean[b]);
-                cov[(a, b)] += v;
-            }
-        }
-    }
-    let denom = (n - 1) as f64;
-    for a in 0..d {
-        for b in a..d {
-            let v = cov[(a, b)] / denom;
-            cov[(a, b)] = v;
-            cov[(b, a)] = v;
-        }
-    }
-    let pairs = symmetric_topk(&cov, k, 200, seed);
-    let mut components = Matrix::zeros(pairs.len(), d);
-    let mut explained = Vec::with_capacity(pairs.len());
-    for (r, (lambda, v)) in pairs.iter().enumerate() {
-        explained.push(*lambda);
-        components.row_mut(r).copy_from_slice(v.as_slice());
-    }
-    PcaModel {
-        mean,
-        components,
-        explained_variance: explained,
-    }
 }
 
 #[cfg(test)]
@@ -170,46 +79,5 @@ mod tests {
         assert!((eigs[0] - 5.0).abs() < 1e-6);
         assert!((eigs[1] - 3.0).abs() < 1e-6);
         assert!((eigs[2] - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn pca_finds_dominant_direction() {
-        // Points along y = 2x with small orthogonal jitter: first PC should
-        // align with (1, 2)/sqrt(5).
-        let mut rows = Vec::new();
-        let mut rng_state = 0x9e3779b97f4a7c15u64;
-        let mut next = || {
-            rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((rng_state >> 33) as f64 / (1u64 << 31) as f64) - 0.5
-        };
-        for i in 0..50 {
-            let t = i as f64 / 5.0;
-            rows.push([t + 0.01 * next(), 2.0 * t + 0.01 * next()]);
-        }
-        let data = Matrix::from_fn(50, 2, |i, j| rows[i][j]);
-        let model = pca(&data, 1, 3);
-        let axis = model.components.row(0);
-        let expected = [1.0 / 5.0_f64.sqrt(), 2.0 / 5.0_f64.sqrt()];
-        let dot = (axis[0] * expected[0] + axis[1] * expected[1]).abs();
-        assert!(dot > 0.999, "axis {axis:?} not aligned, |dot|={dot}");
-        assert!(model.explained_variance[0] > 1.0);
-    }
-
-    #[test]
-    fn pca_transform_centers_data() {
-        let data = Matrix::from_rows(&[&[1.0, 1.0], &[3.0, 3.0]]);
-        let model = pca(&data, 1, 11);
-        let scores = model.transform(&data);
-        // Two symmetric points around the mean: scores are ±s.
-        assert!((scores[(0, 0)] + scores[(1, 0)]).abs() < 1e-9);
-        assert!(scores[(0, 0)].abs() > 0.5);
-    }
-
-    #[test]
-    fn pca_deterministic_across_calls() {
-        let data = Matrix::from_fn(20, 3, |i, j| ((i * 7 + j * 13) % 11) as f64);
-        let a = pca(&data, 2, 99);
-        let b = pca(&data, 2, 99);
-        assert_eq!(a.components, b.components);
     }
 }

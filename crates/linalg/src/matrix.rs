@@ -221,36 +221,6 @@ impl Matrix {
         m
     }
 
-    /// `self += other * s` (AXPY on the whole buffer).
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn axpy_mut(&mut self, s: f64, other: &Matrix) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += s * b;
-        }
-    }
-
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
     /// Applies `f` to every entry, returning a new matrix.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
         Matrix {
@@ -260,39 +230,14 @@ impl Matrix {
         }
     }
 
-    /// Applies `f` to every entry in place.
-    pub fn map_mut(&mut self, f: impl Fn(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Sum of all entries.
     pub fn sum(&self) -> f64 {
         self.data.iter().sum()
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute entry (0 for an empty matrix).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
-    }
-
-    /// The main diagonal as a vector. Works for rectangular matrices too
-    /// (length is `min(rows, cols)`).
-    pub fn diagonal(&self) -> Vec<f64> {
-        (0..self.rows.min(self.cols))
-            .map(|i| self[(i, i)])
-            .collect()
-    }
-
-    /// Trace (sum of diagonal entries).
-    pub fn trace(&self) -> f64 {
-        self.diagonal().iter().sum()
     }
 }
 
@@ -444,24 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn diag_and_trace() {
-        let d = Matrix::diag(&[1.0, 2.0, 3.0]);
-        assert_eq!(d.trace(), 6.0);
-        assert_eq!(d.diagonal(), vec![1.0, 2.0, 3.0]);
-        assert_eq!(d[(0, 1)], 0.0);
-    }
-
-    #[test]
-    fn hadamard_elementwise() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[2.0, 0.5], &[1.0, 0.25]]);
-        assert_eq!(
-            a.hadamard(&b),
-            Matrix::from_rows(&[&[2.0, 1.0], &[3.0, 1.0]])
-        );
-    }
-
-    #[test]
     fn add_sub_roundtrip() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[0.5, 0.5], &[0.5, 0.5]]);
@@ -474,17 +401,8 @@ mod tests {
     }
 
     #[test]
-    fn axpy_accumulates() {
-        let mut a = Matrix::zeros(2, 2);
-        let b = Matrix::identity(2);
-        a.axpy_mut(3.0, &b);
-        assert_eq!(a, Matrix::diag(&[3.0, 3.0]));
-    }
-
-    #[test]
     fn map_and_norms() {
         let a = Matrix::from_rows(&[&[3.0, -4.0]]);
-        assert_eq!(a.frobenius_norm(), 5.0);
         assert_eq!(a.max_abs(), 4.0);
         assert_eq!(a.map(f64::abs).sum(), 7.0);
     }

@@ -1,23 +1,17 @@
-//! Linear solvers: Gaussian elimination with partial pivoting, a 2×2
-//! closed form (the OLS normal equations in OddBall are always 2×2), and
-//! matrix inversion built on the general solver.
+//! The 2×2 closed-form solve (the OLS normal equations in OddBall are
+//! always 2×2) and its error type.
 
-use crate::{Matrix, Vector};
-
-/// Errors produced by the solvers.
+/// Why [`solve2`] failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinalgError {
     /// The system matrix is singular (or numerically so).
     Singular,
-    /// Operand dimensions do not agree.
-    DimensionMismatch,
 }
 
 impl std::fmt::Display for LinalgError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LinalgError::Singular => write!(f, "singular matrix"),
-            LinalgError::DimensionMismatch => write!(f, "dimension mismatch"),
         }
     }
 }
@@ -39,94 +33,16 @@ pub fn solve2(a: f64, b: f64, c: f64, d: f64, e: f64, f: f64) -> Result<(f64, f6
     Ok(((e * d - b * f) / det, (a * f - e * c) / det))
 }
 
-/// Solves `A x = b` by Gaussian elimination with partial pivoting.
-pub fn solve(a: &Matrix, b: &Vector) -> Result<Vector, LinalgError> {
-    let n = a.rows();
-    if a.cols() != n || b.len() != n {
-        return Err(LinalgError::DimensionMismatch);
-    }
-    // Augmented working copy.
-    let mut m = a.clone();
-    let mut rhs = b.clone();
-    for col in 0..n {
-        // Partial pivot: pick the largest magnitude entry in this column.
-        let mut pivot = col;
-        let mut best = m[(col, col)].abs();
-        for r in (col + 1)..n {
-            let v = m[(r, col)].abs();
-            if v > best {
-                best = v;
-                pivot = r;
-            }
-        }
-        if best <= 1e-13 {
-            return Err(LinalgError::Singular);
-        }
-        if pivot != col {
-            for j in 0..n {
-                let tmp = m[(col, j)];
-                m[(col, j)] = m[(pivot, j)];
-                m[(pivot, j)] = tmp;
-            }
-            let tmp = rhs[col];
-            rhs[col] = rhs[pivot];
-            rhs[pivot] = tmp;
-        }
-        let inv_p = 1.0 / m[(col, col)];
-        for r in (col + 1)..n {
-            let factor = m[(r, col)] * inv_p;
-            if factor == 0.0 {
-                continue;
-            }
-            m[(r, col)] = 0.0;
-            for j in (col + 1)..n {
-                let upd = m[(col, j)] * factor;
-                m[(r, j)] -= upd;
-            }
-            rhs[r] -= rhs[col] * factor;
-        }
-    }
-    // Back substitution.
-    let mut x = Vector::zeros(n);
-    for i in (0..n).rev() {
-        let mut acc = rhs[i];
-        for j in (i + 1)..n {
-            acc -= m[(i, j)] * x[j];
-        }
-        x[i] = acc / m[(i, i)];
-    }
-    Ok(x)
-}
-
-/// Inverts a square matrix by solving against the identity columns.
-pub fn inverse(a: &Matrix) -> Result<Matrix, LinalgError> {
-    let n = a.rows();
-    if a.cols() != n {
-        return Err(LinalgError::DimensionMismatch);
-    }
-    let mut inv = Matrix::zeros(n, n);
-    for j in 0..n {
-        let mut e = Vector::zeros(n);
-        e[j] = 1.0;
-        let col = solve(a, &e)?;
-        for i in 0..n {
-            inv[(i, j)] = col[i];
-        }
-    }
-    Ok(inv)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx_eq;
 
     #[test]
     fn solve2_known_system() {
         // x + y = 3, x - y = 1  =>  x = 2, y = 1
         let (x, y) = solve2(1.0, 1.0, 1.0, -1.0, 3.0, 1.0).unwrap();
-        assert!(approx_eq(x, 2.0, 1e-12));
-        assert!(approx_eq(y, 1.0, 1e-12));
+        assert!((x - 2.0).abs() < 1e-12);
+        assert!((y - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -135,56 +51,5 @@ mod tests {
             solve2(1.0, 2.0, 2.0, 4.0, 1.0, 2.0),
             Err(LinalgError::Singular)
         );
-    }
-
-    #[test]
-    fn solve_matches_manual_3x3() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0, -1.0], &[-3.0, -1.0, 2.0], &[-2.0, 1.0, 2.0]]);
-        let b = Vector::from(vec![8.0, -11.0, -3.0]);
-        let x = solve(&a, &b).unwrap();
-        // Known solution: x=2, y=3, z=-1
-        assert!(approx_eq(x[0], 2.0, 1e-9));
-        assert!(approx_eq(x[1], 3.0, 1e-9));
-        assert!(approx_eq(x[2], -1.0, 1e-9));
-    }
-
-    #[test]
-    fn solve_requires_pivoting() {
-        // Zero pivot in the (0,0) position forces a row swap.
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let b = Vector::from(vec![2.0, 3.0]);
-        let x = solve(&a, &b).unwrap();
-        assert!(approx_eq(x[0], 3.0, 1e-12));
-        assert!(approx_eq(x[1], 2.0, 1e-12));
-    }
-
-    #[test]
-    fn solve_singular_errors() {
-        let a = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 2.0]]);
-        let b = Vector::from(vec![1.0, 2.0]);
-        assert_eq!(solve(&a, &b), Err(LinalgError::Singular));
-    }
-
-    #[test]
-    fn solve_dimension_mismatch() {
-        let a = Matrix::zeros(2, 3);
-        let b = Vector::zeros(2);
-        assert_eq!(solve(&a, &b), Err(LinalgError::DimensionMismatch));
-    }
-
-    #[test]
-    fn inverse_times_original_is_identity() {
-        let a = Matrix::from_rows(&[&[4.0, 7.0], &[2.0, 6.0]]);
-        let inv = inverse(&a).unwrap();
-        let prod = a.matmul(&inv);
-        let id = Matrix::identity(2);
-        assert!((&prod - &id).max_abs() < 1e-10);
-    }
-
-    #[test]
-    fn inverse_of_identity_is_identity() {
-        let id = Matrix::identity(4);
-        let inv = inverse(&id).unwrap();
-        assert!((&inv - &id).max_abs() < 1e-12);
     }
 }

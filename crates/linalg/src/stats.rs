@@ -154,10 +154,8 @@ impl OlsStats {
         }
         let (su, sv) = (self.su.value(), self.sv.value());
         let (suu, suv) = (self.suu.value(), self.suv.value());
-        solve2(self.n as f64, su, su, suu, sv, suv).map_err(|e| match e {
-            LinalgError::Singular => Ols2Error::Degenerate,
-            LinalgError::DimensionMismatch => Ols2Error::LengthMismatch,
-        })
+        solve2(self.n as f64, su, su, suu, sv, suv)
+            .map_err(|LinalgError::Singular| Ols2Error::Degenerate)
     }
 }
 

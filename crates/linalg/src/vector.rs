@@ -61,22 +61,6 @@ impl Vector {
         self.dot(self).sqrt()
     }
 
-    /// L1 norm.
-    pub fn norm1(&self) -> f64 {
-        self.0.iter().map(|x| x.abs()).sum()
-    }
-
-    /// `self += s * other`.
-    ///
-    /// # Panics
-    /// Panics on length mismatch.
-    pub fn axpy_mut(&mut self, s: f64, other: &Vector) {
-        assert_eq!(self.len(), other.len(), "axpy length mismatch");
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
-            *a += s * b;
-        }
-    }
-
     /// Scales every entry by `s` in place.
     pub fn scale_mut(&mut self, s: f64) {
         for x in &mut self.0 {
@@ -141,15 +125,6 @@ mod tests {
         let a = Vector::from(vec![3.0, 4.0]);
         assert_eq!(a.dot(&a), 25.0);
         assert_eq!(a.norm(), 5.0);
-        assert_eq!(a.norm1(), 7.0);
-    }
-
-    #[test]
-    fn axpy_updates_in_place() {
-        let mut a = Vector::zeros(3);
-        let b = Vector::ones(3);
-        a.axpy_mut(2.5, &b);
-        assert_eq!(a.as_slice(), &[2.5, 2.5, 2.5]);
     }
 
     #[test]

@@ -1,19 +1,12 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use ba_linalg::{inverse, simple_ols, solve, solve2, Matrix, Vector};
+use ba_linalg::{simple_ols, solve2, Matrix};
 use proptest::prelude::*;
 
 fn small_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
     (1..=max_dim, 1..=max_dim).prop_flat_map(|(r, c)| {
         proptest::collection::vec(-10.0..10.0f64, r * c)
             .prop_map(move |data| Matrix::from_vec(r, c, data))
-    })
-}
-
-fn square_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
-    (1..=max_dim).prop_flat_map(|n| {
-        proptest::collection::vec(-10.0..10.0f64, n * n)
-            .prop_map(move |data| Matrix::from_vec(n, n, data))
     })
 }
 
@@ -45,38 +38,7 @@ proptest! {
     }
 
     #[test]
-    fn solve_residual_is_small(m in square_matrix(6), scale in 0.5..2.0f64) {
-        let n = m.rows();
-        // Diagonally dominate to guarantee non-singularity.
-        let mut a = m;
-        for i in 0..n {
-            let row_sum: f64 = a.row(i).iter().map(|v| v.abs()).sum();
-            a[(i, i)] = (row_sum + 1.0) * scale;
-        }
-        let b = Vector::ones(n);
-        let x = solve(&a, &b).unwrap();
-        let r = a.matvec(&x);
-        for i in 0..n {
-            prop_assert!((r[i] - 1.0).abs() < 1e-7);
-        }
-    }
-
-    #[test]
-    fn inverse_roundtrip(m in square_matrix(5)) {
-        let n = m.rows();
-        let mut a = m;
-        for i in 0..n {
-            let row_sum: f64 = a.row(i).iter().map(|v| v.abs()).sum();
-            a[(i, i)] = row_sum + 1.0;
-        }
-        let inv = inverse(&a).unwrap();
-        let prod = a.matmul(&inv);
-        let id = Matrix::identity(n);
-        prop_assert!((&prod - &id).max_abs() < 1e-7);
-    }
-
-    #[test]
-    fn solve2_matches_general_solver(
+    fn solve2_residual_is_small(
         a in -10.0..10.0f64, b in -10.0..10.0f64,
         c in -10.0..10.0f64, e in -10.0..10.0f64, f in -10.0..10.0f64,
     ) {
@@ -84,11 +46,8 @@ proptest! {
         let d = a.abs() + b.abs() + c.abs() + 1.0;
         let a_big = a + 20.0;
         if let Ok((x0, x1)) = solve2(a_big, b, c, d, e, f) {
-            let m = Matrix::from_rows(&[&[a_big, b], &[c, d]]);
-            let rhs = Vector::from(vec![e, f]);
-            let x = solve(&m, &rhs).unwrap();
-            prop_assert!((x[0] - x0).abs() < 1e-6);
-            prop_assert!((x[1] - x1).abs() < 1e-6);
+            prop_assert!((a_big * x0 + b * x1 - e).abs() < 1e-9);
+            prop_assert!((c * x0 + d * x1 - f).abs() < 1e-9);
         }
     }
 
