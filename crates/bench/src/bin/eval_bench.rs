@@ -18,32 +18,19 @@
 //!
 //! The two curves are cross-checked bit-identical before timing is
 //! reported. Exits non-zero if the incremental path is less than 5×
-//! faster — the CI smoke gate for the "evaluation loop is incremental"
-//! acceptance criterion. `--quick` runs fewer repetitions (CI), `--csv`
-//! emits a machine-readable line.
+//! faster — the CI smoke gate that keeps the evaluation loop
+//! incremental. `--quick` runs fewer repetitions (CI).
 
-use ba_bench::{sample_from_pool, target_pool};
+use ba_bench::{sample_from_pool, target_pool, time_best_of};
 use ba_core::{AttackConfig, RandomAttack, StructuralAttack};
 use ba_graph::{generators, CsrGraph};
 use ba_oddball::OddBall;
-use std::time::Instant;
 
 const REQUIRED_SPEEDUP: f64 = 5.0;
-
-fn time_best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let csv = args.iter().any(|a| a == "--csv");
     let (inc_reps, full_reps) = if quick { (10, 2) } else { (30, 5) };
 
     // The acceptance instance: ER 1000 nodes / ~5000 edges, budget 30.
@@ -96,18 +83,9 @@ fn main() {
     }
 
     let speedup = full_s / inc_s;
-    if csv {
-        println!("n,m,budget,targets,incremental_s,full_s,speedup");
-        println!(
-            "{n},{},{budget},{},{inc_s:.6},{full_s:.6},{speedup:.2}",
-            g.num_edges(),
-            targets.len()
-        );
-    } else {
-        println!("incremental replay: {:>10.3} ms", inc_s * 1e3);
-        println!("full refit:         {:>10.3} ms", full_s * 1e3);
-        println!("speedup:            {speedup:>10.2}x (gate: ≥{REQUIRED_SPEEDUP}x)");
-    }
+    println!("incremental replay: {:>10.3} ms", inc_s * 1e3);
+    println!("full refit:         {:>10.3} ms", full_s * 1e3);
+    println!("speedup:            {speedup:>10.2}x (gate: ≥{REQUIRED_SPEEDUP}x)");
     ba_net::BenchReport::new("eval")
         .metric("n", n as f64, "count")
         .metric("m", g.num_edges() as f64, "count")

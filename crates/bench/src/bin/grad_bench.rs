@@ -32,15 +32,15 @@
 //! faster than one worker (`row_split_speedup ≤ 1`), if the
 //! `TargetNeighborhood` kernel differs from the loop in any bit, or if it
 //! takes more than 1.25× the loop's time (`tn_ratio > 1.25`). `--quick`
-//! runs fewer repetitions (CI), `--csv` emits a machine-readable line.
+//! runs fewer repetitions (CI).
 
+use ba_bench::time_best_of;
 use ba_core::{
     assemble_pair_grads, assemble_pair_grads_into, dense_pair_gradients, node_grads, pair_grad,
     CandidateScope, Candidates,
 };
 use ba_graph::egonet::egonet_features;
 use ba_graph::{generators, CsrGraph};
-use std::time::Instant;
 
 const REQUIRED_SPEEDUP: f64 = 5.0;
 
@@ -51,20 +51,9 @@ const TN_MAX_RATIO: f64 = 1.25;
 /// Seed of the `TargetNeighborhood` target sample.
 const TN_SEED: u64 = 1;
 
-fn time_best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let csv = args.iter().any(|a| a == "--csv");
     let (sparse_reps, dense_reps, row_reps, tn_reps) = if quick {
         (5, 1, 20, 60)
     } else {
@@ -154,28 +143,16 @@ fn main() {
     let tn_ratio = tn_kernel_s / tn_loop_s;
 
     let speedup = dense_s / sparse_s;
-    if csv {
-        println!(
-            "n,m,pairs,threads,sparse_s,dense_s,speedup,row_serial_s,row_split_s,row_split_speedup,tn_pairs,tn_kernel_s,tn_loop_s,tn_ratio"
-        );
-        println!(
-            "{n},{},{},{threads},{sparse_s:.6},{dense_s:.6},{speedup:.2},{row_serial_s:.6},{row_split_s:.6},{row_split_speedup:.2},{},{tn_kernel_s:.6},{tn_loop_s:.6},{tn_ratio:.2}",
-            g.num_edges(),
-            candidates.len(),
-            tn.len()
-        );
-    } else {
-        println!("sparse assembly: {:>10.3} ms", sparse_s * 1e3);
-        println!("dense  assembly: {:>10.3} ms", dense_s * 1e3);
-        println!("speedup:         {speedup:>10.2}x (gate: ≥{REQUIRED_SPEEDUP}x)");
-        println!("row, 1 worker:   {:>10.3} ms", row_serial_s * 1e3);
-        println!("row, split:      {:>10.3} ms", row_split_s * 1e3);
-        println!("row split:       {row_split_speedup:>10.2}x on {threads} threads (gate: >1x)");
-        println!("TN targets:      {tn_targets:?}, {} pairs", tn.len());
-        println!("TN, kernel:      {:>10.3} ms", tn_kernel_s * 1e3);
-        println!("TN, pair loop:   {:>10.3} ms", tn_loop_s * 1e3);
-        println!("TN kernel/loop:  {tn_ratio:>10.2}x (gate: ≤{TN_MAX_RATIO}x)");
-    }
+    println!("sparse assembly: {:>10.3} ms", sparse_s * 1e3);
+    println!("dense  assembly: {:>10.3} ms", dense_s * 1e3);
+    println!("speedup:         {speedup:>10.2}x (gate: ≥{REQUIRED_SPEEDUP}x)");
+    println!("row, 1 worker:   {:>10.3} ms", row_serial_s * 1e3);
+    println!("row, split:      {:>10.3} ms", row_split_s * 1e3);
+    println!("row split:       {row_split_speedup:>10.2}x on {threads} threads (gate: >1x)");
+    println!("TN targets:      {tn_targets:?}, {} pairs", tn.len());
+    println!("TN, kernel:      {:>10.3} ms", tn_kernel_s * 1e3);
+    println!("TN, pair loop:   {:>10.3} ms", tn_loop_s * 1e3);
+    println!("TN kernel/loop:  {tn_ratio:>10.2}x (gate: ≤{TN_MAX_RATIO}x)");
     ba_net::BenchReport::new("grad")
         .metric("n", n as f64, "count")
         .metric("m", g.num_edges() as f64, "count")

@@ -15,29 +15,18 @@
 //! The per-batch model parameters are cross-checked bit-identical
 //! between the two paths before timing is reported. Exits non-zero if
 //! sustained engine ingest is less than 5× the full-refit baseline —
-//! the CI gate for the streaming acceptance criterion. `--quick` runs a
-//! shorter stream (CI), `--csv` emits a machine-readable line, and
-//! `--json PATH` records the result for the perf-trend pipeline
-//! (`BENCH_stream.json`).
+//! the CI gate that keeps streaming ingest incremental. `--quick` runs a
+//! shorter stream (CI), and `--json PATH` records the result for the
+//! perf-trend pipeline (`BENCH_stream.json`).
 
+use ba_bench::time_best_of;
 use ba_graph::egonet::egonet_features;
 use ba_graph::generators;
 use ba_net::BenchReport;
 use ba_oddball::OddBall;
 use ba_stream::{synthetic_stream, StreamConfig, StreamEngine, StreamEvent};
-use std::time::Instant;
 
 const REQUIRED_SPEEDUP: f64 = 5.0;
-
-fn time_best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
 
 /// One engine pass over the stream; returns the per-batch betas.
 fn run_engine(g: &ba_graph::Graph, batches: &[&[StreamEvent]]) -> Vec<(u64, u64)> {
@@ -79,7 +68,6 @@ fn run_full_refit(g: &ba_graph::Graph, batches: &[&[StreamEvent]]) -> Vec<(u64, 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let csv = args.iter().any(|a| a == "--csv");
     let (num_batches, batch_size, engine_reps, full_reps) = if quick {
         (40, 50, 5, 2)
     } else {
@@ -120,24 +108,15 @@ fn main() {
     let engine_eps = total_events as f64 / engine_s;
     let full_eps = total_events as f64 / full_s;
     let speedup = full_s / engine_s;
-    if csv {
-        println!("n,m,batches,batch_size,engine_s,full_s,engine_events_per_sec,speedup");
-        println!(
-            "{n},{},{},{batch_size},{engine_s:.6},{full_s:.6},{engine_eps:.1},{speedup:.2}",
-            g.num_edges(),
-            batches.len()
-        );
-    } else {
-        println!(
-            "engine ingest:     {:>10.3} ms  ({engine_eps:>12.0} events/s)",
-            engine_s * 1e3
-        );
-        println!(
-            "full-refit ingest: {:>10.3} ms  ({full_eps:>12.0} events/s)",
-            full_s * 1e3
-        );
-        println!("speedup:           {speedup:>10.2}x (gate: ≥{REQUIRED_SPEEDUP}x)");
-    }
+    println!(
+        "engine ingest:     {:>10.3} ms  ({engine_eps:>12.0} events/s)",
+        engine_s * 1e3
+    );
+    println!(
+        "full-refit ingest: {:>10.3} ms  ({full_eps:>12.0} events/s)",
+        full_s * 1e3
+    );
+    println!("speedup:           {speedup:>10.2}x (gate: ≥{REQUIRED_SPEEDUP}x)");
     BenchReport::new("stream")
         .metric("n", n as f64, "count")
         .metric("m", g.num_edges() as f64, "count")

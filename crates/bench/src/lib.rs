@@ -1,16 +1,16 @@
 //! # ba-bench
 //!
 //! Experiment harness for the BinarizedAttack reproduction: one binary
-//! per paper table/figure (see DESIGN.md §5 for the index), every perf
-//! gate binary (`grad_bench`, `eval_bench`, `search_bench`,
-//! `stream_bench`, `serve_bench`, `large_bench`), plus Criterion
-//! micro-benchmarks. The engine and service crates sit below this one
-//! and share only the leaf [`ba_net`] codec with it, so the gates that
-//! drive them live here too. This library holds the shared plumbing:
-//! CLI flags, target sampling (paper Sec. VIII-A3), attack-curve
-//! averaging, CSV emission under `target/experiments/`, and — since the
-//! orchestrator rework — the deterministic parallel [`runner`] with its
-//! durable [`artifact`] layer and the runner-ported [`experiments`].
+//! per paper table/figure (see DESIGN.md §5 for the index) and every
+//! perf gate binary (`grad_bench`, `eval_bench`, `search_bench`,
+//! `stream_bench`, `serve_bench`, `large_bench`). The engine and service
+//! crates sit below this one and share only the leaf [`ba_net`] codec
+//! with it, so the gates that drive them live here too. This library
+//! holds the shared plumbing: CLI flags, the gates' timer, target
+//! sampling (paper Sec. VIII-A3), attack-curve averaging, CSV emission
+//! under `target/experiments/`, and — since the orchestrator rework —
+//! the deterministic parallel [`runner`] with its durable [`artifact`]
+//! layer and the runner-ported [`experiments`].
 
 pub mod artifact;
 pub mod distrib;
@@ -26,6 +26,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::io::Write;
 use std::path::PathBuf;
+use std::time::Instant;
 
 /// Common experiment options parsed from `std::env::args`.
 ///
@@ -110,55 +111,44 @@ impl From<std::io::Error> for BenchError {
 }
 
 impl ExpOptions {
-    /// Parses options from the process arguments.
+    /// The flags [`ExpOptions::from_flags`] reads.
+    const FLAGS: [&'static str; 6] = ["paper", "seed", "samples", "out", "threads", "resume"];
+
+    /// Parses options from the process arguments; exits with an error
+    /// naming the flag when it is unknown, or when its value is missing
+    /// or does not parse.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::parse_args(&args)
+        Self::parse_args(&args).unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            std::process::exit(1)
+        })
     }
 
     /// Parses options from an argument list without the program name.
-    /// An explicit `--samples N` wins over `--paper`'s 5 in either
-    /// order, as in `binattack exp`.
-    fn parse_args<S: AsRef<str>>(args: &[S]) -> Self {
-        let mut opts = Self::default();
-        let mut samples = None;
-        let value = |i: usize| args.get(i).map(AsRef::as_ref);
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_ref() {
-                "--paper" => {
-                    opts.paper = true;
-                }
-                "--seed" => {
-                    i += 1;
-                    opts.seed = value(i).and_then(|s| s.parse().ok()).unwrap_or(opts.seed);
-                }
-                "--samples" => {
-                    i += 1;
-                    samples = value(i).and_then(|s| s.parse().ok()).or(samples);
-                }
-                "--out" => {
-                    i += 1;
-                    if let Some(dir) = value(i) {
-                        opts.out_dir = PathBuf::from(dir);
-                    }
-                }
-                "--threads" => {
-                    i += 1;
-                    opts.threads = value(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(opts.threads);
-                }
-                "--resume" => {
-                    opts.resume = true;
-                }
-                other => eprintln!("warning: unknown flag {other}"),
-            }
-            i += 1;
+    fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Self, String> {
+        let flags = Flags::parse(args);
+        if let Some(key) = flags.0.keys().find(|k| !Self::FLAGS.contains(&k.as_str())) {
+            return Err(format!("unknown flag --{key}"));
         }
-        let profile_samples = if opts.paper { 5 } else { opts.samples };
-        opts.samples = samples.unwrap_or(profile_samples);
-        opts
+        Self::from_flags(&flags)
+    }
+
+    /// Options from a parsed flag map (`binattack exp` passes its own).
+    /// An explicit `--samples N` wins over `--paper`'s 5 in either
+    /// order.
+    pub fn from_flags(flags: &Flags) -> Result<Self, String> {
+        let defaults = Self::default();
+        let paper = flags.has("paper");
+        let profile_samples = if paper { 5 } else { defaults.samples };
+        Ok(Self {
+            paper,
+            seed: flags.parse_or("seed", defaults.seed)?,
+            samples: flags.parse_or("samples", profile_samples)?,
+            out_dir: flags.get("out")?.map_or(defaults.out_dir, PathBuf::from),
+            threads: flags.parse_or("threads", defaults.threads)?,
+            resume: flags.has("resume"),
+        })
     }
 
     /// Writes a CSV artefact, creating the output directory on demand.
@@ -275,6 +265,75 @@ pub fn average_padded(curves: &[Vec<f64>], len: usize) -> Vec<f64> {
     out
 }
 
+/// Minimal `--key value` flag map, shared by the experiment binaries
+/// and the `binattack` CLI. A flag followed by another `--flag` (or by
+/// nothing) is boolean-valued: `--resume --snapshot s.snap` must not
+/// swallow `--snapshot` as the resume value.
+#[derive(Debug)]
+pub struct Flags(std::collections::BTreeMap<String, String>);
+
+impl Flags {
+    /// Splits `args` (without the program or subcommand name) into
+    /// flags; arguments that are neither a flag nor its value are
+    /// ignored.
+    pub fn parse<S: AsRef<str>>(args: &[S]) -> Flags {
+        let mut map = std::collections::BTreeMap::new();
+        let mut args = args.iter().map(AsRef::as_ref).peekable();
+        while let Some(arg) = args.next() {
+            if let Some(key) = arg.strip_prefix("--") {
+                let value = args.next_if(|next| !next.starts_with("--"));
+                map.insert(key.to_string(), value.unwrap_or_default().to_string());
+            }
+        }
+        Flags(map)
+    }
+
+    /// The value of `--key`: `None` when the flag is absent, an error
+    /// naming the flag when it was given without a value.
+    pub fn get(&self, key: &str) -> Result<Option<&str>, String> {
+        match self.0.get(key).map(String::as_str) {
+            Some("") => Err(format!("flag --{key} needs a value")),
+            value => Ok(value),
+        }
+    }
+
+    /// Whether `--key` was given, with or without a value.
+    pub fn has(&self, key: &str) -> bool {
+        self.0.contains_key(key)
+    }
+
+    /// The value of `--key`, an error naming the flag when it is absent
+    /// or has no value.
+    pub fn require(&self, key: &str) -> Result<&str, String> {
+        self.get(key)?
+            .ok_or_else(|| format!("missing required flag --{key}"))
+    }
+
+    /// The value of `--key` parsed as `T`, `default` when the flag is
+    /// absent, and an error naming the flag when the value does not
+    /// parse.
+    pub fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.get(key)? {
+            None => Ok(default),
+            Some(value) => value
+                .parse()
+                .map_err(|_| format!("invalid value {value:?} for --{key}")),
+        }
+    }
+}
+
+/// Runs `f` `reps` times and returns its fastest run in seconds — the
+/// timer every gate binary reports.
+pub fn time_best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        f();
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    best
+}
+
 /// Pretty-prints a fixed-width table row.
 pub fn print_row(cells: &[String], widths: &[usize]) {
     let mut line = String::new();
@@ -298,13 +357,29 @@ mod tests {
     #[test]
     fn explicit_samples_win_over_paper_in_either_order() {
         for args in [["--samples", "2", "--paper"], ["--paper", "--samples", "2"]] {
-            let opts = ExpOptions::parse_args(&args);
+            let opts = ExpOptions::parse_args(&args).unwrap();
             assert!(opts.paper, "{args:?}");
             assert_eq!(opts.samples, 2, "{args:?}");
         }
-        assert_eq!(ExpOptions::parse_args(&["--paper"]).samples, 5);
-        let quick = ExpOptions::parse_args::<&str>(&[]);
+        assert_eq!(ExpOptions::parse_args(&["--paper"]).unwrap().samples, 5);
+        let quick = ExpOptions::parse_args::<&str>(&[]).unwrap();
         assert_eq!((quick.paper, quick.samples), (false, 3));
+    }
+
+    #[test]
+    fn malformed_or_missing_values_name_the_flag() {
+        let err = |args: &[&str]| ExpOptions::parse_args(args).unwrap_err();
+        assert_eq!(err(&["--seed", "1O"]), r#"invalid value "1O" for --seed"#);
+        assert_eq!(
+            err(&["--threads", "-1"]),
+            r#"invalid value "-1" for --threads"#
+        );
+        assert_eq!(
+            err(&["--paper", "--samples"]),
+            "flag --samples needs a value"
+        );
+        assert_eq!(err(&["--out"]), "flag --out needs a value");
+        assert_eq!(err(&["--sample", "2"]), "unknown flag --sample");
     }
 
     fn planted(seed: u64) -> Graph {

@@ -27,6 +27,7 @@
 //! functions of (server graph, request log) — never of `--clients` —
 //! and the CI serve-replay step diffs them across client counts.
 
+use ba_bench::Flags;
 use ba_core::{
     AttackConfig, AttackOutcome, BinarizedAttack, ContinuousA, EdgeOpKind, GradMaxSearch,
     RandomAttack, StructuralAttack,
@@ -107,69 +108,11 @@ fn main() -> ExitCode {
     }
 }
 
-/// Minimal `--key value` flag map.
-struct Flags(std::collections::BTreeMap<String, String>);
-
-impl Flags {
-    fn parse(args: &[String]) -> Flags {
-        let mut map = std::collections::BTreeMap::new();
-        let mut i = 0;
-        while i < args.len() {
-            if let Some(key) = args[i].strip_prefix("--") {
-                // A following `--flag` means this one is boolean-valued
-                // (e.g. `--resume --snapshot s.snap` must not swallow
-                // `--snapshot` as the resume value).
-                let value = match args.get(i + 1) {
-                    Some(next) if !next.starts_with("--") => {
-                        i += 1;
-                        next.clone()
-                    }
-                    _ => String::new(),
-                };
-                map.insert(key.to_string(), value);
-            }
-            i += 1;
-        }
-        Flags(map)
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.0.get(key).map(String::as_str)
-    }
-
-    fn has(&self, key: &str) -> bool {
-        self.0.contains_key(key)
-    }
-
-    fn require(&self, key: &str) -> Result<&str, String> {
-        self.get(key)
-            .ok_or_else(|| format!("missing required flag --{key}"))
-    }
-
-    fn u64_or(&self, key: &str, default: u64) -> u64 {
-        self.get(key)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
-    }
-
-    fn usize_or(&self, key: &str, default: usize) -> usize {
-        self.get(key)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
-    }
-
-    fn f64_or(&self, key: &str, default: f64) -> f64 {
-        self.get(key)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
-    }
-}
-
 fn parse_regressor(flags: &Flags) -> Result<Regressor, String> {
-    match flags.get("regressor").unwrap_or("ols") {
+    match flags.get("regressor")?.unwrap_or("ols") {
         "ols" => Ok(Regressor::Ols),
         "huber" => Ok(Regressor::default_huber()),
-        "ransac" => Ok(Regressor::default_ransac(flags.u64_or("seed", 7))),
+        "ransac" => Ok(Regressor::default_ransac(flags.parse_or("seed", 7u64)?)),
         other => Err(format!("unknown regressor {other:?}")),
     }
 }
@@ -191,7 +134,7 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
         other => return Err(format!("unknown dataset {other:?}")),
     };
     let out = flags.require("out")?;
-    let seed = flags.u64_or("seed", 7);
+    let seed = flags.parse_or("seed", 7u64)?;
     let g = dataset.build(seed);
     save_edge_list(&g, out).map_err(|e| e.to_string())?;
     println!(
@@ -209,22 +152,22 @@ fn cmd_gen_large(flags: &Flags) -> Result<(), String> {
     use ba_graph::generators::{barabasi_albert_stream, erdos_renyi_stream};
 
     let out = flags.require("out")?;
-    let n = flags.usize_or("nodes", 1_000_000);
-    let seed = flags.u64_or("seed", 7);
-    let chunk_rows = flags.usize_or("chunk-rows", 65_536).max(1);
+    let n = flags.parse_or("nodes", 1_000_000usize)?;
+    let seed = flags.parse_or("seed", 7u64)?;
+    let chunk_rows = flags.parse_or("chunk-rows", 65_536usize)?.max(1);
     // Streamed generation: the restartable edge stream feeds the
     // two-pass CSR builder, so peak memory is the final CSR plus
     // the generator's own state — no intermediate edge list. The
     // result is bit-identical to the in-memory generators at equal
     // (model, n, seed); see DESIGN.md §13.
     let t0 = std::time::Instant::now();
-    let g = match flags.get("model").unwrap_or("ba") {
+    let g = match flags.get("model")?.unwrap_or("ba") {
         "ba" => {
-            let m = flags.usize_or("m", 11);
+            let m = flags.parse_or("m", 11usize)?;
             from_edge_stream(n, || barabasi_albert_stream(n, m, seed))
         }
         "er" => {
-            let p = flags.f64_or("p", 2e-5);
+            let p = flags.parse_or("p", 2e-5f64)?;
             from_edge_stream(n, || erdos_renyi_stream(n, p, seed))
         }
         other => return Err(format!("unknown model {other:?}")),
@@ -248,11 +191,11 @@ fn cmd_gen_large(flags: &Flags) -> Result<(), String> {
 
 fn cmd_score(flags: &Flags) -> Result<(), String> {
     let g = load_graph(flags)?;
-    let top = flags.usize_or("top", 20);
-    let regressor = match flags.get("regressor").unwrap_or("ols") {
+    let top = flags.parse_or("top", 20usize)?;
+    let regressor = match flags.get("regressor")?.unwrap_or("ols") {
         "ols" => Regressor::Ols,
         "huber" => Regressor::default_huber(),
-        "ransac" => Regressor::default_ransac(flags.u64_or("seed", 7)),
+        "ransac" => Regressor::default_ransac(flags.parse_or("seed", 7u64)?),
         other => return Err(format!("unknown regressor {other:?}")),
     };
     let model = OddBall::new(regressor).fit(&g).map_err(|e| e.to_string())?;
@@ -277,18 +220,18 @@ fn cmd_score(flags: &Flags) -> Result<(), String> {
 fn cmd_attack(flags: &Flags) -> Result<(), String> {
     let g = load_graph(flags)?;
     let out = flags.require("out")?;
-    let budget = flags.usize_or("budget", 10);
-    let seed = flags.u64_or("seed", 7);
-    let targets: Vec<NodeId> = if let Some(list) = flags.get("targets") {
+    let budget = flags.parse_or("budget", 10usize)?;
+    let seed = flags.parse_or("seed", 7u64)?;
+    let targets: Vec<NodeId> = if let Some(list) = flags.get("targets")? {
         list.split(',')
             .map(|t| t.trim().parse().map_err(|_| format!("bad target id {t:?}")))
             .collect::<Result<_, _>>()?
     } else {
-        let k = flags.usize_or("auto-targets", 10);
+        let k = flags.parse_or("auto-targets", 10usize)?;
         let model = OddBall::default().fit(&g).map_err(|e| e.to_string())?;
         model.top_k(k).into_iter().map(|(i, _)| i).collect()
     };
-    let op_kind = match flags.get("ops").unwrap_or("both") {
+    let op_kind = match flags.get("ops")?.unwrap_or("both") {
         "both" => EdgeOpKind::Both,
         "add" => EdgeOpKind::AddOnly,
         "delete" => EdgeOpKind::DeleteOnly,
@@ -308,7 +251,7 @@ fn cmd_attack(flags: &Flags) -> Result<(), String> {
     if !flags.has("no-memo") {
         session = session.with_memo();
     }
-    let method = flags.get("method").unwrap_or("binarized");
+    let method = flags.get("method")?.unwrap_or("binarized");
     let outcome: AttackOutcome = match method {
         "binarized" => BinarizedAttack::new(cfg).attack_with_session(&mut session, budget),
         "gradmax" => GradMaxSearch::new(cfg).attack_with_session(&mut session, budget),
@@ -350,8 +293,8 @@ fn cmd_gen_stream(flags: &Flags) -> Result<(), String> {
     use ba_stream::{save_events, synthetic_stream};
     let g = load_graph(flags)?;
     let out = flags.require("out")?;
-    let count = flags.usize_or("events", 1000);
-    let seed = flags.u64_or("seed", 7);
+    let count = flags.parse_or("events", 1000usize)?;
+    let seed = flags.parse_or("seed", 7u64)?;
     let events = synthetic_stream(&g, count, seed);
     save_events(&events, out).map_err(|e| e.to_string())?;
     println!(
@@ -368,14 +311,14 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
 
     let events_path = flags.require("events")?;
     let events = load_events(events_path).map_err(|e| format!("loading {events_path}: {e}"))?;
-    let batch_size = flags.usize_or("batch", 100).max(1);
-    let top = flags.usize_or("top", 5);
+    let batch_size = flags.parse_or("batch", 100usize)?.max(1);
+    let top = flags.parse_or("top", 5usize)?;
     let cfg = StreamConfig {
-        compact_fraction: flags.f64_or("compact-frac", 0.125),
+        compact_fraction: flags.parse_or("compact-frac", 0.125f64)?,
         regressor: parse_regressor(flags)?,
         ..StreamConfig::default()
     };
-    let snapshot = flags.get("snapshot");
+    let snapshot = flags.get("snapshot")?;
 
     // `--resume` restores the engine from the snapshot and replays only
     // the remaining batches; the skipped batches' summaries are *not*
@@ -466,7 +409,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         ..StreamConfig::default()
     };
     let serve_cfg = ServeConfig {
-        retain: flags.usize_or("retain", ServeConfig::default().retain),
+        retain: flags.parse_or("retain", ServeConfig::default().retain)?,
     };
     let engine = StreamEngine::new(&g, cfg);
     let server =
@@ -491,11 +434,11 @@ fn cmd_gen_requests(flags: &Flags) -> Result<(), String> {
     let out = flags.require("out")?;
     let defaults = WorkloadConfig::default();
     let cfg = WorkloadConfig {
-        batches: flags.usize_or("batches", defaults.batches),
-        batch_size: flags.usize_or("batch-size", defaults.batch_size),
-        queries_per_batch: flags.usize_or("queries", defaults.queries_per_batch),
-        top_k: flags.u64_or("topk", defaults.top_k as u64) as u32,
-        seed: flags.u64_or("seed", defaults.seed),
+        batches: flags.parse_or("batches", defaults.batches)?,
+        batch_size: flags.parse_or("batch-size", defaults.batch_size)?,
+        queries_per_batch: flags.parse_or("queries", defaults.queries_per_batch)?,
+        top_k: flags.parse_or("topk", defaults.top_k as u64)? as u32,
+        seed: flags.parse_or("seed", defaults.seed)?,
     };
     let requests = synthetic_requests(&g, &cfg);
     save_requests(&requests, out).map_err(|e| e.to_string())?;
@@ -513,7 +456,7 @@ fn cmd_client(flags: &Flags) -> Result<(), String> {
 
     let addr = flags.require("addr")?;
     let path = flags.require("requests")?;
-    let clients = flags.usize_or("clients", 1).max(1);
+    let clients = flags.parse_or("clients", 1usize)?.max(1);
     let requests = load_requests(path).map_err(|e| format!("loading {path}: {e}"))?;
     let t0 = std::time::Instant::now();
     let responses = replay(addr, &requests, clients).map_err(|e| e.to_string())?;
@@ -528,25 +471,6 @@ fn cmd_client(flags: &Flags) -> Result<(), String> {
         t0.elapsed().as_secs_f64()
     );
     Ok(())
-}
-
-/// Experiment options from the CLI flag map — same flag names and
-/// defaults as `ExpOptions::from_args`, but sourced from the already
-/// parsed subcommand flags.
-fn exp_options(flags: &Flags) -> ba_bench::ExpOptions {
-    let mut opts = ba_bench::ExpOptions::default();
-    if flags.has("paper") {
-        opts.paper = true;
-        opts.samples = 5;
-    }
-    opts.seed = flags.u64_or("seed", opts.seed);
-    opts.samples = flags.usize_or("samples", opts.samples);
-    if let Some(dir) = flags.get("out") {
-        opts.out_dir = std::path::PathBuf::from(dir);
-    }
-    opts.threads = flags.usize_or("threads", opts.threads);
-    opts.resume = flags.has("resume");
-    opts
 }
 
 /// Builds the named suite, with a helpful error naming the registry.
@@ -564,7 +488,7 @@ fn named_suite(
 }
 
 fn cmd_exp(flags: &Flags) -> Result<(), String> {
-    let opts = exp_options(flags);
+    let opts = ba_bench::ExpOptions::from_flags(flags)?;
     let suite = named_suite(flags, &opts)?;
     let refs: Vec<&dyn ba_bench::runner::Experiment> = suite.iter().map(|e| e.as_ref()).collect();
     ba_bench::runner::ExperimentRunner::new(&opts)
@@ -576,12 +500,12 @@ fn cmd_tracker(flags: &Flags) -> Result<(), String> {
     use ba_bench::distrib::{FirstLeaseHook, Tracker, TrackerConfig};
     use std::sync::{Arc, Mutex};
 
-    let opts = exp_options(flags);
+    let opts = ba_bench::ExpOptions::from_flags(flags)?;
     let suite = named_suite(flags, &opts)?;
     let refs: Vec<&dyn ba_bench::runner::Experiment> = suite.iter().map(|e| e.as_ref()).collect();
     let cfg = TrackerConfig {
-        lease_ms: flags.u64_or("lease-ms", TrackerConfig::default().lease_ms),
-        kill_peer: flags.get("kill-peer").map(str::to_string),
+        lease_ms: flags.parse_or("lease-ms", TrackerConfig::default().lease_ms)?,
+        kill_peer: flags.get("kill-peer")?.map(str::to_string),
         ..TrackerConfig::default()
     };
 
@@ -591,7 +515,7 @@ fn cmd_tracker(flags: &Flags) -> Result<(), String> {
 
     // Localhost fleet mode: spawn `--peers N` copies of this binary as
     // worker processes against the resolved address.
-    let peers = flags.usize_or("peers", 0);
+    let peers = flags.parse_or("peers", 0usize)?;
     let children: Arc<Mutex<Vec<(String, std::process::Child)>>> = Arc::new(Mutex::new(Vec::new()));
     let exe = std::env::current_exe().map_err(|e| format!("current exe: {e}"))?;
     let exp_name = flags.require("exp")?;
@@ -661,11 +585,11 @@ fn cmd_tracker(flags: &Flags) -> Result<(), String> {
 fn cmd_peer(flags: &Flags) -> Result<(), String> {
     use ba_bench::distrib::{run_peer, PeerConfig};
 
-    let opts = exp_options(flags);
+    let opts = ba_bench::ExpOptions::from_flags(flags)?;
     let suite = named_suite(flags, &opts)?;
     let refs: Vec<&dyn ba_bench::runner::Experiment> = suite.iter().map(|e| e.as_ref()).collect();
     let addr = flags.require("addr")?;
-    let cfg = PeerConfig::new(addr, flags.get("name").unwrap_or("peer"));
+    let cfg = PeerConfig::new(addr, flags.get("name")?.unwrap_or("peer"));
     run_peer(&refs, &opts, &cfg).map_err(|e| e.to_string())?;
     Ok(())
 }
@@ -676,8 +600,8 @@ fn cmd_transfer(flags: &Flags) -> Result<(), String> {
         train_test_split, GadSystem, GalConfig, RefexConfig, TransferConfig,
     };
     let g = load_graph(flags)?;
-    let budget = flags.usize_or("budget", 50);
-    let seed = flags.u64_or("seed", 7);
+    let budget = flags.parse_or("budget", 50usize)?;
+    let seed = flags.parse_or("seed", 7u64)?;
     let system = match flags.require("system")? {
         "gal" => GadSystem::Gal(GalConfig::default()),
         "refex" => GadSystem::Refex(RefexConfig::default()),

@@ -377,3 +377,51 @@ fn score_on_missing_file_fails_gracefully() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("error:"));
 }
+
+/// Runs `binattack` with `args`, expecting it to fail, and returns its
+/// stderr.
+fn failure(args: &[&str]) -> String {
+    let out = binattack().args(args).output().unwrap();
+    assert!(!out.status.success(), "{args:?} succeeded");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn malformed_numeric_flag_is_an_error_naming_it() {
+    let graph = tmp("malformed_flag.edges");
+    let graph = graph.to_str().unwrap();
+    let poisoned = tmp("malformed_flag_out.edges");
+    let _ = std::fs::remove_file(&poisoned);
+    let out = binattack()
+        .args(["generate", "--dataset", "er", "--out", graph])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
+    let err = failure(&[
+        "attack",
+        "--graph",
+        graph,
+        "--out",
+        poisoned.to_str().unwrap(),
+        "--budget",
+        "1O",
+    ]);
+    assert!(err.contains(r#"invalid value "1O" for --budget"#), "{err}");
+    assert!(!poisoned.exists(), "attack ran on a default budget");
+    let err = failure(&["score", "--graph", graph, "--top", "-3"]);
+    assert!(err.contains(r#"invalid value "-3" for --top"#), "{err}");
+    let err = failure(&["exp", "--exp", "fig4", "--threads", "two"]);
+    assert!(
+        err.contains(r#"invalid value "two" for --threads"#),
+        "{err}"
+    );
+}
+
+#[test]
+fn flag_without_value_is_an_error_naming_it() {
+    let err = failure(&["generate", "--dataset", "er", "--out"]);
+    assert!(err.contains("flag --out needs a value"), "{err}");
+    let err = failure(&["generate", "--dataset", "er", "--seed", "--out", "x"]);
+    assert!(err.contains("flag --seed needs a value"), "{err}");
+}

@@ -27,7 +27,7 @@
 //!
 //! ## Search memoization
 //!
-//! The session optionally carries a [`SearchMemo`]: a Zobrist state
+//! The session carries a [`SearchMemo`]: a Zobrist state
 //! hash ([`AttackSession::state_hash`] = edge-set hash ⊕ target-set
 //! hash, maintained in O(1) per [`AttackSession::toggle`]) keying a
 //! two-tier cache —
@@ -50,8 +50,8 @@
 //! The memo is *transparent*: every cached value was produced by the
 //! exact code path that would otherwise run, so cached and uncached
 //! sessions are bit-identical — pinned by the golden suite in
-//! `tests/search_memo.rs` — and it is off by default
-//! ([`AttackSession::with_memo`] opts in).
+//! `tests/search_memo.rs`. It is off by default, as LRUs of capacity 0
+//! ([`AttackSession::with_memo`] raises the capacities).
 
 use crate::attack::{validate_targets, AttackError, AttackOutcome};
 use crate::grad::{assemble_chunk, node_grads, GradKernel, NodeGrads};
@@ -61,7 +61,6 @@ use crate::split::{Cells, Partition};
 use ba_graph::egonet::{EgonetFeatures, IncrementalEgonet};
 use ba_graph::zobrist::splitmix64;
 use ba_graph::{CsrGraph, DeltaOverlay, EdgeOp, GraphView, NodeId};
-use std::mem::take;
 use std::ops::Range;
 
 /// Seed for the target-set fold in [`target_set_hash`]. Fixed — part of
@@ -247,8 +246,8 @@ fn mask_eq(full: &[bool], chunks: &[&[bool]]) -> bool {
 }
 
 /// Session-attached memoization state: the whole-assembly and
-/// whole-run LRUs, plus call counters. Attached by
-/// [`AttackSession::with_memo`].
+/// whole-run LRUs, plus call counters. Both LRUs have capacity 0 until
+/// [`AttackSession::with_memo`] turns the memo on.
 ///
 /// All reuse is keyed by the full session state hash (edge set and
 /// target set), so one memo safely spans budget steps, λ sweeps, and
@@ -256,6 +255,8 @@ fn mask_eq(full: &[bool], chunks: &[&[bool]]) -> bool {
 /// states or target sets never match keys.
 #[derive(Debug, Clone)]
 pub struct SearchMemo {
+    /// Whether memoization is on; off, both LRUs have capacity 0.
+    on: bool,
     forward_passes: u64,
     loss_evals: u64,
     /// Whole-assembly LRU, most recent first. A hit needs the same
@@ -277,8 +278,9 @@ pub struct SearchMemo {
 }
 
 impl SearchMemo {
-    fn new() -> Self {
+    fn new(on: bool) -> Self {
         Self {
+            on,
             forward_passes: 0,
             loss_evals: 0,
             grads_slots: Vec::new(),
@@ -316,8 +318,11 @@ impl SearchMemo {
     /// Whole-assembly LRU depth for a candidate space of `len` pairs:
     /// as many slots as fit the byte budget, at least two (the minimum
     /// that holds a period-2 PGD oscillation), at most
-    /// [`GRADS_SLOTS_MAX`].
-    fn grads_capacity(len: usize) -> usize {
+    /// [`GRADS_SLOTS_MAX`]; `0` when memoization is off.
+    fn grads_capacity(&self, len: usize) -> usize {
+        if !self.on {
+            return 0;
+        }
         let per_slot = len * (size_of::<f64>() + size_of::<bool>()) + size_of::<GradsSlot>();
         (GRADS_CACHE_BYTES / per_slot.max(1)).clamp(2, GRADS_SLOTS_MAX)
     }
@@ -337,12 +342,9 @@ pub struct AttackSession<'g> {
     /// The session's worker count and the backward pass's per-worker
     /// row buffers.
     kernel: GradKernel,
-    /// The search loops' backward-pass output when no memo is attached
-    /// (with a memo, the LRU slots are the buffers).
-    scratch: GradsSlot,
-    /// Optional search memoization (off by default; boxed because the
-    /// memo dwarfs the rest of the session).
-    memo: Option<Box<SearchMemo>>,
+    /// Search memoization; its LRU slots are the backward pass's
+    /// output buffers (capacity 0, i.e. off, by default).
+    memo: SearchMemo,
 }
 
 impl<'g> AttackSession<'g> {
@@ -359,8 +361,7 @@ impl<'g> AttackSession<'g> {
             targets: targets.to_vec(),
             target_hash: target_set_hash(targets),
             kernel: GradKernel::new(0),
-            scratch: GradsSlot::default(),
-            memo: None,
+            memo: SearchMemo::new(false),
         })
     }
 
@@ -397,23 +398,23 @@ impl<'g> AttackSession<'g> {
         self.kernel.partition(&self.overlay, candidates)
     }
 
-    /// Attaches a [`SearchMemo`]. Memoized sessions return
-    /// bit-identical results to unmemoized ones — the memo trades
-    /// memory for wall-clock, nothing else.
+    /// Turns on the [`SearchMemo`]: a fresh memo whose LRUs hold up to
+    /// 24 assemblies and 32 whole-run outcomes. Memoized sessions return
+    /// bit-identical results to unmemoized ones — the memo trades memory
+    /// for wall-clock, nothing else.
     pub fn with_memo(mut self) -> Self {
-        self.memo = Some(Box::new(SearchMemo::new()));
+        self.memo = SearchMemo::new(true);
         self
     }
 
-    /// `true` when a [`SearchMemo`] is attached.
+    /// `true` when the [`SearchMemo`] is on.
     pub fn memo_enabled(&self) -> bool {
-        self.memo.is_some()
+        self.memo.on
     }
 
-    /// Counter snapshot of the attached memo, `None` when memoization
-    /// is off.
+    /// Counter snapshot of the memo, `None` when memoization is off.
     pub fn memo_stats(&self) -> Option<MemoStats> {
-        self.memo.as_deref().map(SearchMemo::stats)
+        self.memo_enabled().then(|| self.memo.stats())
     }
 
     /// The Zobrist hash of the session state every memoized evaluation
@@ -481,23 +482,19 @@ impl<'g> AttackSession<'g> {
     }
 
     /// Forward pass: surrogate loss and the per-node total derivatives at
-    /// the current features. Never cached; an attached [`SearchMemo`]
-    /// only counts the call.
+    /// the current features. Never cached; the [`SearchMemo`] only
+    /// counts the call.
     pub fn node_grads(&mut self) -> Result<NodeGrads, AttackError> {
-        if let Some(memo) = self.memo.as_deref_mut() {
-            memo.forward_passes += 1;
-        }
+        self.memo.forward_passes += 1;
         let feats = self.inc.features();
         Ok(node_grads(&feats.n, &feats.e, &self.targets)?)
     }
 
     /// Surrogate loss at the current features (cheaper than a full
     /// [`AttackSession::node_grads`] when only the value is needed).
-    /// Never cached; an attached [`SearchMemo`] only counts the call.
+    /// Never cached; the [`SearchMemo`] only counts the call.
     pub fn loss(&mut self) -> Result<f64, AttackError> {
-        if let Some(memo) = self.memo.as_deref_mut() {
-            memo.loss_evals += 1;
-        }
+        self.memo.loss_evals += 1;
         let feats = self.inc.features();
         Ok(surrogate_loss_from_features(
             &feats.n,
@@ -532,15 +529,15 @@ impl<'g> AttackSession<'g> {
     /// `split`. Returns `true` with a slot that must be assembled, `false`
     /// with a slot that holds the output and its max-abs.
     ///
-    /// With a [`SearchMemo`] attached, a recent pass with the identical
-    /// state, mask and signing is a hit, and its LRU slot is lent (the
-    /// PGD tail, where the re-binarised graph cycles through a handful
-    /// of states); any other lookup installs a slot, reusing the eviction
-    /// victim's buffers. A hit also needs the slot cut along `split`: the
-    /// same state gives the same partition, unless the session's thread
-    /// count changed after the slot was assembled. Without a memo the
-    /// session's one scratch slot is lent, always to be assembled. The
-    /// slot goes back with
+    /// A recent pass with the identical state, mask and signing is a
+    /// hit, and its LRU slot is lent (the PGD tail, where the
+    /// re-binarised graph cycles through a handful of states); any other
+    /// lookup installs a slot, reusing the eviction victim's buffers. A
+    /// hit also needs the slot cut along `split`: the same state gives
+    /// the same partition, unless the session's thread count changed
+    /// after the slot was assembled. At capacity 0 (memoization off)
+    /// nothing is looked up or keyed, and the slot returned last is
+    /// reused. The slot goes back with
     /// [`AttackSession::return_grads`] before the next lookup; a slot
     /// that never comes back (a loop that failed mid-pass) drops out of
     /// the LRU. The LRU returns only values the uncached path computed,
@@ -553,11 +550,15 @@ impl<'g> AttackSession<'g> {
         split: &Partition,
     ) -> (GradsSlot, bool) {
         let state = self.state_hash();
-        let Some(memo) = self.memo.as_deref_mut() else {
-            let mut slot = take(&mut self.scratch);
+        let memo = &mut self.memo;
+        let cap = memo.grads_capacity(split.len());
+        if cap == 0 {
+            // Memoization off: no lookup, no key; the slot returned last
+            // is reused.
+            let mut slot = memo.grads_slots.pop().unwrap_or_default();
             slot.cut_along(split);
             return (slot, true);
-        };
+        }
         // Mask equality is checked verbatim (cheap: a state match
         // already filters to near-certain hits).
         if let Some(pos) = memo.grads_slots.iter().position(|s| {
@@ -571,7 +572,6 @@ impl<'g> AttackSession<'g> {
         }
         memo.grads_misses += 1;
         // The eviction victim's buffers are reused for the new slot.
-        let cap = SearchMemo::grads_capacity(split.len());
         memo.grads_capacity = cap;
         let mut slot = GradsSlot::default();
         if memo.grads_slots.len() >= cap {
@@ -589,13 +589,10 @@ impl<'g> AttackSession<'g> {
         (slot, true)
     }
 
-    /// Takes back a slot [`AttackSession::lend_grads`] lent, filled: as
-    /// the most recent LRU entry, or as the scratch slot without a memo.
+    /// Takes back a slot [`AttackSession::lend_grads`] lent, filled, as
+    /// the most recent LRU entry.
     pub(crate) fn return_grads(&mut self, slot: GradsSlot) {
-        match self.memo.as_deref_mut() {
-            Some(memo) => memo.grads_slots.insert(0, slot),
-            None => self.scratch = slot,
-        }
+        self.memo.grads_slots.insert(0, slot);
     }
 
     /// One-shot backward pass through the LRU: the slot for `mask` and
@@ -629,9 +626,9 @@ impl<'g> AttackSession<'g> {
     /// Backward pass: assembles `G_ij` for every masked candidate pair
     /// over the current graph view into `out` (masked-off entries are
     /// `0.0`), unsigned and split as [`AttackSession::with_threads`]
-    /// describes. With a memo attached it goes through the attacks'
-    /// assembly LRU and copies the slot out; without one it assembles
-    /// straight into `out`.
+    /// describes. With memoization on it goes through the attacks'
+    /// assembly LRU and copies the slot out; off, it assembles straight
+    /// into `out`.
     pub fn pair_gradients_into(
         &mut self,
         ng: &NodeGrads,
@@ -642,7 +639,7 @@ impl<'g> AttackSession<'g> {
         assert_eq!(out.len(), candidates.len(), "output length mismatch");
         assert_eq!(mask.len(), candidates.len(), "mask length mismatch");
         let split = self.partition(candidates);
-        if self.memo.is_none() {
+        if !self.memo_enabled() {
             let outs = split.split_mut(out);
             self.kernel
                 .assemble(&self.overlay, ng, candidates, &split, mask, None, outs);
@@ -672,7 +669,7 @@ impl<'g> AttackSession<'g> {
     /// state (attacks leave the session's edits unspecified; callers
     /// reset or retarget before reuse either way).
     pub(crate) fn memo_run_probe(&mut self, key: u64) -> Option<AttackOutcome> {
-        let memo = self.memo.as_deref_mut()?;
+        let memo = &mut self.memo;
         match memo.outcomes.iter().position(|(k, _)| *k == key) {
             Some(pos) => {
                 memo.outcomes[..=pos].rotate_right(1);
@@ -688,10 +685,11 @@ impl<'g> AttackSession<'g> {
         }
     }
 
-    /// Records a completed search run's outcome under `key` (no-op
-    /// without an attached memo).
+    /// Records a completed search run's outcome under `key` as the most
+    /// recent LRU entry (nothing at capacity 0).
     pub(crate) fn memo_run_store(&mut self, key: u64, outcome: &AttackOutcome) {
-        if let Some(memo) = self.memo.as_deref_mut() {
+        let memo = &mut self.memo;
+        if memo.on {
             memo.outcomes.truncate(OUTCOME_SLOTS - 1);
             memo.outcomes.insert(0, (key, outcome.clone()));
         }
@@ -799,6 +797,26 @@ mod tests {
         assert_eq!(memo.memo_stats().unwrap().grads_hits, 1);
         let cold = one_shot(&mut plain, &ng, &candidates, &split, &mask, Some(&flags));
         assert_eq!(cold, (signed, max_s));
+    }
+
+    #[test]
+    fn memo_off_lru_never_hits_and_reuses_the_returned_slot() {
+        let g = generators::barabasi_albert(60, 3, 8);
+        let csr = CsrGraph::from(&g);
+        let mut s = AttackSession::new(&csr, &[2, 5]).unwrap();
+        let candidates = Candidates::build(CandidateScope::Full, &g, &[2, 5]);
+        let mask = vec![true; candidates.len()];
+        let split = s.partition(&candidates);
+        let chunks: Vec<&[bool]> = split.split(&mask).collect();
+        let (slot, fresh) = s.lend_grads(&chunks, false, &split);
+        assert!(fresh);
+        let buffer = slot.chunks[0].as_ptr();
+        s.return_grads(slot);
+        // Same state, mask and signing: still a miss, on the same buffer.
+        let (slot, fresh) = s.lend_grads(&chunks, false, &split);
+        assert!(fresh);
+        assert_eq!(slot.chunks[0].as_ptr(), buffer);
+        assert_eq!(s.memo_stats(), None);
     }
 
     /// A one-shot backward pass through the lend/return cycle: the

@@ -12,64 +12,28 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// Erdős–Rényi `G(n, p)`: each of the `C(n,2)` pairs is an edge
-/// independently with probability `p`. Deterministic given `seed`.
+/// independently with probability `p`. Deterministic given `seed`; the
+/// edges of [`erdos_renyi_stream`], inserted in stream order.
 pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Graph {
-    assert!((0.0..=1.0).contains(&p), "p must be a probability");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = Graph::new(n);
-    // Geometric skipping would be faster for tiny p, but n ≈ 1000 keeps
-    // the O(n²) loop at half a million draws — trivial.
-    for u in 0..n as NodeId {
-        for v in (u + 1)..n as NodeId {
-            if rng.gen::<f64>() < p {
-                g.add_edge(u, v);
-            }
-        }
-    }
-    g
+    Graph::from_edges(n, erdos_renyi_stream(n, p, seed))
 }
 
 /// Barabási–Albert preferential attachment with `m` edges per new node.
 /// Starts from a star of `m + 1` nodes, then each arriving node attaches
-/// to `m` distinct existing nodes chosen proportionally to degree.
+/// to `m` distinct existing nodes chosen proportionally to degree. The
+/// edges of [`barabasi_albert_stream`], inserted in stream order.
 pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> Graph {
-    assert!(m >= 1, "m must be >= 1");
-    assert!(n > m, "need n > m");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = Graph::new(n);
-    // Repeated-endpoint list: sampling an element uniformly is sampling a
-    // node with probability proportional to degree.
-    let mut endpoints: Vec<NodeId> = Vec::with_capacity(2 * n * m);
-    for v in 1..=(m as NodeId) {
-        g.add_edge(0, v);
-        endpoints.push(0);
-        endpoints.push(v);
-    }
-    for u in (m as NodeId + 1)..(n as NodeId) {
-        let mut chosen = std::collections::BTreeSet::new();
-        while chosen.len() < m {
-            let pick = endpoints[rng.gen_range(0..endpoints.len())];
-            if pick != u {
-                chosen.insert(pick);
-            }
-        }
-        for &v in &chosen {
-            g.add_edge(u, v);
-            endpoints.push(u);
-            endpoints.push(v);
-        }
-    }
-    g
+    Graph::from_edges(n, barabasi_albert_stream(n, m, seed))
 }
 
-/// Streaming [`erdos_renyi`]: yields the same edge set as the in-memory
-/// generator at the same `(n, p, seed)` — the RNG draw sequence is
-/// replicated exactly, one `f64` draw per candidate pair in row-major
-/// `(u, v)` order — without building a [`Graph`]. Edges come out in
+/// Streaming [`erdos_renyi`], without building a [`Graph`]: one `f64`
+/// draw per candidate pair in row-major `(u, v)` order. Geometric
+/// skipping would be faster for tiny `p`, but the suites' `n ≈ 1000`
+/// keeps the loop at half a million draws. Edges come out in
 /// lexicographic `(u, v)` order with `u < v`, which is *row-monotone*
 /// (every node's incident edges appear with increasing other-endpoint),
 /// the order [`crate::compact::from_edge_stream`] consumes with O(n)
-/// scratch. Equivalence at matched seeds is pinned by proptest.
+/// scratch.
 pub fn erdos_renyi_stream(n: usize, p: f64, seed: u64) -> ErdosRenyiStream {
     assert!((0.0..=1.0).contains(&p), "p must be a probability");
     ErdosRenyiStream {
@@ -110,10 +74,10 @@ impl Iterator for ErdosRenyiStream {
     }
 }
 
-/// Streaming [`barabasi_albert`]: yields the same edge set as the
-/// in-memory generator at the same `(n, m, seed)` — identical RNG draw
-/// sequence, including the rejection loop over the repeated-endpoint
-/// list — without building a [`Graph`]. Edges come out in arrival
+/// Streaming [`barabasi_albert`], without building a [`Graph`]: targets
+/// are drawn by rejection from a repeated-endpoint list, where sampling
+/// an element uniformly is sampling a node with probability
+/// proportional to degree. Edges come out in arrival
 /// order: the `m` initial star edges `(0, v)`, then each arriving
 /// node's `m` attachments `(u, v)` with its targets `v` ascending.
 /// That order is row-monotone (an arriving node's targets are all
@@ -121,8 +85,7 @@ impl Iterator for ErdosRenyiStream {
 /// with increasing attacher id), so
 /// [`crate::compact::from_edge_stream`] builds the CSR from
 /// it directly. Resident state is the `O(n·m)` endpoint list the model
-/// itself requires — the `O(n)` adjacency `Vec`s of the in-memory
-/// path are never allocated.
+/// itself requires — no adjacency `Vec`s are allocated.
 pub fn barabasi_albert_stream(n: usize, m: usize, seed: u64) -> BarabasiAlbertStream {
     assert!(m >= 1, "m must be >= 1");
     assert!(n > m, "need n > m");
@@ -145,8 +108,8 @@ pub struct BarabasiAlbertStream {
     rng: StdRng,
     n: NodeId,
     m: usize,
-    /// Repeated-endpoint list — mirrors the in-memory generator, so
-    /// uniform sampling from it is degree-proportional sampling.
+    /// Repeated-endpoint list: uniform sampling from it is
+    /// degree-proportional sampling.
     endpoints: Vec<NodeId>,
     /// Next star leaf to emit (`1..=m`), exhausted first.
     star_v: NodeId,
@@ -174,11 +137,8 @@ impl Iterator for BarabasiAlbertStream {
             if self.u >= self.n {
                 return None;
             }
-            // Draw the next node's targets with exactly the in-memory
-            // generator's rejection loop: the endpoint list holds every
-            // edge emitted so far and none of this node's own, so the
-            // gen_range bounds — and hence the stream — match draw for
-            // draw.
+            // Draw the next node's targets: the endpoint list holds
+            // every edge emitted so far and none of this node's own.
             let mut set = std::collections::BTreeSet::new();
             while set.len() < self.m {
                 let pick = self.endpoints[self.rng.gen_range(0..self.endpoints.len())];
@@ -207,31 +167,7 @@ impl Iterator for BarabasiAlbertStream {
 /// probability `min(1, w_u w_v / Σw)`. The expected edge count is then
 /// rescaled towards `target_edges` by adjusting the weights.
 pub fn power_law_chung_lu(n: usize, target_edges: usize, gamma: f64, seed: u64) -> Graph {
-    assert!(gamma > 1.0, "power-law exponent must be > 1");
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Weights w_i ∝ (i + i0)^{-1/(gamma-1)}, the standard static-model
-    // construction for a degree power law with exponent gamma.
-    let alpha = 1.0 / (gamma - 1.0);
-    let mut w: Vec<f64> = (0..n).map(|i| ((i + 1) as f64).powf(-alpha)).collect();
-    let sum_w: f64 = w.iter().sum();
-    // Rescale so that expected #edges ≈ target_edges:
-    // E[m] = Σ_{u<v} w_u w_v / W ≈ W/2 after normalisation; set total
-    // weight so (Σw)²/(2 Σw) = target ⇒ Σw = 2·target.
-    let scale = (2.0 * target_edges as f64) / sum_w;
-    for wi in &mut w {
-        *wi *= scale;
-    }
-    let total: f64 = w.iter().sum();
-    let mut g = Graph::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            let p = (w[u] * w[v] / total).min(1.0);
-            if rng.gen::<f64>() < p {
-                g.add_edge(u as NodeId, v as NodeId);
-            }
-        }
-    }
-    g
+    power_law_chung_lu_capped(n, target_edges, gamma, f64::INFINITY, seed)
 }
 
 /// Like [`power_law_chung_lu`] but with the node weights capped at
@@ -248,9 +184,14 @@ pub fn power_law_chung_lu_capped(
     assert!(gamma > 1.0, "power-law exponent must be > 1");
     assert!(max_weight > 0.0);
     let mut rng = StdRng::seed_from_u64(seed);
+    // Weights w_i ∝ (i + i0)^{-1/(gamma-1)}, the standard static-model
+    // construction for a degree power law with exponent gamma.
     let alpha = 1.0 / (gamma - 1.0);
     let mut w: Vec<f64> = (0..n).map(|i| ((i + 1) as f64).powf(-alpha)).collect();
     let sum_w: f64 = w.iter().sum();
+    // Rescale so that expected #edges ≈ target_edges:
+    // E[m] = Σ_{u<v} w_u w_v / W ≈ W/2 after normalisation; set total
+    // weight so (Σw)²/(2 Σw) = target ⇒ Σw = 2·target.
     let scale = (2.0 * target_edges as f64) / sum_w;
     for wi in &mut w {
         *wi = (*wi * scale).min(max_weight);
@@ -571,39 +512,27 @@ mod tests {
     }
 
     #[test]
-    fn er_stream_replays_in_memory_edge_set() {
-        let (n, p, seed) = (250, 0.03, 41);
-        let g = erdos_renyi(n, p, seed);
-        let mut streamed: Vec<(NodeId, NodeId)> = erdos_renyi_stream(n, p, seed).collect();
-        assert_eq!(streamed.len(), g.num_edges());
-        // Stream order is lexicographic, which is also the canonical
-        // edge-list order.
-        let sorted = {
-            let mut s = streamed.clone();
-            s.sort_unstable();
-            s
-        };
-        assert_eq!(streamed, sorted);
-        streamed.retain(|&(u, v)| !g.has_edge(u, v));
-        assert!(streamed.is_empty(), "stream emitted edges the graph lacks");
-    }
-
-    #[test]
-    fn ba_stream_replays_in_memory_edge_set() {
-        let (n, m, seed) = (400, 4, 42);
-        let g = barabasi_albert(n, m, seed);
-        let streamed: Vec<(NodeId, NodeId)> = barabasi_albert_stream(n, m, seed).collect();
-        assert_eq!(streamed.len(), g.num_edges());
-        let mut canon: Vec<(NodeId, NodeId)> = streamed
-            .iter()
-            .map(|&(u, v)| (u.min(v), u.max(v)))
-            .collect();
-        canon.sort_unstable();
-        canon.dedup();
-        assert_eq!(canon.len(), g.num_edges(), "stream repeated an edge");
-        for &(u, v) in &canon {
-            assert!(g.has_edge(u, v), "stream emitted absent edge ({u},{v})");
-        }
+    fn streams_emit_each_edge_once_in_documented_order() {
+        // ER: lexicographic (u, v) with u < v; strictly increasing, so
+        // no pair repeats.
+        let er: Vec<(NodeId, NodeId)> = erdos_renyi_stream(250, 0.03, 41).collect();
+        assert!(er.len() > 500, "only {} edges", er.len());
+        assert!(er.iter().all(|&(u, v)| u < v), "self-loop or flipped pair");
+        assert!(er.windows(2).all(|w| w[0] < w[1]), "not lexicographic");
+        // BA: the m star edges (0, v), then each arrival u's m targets
+        // v < u ascending; strictly increasing as emitted.
+        let (n, m) = (400, 4);
+        let ba: Vec<(NodeId, NodeId)> = barabasi_albert_stream(n, m, 42).collect();
+        assert_eq!(ba.len(), m * (n - m));
+        assert_eq!(
+            ba[..m],
+            (1..=m as NodeId).map(|v| (0, v)).collect::<Vec<_>>()[..]
+        );
+        assert!(
+            ba[m..].iter().all(|&(u, v)| v < u),
+            "self-loop or forward target"
+        );
+        assert!(ba.windows(2).all(|w| w[0] < w[1]), "not in arrival order");
     }
 
     #[test]

@@ -163,10 +163,10 @@ proptest! {
         prop_assert_eq!(ba_graph::metrics::connected_components(&g), 1);
     }
 
-    /// Streamed generators are draw-for-draw replays of the in-memory
-    /// ones: at matched `(n, p/m, seed)` the CSR built from the stream
-    /// must be bit-identical (offsets, columns, hash) to the one frozen
-    /// from the in-memory graph. Sizes up to 2000 nodes —
+    /// Pins the streamed CSR builder: `from_edge_stream` over a
+    /// generator stream must be bit-identical (offsets, columns, hash)
+    /// to the CSR frozen from the `Graph` built from the same edges at
+    /// matched `(n, p/m, seed)`. Sizes up to 2000 nodes —
     /// past the star core, well into the preferential-attachment
     /// regime.
     #[test]

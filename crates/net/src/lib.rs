@@ -12,9 +12,9 @@
 //!   never leave a torn message. Extracted verbatim from `ba-serve`,
 //!   which re-exports it — the scoring service and the experiment
 //!   tracker speak the exact same frame layer.
-//! * [`wire`] — primitive message codecs (`u8`/`u64`/UTF-8 strings /
-//!   string lists) over a byte buffer, with strict truncation and
-//!   trailing-byte detection. Protocol crates build their typed
+//! * [`wire`] — primitive message codecs (`u8`/`u16`/`u32`/`u64`/raw
+//!   bytes/UTF-8 strings/string lists) over a byte buffer, with strict
+//!   truncation and trailing-byte detection. Protocol crates build their typed
 //!   encode/decode on these so every message round-trips exactly.
 //! * [`codec`] — the exact IEEE-754 hex text codec for floats and
 //!   atomic (temp file + rename) writes, shared by experiment

@@ -1,12 +1,12 @@
 //! Primitive message codecs over a byte buffer.
 //!
-//! A [`WireWriter`] appends fixed-width little-endian integers and
-//! length-prefixed UTF-8 strings; a [`WireReader`] consumes them in the
-//! same order and rejects truncated values, invalid UTF-8, and —
-//! via [`WireReader::finish`] — trailing garbage. Every encoded value
-//! has exactly one byte representation, so protocol messages built on
-//! these round-trip byte-identically (the determinism contract the
-//! tracker and the scoring service both lean on).
+//! A [`WireWriter`] appends fixed-width little-endian integers, raw
+//! bytes and length-prefixed UTF-8 strings; a [`WireReader`] consumes
+//! them in the same order and rejects truncated values, invalid UTF-8,
+//! and — via [`WireReader::finish`] — trailing garbage. Every encoded
+//! value has exactly one byte representation, so protocol messages
+//! built on these round-trip byte-identically (the determinism contract
+//! the tracker and the scoring service both lean on).
 
 /// Decoding failures. Encoding cannot fail.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,6 +46,24 @@ impl WireWriter {
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);
+        self
+    }
+
+    /// Appends a little-endian `u16`.
+    pub fn put_u16(&mut self, v: u16) -> &mut Self {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+
+    /// Appends a little-endian `u32`.
+    pub fn put_u32(&mut self, v: u32) -> &mut Self {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+
+    /// Appends raw bytes, unprefixed.
+    pub fn put_bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        self.buf.extend_from_slice(bytes);
         self
     }
 
@@ -90,7 +108,8 @@ impl<'a> WireReader<'a> {
         Self { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireDecodeError> {
+    /// Reads `n` raw bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireDecodeError> {
         let end = self
             .pos
             .checked_add(n)
@@ -101,23 +120,37 @@ impl<'a> WireReader<'a> {
         Ok(slice)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireDecodeError> {
+        let bytes = self.bytes(N)?;
+        // ba-lint: allow(panic-path) -- bytes(N) just returned exactly N bytes, so the slice-to-array conversion cannot fail
+        Ok(bytes.try_into().expect("N-byte slice"))
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, WireDecodeError> {
-        Ok(self.take(1)?[0])
+        Ok(self.bytes(1)?[0])
+    }
+
+    /// Reads a little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, WireDecodeError> {
+        Ok(u16::from_le_bytes(self.array()?))
+    }
+
+    /// Reads a little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, WireDecodeError> {
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, WireDecodeError> {
-        let bytes = self.take(8)?;
-        // ba-lint: allow(panic-path) -- take(8) just returned exactly eight bytes, so the slice-to-array conversion cannot fail
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8-byte slice")))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, WireDecodeError> {
         let len = self.u64()?;
         let len = usize::try_from(len).map_err(|_| WireDecodeError::Truncated)?;
-        let bytes = self.take(len)?;
+        let bytes = self.bytes(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| WireDecodeError::BadUtf8)
     }
 
@@ -155,12 +188,18 @@ mod tests {
     fn roundtrip_all_primitives() {
         let mut w = WireWriter::new();
         w.put_u8(7)
+            .put_u16(0xbeef)
+            .put_u32(0xdead_beef)
+            .put_bytes(b"raw")
             .put_u64(u64::MAX)
             .put_str("héllo")
             .put_str_list(&["a".into(), String::new(), "βç".into()]);
         let bytes = w.finish();
         let mut r = WireReader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
+        assert_eq!(r.u16().unwrap(), 0xbeef);
+        assert_eq!(r.u32().unwrap(), 0xdead_beef);
+        assert_eq!(r.bytes(3).unwrap(), b"raw");
         assert_eq!(r.u64().unwrap(), u64::MAX);
         assert_eq!(r.str().unwrap(), "héllo");
         assert_eq!(r.str_list().unwrap(), vec!["a", "", "βç"]);

@@ -24,6 +24,8 @@
 
 use ba_graph::NodeId;
 use ba_net::codec::enc_f64;
+use ba_net::wire::WireDecodeError;
+use ba_net::{WireReader, WireWriter};
 use ba_stream::StreamEvent;
 
 /// Epoch pin meaning "the latest published epoch".
@@ -152,94 +154,62 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Little-endian field reader over a payload slice.
-struct Cursor<'a>(&'a [u8]);
-
-impl<'a> Cursor<'a> {
-    fn take<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        if self.0.len() < N {
-            return Err(WireError::Truncated);
-        }
-        let (head, rest) = self.0.split_at(N);
-        self.0 = rest;
-        // ba-lint: allow(panic-path) -- split_at(N) after the length guard yields a head of exactly N bytes, so the array conversion cannot fail
-        Ok(head.try_into().expect("split_at guarantees length"))
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take::<1>()?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take()?))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take()?))
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.0.is_empty() {
-            Ok(())
-        } else {
-            Err(WireError::Trailing(self.0.len()))
+impl From<WireDecodeError> for WireError {
+    fn from(e: WireDecodeError) -> Self {
+        match e {
+            WireDecodeError::Truncated => WireError::Truncated,
+            WireDecodeError::BadUtf8 => WireError::BadUtf8,
+            WireDecodeError::Trailing(n) => WireError::Trailing(n),
         }
     }
 }
 
 /// Encodes a request payload.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut w = WireWriter::new();
     match req {
         Request::PointScore { epoch, node } => {
-            out.push(1);
-            out.extend_from_slice(&epoch.to_le_bytes());
-            out.extend_from_slice(&node.to_le_bytes());
+            w.put_u8(1).put_u64(*epoch).put_u32(*node);
         }
         Request::TopK { epoch, k } => {
-            out.push(2);
-            out.extend_from_slice(&epoch.to_le_bytes());
-            out.extend_from_slice(&k.to_le_bytes());
+            w.put_u8(2).put_u64(*epoch).put_u32(*k);
         }
         Request::IngestBatch { events } => {
-            out.push(3);
-            out.extend_from_slice(&(events.len() as u32).to_le_bytes());
+            w.put_u8(3).put_u32(events.len() as u32);
             for ev in events {
-                out.extend_from_slice(&ev.time.to_le_bytes());
-                out.extend_from_slice(&ev.u.to_le_bytes());
-                out.extend_from_slice(&ev.v.to_le_bytes());
-                out.push(u8::from(ev.insert));
+                w.put_u64(ev.time)
+                    .put_u32(ev.u)
+                    .put_u32(ev.v)
+                    .put_u8(u8::from(ev.insert));
             }
         }
-        Request::EpochInfo => out.push(4),
+        Request::EpochInfo => {
+            w.put_u8(4);
+        }
     }
-    out
+    w.finish()
 }
 
 /// Decodes a request payload.
 pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
-    let mut c = Cursor(payload);
-    let req = match c.u8()? {
+    let mut r = WireReader::new(payload);
+    let req = match r.u8()? {
         1 => Request::PointScore {
-            epoch: c.u64()?,
-            node: c.u32()?,
+            epoch: r.u64()?,
+            node: r.u32()?,
         },
         2 => Request::TopK {
-            epoch: c.u64()?,
-            k: c.u32()?,
+            epoch: r.u64()?,
+            k: r.u32()?,
         },
         3 => {
-            let count = c.u32()?;
+            let count = r.u32()?;
             let mut events = Vec::with_capacity((count as usize).min(1 << 16));
             for _ in 0..count {
-                let time = c.u64()?;
-                let u = c.u32()?;
-                let v = c.u32()?;
-                let insert = c.u8()? != 0;
+                let time = r.u64()?;
+                let u = r.u32()?;
+                let v = r.u32()?;
+                let insert = r.u8()? != 0;
                 events.push(StreamEvent::new(time, u, v, insert));
             }
             Request::IngestBatch { events }
@@ -247,33 +217,30 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
         4 => Request::EpochInfo,
         other => return Err(WireError::UnknownTag(other)),
     };
-    c.finish()?;
+    r.finish()?;
     Ok(req)
 }
 
 /// Encodes a response payload.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut w = WireWriter::new();
     match resp {
         Response::Error { code, message } => {
-            out.push(0);
-            out.extend_from_slice(&code.to_le_bytes());
-            out.extend_from_slice(&(message.len() as u32).to_le_bytes());
-            out.extend_from_slice(message.as_bytes());
+            w.put_u8(0)
+                .put_u16(*code)
+                .put_u32(message.len() as u32)
+                .put_bytes(message.as_bytes());
         }
         Response::Score { epoch, node, score } => {
-            out.push(1);
-            out.extend_from_slice(&epoch.to_le_bytes());
-            out.extend_from_slice(&node.to_le_bytes());
-            out.extend_from_slice(&score.to_bits().to_le_bytes());
+            w.put_u8(1)
+                .put_u64(*epoch)
+                .put_u32(*node)
+                .put_u64(score.to_bits());
         }
         Response::TopK { epoch, entries } => {
-            out.push(2);
-            out.extend_from_slice(&epoch.to_le_bytes());
-            out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+            w.put_u8(2).put_u64(*epoch).put_u32(entries.len() as u32);
             for (node, score) in entries {
-                out.extend_from_slice(&node.to_le_bytes());
-                out.extend_from_slice(&score.to_bits().to_le_bytes());
+                w.put_u32(*node).put_u64(score.to_bits());
             }
         }
         Response::Ingested {
@@ -282,9 +249,9 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             applied,
             edges,
         } => {
-            out.push(3);
+            w.put_u8(3);
             for field in [epoch, events, applied, edges] {
-                out.extend_from_slice(&field.to_le_bytes());
+                w.put_u64(*field);
             }
         }
         Response::EpochInfo {
@@ -293,62 +260,58 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             nodes,
             edges,
         } => {
-            out.push(4);
+            w.put_u8(4);
             for field in [epoch, oldest, nodes, edges] {
-                out.extend_from_slice(&field.to_le_bytes());
+                w.put_u64(*field);
             }
         }
     }
-    out
+    w.finish()
 }
 
 /// Decodes a response payload.
 pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
-    let mut c = Cursor(payload);
-    let resp = match c.u8()? {
+    let mut r = WireReader::new(payload);
+    let resp = match r.u8()? {
         0 => {
-            let code = c.u16()?;
-            let len = c.u32()? as usize;
-            if c.0.len() < len {
-                return Err(WireError::Truncated);
-            }
-            let (text, rest) = c.0.split_at(len);
-            c.0 = rest;
+            let code = r.u16()?;
+            let len = r.u32()? as usize;
             Response::Error {
                 code,
-                message: String::from_utf8(text.to_vec()).map_err(|_| WireError::BadUtf8)?,
+                message: String::from_utf8(r.bytes(len)?.to_vec())
+                    .map_err(|_| WireError::BadUtf8)?,
             }
         }
         1 => Response::Score {
-            epoch: c.u64()?,
-            node: c.u32()?,
-            score: f64::from_bits(c.u64()?),
+            epoch: r.u64()?,
+            node: r.u32()?,
+            score: f64::from_bits(r.u64()?),
         },
         2 => {
-            let epoch = c.u64()?;
-            let count = c.u32()?;
+            let epoch = r.u64()?;
+            let count = r.u32()?;
             let mut entries = Vec::with_capacity((count as usize).min(1 << 16));
             for _ in 0..count {
-                let node = c.u32()?;
-                entries.push((node, f64::from_bits(c.u64()?)));
+                let node = r.u32()?;
+                entries.push((node, f64::from_bits(r.u64()?)));
             }
             Response::TopK { epoch, entries }
         }
         3 => Response::Ingested {
-            epoch: c.u64()?,
-            events: c.u64()?,
-            applied: c.u64()?,
-            edges: c.u64()?,
+            epoch: r.u64()?,
+            events: r.u64()?,
+            applied: r.u64()?,
+            edges: r.u64()?,
         },
         4 => Response::EpochInfo {
-            epoch: c.u64()?,
-            oldest: c.u64()?,
-            nodes: c.u64()?,
-            edges: c.u64()?,
+            epoch: r.u64()?,
+            oldest: r.u64()?,
+            nodes: r.u64()?,
+            edges: r.u64()?,
         },
         other => return Err(WireError::UnknownTag(other)),
     };
-    c.finish()?;
+    r.finish()?;
     Ok(resp)
 }
 
@@ -573,6 +536,98 @@ mod tests {
             // NaN != NaN under PartialEq; compare through the encoded
             // bytes, which carry exact bit patterns.
             assert_eq!(encode_response(&decoded), encode_response(&resp));
+        }
+    }
+
+    /// Hex digits as bytes; spaces, which separate fields, are skipped.
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex.bytes().filter(|&b| b != b' ').collect();
+        digits
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    /// The exact payload of one message per request tag, field by field:
+    /// a changed width or byte order fails here even when encoder and
+    /// decoder change together.
+    #[test]
+    fn request_bytes_are_pinned() {
+        let events = vec![
+            StreamEvent::new(0x0102, 1, 0x0300, true),
+            StreamEvent::new(9, 4, 5, false),
+        ];
+        let cases = [
+            (
+                Request::PointScore { epoch: 3, node: 17 },
+                "01 0300000000000000 11000000",
+            ),
+            (
+                Request::TopK {
+                    epoch: LATEST,
+                    k: 10,
+                },
+                "02 ffffffffffffffff 0a000000",
+            ),
+            (
+                Request::IngestBatch { events },
+                "03 02000000 0201000000000000 01000000 00030000 01 \
+                 0900000000000000 04000000 05000000 00",
+            ),
+            (Request::EpochInfo, "04"),
+        ];
+        for (req, hex) in cases {
+            assert_eq!(encode_request(&req), unhex(hex), "{req:?}");
+            assert_eq!(decode_request(&unhex(hex)).unwrap(), req);
+        }
+    }
+
+    /// The exact payload of one message per response tag, field by
+    /// field (see [`request_bytes_are_pinned`]).
+    #[test]
+    fn response_bytes_are_pinned() {
+        let cases = [
+            (
+                Response::error(ERR_UNKNOWN_EPOCH, "no"),
+                "00 0300 02000000 6e6f",
+            ),
+            (
+                Response::Score {
+                    epoch: 4,
+                    node: 9,
+                    score: -0.125,
+                },
+                "01 0400000000000000 09000000 000000000000c0bf",
+            ),
+            (
+                Response::TopK {
+                    epoch: 2,
+                    entries: vec![(3, 1.5)],
+                },
+                "02 0200000000000000 01000000 03000000 000000000000f83f",
+            ),
+            (
+                Response::Ingested {
+                    epoch: 5,
+                    events: 40,
+                    applied: 31,
+                    edges: 512,
+                },
+                "03 0500000000000000 2800000000000000 1f00000000000000 0002000000000000",
+            ),
+            (
+                Response::EpochInfo {
+                    epoch: 7,
+                    oldest: 2,
+                    nodes: 100,
+                    edges: 480,
+                },
+                "04 0700000000000000 0200000000000000 6400000000000000 e001000000000000",
+            ),
+        ];
+        for (resp, hex) in cases {
+            assert_eq!(encode_response(&resp), unhex(hex), "{resp:?}");
+            assert_eq!(decode_response(&unhex(hex)).unwrap(), resp);
         }
     }
 
