@@ -34,7 +34,7 @@
 //! takes more than 1.25× the loop's time (`tn_ratio > 1.25`). `--quick`
 //! runs fewer repetitions (CI).
 
-use ba_bench::time_best_of;
+use ba_bench::{sample_from_pool, target_pool, time_best_of};
 use ba_core::{
     assemble_pair_grads, assemble_pair_grads_into, dense_pair_gradients, node_grads, pair_grad,
     CandidateScope, Candidates,
@@ -120,7 +120,8 @@ fn main() {
     // TargetNeighborhood: the kernel on one worker against per-pair
     // merges over the same list, cross-checked bit for bit first. The
     // two are timed in alternation, so that host drift hits both.
-    let tn_targets = ba_bench::sample_targets(&g, 3, 50, TN_SEED);
+    let model = ba_oddball::OddBall::default().fit(&g).expect("OddBall fit");
+    let tn_targets = sample_from_pool(&target_pool(&model, 50), 3, TN_SEED);
     let tn_ng = node_grads(&feats.n, &feats.e, &tn_targets).expect("node grads");
     let tn = Candidates::build(CandidateScope::TargetNeighborhood, &g, &tn_targets);
     let tn_mask = vec![true; tn.len()];

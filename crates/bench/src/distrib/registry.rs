@@ -7,35 +7,62 @@
 //! verifies the constructions really did agree.
 
 use crate::experiments::{
-    Fig4Experiment, Fig5Experiment, Fig6Experiment, Table3Experiment, Table4Experiment,
+    AblationExperiment, DefenseExtensionExperiment, Fig10Experiment, Fig2Experiment,
+    Fig4Experiment, Fig5Experiment, Fig6Experiment, Fig7Table2Experiment, Fig8Fig9Experiment,
+    Table1Experiment, Table3Experiment, Table4Experiment,
 };
 use crate::runner::Experiment;
 use crate::ExpOptions;
 
-/// The registered suite names, for `--help` text and error messages.
-pub const SUITE_NAMES: &[&str] = &["fig4", "fig5", "fig6", "table3", "table4", "all", "det"];
+/// The registered suite names, for `--help` text and error messages:
+/// every experiment, then `all` and `det`.
+pub const SUITE_NAMES: &[&str] = &[
+    "fig4",
+    "fig5",
+    "fig6",
+    "table3",
+    "table4",
+    "table1",
+    "fig2",
+    "fig7_table2",
+    "fig8_fig9",
+    "fig10",
+    "ablation",
+    "defense_extension",
+    "all",
+    "det",
+];
 
-/// Builds the named experiment suite. `all` is the five-figure grid
-/// `run_all` pools; `det` is the seconds-scale deterministic fig4
-/// instance the determinism tests and the CI tracker/peer smoke use.
-/// Returns `None` for unknown names.
-pub fn suite_by_name(name: &str, opts: &ExpOptions) -> Option<Vec<Box<dyn Experiment>>> {
+/// Builds one named experiment, `None` for unknown names.
+fn experiment(name: &str, opts: &ExpOptions) -> Option<Box<dyn Experiment>> {
     Some(match name {
-        "fig4" => vec![Box::new(Fig4Experiment::standard(opts))],
-        "fig5" => vec![Box::new(Fig5Experiment::standard(opts))],
-        "fig6" => vec![Box::new(Fig6Experiment::standard(opts))],
-        "table3" => vec![Box::new(Table3Experiment::standard(opts))],
-        "table4" => vec![Box::new(Table4Experiment::standard(opts))],
-        "all" => vec![
-            Box::new(Fig4Experiment::standard(opts)),
-            Box::new(Fig5Experiment::standard(opts)),
-            Box::new(Fig6Experiment::standard(opts)),
-            Box::new(Table3Experiment::standard(opts)),
-            Box::new(Table4Experiment::standard(opts)),
-        ],
-        "det" => vec![Box::new(Fig4Experiment::tiny("det"))],
+        "fig4" => Box::new(Fig4Experiment::standard(opts)),
+        "fig5" => Box::new(Fig5Experiment::standard(opts)),
+        "fig6" => Box::new(Fig6Experiment::standard(opts)),
+        "table3" => Box::new(Table3Experiment::standard(opts)),
+        "table4" => Box::new(Table4Experiment::standard(opts)),
+        "table1" => Box::new(Table1Experiment),
+        "fig2" => Box::new(Fig2Experiment),
+        "fig7_table2" => Box::new(Fig7Table2Experiment::standard(opts)),
+        "fig8_fig9" => Box::new(Fig8Fig9Experiment::standard(opts)),
+        "fig10" => Box::new(Fig10Experiment::standard(opts)),
+        "ablation" => Box::new(AblationExperiment::standard(opts)),
+        "defense_extension" => Box::new(DefenseExtensionExperiment::standard(opts)),
+        "det" => Box::new(Fig4Experiment::tiny("det")),
         _ => return None,
     })
+}
+
+/// Builds the named experiment suite. `all` is the whole evaluation,
+/// every experiment pooled on one runner; `det` is the seconds-scale
+/// deterministic fig4 instance the determinism tests and the CI
+/// tracker/peer smoke use. Returns `None` for unknown names.
+pub fn suite_by_name(name: &str, opts: &ExpOptions) -> Option<Vec<Box<dyn Experiment>>> {
+    if name == "all" {
+        let every = SUITE_NAMES.iter().filter(|n| !matches!(**n, "all" | "det"));
+        return every.map(|name| experiment(name, opts)).collect();
+    }
+    experiment(name, opts).map(|exp| vec![exp])
 }
 
 #[cfg(test)]

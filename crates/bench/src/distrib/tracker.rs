@@ -316,7 +316,8 @@ impl Tracker {
 
         let all_ok = plan
             .merge_and_finalize(exps, opts)
-            .map_err(io::Error::other)?;
+            .map_err(io::Error::other)?
+            .is_empty();
         let report = TrackerReport {
             adopted,
             computed: shared.computed.load(Ordering::Relaxed),

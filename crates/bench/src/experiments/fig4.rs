@@ -189,10 +189,6 @@ impl Experiment for Fig4Experiment {
         self.name.clone()
     }
 
-    fn config_fingerprint(&self) -> String {
-        format!("{self:?}")
-    }
-
     fn artifacts(&self) -> Vec<String> {
         vec![self.csv_name.clone()]
     }

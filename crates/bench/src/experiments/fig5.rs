@@ -40,10 +40,6 @@ impl Experiment for Fig5Experiment {
         "fig5".to_string()
     }
 
-    fn config_fingerprint(&self) -> String {
-        format!("{self:?}")
-    }
-
     fn artifacts(&self) -> Vec<String> {
         vec!["fig5.csv".to_string()]
     }
@@ -54,10 +50,6 @@ impl Experiment for Fig5Experiment {
 
     fn num_cells(&self) -> usize {
         CASES.len()
-    }
-
-    fn cell_dataset(&self, _cell: usize) -> usize {
-        0
     }
 
     fn cell_label(&self, cell: usize) -> String {

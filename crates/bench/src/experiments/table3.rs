@@ -4,7 +4,7 @@
 //! are shared by all ten evaluation budgets, so a finer decomposition
 //! would re-train GAL per budget.
 
-use crate::experiments::{corrupt, dec_field};
+use crate::experiments::{out, write_report};
 use crate::runner::{CellCtx, DatasetSpec, Experiment};
 use crate::{BenchError, ExpOptions};
 use ba_core::{AttackConfig, BinarizedAttack, StructuralAttack};
@@ -13,7 +13,6 @@ use ba_gad::{
     evaluate_system, identify_targets, pipeline::delta_b, pipeline::oddball_labels,
     train_test_split, GadSystem, GalConfig, TransferConfig,
 };
-use ba_net::codec::enc_f64;
 
 const DATASETS: [Dataset; 2] = [Dataset::BitcoinAlpha, Dataset::Wikivote];
 const MAX_PCT: f64 = 2.0;
@@ -43,28 +42,12 @@ impl Experiment for Table3Experiment {
         "table3".to_string()
     }
 
-    fn config_fingerprint(&self) -> String {
-        format!("{self:?}")
-    }
-
     fn artifacts(&self) -> Vec<String> {
         vec!["table3.csv".to_string()]
     }
 
     fn datasets(&self) -> Vec<DatasetSpec> {
         DATASETS.iter().map(|&d| DatasetSpec::full(d)).collect()
-    }
-
-    fn num_cells(&self) -> usize {
-        DATASETS.len()
-    }
-
-    fn cell_dataset(&self, cell: usize) -> usize {
-        cell
-    }
-
-    fn cell_label(&self, cell: usize) -> String {
-        format!("gal/{}", DATASETS[cell].name())
     }
 
     fn run_cell(&self, cell: usize, ctx: &mut CellCtx<'_, '_>) -> Vec<String> {
@@ -81,17 +64,26 @@ impl Experiment for Table3Experiment {
         let labels = oddball_labels(g, tcfg.label_fraction);
         let (train, test) = train_test_split(g.num_nodes(), tcfg.train_fraction, tcfg.seed);
         let (targets, clean) = identify_targets(&system, g, &labels, &train, &test, &tcfg);
+        let name = d.name();
+        let (n, m, k) = (g.num_nodes(), g.num_edges(), targets.len());
+        let (auc, f1) = (clean.auc, clean.f1);
         let mut rows = vec![
-            format!(
-                "meta,{},{},{},{}",
-                d.name(),
-                g.num_nodes(),
-                g.num_edges(),
-                targets.len()
-            ),
-            format!("clean,{},{}", enc_f64(clean.auc), enc_f64(clean.f1)),
+            out(""),
+            out(format_args!(
+                "--- {name} (n={n}, m={m}, {k} identified targets) ---"
+            )),
+            out(format_args!(
+                "{:>12} {:>8} {:>8} {:>8}",
+                "edges(%)", "AUC", "F1", "dB(%)"
+            )),
+            out(format_args!(
+                "{:>12} {auc:>8.3} {f1:>8.3} {:>8.2}",
+                "0.0", 0.0
+            )),
+            format!("table3.csv,{name},0.0,{auc:.4},{f1:.4},0.0"),
         ];
         if targets.is_empty() {
+            rows.push("failed,no targets identified; skipping dataset".to_string());
             return rows;
         }
 
@@ -108,8 +100,7 @@ impl Experiment for Table3Experiment {
         }) {
             Ok(outcome) => outcome,
             Err(e) => {
-                eprintln!("warning: table3 attack on {} failed: {e}", d.name());
-                rows.push(format!("failed,{e}"));
+                rows.push(format!("failed,attack rows unavailable: {e}"));
                 return rows;
             }
         };
@@ -123,11 +114,12 @@ impl Experiment for Table3Experiment {
             let after =
                 evaluate_system(&system, &poisoned, &labels, &train, &test, &targets, &tcfg);
             let db = 100.0 * delta_b(clean.target_soft_sum, after.target_soft_sum);
+            let (auc, f1) = (after.auc, after.f1);
+            rows.push(out(format_args!(
+                "{pct:>12.1} {auc:>8.3} {f1:>8.3} {db:>8.2}"
+            )));
             rows.push(format!(
-                "step,{s},{},{},{}",
-                enc_f64(after.auc),
-                enc_f64(after.f1),
-                enc_f64(db)
+                "table3.csv,{name},{pct:.1},{auc:.4},{f1:.4},{db:.3}"
             ));
         }
         rows
@@ -135,39 +127,7 @@ impl Experiment for Table3Experiment {
 
     fn finalize(&self, opts: &ExpOptions, cells: &[Vec<String>]) -> Result<(), BenchError> {
         println!("TABLE III: GAL transfer attack (AUC / F1 / delta_B)");
-        let mut csv = Vec::new();
-        for rows in cells {
-            let meta: Vec<&str> = rows[0].split(',').collect();
-            let (name, n, m, ntargets) = (meta[1], meta[2], meta[3], meta[4]);
-            println!("\n--- {name} (n={n}, m={m}, {ntargets} identified targets) ---");
-            println!("{:>12} {:>8} {:>8} {:>8}", "edges(%)", "AUC", "F1", "dB(%)");
-            let clean: Vec<&str> = rows[1].split(',').collect();
-            let auc = dec_field("table3", "clean auc", clean[1])?;
-            let f1 = dec_field("table3", "clean f1", clean[2])?;
-            println!("{:>12} {auc:>8.3} {f1:>8.3} {:>8.2}", "0.0", 0.0);
-            csv.push(format!("{name},0.0,{auc:.4},{f1:.4},0.0"));
-            if rows.len() <= 2 {
-                eprintln!("warning: no targets identified; skipping dataset");
-                continue;
-            }
-            if let Some(reason) = rows[2].strip_prefix("failed,") {
-                eprintln!("warning: table3 {name} attack rows unavailable: {reason}");
-                continue;
-            }
-            for row in rows.iter().skip(2) {
-                let parts: Vec<&str> = row.split(',').collect();
-                let s: usize = parts[1]
-                    .parse()
-                    .map_err(|_| corrupt("table3", format!("step index: {:?}", parts[1])))?;
-                let pct = MAX_PCT * s as f64 / STEPS as f64;
-                let auc = dec_field("table3", "auc", parts[2])?;
-                let f1 = dec_field("table3", "f1", parts[3])?;
-                let db = dec_field("table3", "db", parts[4])?;
-                println!("{pct:>12.1} {auc:>8.3} {f1:>8.3} {db:>8.2}");
-                csv.push(format!("{name},{pct:.1},{auc:.4},{f1:.4},{db:.3}"));
-            }
-        }
-        opts.write_csv("table3.csv", "dataset,edges_pct,auc,f1,delta_b_pct", &csv)?;
+        write_report(self, opts, cells, &["dataset,edges_pct,auc,f1,delta_b_pct"])?;
         println!("\n(paper: Bitcoin-Alpha AUC 0.72->0.65, F1 0.85->0.81, dB up to 25.7%;");
         println!(" Wikivote AUC 0.68->0.60, F1 0.77->0.71, dB up to 28%)");
         Ok(())

@@ -65,9 +65,9 @@ pub fn derive_seed(tag: &str, parts: &[u64]) -> u64 {
 }
 
 /// A concrete dataset build an experiment's cells run against: the
-/// Table-I dataset plus the node/edge scale. Specs are deduplicated
-/// across a suite, so `fig4` and `fig5` share one frozen Wikivote
-/// substrate.
+/// Table-I dataset plus the node/edge scale and build seed. Specs are
+/// deduplicated across a suite, so `fig4` and `fig5` share one frozen
+/// Wikivote substrate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DatasetSpec {
     /// Which Table-I dataset.
@@ -76,27 +76,22 @@ pub struct DatasetSpec {
     pub nodes: usize,
     /// Target edge count.
     pub edges: usize,
+    /// Added to the suite's base seed when building (0 from every
+    /// constructor): `fig7_table2` repeats its runs on fresh graphs.
+    pub seed_offset: u64,
 }
 
 impl DatasetSpec {
     /// Full paper (Table-I) scale.
     pub fn full(dataset: Dataset) -> Self {
         let (nodes, edges) = dataset.paper_statistics();
-        Self {
-            dataset,
-            nodes,
-            edges,
-        }
+        Self::scaled(dataset, nodes, edges)
     }
 
     /// Half scale — the quick-profile size `fig4` uses.
     pub fn half(dataset: Dataset) -> Self {
         let (n, m) = dataset.paper_statistics();
-        Self {
-            dataset,
-            nodes: n / 2,
-            edges: m / 2,
-        }
+        Self::scaled(dataset, n / 2, m / 2)
     }
 
     /// An explicit scale (tests use tiny graphs).
@@ -105,12 +100,22 @@ impl DatasetSpec {
             dataset,
             nodes,
             edges,
+            seed_offset: 0,
+        }
+    }
+
+    /// This spec built at `base seed + offset` instead.
+    pub fn offset_by(self, seed_offset: u64) -> Self {
+        Self {
+            seed_offset,
+            ..self
         }
     }
 
     /// Builds the graph for this spec at the given base seed.
     pub fn build(&self, seed: u64) -> Graph {
-        self.dataset.build_scaled(self.nodes, self.edges, seed)
+        self.dataset
+            .build_scaled(self.nodes, self.edges, seed.wrapping_add(self.seed_offset))
     }
 }
 
@@ -208,7 +213,7 @@ impl SubstratePool {
 /// `--resume` those rows are reloaded from disk in place of re-running
 /// the cell, and [`Experiment::finalize`] must merge both byte-
 /// identically.
-pub trait Experiment: Sync {
+pub trait Experiment: Sync + std::fmt::Debug {
     /// Stable name: artifact directory, manifest, and seed-derivation
     /// domain.
     fn name(&self) -> String;
@@ -216,23 +221,34 @@ pub trait Experiment: Sync {
     /// A string covering **every** configuration knob that changes cell
     /// payloads (iteration counts, λ grids, budgets, panel specs, …).
     /// It is folded into the manifest fingerprint, so `--resume` never
-    /// adopts cells computed under a different configuration.
-    /// `format!("{self:?}")` is the usual implementation.
-    fn config_fingerprint(&self) -> String;
+    /// adopts cells computed under a different configuration. The
+    /// `Debug` form covers every field of the experiment.
+    fn config_fingerprint(&self) -> String {
+        format!("{self:?}")
+    }
 
     /// The dataset substrates cells reference (by index into this vec).
     fn datasets(&self) -> Vec<DatasetSpec>;
 
-    /// Total number of cells.
-    fn num_cells(&self) -> usize;
+    /// Total number of cells; by default one per declared dataset.
+    fn num_cells(&self) -> usize {
+        self.datasets().len()
+    }
 
-    /// The experiment-local dataset index `cell` runs against. The
-    /// runner builds only the substrates pending cells declare here, so
-    /// a cell must not touch any other dataset through its `CellCtx`.
-    fn cell_dataset(&self, cell: usize) -> usize;
+    /// The experiment-local dataset index `cell` runs against (by
+    /// default, cells cycle through the datasets in order). The runner
+    /// builds only the substrates pending cells declare here, so a cell
+    /// must not touch any other dataset through its `CellCtx`.
+    fn cell_dataset(&self, cell: usize) -> usize {
+        cell % self.datasets().len()
+    }
 
-    /// Short human label for progress lines.
-    fn cell_label(&self, cell: usize) -> String;
+    /// Short human label for progress lines; by default the name of the
+    /// cell's dataset.
+    fn cell_label(&self, cell: usize) -> String {
+        let spec = self.datasets()[self.cell_dataset(cell)];
+        spec.dataset.name().to_string()
+    }
 
     /// Executes one cell, returning its record rows. Rows must be
     /// non-empty and newline-free (the artifact store's record format).
@@ -361,9 +377,8 @@ pub(crate) struct ExpState {
     pub(crate) offset: usize,
     pub(crate) num_cells: usize,
     /// Set when one of the experiment's cells panicked; the experiment
-    /// is then skipped at finalize so the rest of the suite survives
-    /// (the legacy `run_all` likewise warned and continued past a
-    /// failed child binary).
+    /// is then skipped at finalize so the rest of the suite survives,
+    /// and the run reports it as failed afterwards.
     pub(crate) failed: std::sync::atomic::AtomicBool,
 }
 
@@ -569,14 +584,14 @@ impl SuitePlan {
     /// `0..n` in index order regardless of completion order, cache
     /// hits, or which worker (thread or remote process) computed them.
     /// Failed experiments have their stale artifacts deleted instead.
-    /// Returns `false` if any experiment failed; `Err` on artifact IO
-    /// or record-decode failures inside a finalize.
+    /// Returns the names of the failed experiments; `Err` on artifact
+    /// IO or record-decode failures inside a finalize.
     pub(crate) fn merge_and_finalize(
         &self,
         exps: &[&dyn Experiment],
         opts: &ExpOptions,
-    ) -> Result<bool, BenchError> {
-        let mut all_ok = true;
+    ) -> Result<Vec<String>, BenchError> {
+        let mut failed = Vec::new();
         for (ei, exp) in exps.iter().enumerate() {
             let state = &self.states[ei];
             if state.failed.load(Ordering::Relaxed) {
@@ -590,7 +605,7 @@ impl SuitePlan {
                      re-run with --resume to retry only the failed cells",
                     exp.name()
                 );
-                all_ok = false;
+                failed.push(exp.name());
                 continue;
             }
             let rows: Vec<Vec<String>> = (0..state.num_cells)
@@ -604,7 +619,7 @@ impl SuitePlan {
                 .collect();
             exp.finalize(opts, &rows)?;
         }
-        Ok(all_ok)
+        Ok(failed)
     }
 }
 
@@ -689,8 +704,9 @@ impl ExperimentRunner {
     /// Runs several experiments as one pooled cell grid: substrates are
     /// deduplicated across experiments and all cells share the worker
     /// pool, then each experiment finalizes in order. Fails on artifact
-    /// IO errors; a *cell* failure only skips that experiment's
-    /// finalize (see `SuitePlan::mark_failed`).
+    /// IO errors; a *cell* failure skips only that experiment's finalize
+    /// (see `SuitePlan::mark_failed`) and is reported as
+    /// [`BenchError::Failed`] once the healthy experiments finalized.
     pub fn run_suite(&self, exps: &[&dyn Experiment], opts: &ExpOptions) -> Result<(), BenchError> {
         let t0 = Instant::now();
         let plan = SuitePlan::build(exps, opts, self.resume)?;
@@ -792,7 +808,7 @@ impl ExperimentRunner {
             }
         });
 
-        plan.merge_and_finalize(exps, opts)?;
+        let failed = plan.merge_and_finalize(exps, opts)?;
         eprintln!(
             "[runner] {} cell(s) ({} cached) in {:.1}s on {} worker thread(s)",
             plan.layout.total,
@@ -800,7 +816,11 @@ impl ExperimentRunner {
             t0.elapsed().as_secs_f64(),
             workers
         );
-        Ok(())
+        if failed.is_empty() {
+            Ok(())
+        } else {
+            Err(BenchError::Failed(failed))
+        }
     }
 }
 
@@ -826,6 +846,7 @@ mod tests {
         assert_ne!(a, c);
     }
 
+    #[derive(Debug)]
     struct Flagged {
         name: &'static str,
         panic_on: Option<usize>,
@@ -836,9 +857,6 @@ mod tests {
         fn name(&self) -> String {
             self.name.to_string()
         }
-        fn config_fingerprint(&self) -> String {
-            format!("{}-v1", self.name)
-        }
         fn artifacts(&self) -> Vec<String> {
             vec![format!("{}.csv", self.name)]
         }
@@ -847,9 +865,6 @@ mod tests {
         }
         fn num_cells(&self) -> usize {
             2
-        }
-        fn cell_dataset(&self, _cell: usize) -> usize {
-            0
         }
         fn cell_label(&self, cell: usize) -> String {
             format!("cell{cell}")
@@ -868,8 +883,8 @@ mod tests {
         }
     }
 
-    /// A panicking cell fails only its own experiment; the rest of the
-    /// suite still finalizes and the runner does not propagate.
+    /// A panicking cell fails only its own experiment: the rest of the
+    /// suite still finalizes, then the run reports the failure.
     #[test]
     fn cell_panic_is_isolated_per_experiment() {
         let dir = std::env::temp_dir().join("ba_runner_panic_test");
@@ -893,9 +908,13 @@ mod tests {
         // failed re-run.
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("panicky.csv"), "stale,data\n").unwrap();
-        ExperimentRunner::new(&opts)
+        let err = ExperimentRunner::new(&opts)
             .run_suite(&[&bad, &good], &opts)
-            .unwrap();
+            .unwrap_err();
+        assert!(
+            matches!(&err, BenchError::Failed(names) if names == &["panicky"]),
+            "{err}"
+        );
         assert!(!bad.finalized.load(std::sync::atomic::Ordering::Relaxed));
         assert!(good.finalized.load(std::sync::atomic::Ordering::Relaxed));
         assert!(

@@ -160,17 +160,11 @@ impl Experiment for MiniExp {
     fn name(&self) -> String {
         self.name.clone()
     }
-    fn config_fingerprint(&self) -> String {
-        format!("{self:?}")
-    }
     fn datasets(&self) -> Vec<DatasetSpec> {
         vec![DatasetSpec::scaled(Dataset::Er, 60, 120)]
     }
     fn num_cells(&self) -> usize {
         self.cells
-    }
-    fn cell_dataset(&self, _cell: usize) -> usize {
-        0
     }
     fn cell_label(&self, cell: usize) -> String {
         format!("cell {cell}")

@@ -27,7 +27,8 @@
 //! functions of (server graph, request log) — never of `--clients` —
 //! and the CI serve-replay step diffs them across client counts.
 
-use ba_bench::Flags;
+use ba_bench::runner::{Experiment, ExperimentRunner};
+use ba_bench::{ExpOptions, Flags};
 use ba_core::{
     AttackConfig, AttackOutcome, BinarizedAttack, ContinuousA, EdgeOpKind, GradMaxSearch,
     RandomAttack, StructuralAttack,
@@ -61,8 +62,7 @@ USAGE:
   binattack gen-requests --graph <file> --out <file> [--batches B]
                      [--batch-size S] [--queries Q] [--topk K] [--seed N]
   binattack client   --addr HOST:PORT --requests <file> [--clients N]
-  binattack exp      --exp <fig4|fig5|fig6|table3|table4|all|det>
-                     [--out DIR] [--seed N] [--samples N] [--paper]
+  binattack exp      --exp NAME [--out DIR] [--seed N] [--samples N] [--paper]
                      [--threads N] [--resume]
   binattack tracker  --exp NAME --addr HOST:PORT [--peers N]
                      [--kill-peer NAME] [--lease-ms MS] [--out DIR]
@@ -72,10 +72,16 @@ USAGE:
   binattack help
 ";
 
+/// The usage text, with the registered experiment names.
+fn usage() -> String {
+    let names = ba_bench::distrib::SUITE_NAMES.join(", ");
+    format!("{USAGE}\nexperiment NAMEs (exp, tracker, peer): {names}\n")
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
-        eprint!("{USAGE}");
+        eprint!("{}", usage());
         return ExitCode::FAILURE;
     };
     let flags = Flags::parse(&args[1..]);
@@ -94,10 +100,10 @@ fn main() -> ExitCode {
         "tracker" => cmd_tracker(&flags),
         "peer" => cmd_peer(&flags),
         "help" | "--help" | "-h" => {
-            print!("{USAGE}");
+            print!("{}", usage());
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}\n{USAGE}")),
+        other => Err(format!("unknown command {other:?}\n{}", usage())),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -124,6 +130,7 @@ fn load_graph(flags: &Flags) -> Result<Graph, String> {
 }
 
 fn cmd_generate(flags: &Flags) -> Result<(), String> {
+    flags.accept("dataset out seed")?;
     let name = flags.require("dataset")?;
     let dataset = match name {
         "er" => Dataset::Er,
@@ -151,6 +158,7 @@ fn cmd_gen_large(flags: &Flags) -> Result<(), String> {
     use ba_graph::compact::from_edge_stream;
     use ba_graph::generators::{barabasi_albert_stream, erdos_renyi_stream};
 
+    flags.accept("out model nodes m p chunk-rows seed")?;
     let out = flags.require("out")?;
     let n = flags.parse_or("nodes", 1_000_000usize)?;
     let seed = flags.parse_or("seed", 7u64)?;
@@ -190,6 +198,7 @@ fn cmd_gen_large(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_score(flags: &Flags) -> Result<(), String> {
+    flags.accept("graph top regressor seed")?;
     let g = load_graph(flags)?;
     let top = flags.parse_or("top", 20usize)?;
     let regressor = match flags.get("regressor")?.unwrap_or("ols") {
@@ -218,6 +227,7 @@ fn cmd_score(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_attack(flags: &Flags) -> Result<(), String> {
+    flags.accept("graph out budget targets auto-targets method ops seed no-memo")?;
     let g = load_graph(flags)?;
     let out = flags.require("out")?;
     let budget = flags.parse_or("budget", 10usize)?;
@@ -291,6 +301,7 @@ fn cmd_attack(flags: &Flags) -> Result<(), String> {
 
 fn cmd_gen_stream(flags: &Flags) -> Result<(), String> {
     use ba_stream::{save_events, synthetic_stream};
+    flags.accept("graph out events seed")?;
     let g = load_graph(flags)?;
     let out = flags.require("out")?;
     let count = flags.parse_or("events", 1000usize)?;
@@ -309,6 +320,7 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
     use ba_net::codec::enc_f64;
     use ba_stream::{load_events, StreamConfig, StreamEngine};
 
+    flags.accept("graph events batch top regressor seed compact-frac snapshot resume")?;
     let events_path = flags.require("events")?;
     let events = load_events(events_path).map_err(|e| format!("loading {events_path}: {e}"))?;
     let batch_size = flags.parse_or("batch", 100usize)?.max(1);
@@ -402,6 +414,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     use ba_serve::{ServeConfig, Server};
     use ba_stream::{StreamConfig, StreamEngine};
 
+    flags.accept("graph addr retain regressor seed")?;
     let g = load_graph(flags)?;
     let addr = flags.require("addr")?;
     let cfg = StreamConfig {
@@ -430,6 +443,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
 fn cmd_gen_requests(flags: &Flags) -> Result<(), String> {
     use ba_serve::{save_requests, synthetic_requests, WorkloadConfig};
 
+    flags.accept("graph out batches batch-size queries topk seed")?;
     let g = load_graph(flags)?;
     let out = flags.require("out")?;
     let defaults = WorkloadConfig::default();
@@ -454,6 +468,7 @@ fn cmd_gen_requests(flags: &Flags) -> Result<(), String> {
 fn cmd_client(flags: &Flags) -> Result<(), String> {
     use ba_serve::{format_request, load_requests, render_response, replay};
 
+    flags.accept("addr requests clients")?;
     let addr = flags.require("addr")?;
     let path = flags.require("requests")?;
     let clients = flags.parse_or("clients", 1usize)?.max(1);
@@ -473,25 +488,30 @@ fn cmd_client(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the named suite, with a helpful error naming the registry.
+/// The options and named suite of an experiment subcommand, which
+/// accepts every [`ba_bench::ExpOptions`] flag plus `extra`.
 fn named_suite(
     flags: &Flags,
-    opts: &ba_bench::ExpOptions,
-) -> Result<Vec<Box<dyn ba_bench::runner::Experiment>>, String> {
+    extra: &str,
+) -> Result<(ExpOptions, Vec<Box<dyn Experiment>>), String> {
+    flags.accept(&format!(
+        "exp paper seed samples out threads resume {extra}"
+    ))?;
+    let opts = ExpOptions::from_flags(flags)?;
     let name = flags.require("exp")?;
-    ba_bench::distrib::suite_by_name(name, opts).ok_or_else(|| {
+    let suite = ba_bench::distrib::suite_by_name(name, &opts).ok_or_else(|| {
         format!(
             "unknown suite {name:?} (known: {})",
             ba_bench::distrib::SUITE_NAMES.join(", ")
         )
-    })
+    })?;
+    Ok((opts, suite))
 }
 
 fn cmd_exp(flags: &Flags) -> Result<(), String> {
-    let opts = ba_bench::ExpOptions::from_flags(flags)?;
-    let suite = named_suite(flags, &opts)?;
-    let refs: Vec<&dyn ba_bench::runner::Experiment> = suite.iter().map(|e| e.as_ref()).collect();
-    ba_bench::runner::ExperimentRunner::new(&opts)
+    let (opts, suite) = named_suite(flags, "")?;
+    let refs: Vec<&dyn Experiment> = suite.iter().map(|e| e.as_ref()).collect();
+    ExperimentRunner::new(&opts)
         .run_suite(&refs, &opts)
         .map_err(|e| e.to_string())
 }
@@ -500,9 +520,8 @@ fn cmd_tracker(flags: &Flags) -> Result<(), String> {
     use ba_bench::distrib::{FirstLeaseHook, Tracker, TrackerConfig};
     use std::sync::{Arc, Mutex};
 
-    let opts = ba_bench::ExpOptions::from_flags(flags)?;
-    let suite = named_suite(flags, &opts)?;
-    let refs: Vec<&dyn ba_bench::runner::Experiment> = suite.iter().map(|e| e.as_ref()).collect();
+    let (opts, suite) = named_suite(flags, "addr peers kill-peer lease-ms")?;
+    let refs: Vec<&dyn Experiment> = suite.iter().map(|e| e.as_ref()).collect();
     let cfg = TrackerConfig {
         lease_ms: flags.parse_or("lease-ms", TrackerConfig::default().lease_ms)?,
         kill_peer: flags.get("kill-peer")?.map(str::to_string),
@@ -585,9 +604,8 @@ fn cmd_tracker(flags: &Flags) -> Result<(), String> {
 fn cmd_peer(flags: &Flags) -> Result<(), String> {
     use ba_bench::distrib::{run_peer, PeerConfig};
 
-    let opts = ba_bench::ExpOptions::from_flags(flags)?;
-    let suite = named_suite(flags, &opts)?;
-    let refs: Vec<&dyn ba_bench::runner::Experiment> = suite.iter().map(|e| e.as_ref()).collect();
+    let (opts, suite) = named_suite(flags, "addr name")?;
+    let refs: Vec<&dyn Experiment> = suite.iter().map(|e| e.as_ref()).collect();
     let addr = flags.require("addr")?;
     let cfg = PeerConfig::new(addr, flags.get("name")?.unwrap_or("peer"));
     run_peer(&refs, &opts, &cfg).map_err(|e| e.to_string())?;
@@ -599,6 +617,7 @@ fn cmd_transfer(flags: &Flags) -> Result<(), String> {
         evaluate_system, identify_targets, pipeline::delta_b, pipeline::oddball_labels,
         train_test_split, GadSystem, GalConfig, RefexConfig, TransferConfig,
     };
+    flags.accept("graph budget system seed")?;
     let g = load_graph(flags)?;
     let budget = flags.parse_or("budget", 50usize)?;
     let seed = flags.parse_or("seed", 7u64)?;

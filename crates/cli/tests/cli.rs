@@ -20,6 +20,10 @@ fn help_prints_usage() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("USAGE"));
     assert!(text.contains("binattack attack"));
+    assert!(
+        text.contains("defense_extension"),
+        "usage lists every experiment"
+    );
 }
 
 #[test]
@@ -424,4 +428,12 @@ fn flag_without_value_is_an_error_naming_it() {
     assert!(err.contains("flag --out needs a value"), "{err}");
     let err = failure(&["generate", "--dataset", "er", "--seed", "--out", "x"]);
     assert!(err.contains("flag --seed needs a value"), "{err}");
+}
+
+#[test]
+fn unknown_flag_is_an_error_naming_it() {
+    let err = failure(&["exp", "--exp", "fig5", "--sample", "2"]);
+    assert!(err.contains("unknown flag --sample"), "{err}");
+    let err = failure(&["generate", "--dataset", "er", "--out", "x", "--sed", "3"]);
+    assert!(err.contains("unknown flag --sed"), "{err}");
 }

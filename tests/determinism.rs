@@ -8,15 +8,20 @@
 //! 2. Resuming from a half-completed manifest yields the same artifact
 //!    bytes as a fresh run.
 //!
+//! The ported report experiments (`table1`, `fig2`) pin both, over every
+//! CSV they write.
+//!
 //! Plus the streaming engine's mirror of the same contract (tier-1):
 //!
 //! 3. Killing the stream at a batch boundary and resuming from the
 //!    snapshot continues with byte-identical output.
 
 use ba_bench::artifact::Manifest;
+use ba_bench::distrib::suite_by_name;
 use ba_bench::experiments::Fig4Experiment;
-use ba_bench::runner::ExperimentRunner;
+use ba_bench::runner::{Experiment, ExperimentRunner};
 use ba_bench::ExpOptions;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// The seconds-scale fig4 instance shared with the distributed tests
@@ -144,6 +149,65 @@ fn resume_from_half_completed_manifest_matches_fresh_run() {
     assert_ne!(
         other_csv, ref_csv,
         "different seed reused stale cells from the old manifest"
+    );
+}
+
+/// Runs the `table1` and `fig2` experiments as one suite and returns
+/// every CSV in `dir` by name.
+fn run_reports(dir: &Path, threads: usize, resume: bool) -> BTreeMap<String, Vec<u8>> {
+    let opts = opts_for(dir, threads, resume);
+    let suite: Vec<Box<dyn Experiment>> = ["table1", "fig2"]
+        .iter()
+        .flat_map(|name| suite_by_name(name, &opts).expect("registered"))
+        .collect();
+    let refs: Vec<&dyn Experiment> = suite.iter().map(|e| e.as_ref()).collect();
+    ExperimentRunner::new(&opts)
+        .run_suite(&refs, &opts)
+        .expect("runner");
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "csv"))
+        .map(|path| {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn report_experiments_are_byte_identical_across_threads_and_resume() {
+    let reference = run_reports(&fresh_dir("reports_threads1"), 1, false);
+    assert_eq!(reference.len(), 6, "table1.csv plus five fig2 scatters");
+    assert!(reference["table1.csv"].starts_with(b"dataset,nodes,edges"));
+    assert_eq!(
+        run_reports(&fresh_dir("reports_threads3"), 3, false),
+        reference,
+        "CSV bytes differ between --threads 1 and --threads 3"
+    );
+
+    // Roll both stores back to half-finished and delete the CSVs, as if
+    // the process died mid-suite, then resume.
+    let dir = fresh_dir("reports_resume");
+    run_reports(&dir, 3, false);
+    for exp in ["table1", "fig2"] {
+        let store = dir.join(".cells").join(exp);
+        let manifest_path = store.join("manifest.json");
+        let mut manifest = Manifest::load(&manifest_path).expect("manifest exists");
+        let total = manifest.num_cells;
+        manifest.completed = (0..total / 2).collect();
+        manifest.save(&manifest_path).unwrap();
+        for c in total / 2..total {
+            std::fs::remove_file(store.join(format!("cell_{c:04}.rows"))).unwrap();
+        }
+    }
+    for name in reference.keys() {
+        std::fs::remove_file(dir.join(name)).unwrap();
+    }
+    assert_eq!(
+        run_reports(&dir, 3, true),
+        reference,
+        "resumed CSVs differ from the fresh run"
     );
 }
 
