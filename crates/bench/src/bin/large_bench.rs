@@ -17,14 +17,18 @@
 //!    manifest's), and a fully verified `read_chunked` reload.
 //! 4. **score** — `StreamEngine::from_csr` over the generated graph:
 //!    egonet features + OddBall fit + top-k AScore ranking at full
-//!    scale, then one event batch through the ingest pipeline.
+//!    scale, then one event batch through the ingest pipeline. The
+//!    bootstrap's `(N, E)` must equal the per-node
+//!    `deg + triangles_at` reference bit for bit (computed before the
+//!    timer starts); otherwise the run exits non-zero.
 //!
 //! `--quick` runs a ~100k-node profile for CI smoke; `--json PATH`
 //! writes the `BENCH_large.json` perf-trend artifact.
 
 use ba_bench::graphstore;
 use ba_graph::compact::from_edge_stream;
-use ba_graph::{generators, CsrGraph, GraphView};
+use ba_graph::egonet::EgonetFeatures;
+use ba_graph::{generators, CsrGraph, GraphView, NodeId};
 use ba_net::BenchReport;
 use ba_stream::{synthetic_stream, StreamConfig, StreamEngine};
 use std::time::Instant;
@@ -48,6 +52,35 @@ fn verify_small(n: usize, m: usize) {
         streamed, in_memory,
         "streamed CSR diverges from in-memory CSR"
     );
+}
+
+/// Per-node `(N, E) = (deg, deg + triangles_at)`, each node counted on
+/// its own: the reference for the engine's one-pass bootstrap features.
+fn per_node_features(g: &CsrGraph) -> EgonetFeatures {
+    let nodes = 0..g.num_nodes() as NodeId;
+    EgonetFeatures {
+        n: nodes.clone().map(|u| g.degree(u) as f64).collect(),
+        e: nodes
+            .map(|u| (g.degree(u) + g.triangles_at(u)) as f64)
+            .collect(),
+    }
+}
+
+/// Exits non-zero, naming the first differing node, unless the engine
+/// bootstrapped exactly the reference features, bit for bit.
+fn check_bootstrap(got: &EgonetFeatures, want: &EgonetFeatures) {
+    let bits = |f: &EgonetFeatures, i: usize| (f.n[i].to_bits(), f.e[i].to_bits());
+    let first_diff = (0..want.len().max(got.len()))
+        .find(|&i| i >= got.len() || i >= want.len() || bits(got, i) != bits(want, i));
+    if let Some(i) = first_diff {
+        eprintln!(
+            "[score] bootstrap features diverge from the per-node reference at node {i}: \
+             got {:?}, want {:?}",
+            (got.n.get(i), got.e.get(i)),
+            (want.n.get(i), want.e.get(i)),
+        );
+        std::process::exit(1);
+    }
 }
 
 fn main() {
@@ -104,9 +137,11 @@ fn main() {
 
     eprintln!("[score] OddBall fit + top-k at full scale");
     let events = synthetic_stream(&g, batch, SEED + 1);
+    let reference = per_node_features(&g);
     let t0 = Instant::now();
     let mut engine = StreamEngine::from_csr(g, StreamConfig::default());
     let fit_s = t0.elapsed().as_secs_f64();
+    check_bootstrap(engine.features(), &reference);
     let top = engine.top_k(10).expect("fit degenerate at scale");
     eprintln!(
         "      fit in {fit_s:.2}s; top AScore node {} ({:.3})",

@@ -51,7 +51,8 @@ USAGE:
   binattack attack   --graph <file> --out <file> --budget B
                      [--targets a,b,c | --auto-targets K]
                      [--method <binarized|gradmax|continuous|random>]
-                     [--ops <both|add|delete>] [--seed N] [--no-memo]
+                     [--ops <both|add|delete>] [--seed N] [--threads N]
+                     [--no-memo]
   binattack transfer --graph <file> --budget B --system <gal|refex> [--seed N]
   binattack gen-stream --graph <file> --out <file> --events N [--seed N]
   binattack stream   --graph <file> --events <file> [--batch N]
@@ -227,11 +228,12 @@ fn cmd_score(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_attack(flags: &Flags) -> Result<(), String> {
-    flags.accept("graph out budget targets auto-targets method ops seed no-memo")?;
+    flags.accept("graph out budget targets auto-targets method ops seed threads no-memo")?;
     let g = load_graph(flags)?;
     let out = flags.require("out")?;
     let budget = flags.parse_or("budget", 10usize)?;
     let seed = flags.parse_or("seed", 7u64)?;
+    let threads = flags.parse_or("threads", 0usize)?;
     let targets: Vec<NodeId> = if let Some(list) = flags.get("targets")? {
         list.split(',')
             .map(|t| t.trim().parse().map_err(|_| format!("bad target id {t:?}")))
@@ -255,9 +257,12 @@ fn cmd_attack(flags: &Flags) -> Result<(), String> {
     // One frozen CSR substrate serves the attack session and the
     // before/after scoring below. Search memoization is on by default
     // (it is result-transparent); `--no-memo` disables it to trade
-    // wall-clock for memory.
+    // wall-clock for memory. `--threads 0` (the default) autodetects;
+    // the output is the same at any count.
     let csr = CsrGraph::from(&g);
-    let mut session = ba_core::AttackSession::new(&csr, &targets).map_err(|e| e.to_string())?;
+    let mut session = ba_core::AttackSession::new(&csr, &targets)
+        .map_err(|e| e.to_string())?
+        .with_threads(threads);
     if !flags.has("no-memo") {
         session = session.with_memo();
     }

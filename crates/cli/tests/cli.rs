@@ -147,6 +147,59 @@ fn attack_reduces_scores_end_to_end() {
 }
 
 #[test]
+fn attack_output_is_identical_at_any_thread_count() {
+    let clean = tmp("threads_in.edges");
+    let poisoned = tmp("threads_out.edges");
+    let status = binattack()
+        .args([
+            "generate",
+            "--dataset",
+            "bitcoin-alpha",
+            "--out",
+            clean.to_str().unwrap(),
+            "--seed",
+            "5",
+        ])
+        .status()
+        .unwrap();
+    assert!(status.success());
+    let run = |threads: &str| {
+        let out = binattack()
+            .args([
+                "attack",
+                "--graph",
+                clean.to_str().unwrap(),
+                "--out",
+                poisoned.to_str().unwrap(),
+                "--budget",
+                "10",
+                "--auto-targets",
+                "3",
+                "--method",
+                "gradmax",
+                "--threads",
+                threads,
+            ])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "--threads {threads}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        (out.stdout, std::fs::read(&poisoned).unwrap())
+    };
+    let (stdout_1, graph_1) = run("1");
+    let (stdout_2, graph_2) = run("2");
+    assert!(String::from_utf8_lossy(&stdout_1).contains("tau_as"));
+    assert_eq!(stdout_1, stdout_2, "stdout differs between 1 and 2 threads");
+    assert_eq!(
+        graph_1, graph_2,
+        "poisoned graph differs between 1 and 2 threads"
+    );
+}
+
+#[test]
 fn attack_with_explicit_targets_and_ops_mode() {
     let clean = tmp("explicit_in.edges");
     let poisoned = tmp("explicit_out.edges");

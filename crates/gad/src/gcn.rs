@@ -86,8 +86,8 @@ pub fn structural_features(g: &Graph) -> Matrix {
     for i in 0..n {
         let deg = feats.n[i];
         let e = feats.e[i];
-        let tri = (e - deg).max(0.0);
-        let clustering = ba_graph::metrics::local_clustering(g, i as NodeId);
+        let tri = e - deg;
+        let clustering = ba_graph::metrics::clustering_coefficient(deg, tri);
         x[(i, 0)] = deg;
         x[(i, 1)] = (1.0 + deg).ln();
         x[(i, 2)] = e;

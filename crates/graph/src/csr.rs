@@ -323,6 +323,31 @@ impl OverlayEdits {
             .collect()
     }
 
+    /// The current edge set of these edits over `base` as a standalone
+    /// [`Graph`], read in place: the same graph as attaching them to
+    /// `base` and calling [`DeltaOverlay::to_graph`], without moving or
+    /// cloning the edit set.
+    ///
+    /// # Panics
+    /// Panics if non-empty edits cover a different node count.
+    pub fn to_graph_over(&self, base: &CsrGraph) -> Graph {
+        if self.is_clean() {
+            return base.to_graph();
+        }
+        assert_eq!(
+            self.rows.len(),
+            base.num_nodes(),
+            "edits detached from a different base"
+        );
+        Graph::from_rows(
+            self.num_edges,
+            self.rows
+                .iter()
+                .zip(0..)
+                .map(|(row, u)| row.as_deref().unwrap_or_else(|| base.neighbors_sorted(u))),
+        )
+    }
+
     /// Rebuilds an edit set from its canonical serialisation: the total
     /// node count, the current edge count, and the materialised rows.
     pub fn from_rows(
@@ -716,6 +741,23 @@ mod tests {
         // An empty edit set leaves the graph untouched.
         folded.absorb(OverlayEdits::default());
         assert_eq!(folded, rebuilt);
+    }
+
+    #[test]
+    fn edits_read_in_place_equal_the_attached_overlay() {
+        let g = crate::generators::barabasi_albert(60, 3, 11);
+        let csr = CsrGraph::from(&g);
+        assert_eq!(OverlayEdits::default().to_graph_over(&csr), g);
+        let mut ov = DeltaOverlay::new(&csr);
+        for (u, v) in [(0u32, 59u32), (1, 2), (30, 31), (0, 1), (58, 3)] {
+            ov.toggle_edge(u, v);
+        }
+        let expected = ov.to_graph();
+        let edits = ov.detach();
+        assert_eq!(edits.to_graph_over(&csr), expected);
+        let mut ov = DeltaOverlay::attach(&csr, edits);
+        ov.reset();
+        assert_eq!(ov.detach().to_graph_over(&csr), g);
     }
 
     #[test]

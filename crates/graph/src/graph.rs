@@ -52,11 +52,21 @@ impl Graph {
     /// Copies any [`GraphView`] row by row: each sorted neighbour slice
     /// becomes one exactly-sized row, with no per-edge insertion.
     pub(crate) fn from_view<V: GraphView + ?Sized>(g: &V) -> Self {
+        Self::from_rows(
+            g.num_edges(),
+            (0..g.num_nodes() as NodeId).map(|u| g.neighbors_sorted(u)),
+        )
+    }
+
+    /// Copies one sorted neighbour slice per node, in node order, into
+    /// exactly-sized rows; `num_edges` is half their total length.
+    pub(crate) fn from_rows<'r>(
+        num_edges: usize,
+        rows: impl Iterator<Item = &'r [NodeId]>,
+    ) -> Self {
         Self {
-            adj: (0..g.num_nodes() as NodeId)
-                .map(|u| g.neighbors_sorted(u).to_vec())
-                .collect(),
-            num_edges: g.num_edges(),
+            adj: rows.map(<[NodeId]>::to_vec).collect(),
+            num_edges,
         }
     }
 

@@ -7,6 +7,7 @@
 //! [`CsrGraph`](crate::CsrGraph), and a live
 //! [`DeltaOverlay`](crate::DeltaOverlay) alike.
 
+use crate::egonet::egonet_features;
 use crate::view::GraphView;
 use crate::NodeId;
 
@@ -86,22 +87,33 @@ pub fn average_degree<V: GraphView + ?Sized>(g: &V) -> f64 {
 /// Local clustering coefficient of node `u`: fraction of neighbour pairs
 /// that are themselves connected. Zero for degree < 2.
 pub fn local_clustering<V: GraphView + ?Sized>(g: &V, u: NodeId) -> f64 {
-    let d = g.degree(u);
-    if d < 2 {
-        return 0.0;
-    }
-    let tri = g.triangles_at(u) as f64;
-    2.0 * tri / (d as f64 * (d as f64 - 1.0))
+    clustering_coefficient(g.degree(u) as f64, g.triangles_at(u) as f64)
 }
 
-/// Mean local clustering coefficient.
+/// The clustering coefficient of a node of degree `degree` that lies on
+/// `triangles` triangles: `2T / (d (d − 1))`, zero for degree < 2. For
+/// callers that already hold the counts, e.g. as `(N, E − N)` from
+/// [`egonet_features`].
+pub fn clustering_coefficient(degree: f64, triangles: f64) -> f64 {
+    if degree < 2.0 {
+        return 0.0;
+    }
+    2.0 * triangles / (degree * (degree - 1.0))
+}
+
+/// Mean local clustering coefficient, with every node's triangle count
+/// taken from one [`egonet_features`] pass.
 pub fn average_clustering<V: GraphView + ?Sized>(g: &V) -> f64 {
     let n = g.num_nodes();
     if n == 0 {
         return 0.0;
     }
-    (0..n as NodeId)
-        .map(|u| local_clustering(g, u))
+    let feats = egonet_features(g);
+    feats
+        .n
+        .iter()
+        .zip(&feats.e)
+        .map(|(&deg, &e)| clustering_coefficient(deg, e - deg))
         .sum::<f64>()
         / n as f64
 }

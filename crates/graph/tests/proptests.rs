@@ -1,10 +1,13 @@
 //! Property-based tests for the graph substrate.
 
-use ba_graph::egonet::{egonet_features, IncrementalEgonet};
+use ba_graph::egonet::{egonet_features, EgonetFeatures, IncrementalEgonet};
 use ba_graph::{
     generators, zobrist, CsrGraph, DeltaOverlay, EditableGraph, Graph, GraphView, NodeId,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 
 /// Strategy: a random simple graph on up to `max_n` nodes.
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -251,5 +254,96 @@ proptest! {
         // Compaction freezes the incremental hash verbatim, and a
         // rebuilt CSR recomputes the identical value from scratch.
         prop_assert_eq!(ov.compact().edge_hash(), CsrGraph::from_view(&ov).edge_hash());
+    }
+}
+
+/// The per-node reference for [`egonet_features`]: `N = deg(u)` and
+/// `E = deg(u) + triangles_at(u)`, each node on its own.
+fn per_node_features<V: GraphView + ?Sized>(g: &V) -> EgonetFeatures {
+    let nodes = 0..g.num_nodes() as NodeId;
+    EgonetFeatures {
+        n: nodes.clone().map(|u| g.degree(u) as f64).collect(),
+        e: nodes
+            .map(|u| g.degree(u) as f64 + g.triangles_at(u) as f64)
+            .collect(),
+    }
+}
+
+/// Asserts that `egonet_features(g)` equals the per-node reference bit
+/// for bit (`==` alone would let `-0.0` pass for `0.0`).
+fn assert_features_match_reference<V: GraphView + ?Sized>(g: &V) -> Result<(), TestCaseError> {
+    let bits = |f: &EgonetFeatures| -> Vec<(u64, u64)> {
+        f.n.iter()
+            .zip(&f.e)
+            .map(|(n, e)| (n.to_bits(), e.to_bits()))
+            .collect()
+    };
+    prop_assert_eq!(bits(&egonet_features(g)), bits(&per_node_features(g)));
+    Ok(())
+}
+
+/// `g` with node `u` renamed `perm[u]`.
+fn relabel(g: &Graph, perm: &[NodeId]) -> Graph {
+    Graph::from_edges(
+        g.num_nodes(),
+        g.edges().map(|(u, v)| (perm[u as usize], perm[v as usize])),
+    )
+}
+
+#[test]
+fn egonet_features_match_reference_on_edge_cases() {
+    let cases = [
+        Graph::new(0),
+        Graph::new(1),
+        Graph::new(6),
+        // Isolated nodes around one edge and one triangle.
+        Graph::from_edges(7, [(1, 4)]),
+        Graph::from_edges(3, [(0, 1), (1, 2), (2, 0)]),
+        Graph::from_edges(8, [(6, 2), (2, 5), (5, 6)]),
+    ];
+    for g in &cases {
+        assert_features_match_reference(g).unwrap();
+        assert_features_match_reference(&CsrGraph::from(g)).unwrap();
+    }
+    let tri = egonet_features(&cases[4]);
+    assert_eq!((tri.n, tri.e), (vec![2.0; 3], vec![3.0; 3]));
+}
+
+proptest! {
+    /// The one-pass triangle count behind `egonet_features` equals the
+    /// per-node `deg + triangles_at` reference bit for bit on `Graph`,
+    /// `CsrGraph` and an edited `DeltaOverlay`, over ER and BA graphs
+    /// with their ids as generated (BA hubs get the lowest ids),
+    /// reversed (hubs get the highest) and shuffled.
+    #[test]
+    fn egonet_features_equal_per_node_reference(
+        ba in 0u8..2,
+        n in 1usize..120,
+        density in 1usize..5,
+        labels in 0u8..3,
+        seed in 0u64..1000,
+        toggles in proptest::collection::vec((0u32..120, 0u32..120), 0..40),
+    ) {
+        let g = if ba == 1 {
+            generators::barabasi_albert(n.max(density + 1), density, seed)
+        } else {
+            generators::erdos_renyi(n, density as f64 * 0.04, seed)
+        };
+        let n = g.num_nodes();
+        let mut perm: Vec<NodeId> = (0..n as NodeId).collect();
+        match labels {
+            0 => {}
+            1 => perm.reverse(),
+            _ => perm.shuffle(&mut StdRng::seed_from_u64(seed)),
+        }
+        let g = relabel(&g, &perm);
+        assert_features_match_reference(&g)?;
+        let csr = CsrGraph::from(&g);
+        assert_features_match_reference(&csr)?;
+        let mut overlay = DeltaOverlay::new(&csr);
+        for (u, v) in toggles {
+            overlay.toggle_edge(u % n as NodeId, v % n as NodeId);
+        }
+        assert_features_match_reference(&overlay)?;
     }
 }

@@ -261,7 +261,7 @@ impl StreamEngine {
     /// Materialises the current edge set as a standalone graph (tests
     /// and the full-refit baseline; O(n + m)).
     pub fn to_graph(&self) -> ba_graph::Graph {
-        DeltaOverlay::attach(&self.base, self.edits.clone()).to_graph()
+        self.edits.to_graph_over(&self.base)
     }
 
     /// Anomaly score of one node under the current model; `Err` for a
