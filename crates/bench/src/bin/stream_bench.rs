@@ -17,7 +17,9 @@
 //! sustained engine ingest is less than 5× the full-refit baseline —
 //! the CI gate that keeps streaming ingest incremental. `--quick` runs a
 //! shorter stream (CI), and `--json PATH` records the result for the
-//! perf-trend pipeline (`BENCH_stream.json`).
+//! perf-trend pipeline (`BENCH_stream.json`), with one more engine pass
+//! timed per batch: its compaction count and the median batch that
+//! compacts and that does not.
 
 use ba_bench::time_best_of;
 use ba_graph::egonet::egonet_features;
@@ -25,6 +27,7 @@ use ba_graph::generators;
 use ba_net::BenchReport;
 use ba_oddball::OddBall;
 use ba_stream::{synthetic_stream, StreamConfig, StreamEngine, StreamEvent};
+use std::time::Instant;
 
 const REQUIRED_SPEEDUP: f64 = 5.0;
 
@@ -41,6 +44,30 @@ fn run_engine(g: &ba_graph::Graph, batches: &[&[StreamEvent]]) -> Vec<(u64, u64)
             (p.beta0.to_bits(), p.beta1.to_bits())
         })
         .collect()
+}
+
+/// One engine pass timing each batch: the compacting batches' times and
+/// the others', in ms.
+fn engine_batch_ms(g: &ba_graph::Graph, batches: &[&[StreamEvent]]) -> (Vec<f64>, Vec<f64>) {
+    let mut engine = StreamEngine::new(g, StreamConfig::default());
+    let (mut compacting, mut plain) = (Vec::new(), Vec::new());
+    for batch in batches {
+        let t = Instant::now();
+        let compacted = engine.ingest_batch(batch).compacted;
+        let ms = t.elapsed().as_secs_f64() * 1e3;
+        if compacted {
+            compacting.push(ms);
+        } else {
+            plain.push(ms);
+        }
+    }
+    (compacting, plain)
+}
+
+/// The middle value of `xs` (the upper one of an even count); 0 when empty.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs.get(xs.len() / 2).copied().unwrap_or(0.0)
 }
 
 /// One full-refit pass: apply the batch to a mutable graph, then
@@ -105,6 +132,9 @@ fn main() {
         run_full_refit(&g, &batches);
     });
 
+    let (compacting_ms, plain_ms) = engine_batch_ms(&g, &batches);
+    let compactions = compacting_ms.len();
+
     let engine_eps = total_events as f64 / engine_s;
     let full_eps = total_events as f64 / full_s;
     let speedup = full_s / engine_s;
@@ -117,6 +147,11 @@ fn main() {
         full_s * 1e3
     );
     println!("speedup:           {speedup:>10.2}x (gate: ≥{REQUIRED_SPEEDUP}x)");
+    let (compacting_ms, plain_ms) = (median(compacting_ms), median(plain_ms));
+    println!(
+        "engine batches:    {compacting_ms:>10.3} ms compacting ({compactions} of them), \
+         {plain_ms:.3} ms plain (medians)"
+    );
     BenchReport::new("stream")
         .metric("n", n as f64, "count")
         .metric("m", g.num_edges() as f64, "count")
@@ -127,6 +162,9 @@ fn main() {
         .metric("full_s", full_s, "s")
         .metric("engine_events_per_sec", engine_eps, "events/s")
         .metric("speedup", speedup, "x")
+        .metric("compactions", compactions as f64, "count")
+        .metric("engine_compacting_batch_ms", compacting_ms, "ms")
+        .metric("engine_plain_batch_ms", plain_ms, "ms")
         .write_if_requested(&args)
         .expect("write bench json");
     if speedup < REQUIRED_SPEEDUP {

@@ -10,6 +10,17 @@
 //! materialising a private sorted copy of just the touched rows, so a
 //! greedy attack never rebuilds the substrate and resetting to the clean
 //! graph is O(dirty rows), not O(n + m).
+//!
+//! The materialised rows share one arena: a single `Vec<NodeId>` plus a
+//! 16-byte slot (`start`, `len`, `cap`) per node, `cap == 0` meaning the
+//! row is served from the base. A row is appended with a little slack on
+//! first touch, shifted in place on insert and remove, and moved to the
+//! arena's end at double capacity when an insert finds it full. Reset
+//! clears the dirty slots and truncates the arena, and
+//! [`CsrGraph::absorb`] copies the rows out and releases the arena, so
+//! neither allocates nor frees anything per row. [`DeltaOverlay::new`]
+//! reserves the arena for the base's `2·m` column entries, so an
+//! overlay that is reset and reused does not grow it mid-search.
 
 use crate::view::{EditableGraph, GraphView};
 use crate::zobrist::{edge_key, edge_set_hash};
@@ -120,85 +131,103 @@ impl CsrGraph {
     /// the new base and the overlay starts clean again. Unlike
     /// `compact`, the fold never holds a second CSR beside this one.
     ///
+    /// Returns the emptied edits, clean against the folded graph: they
+    /// keep their slot table, so re-attaching them allocates nothing
+    /// per node, while the arena's buffer is released here.
+    ///
     /// # Panics
     /// Panics if non-empty `edits` cover a different node count.
-    pub fn absorb(&mut self, edits: OverlayEdits) {
+    pub fn absorb(&mut self, mut edits: OverlayEdits) -> OverlayEdits {
         if edits.is_clean() {
-            return;
+            return edits;
         }
         assert_eq!(
-            edits.rows.len(),
+            edits.rows.slots.len(),
             self.num_nodes(),
             "edits detached from a different base"
         );
         let delta_hash = edits
             .delta_hash
-            .unwrap_or_else(|| recompute_delta_hash(self, &edits.rows, &edits.dirty));
-        let mut dirty = edits.dirty;
-        dirty.sort_unstable();
-        self.patch_rows(&edits.rows, &dirty);
-        self.num_edges = edits.num_edges;
+            .unwrap_or_else(|| recompute_delta_hash(self, &edits.rows));
+        edits.rows.dirty.sort_unstable();
+        self.patch_rows(&edits.rows, &edits.rows.dirty, edits.num_edges);
         self.edge_hash ^= delta_hash;
+        edits.rows.clear();
+        edits.rows.arena = Vec::new();
+        edits.delta_hash = Some(0);
+        edits
     }
 
     /// Replaces the row of each node in `dirty` (ascending, every one
-    /// materialised in `rows`) in place. The clean node ranges between
-    /// dirty rows move as blocks: first the blocks shifting right, right
-    /// to left, then those shifting left, left to right, then the dirty
-    /// rows. A block moving right can only land on the old bytes of
-    /// blocks to its right that also move right, and a block moving
-    /// left only on blocks to its left that also move left; this order
-    /// has moved those already. So the column array grows at most once
-    /// and no second copy of it is ever needed.
-    fn patch_rows(&mut self, rows: &[Option<Vec<NodeId>>], dirty: &[NodeId]) {
+    /// materialised in `rows`) in place, leaving `num_edges` edges. The
+    /// clean node ranges between dirty rows move as blocks, each by the
+    /// running sum of the growth of the dirty rows before it. First the
+    /// blocks shifting right move, right to left; then one left-to-right
+    /// pass moves the blocks shifting left, shifts their `offsets` in
+    /// place and copies in the dirty row after each. A block moving
+    /// right lands only on old bytes of blocks to its right that also
+    /// move right; a block moving left, or a dirty row, lands only on
+    /// old bytes of blocks to its left or of blocks that move right; and
+    /// this order has moved all of those already. So the column array
+    /// grows at most once, and no second copy of it or of `offsets` is
+    /// ever made.
+    fn patch_rows(&mut self, rows: &RowArena, dirty: &[NodeId], num_edges: usize) {
         let n = self.num_nodes();
-        let row = |u: usize| {
-            rows[u]
-                .as_deref()
-                // ba-lint: allow(panic-path) -- callers pass only dirty nodes, and a node only enters dirty when its row slot is filled
+        let (offsets, cols) = (&mut self.offsets, &mut self.cols);
+        let row = |d: usize| {
+            rows.row(d as NodeId)
+                // ba-lint: allow(panic-path) -- callers pass only dirty nodes, and a node only enters dirty when its slot is filled
                 .expect("dirty row is materialised")
         };
-        let old = std::mem::take(&mut self.offsets);
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        let mut next_dirty = dirty.iter().map(|&d| d as usize).peekable();
-        for u in 0..n {
-            let len = match next_dirty.next_if_eq(&u) {
-                Some(_) => row(u).len(),
-                None => old[u + 1] - old[u],
-            };
-            offsets.push(offsets[u] + len);
-        }
-        // Clean node ranges [lo, hi) between consecutive dirty rows.
-        let mut blocks = Vec::with_capacity(dirty.len() + 1);
-        let mut lo = 0;
-        for hi in dirty.iter().map(|&d| d as usize).chain([n]) {
-            if lo < hi {
-                blocks.push((lo, hi));
-            }
-            lo = hi + 1;
-        }
-        let len = offsets[n];
-        let cols = &mut self.cols;
+        // How much dirty row `d` grows, read while `offsets` is unmoved
+        // at `d` and `d + 1`.
+        let growth = |offsets: &[usize], d: usize| {
+            row(d).len() as isize - (offsets[d + 1] - offsets[d]) as isize
+        };
+        // The j-th clean node range [lo, hi): after dirty[j - 1], up to
+        // dirty[j] (or n). It shifts by the growth of dirty[..j].
+        let block = |j: usize| {
+            let lo = j.checked_sub(1).map_or(0, |i| dirty[i] as usize + 1);
+            (lo, dirty.get(j).map_or(n, |&d| d as usize))
+        };
+        let k = dirty.len();
+        let len = 2 * num_edges;
+        let total = len as isize - cols.len() as isize;
         if len > cols.len() {
             cols.reserve_exact(len - cols.len());
             cols.resize(len, 0);
         }
-        let right = blocks
-            .iter()
-            .rev()
-            .filter(|&&(lo, _)| offsets[lo] > old[lo]);
-        let left = blocks.iter().filter(|&&(lo, _)| offsets[lo] < old[lo]);
-        for &(lo, hi) in right.chain(left) {
-            cols.copy_within(old[lo]..old[hi], offsets[lo]);
+        let mut shift = total;
+        for j in (0..=k).rev() {
+            if j < k {
+                shift -= growth(offsets, dirty[j] as usize);
+            }
+            let (lo, hi) = block(j);
+            if shift > 0 && lo < hi {
+                cols.copy_within(offsets[lo]..offsets[hi], offsets[lo] + shift as usize);
+            }
         }
-        for &u in dirty {
-            let u = u as usize;
-            cols[offsets[u]..offsets[u + 1]].copy_from_slice(row(u));
+        for j in 0..=k {
+            let (lo, hi) = block(j);
+            if shift < 0 && lo < hi {
+                cols.copy_within(offsets[lo]..offsets[hi], offsets[lo] - shift.unsigned_abs());
+            }
+            let grew = (j < k).then(|| growth(offsets, hi));
+            if shift != 0 {
+                for o in &mut offsets[lo..=hi] {
+                    *o = o.wrapping_add_signed(shift);
+                }
+            }
+            if let Some(grew) = grew {
+                let r = row(hi);
+                cols[offsets[hi]..offsets[hi] + r.len()].copy_from_slice(r);
+                shift += grew;
+            }
         }
+        debug_assert_eq!(offsets[n], len, "num_edges disagrees with the rows");
         cols.truncate(len);
         cols.shrink_to_fit();
-        self.offsets = offsets;
+        self.num_edges = num_edges;
     }
 }
 
@@ -228,11 +257,11 @@ impl GraphView for CsrGraph {
 /// A set of single-edge toggles over a borrowed [`CsrGraph`].
 ///
 /// Rows untouched by any toggle are served straight from the base CSR;
-/// the first toggle on a row copies it into a private sorted `Vec` that
-/// subsequent toggles patch in `O(deg)`. [`DeltaOverlay::reset`] drops
-/// the patches, returning to the clean graph without rebuilding anything
-/// — the operation attack loops perform once per λ / per budget
-/// extraction.
+/// the first toggle on a row copies it into the overlay's row arena,
+/// where later toggles patch it in `O(deg)`. [`DeltaOverlay::reset`]
+/// drops the patches in `O(dirty rows)`, freeing nothing, and returns
+/// to the clean graph without rebuilding anything — the operation
+/// attack loops perform once per λ / per budget extraction.
 ///
 /// ```
 /// use ba_graph::{CsrGraph, DeltaOverlay, EditableGraph, Graph, GraphView};
@@ -250,12 +279,10 @@ impl GraphView for CsrGraph {
 #[derive(Debug, Clone)]
 pub struct DeltaOverlay<'a> {
     base: &'a CsrGraph,
-    /// Materialised rows, indexed by node (`None` = serve from the
-    /// base). A plain index keeps row access off the hash path — the
-    /// gradient assembly reads two rows per candidate pair.
-    rows: Vec<Option<Vec<NodeId>>>,
-    /// Nodes whose row has been materialised (for O(dirty) reset).
-    dirty: Vec<NodeId>,
+    /// Materialised rows, indexed by node through a plain slot table,
+    /// which keeps row access off the hash path — the gradient assembly
+    /// reads two rows per candidate pair.
+    rows: RowArena,
     num_edges: usize,
     /// XOR of [`edge_key`] over the pairs whose presence differs from
     /// the base — `0` when clean, updated in O(1) per toggle.
@@ -269,11 +296,11 @@ pub struct DeltaOverlay<'a> {
 /// streaming engine in `ba-stream`) instead keep the base and an
 /// `OverlayEdits`, re-attaching them with [`DeltaOverlay::attach`] for
 /// the duration of each batch. The default value is the empty edit set,
-/// valid against any base.
+/// valid against any base; [`CsrGraph::absorb`] hands back an empty one
+/// that keeps its slot table for the next attach.
 #[derive(Debug, Clone, Default)]
 pub struct OverlayEdits {
-    rows: Vec<Option<Vec<NodeId>>>,
-    dirty: Vec<NodeId>,
+    rows: RowArena,
     num_edges: usize,
     /// Delta hash carried through [`DeltaOverlay::detach`]; `None` for
     /// edit sets rebuilt from serialised rows ([`OverlayEdits::from_rows`]),
@@ -285,18 +312,18 @@ pub struct OverlayEdits {
 impl OverlayEdits {
     /// Number of rows that have diverged from the base.
     pub fn dirty_rows(&self) -> usize {
-        self.dirty.len()
+        self.rows.dirty.len()
     }
 
     /// `true` when no row diverges from the base.
     pub fn is_clean(&self) -> bool {
-        self.dirty.is_empty()
+        self.rows.dirty.is_empty()
     }
 
     /// Edge count of these edits over `base` — `base`'s own count for
     /// the empty (never-attached) edit set.
     pub fn num_edges_over(&self, base: &CsrGraph) -> usize {
-        if self.rows.is_empty() && self.dirty.is_empty() {
+        if self.rows.slots.is_empty() {
             base.num_edges()
         } else {
             self.num_edges
@@ -307,16 +334,16 @@ impl OverlayEdits {
     /// node order — the canonical serialisation the stream snapshot
     /// writes.
     pub fn dirty_rows_sorted(&self) -> Vec<(NodeId, &[NodeId])> {
-        let mut nodes = self.dirty.clone();
+        let mut nodes = self.rows.dirty.clone();
         nodes.sort_unstable();
         nodes
             .into_iter()
             .map(|u| {
                 (
                     u,
-                    self.rows[u as usize]
-                        .as_deref()
-                        // ba-lint: allow(panic-path) -- u comes from the dirty list, and a node only enters dirty when its row slot is filled
+                    self.rows
+                        .row(u)
+                        // ba-lint: allow(panic-path) -- u comes from the dirty list, and a node only enters dirty when its slot is filled
                         .expect("dirty row is materialised"),
                 )
             })
@@ -335,50 +362,183 @@ impl OverlayEdits {
             return base.to_graph();
         }
         assert_eq!(
-            self.rows.len(),
+            self.rows.slots.len(),
             base.num_nodes(),
             "edits detached from a different base"
         );
         Graph::from_rows(
             self.num_edges,
-            self.rows
-                .iter()
-                .zip(0..)
-                .map(|(row, u)| row.as_deref().unwrap_or_else(|| base.neighbors_sorted(u))),
+            (0..base.num_nodes() as NodeId)
+                .map(|u| self.rows.row(u).unwrap_or_else(|| base.neighbors_sorted(u))),
         )
     }
 
     /// Rebuilds an edit set from its canonical serialisation: the total
-    /// node count, the current edge count, and the materialised rows.
+    /// node count, the current edge count, and the materialised rows. A
+    /// node given twice keeps its last row.
     pub fn from_rows(
         num_nodes: usize,
         num_edges: usize,
         dirty_rows: impl IntoIterator<Item = (NodeId, Vec<NodeId>)>,
     ) -> Self {
-        let mut rows = vec![None; num_nodes];
-        let mut dirty = Vec::new();
+        Self::try_from_rows(num_nodes, num_edges, dirty_rows)
+            .unwrap_or_else(|e| panic!("slot table for {num_nodes} nodes: {e}"))
+    }
+
+    /// [`OverlayEdits::from_rows`] for a `num_nodes` read from outside
+    /// the process: the slot table is reserved with `try_reserve_exact`,
+    /// so a count that cannot be allocated is an error, not an abort.
+    pub fn try_from_rows(
+        num_nodes: usize,
+        num_edges: usize,
+        dirty_rows: impl IntoIterator<Item = (NodeId, Vec<NodeId>)>,
+    ) -> Result<Self, std::collections::TryReserveError> {
+        let mut rows = RowArena::default();
+        rows.slots.try_reserve_exact(num_nodes)?;
+        rows.slots.resize(num_nodes, Slot::default());
         for (u, row) in dirty_rows {
             debug_assert!(row.windows(2).all(|w| w[0] < w[1]), "row not sorted");
-            if rows[u as usize].replace(row).is_none() {
-                dirty.push(u);
-            }
+            rows.push_row(u, &row);
         }
-        Self {
+        Ok(Self {
             rows,
-            dirty,
             num_edges,
             delta_hash: None,
+        })
+    }
+}
+
+/// Where a node's row lives in a [`RowArena`]: `len` entries from
+/// `start`, with room for `cap`. `cap == 0` means the row has not
+/// diverged and is served from the base. A row lists distinct `u32` ids
+/// other than its own node, so `len` fits a `u32`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    start: usize,
+    len: u32,
+    cap: u32,
+}
+
+/// Spare entries a row gets when it is first materialised, so its first
+/// few inserts patch it where it is.
+const SLACK: usize = 4;
+
+/// The materialised rows of an overlay, packed into one buffer.
+#[derive(Debug, Clone, Default)]
+struct RowArena {
+    /// One slot per node; empty for the never-attached edit set.
+    slots: Vec<Slot>,
+    /// Row storage. A row that outgrows its slot moves to the end and
+    /// leaves its old range dead until the next [`RowArena::clear`].
+    arena: Vec<NodeId>,
+    /// Nodes whose row is materialised (for O(dirty) reset).
+    dirty: Vec<NodeId>,
+}
+
+impl RowArena {
+    /// An empty arena over `n` nodes with room for `reserve` entries.
+    fn with_nodes(n: usize, reserve: usize) -> Self {
+        Self {
+            slots: vec![Slot::default(); n],
+            arena: Vec::with_capacity(reserve),
+            dirty: Vec::new(),
         }
+    }
+
+    /// `u`'s materialised row, or `None` when it is served from the base.
+    #[inline]
+    fn row(&self, u: NodeId) -> Option<&[NodeId]> {
+        let s = self.slots[u as usize];
+        if s.cap == 0 {
+            None
+        } else {
+            Some(&self.arena[s.start..s.start + s.len as usize])
+        }
+    }
+
+    /// `u`'s row, appended from `base` with [`SLACK`] on first touch.
+    fn materialise(&mut self, u: NodeId, base: &CsrGraph) -> &[NodeId] {
+        if self.slots[u as usize].cap == 0 {
+            self.push_row(u, base.neighbors_sorted(u));
+        }
+        let s = self.slots[u as usize];
+        &self.arena[s.start..s.start + s.len as usize]
+    }
+
+    /// Appends `row` with [`SLACK`] as `u`'s materialised row; a row
+    /// `u` already had is left dead in place.
+    fn push_row(&mut self, u: NodeId, row: &[NodeId]) {
+        let start = self.arena.len();
+        let cap = (row.len() + SLACK).min(u32::MAX as usize);
+        self.arena.extend_from_slice(row);
+        self.arena.resize(start + cap, 0);
+        let slot = &mut self.slots[u as usize];
+        if slot.cap == 0 {
+            self.dirty.push(u);
+        }
+        *slot = Slot {
+            start,
+            len: row.len() as u32,
+            cap: cap as u32,
+        };
+    }
+
+    /// Inserts `v` at `pos` of `u`'s materialised row. A full row moves
+    /// to the arena's end at double capacity (or grows where it is, if
+    /// it already ends the arena).
+    fn insert(&mut self, u: NodeId, pos: usize, v: NodeId) {
+        let slot = &mut self.slots[u as usize];
+        let len = slot.len as usize;
+        if slot.len == slot.cap {
+            let cap = slot.cap.saturating_mul(2);
+            let end = self.arena.len();
+            if slot.start + len != end {
+                self.arena.extend_from_within(slot.start..slot.start + len);
+                slot.start = end;
+            }
+            self.arena.resize(slot.start + cap as usize, 0);
+            slot.cap = cap;
+        }
+        let s = slot.start;
+        self.arena.copy_within(s + pos..s + len, s + pos + 1);
+        self.arena[s + pos] = v;
+        slot.len += 1;
+    }
+
+    /// Removes the entry at `pos` of `u`'s materialised row.
+    fn remove(&mut self, u: NodeId, pos: usize) {
+        let slot = &mut self.slots[u as usize];
+        let (s, len) = (slot.start, slot.len as usize);
+        self.arena.copy_within(s + pos + 1..s + len, s + pos);
+        slot.len -= 1;
+    }
+
+    /// Drops every materialised row in O(dirty), freeing nothing.
+    fn clear(&mut self) {
+        for &u in &self.dirty {
+            self.slots[u as usize] = Slot::default();
+        }
+        self.dirty.clear();
+        self.arena.clear();
     }
 }
 
 impl<'a> DeltaOverlay<'a> {
-    /// A fresh overlay with no edits.
+    /// A fresh overlay with no edits. Its arena is reserved up front
+    /// for as many entries as the base's column array (`2·m`), so an
+    /// overlay that is reset and reused, as an attack session's is, does
+    /// not reallocate it in the middle of a search: a buffer that grows
+    /// there and then lives on is placed between the search's large
+    /// transient buffers and fragments the heap. Reserved entries that
+    /// are never written cost no resident memory.
     pub fn new(base: &'a CsrGraph) -> Self {
+        Self::with_reserve(base, 2 * base.num_edges())
+    }
+
+    fn with_reserve(base: &'a CsrGraph, reserve: usize) -> Self {
         Self {
             base,
-            rows: vec![None; base.num_nodes()],
-            dirty: Vec::new(),
+            rows: RowArena::with_nodes(base.num_nodes(), reserve),
             num_edges: base.num_edges(),
             delta_hash: 0,
         }
@@ -386,25 +546,27 @@ impl<'a> DeltaOverlay<'a> {
 
     /// Re-attaches detached edits to their base. An empty
     /// (default-constructed) edit set attaches to any base as a fresh
-    /// overlay; a non-empty one must come from [`DeltaOverlay::detach`]
-    /// against the *same* base (enforced by row count only — callers
-    /// own the pairing).
+    /// overlay, with no arena reserved: such edits are kept across
+    /// batches and folded in by [`CsrGraph::absorb`], which releases the
+    /// arena anyway. Any other edit set must come from
+    /// [`DeltaOverlay::detach`] or [`CsrGraph::absorb`] against the
+    /// *same* base (enforced by row count only — callers own the
+    /// pairing).
     pub fn attach(base: &'a CsrGraph, edits: OverlayEdits) -> Self {
-        if edits.rows.is_empty() && edits.dirty.is_empty() {
-            return Self::new(base);
+        if edits.rows.slots.is_empty() {
+            return Self::with_reserve(base, 0);
         }
         assert_eq!(
-            edits.rows.len(),
+            edits.rows.slots.len(),
             base.num_nodes(),
             "edits detached from a different base"
         );
         let delta_hash = edits
             .delta_hash
-            .unwrap_or_else(|| recompute_delta_hash(base, &edits.rows, &edits.dirty));
+            .unwrap_or_else(|| recompute_delta_hash(base, &edits.rows));
         Self {
             base,
             rows: edits.rows,
-            dirty: edits.dirty,
             num_edges: edits.num_edges,
             delta_hash,
         }
@@ -415,7 +577,6 @@ impl<'a> DeltaOverlay<'a> {
     pub fn detach(self) -> OverlayEdits {
         OverlayEdits {
             rows: self.rows,
-            dirty: self.dirty,
             num_edges: self.num_edges,
             delta_hash: Some(self.delta_hash),
         }
@@ -428,7 +589,7 @@ impl<'a> DeltaOverlay<'a> {
 
     /// Number of rows that have diverged from the base.
     pub fn dirty_rows(&self) -> usize {
-        self.dirty.len()
+        self.rows.dirty.len()
     }
 
     /// XOR of [`edge_key`] over the pairs toggled relative to the base:
@@ -450,12 +611,9 @@ impl<'a> DeltaOverlay<'a> {
     }
 
     /// Drops all edits, returning to the base edge set in
-    /// `O(dirty rows)`.
+    /// `O(dirty rows)` without freeing anything.
     pub fn reset(&mut self) {
-        for &u in &self.dirty {
-            self.rows[u as usize] = None;
-        }
-        self.dirty.clear();
+        self.rows.clear();
         self.num_edges = self.base.num_edges();
         self.delta_hash = 0;
     }
@@ -471,34 +629,22 @@ impl<'a> DeltaOverlay<'a> {
     /// edits are folded into the copy as [`CsrGraph::absorb`] folds
     /// them into the base itself.
     pub fn compact(&self) -> CsrGraph {
-        let mut dirty = self.dirty.clone();
+        let mut dirty = self.rows.dirty.clone();
         dirty.sort_unstable();
         let mut fresh = self.base.clone();
-        fresh.patch_rows(&self.rows, &dirty);
-        fresh.num_edges = self.num_edges;
+        fresh.patch_rows(&self.rows, &dirty, self.num_edges);
         // XOR-folding is set-associative, so the frozen hash of the
         // compacted graph is exactly base ⊕ delta — no rescan.
         fresh.edge_hash ^= self.delta_hash;
         fresh
     }
 
-    fn row_mut(&mut self, u: NodeId) -> &mut Vec<NodeId> {
-        let slot = &mut self.rows[u as usize];
-        if slot.is_none() {
-            *slot = Some(self.base.neighbors_sorted(u).to_vec());
-            self.dirty.push(u);
-        }
-        // ba-lint: allow(panic-path) -- the branch above fills the slot when it is None, so it is Some here
-        slot.as_mut().expect("just materialised")
-    }
-
     /// Inserts `v` into `u`'s row; `true` if it was absent.
     fn half_add(&mut self, u: NodeId, v: NodeId) -> bool {
-        let row = self.row_mut(u);
-        match row.binary_search(&v) {
+        match self.rows.materialise(u, self.base).binary_search(&v) {
             Ok(_) => false,
             Err(pos) => {
-                row.insert(pos, v);
+                self.rows.insert(u, pos, v);
                 true
             }
         }
@@ -506,10 +652,9 @@ impl<'a> DeltaOverlay<'a> {
 
     /// Removes `v` from `u`'s row; `true` if it was present.
     fn half_remove(&mut self, u: NodeId, v: NodeId) -> bool {
-        let row = self.row_mut(u);
-        match row.binary_search(&v) {
+        match self.rows.materialise(u, self.base).binary_search(&v) {
             Ok(pos) => {
-                row.remove(pos);
+                self.rows.remove(u, pos);
                 true
             }
             Err(_) => false,
@@ -530,7 +675,7 @@ impl GraphView for DeltaOverlay<'_> {
 
     #[inline]
     fn neighbors_sorted(&self, u: NodeId) -> &[NodeId] {
-        match &self.rows[u as usize] {
+        match self.rows.row(u) {
             Some(row) => row,
             None => self.base.neighbors_sorted(u),
         }
@@ -577,12 +722,12 @@ impl EditableGraph for DeltaOverlay<'_> {
 /// counting it only at the smaller endpoint folds each key exactly
 /// once. O(Σ deg over dirty rows) — paid only on snapshot restore,
 /// never on the toggle path.
-fn recompute_delta_hash(base: &CsrGraph, rows: &[Option<Vec<NodeId>>], dirty: &[NodeId]) -> u64 {
+fn recompute_delta_hash(base: &CsrGraph, rows: &RowArena) -> u64 {
     let mut h = 0u64;
-    for &u in dirty {
-        let cur = rows[u as usize]
-            .as_deref()
-            // ba-lint: allow(panic-path) -- u iterates the dirty list, and a node only enters dirty when its row slot is filled
+    for &u in &rows.dirty {
+        let cur = rows
+            .row(u)
+            // ba-lint: allow(panic-path) -- u iterates the dirty list, and a node only enters dirty when its slot is filled
             .expect("dirty row is materialised");
         let old = base.neighbors_sorted(u);
         // Walk the symmetric difference of two sorted rows.

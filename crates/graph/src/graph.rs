@@ -49,6 +49,16 @@ impl Graph {
         }
     }
 
+    /// [`Graph::new`] for an `n` read from outside the process: the node
+    /// table is reserved with `try_reserve_exact`, so a count that cannot
+    /// be allocated is an error instead of an abort.
+    pub fn try_new(n: usize) -> Result<Self, std::collections::TryReserveError> {
+        let mut adj = Vec::new();
+        adj.try_reserve_exact(n)?;
+        adj.resize_with(n, Vec::new);
+        Ok(Self { adj, num_edges: 0 })
+    }
+
     /// Copies any [`GraphView`] row by row: each sorted neighbour slice
     /// becomes one exactly-sized row, with no per-edge insertion.
     pub(crate) fn from_view<V: GraphView + ?Sized>(g: &V) -> Self {

@@ -3,6 +3,7 @@
 use ba_graph::egonet::{egonet_features, EgonetFeatures, IncrementalEgonet};
 use ba_graph::{
     generators, zobrist, CsrGraph, DeltaOverlay, EditableGraph, Graph, GraphView, NodeId,
+    OverlayEdits,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -254,6 +255,128 @@ proptest! {
         // Compaction freezes the incremental hash verbatim, and a
         // rebuilt CSR recomputes the identical value from scratch.
         prop_assert_eq!(ov.compact().edge_hash(), CsrGraph::from_view(&ov).edge_hash());
+    }
+}
+
+/// Every row, degree, the edge count and the edge-set hash of `view`
+/// equal those of `reference`.
+fn assert_tracks(view: &DeltaOverlay<'_>, reference: &Graph) -> Result<(), TestCaseError> {
+    prop_assert_eq!(view.num_edges(), reference.num_edges());
+    prop_assert_eq!(view.edge_set_hash(), zobrist::edge_set_hash(reference));
+    for w in 0..reference.num_nodes() as NodeId {
+        prop_assert_eq!(
+            view.neighbors_sorted(w),
+            reference.neighbors(w),
+            "row {}",
+            w
+        );
+        prop_assert_eq!(view.degree(w), reference.degree(w));
+    }
+    Ok(())
+}
+
+proptest! {
+    /// The arena overlay tracks a `Graph` reference through random
+    /// scripts of adds, removes, toggles, resets, hub growth, snapshot
+    /// round trips and absorbs, with its edits detached and re-attached
+    /// around every step as the streaming engine holds them. Hub growth
+    /// pushes one row far past its slack, so rows fill up and move.
+    /// Each absorb must leave the base equal to a from-scratch CSR of
+    /// the reference and hand back edits that attach clean; from then
+    /// on they must track a fresh overlay over the absorbed base.
+    #[test]
+    fn arena_overlay_tracks_reference_through_absorb(
+        er in 0u8..2,
+        n in 2usize..40,
+        seed in 0u64..500,
+        script in proptest::collection::vec((0u32..40, 0u32..40, 0u8..12), 1..80),
+    ) {
+        let g = if er == 1 {
+            generators::erdos_renyi(n, 0.1, seed)
+        } else {
+            generators::barabasi_albert(n.max(3), 2, seed)
+        };
+        let n = g.num_nodes() as NodeId;
+        let mut base = CsrGraph::from(&g);
+        let mut base_graph = g.clone();
+        let mut reference = g;
+        // `edits` goes through every absorb; `fresh` restarts as a new
+        // overlay over each absorbed base.
+        let (mut edits, mut fresh) = (OverlayEdits::default(), OverlayEdits::default());
+        for (u, v, act) in script {
+            let (u, v) = (u % n, v % n);
+            if act == 9 {
+                edits = base.absorb(edits);
+                base_graph = reference.clone();
+                prop_assert_eq!(&base, &CsrGraph::from(&reference));
+                let view = DeltaOverlay::attach(&base, edits);
+                prop_assert_eq!(view.dirty_rows(), 0);
+                prop_assert_eq!(view.delta_hash(), 0);
+                assert_tracks(&view, &reference)?;
+                edits = view.detach();
+                fresh = OverlayEdits::default();
+                continue;
+            }
+            if act == 8 {
+                // The snapshot path: canonical rows, no carried hash.
+                let rows = edits
+                    .dirty_rows_sorted()
+                    .into_iter()
+                    .map(|(w, r)| (w, r.to_vec()))
+                    .collect::<Vec<_>>();
+                let m = edits.num_edges_over(&base);
+                edits = OverlayEdits::from_rows(n as usize, m, rows);
+            }
+            let mut views = [
+                DeltaOverlay::attach(&base, std::mem::take(&mut edits)),
+                DeltaOverlay::attach(&base, std::mem::take(&mut fresh)),
+            ];
+            match act {
+                0 => {
+                    views.iter_mut().for_each(DeltaOverlay::reset);
+                    reference = base_graph.clone();
+                }
+                1 => {
+                    views.iter_mut().for_each(|ov| {
+                        ov.add_edge(u, v);
+                    });
+                    if u != v {
+                        reference.add_edge(u, v);
+                    }
+                }
+                2 => {
+                    views.iter_mut().for_each(|ov| {
+                        ov.remove_edge(u, v);
+                    });
+                    reference.remove_edge(u, v);
+                }
+                7 => {
+                    // Hub growth: up to 12 new neighbours for `u`.
+                    for i in 0..12 {
+                        let w = (v + i) % n;
+                        views.iter_mut().for_each(|ov| {
+                            ov.add_edge(u, w);
+                        });
+                        if u != w {
+                            reference.add_edge(u, w);
+                        }
+                    }
+                }
+                _ => {
+                    views.iter_mut().for_each(|ov| {
+                        ov.toggle_edge(u, v);
+                    });
+                    reference.toggle_edge(u, v);
+                }
+            }
+            for view in &views {
+                assert_tracks(view, &reference)?;
+            }
+            prop_assert_eq!(views[0].dirty_rows(), views[1].dirty_rows());
+            let [a, b] = views;
+            edits = a.detach();
+            fresh = b.detach();
+        }
     }
 }
 

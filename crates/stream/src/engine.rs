@@ -29,8 +29,8 @@
 //! **Compaction.** Overlay reads pay an indirection per touched row and
 //! resets/compactions pay O(dirty), so once the dirty-row count crosses
 //! `compact_fraction · n` the overlay is folded into the frozen base in
-//! place ([`CsrGraph::absorb`]) and ingest continues over a
-//! clean overlay. Compaction is invisible to scores and adjacency
+//! place ([`CsrGraph::absorb`]) and ingest continues over the clean
+//! edits it hands back, which keep their slot table. Compaction is invisible to scores and adjacency
 //! (pinned by proptest), so steady-state ingest stays O(batch).
 
 use crate::StreamEvent;
@@ -350,14 +350,13 @@ impl StreamEngine {
         let edges = view.num_edges();
         let threshold = (self.cfg.compact_fraction * self.base.num_nodes() as f64).ceil() as usize;
         let compacted = view.dirty_rows() > threshold.max(1);
-        if compacted {
-            let edits = view.detach();
-            self.base.absorb(edits);
-            self.edits = OverlayEdits::default();
+        let edits = view.detach();
+        self.edits = if compacted {
             self.compactions += 1;
+            self.base.absorb(edits)
         } else {
-            self.edits = view.detach();
-        }
+            edits
+        };
 
         BatchSummary {
             batch: self.batches,

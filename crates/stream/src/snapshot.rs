@@ -168,7 +168,10 @@ impl StreamEngine {
         let base_edges: usize = field(&mut lines, "base")?
             .parse()
             .map_err(|_| malformed("base"))?;
-        let mut g = Graph::new(nodes);
+        // The node count sizes every per-node table; one that cannot be
+        // allocated is a malformed file, not a reason to abort.
+        let too_many = |_| malformed("node count too large to allocate");
+        let mut g = Graph::try_new(nodes).map_err(too_many)?;
         for _ in 0..base_edges {
             let line = lines.next().ok_or_else(|| malformed("base edge"))?;
             let (u, v): (NodeId, NodeId) = line
@@ -197,6 +200,8 @@ impl StreamEngine {
             return Err(malformed("more edit rows than nodes"));
         }
         let mut dirty_rows: Vec<(NodeId, Vec<NodeId>)> = Vec::with_capacity(dirty_count);
+        // Row-length change over the base: twice the edge-count change.
+        let mut grown = 0isize;
         for _ in 0..dirty_count {
             let line = lines.next().ok_or_else(|| malformed("edit row"))?;
             let mut toks = line.split_whitespace();
@@ -205,18 +210,27 @@ impl StreamEngine {
                 let len: usize = toks.next()?.parse().ok()?;
                 let row: Vec<NodeId> = toks.map(|t| t.parse().ok()).collect::<Option<_>>()?;
                 // Out-of-range ids would index out of bounds in
-                // OverlayEdits::from_rows; reject them here instead.
+                // OverlayEdits::try_from_rows; reject them here instead.
                 let in_range = (u as usize) < nodes && row.iter().all(|&v| (v as usize) < nodes);
-                (in_range && row.len() == len && row.windows(2).all(|w| w[0] < w[1]))
-                    .then_some((u, row))
+                // A sorted row without its own node lists distinct ids
+                // other than `u`: fewer than 2^32, as the overlay's
+                // slots assume.
+                let simple = row.windows(2).all(|w| w[0] < w[1]) && row.binary_search(&u).is_err();
+                (in_range && row.len() == len && simple).then_some((u, row))
             })();
-            dirty_rows.push(parsed.ok_or_else(|| malformed("edit row"))?);
+            let (u, row) = parsed.ok_or_else(|| malformed("edit row"))?;
+            // The writer emits rows in strictly ascending node order; a
+            // repeated node would silently replace its earlier row.
+            if dirty_rows.last().is_some_and(|&(prev, _)| prev >= u) {
+                return Err(malformed("edit rows not in ascending node order"));
+            }
+            grown += row.len() as isize - base.degree(u) as isize;
+            dirty_rows.push((u, row));
         }
-        let edits = if dirty_rows.is_empty() {
-            OverlayEdits::default()
-        } else {
-            OverlayEdits::from_rows(nodes, num_edges, dirty_rows)
-        };
+        if grown as i128 != 2 * (num_edges as i128 - base_edges as i128) {
+            return Err(malformed("edits edge count disagrees with the rows"));
+        }
+        let edits = OverlayEdits::try_from_rows(nodes, num_edges, dirty_rows).map_err(too_many)?;
 
         let params_line = lines.next().ok_or_else(|| malformed("params"))?;
         if lines.next() != Some("end") {
@@ -353,6 +367,101 @@ mod tests {
                 ),
                 "edits count {count} was not rejected"
             );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn impossible_node_count_rejected_without_allocating() {
+        let g = generators::erdos_renyi(40, 0.1, 1);
+        let engine = StreamEngine::new(&g, StreamConfig::default());
+        let path = temp("huge_nodes");
+        engine.save_snapshot(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        // A node table this long exceeds `isize::MAX` bytes, so its
+        // `try_reserve_exact` fails before the allocator is asked for
+        // anything; an infallible `Vec` would panic or abort instead.
+        let bad = text.replace("\nnodes 40\n", &format!("\nnodes {}\n", usize::MAX / 8));
+        assert_ne!(bad, text);
+        std::fs::write(&path, bad).unwrap();
+        assert!(matches!(
+            StreamEngine::restore_snapshot(&path),
+            Err(SnapshotError::Malformed(_))
+        ));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Edit rows must come in strictly ascending node order, as the
+    /// writer emits them: a repeated node would replace its earlier row.
+    /// Nor may a row list its own node.
+    #[test]
+    fn unordered_repeated_or_self_loop_edit_rows_rejected() {
+        let g = generators::erdos_renyi(40, 0.1, 1);
+        let mut engine = StreamEngine::new(&g, StreamConfig::default());
+        engine.ingest_batch(&[
+            crate::StreamEvent::new(0, 0, 39, true),
+            crate::StreamEvent::new(1, 5, 20, true),
+        ]);
+        let path = temp("unordered_rows");
+        engine.save_snapshot(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let first = lines.iter().position(|l| l.starts_with("edits ")).unwrap() + 1;
+        for (a, b) in [(first + 1, first), (first, first)] {
+            let mut bad = lines.clone();
+            bad[first] = lines[a];
+            bad[first + 1] = lines[b];
+            std::fs::write(&path, bad.join("\n") + "\n").unwrap();
+            assert!(
+                matches!(
+                    StreamEngine::restore_snapshot(&path),
+                    Err(SnapshotError::Malformed(_))
+                ),
+                "rows {a}, {b} at the head of the edits section were accepted"
+            );
+        }
+        // A self-loop in each of the first two rows, with the edge count
+        // raised to match, so only the self-loop check can object.
+        let mut bad: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+        for at in [first, first + 1] {
+            let mut ids: Vec<NodeId> = lines[at].split(' ').map(|t| t.parse().unwrap()).collect();
+            let u = ids[0];
+            let mut row = ids.split_off(2);
+            row.push(u);
+            row.sort_unstable();
+            let row: Vec<String> = row.iter().map(|v| v.to_string()).collect();
+            bad[at] = format!("{u} {} {}", row.len(), row.join(" "));
+        }
+        let (count, m) = lines[first - 1][6..].split_once(' ').unwrap();
+        bad[first - 1] = format!("edits {count} {}", m.parse::<usize>().unwrap() + 1);
+        std::fs::write(&path, bad.join("\n") + "\n").unwrap();
+        assert!(matches!(
+            StreamEngine::restore_snapshot(&path),
+            Err(SnapshotError::Malformed(_))
+        ));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn edits_edge_count_must_match_the_rows() {
+        let g = generators::erdos_renyi(40, 0.1, 1);
+        let mut engine = StreamEngine::new(&g, StreamConfig::default());
+        let path = temp("edge_count");
+        for dirty in [false, true] {
+            if dirty {
+                engine.ingest_batch(&[crate::StreamEvent::new(0, 0, 39, true)]);
+            }
+            engine.save_snapshot(&path).unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            let edits = text.lines().find(|l| l.starts_with("edits ")).unwrap();
+            let (count, m) = edits[6..].split_once(' ').unwrap();
+            let m: usize = m.parse().unwrap();
+            let bad = text.replace(edits, &format!("edits {count} {}", m + 1));
+            std::fs::write(&path, bad).unwrap();
+            assert!(matches!(
+                StreamEngine::restore_snapshot(&path),
+                Err(SnapshotError::Malformed(_))
+            ));
         }
         let _ = std::fs::remove_file(&path);
     }
