@@ -5,13 +5,15 @@
 //! graph of ≥ 10^6 nodes / ≥ 10^7 edges (default `n = 1_000_000`,
 //! `m = 11`):
 //!
-//! 1. **verify** — at a small `n`, the streamed generator + builder
-//!    are cross-checked bit-identical (offsets, columns, edge hash)
-//!    against the in-memory generator + CSR freeze; a mismatch aborts
-//!    before any timing is reported.
+//! 1. **verify** — at a small `n`, the streamed builder is
+//!    cross-checked bit-identical (offsets, columns, edge hash) against
+//!    the in-memory generator + CSR freeze; a mismatch aborts before
+//!    any timing is reported.
 //! 2. **gen** — `barabasi_albert_stream` → `compact::from_edge_stream`:
 //!    the graph is born directly in CSR form, never existing as an
-//!    edge list or mutable adjacency.
+//!    edge list or mutable adjacency. At the default `--quick` instance
+//!    the run exits non-zero unless the graph has the pinned edge
+//!    count, edge hash and max degree.
 //! 3. **store** — `graphstore::write_chunked` to disk, an out-of-core
 //!    chunk fold (`fold_degree_stats`, whose hash must equal the
 //!    manifest's), and a fully verified `read_chunked` reload.
@@ -42,8 +44,11 @@ fn arg_value(args: &[String], flag: &str) -> Option<usize> {
         .and_then(|s| s.parse().ok())
 }
 
-/// Cross-check the streamed path against the in-memory path at a size
-/// where both fit comfortably; abort on any divergence.
+/// Cross-check the streamed builder against the in-memory path at a
+/// size where both fit comfortably; abort on any divergence. Both paths
+/// draw their edges from `barabasi_albert_stream`, so this pins the
+/// builder, not the generator: [`check_substrate`] and ba-graph's
+/// reference test pin the generator's output.
 fn verify_small(n: usize, m: usize) {
     let in_memory = CsrGraph::from(&generators::barabasi_albert(n, m, SEED));
     let streamed = from_edge_stream(n, || generators::barabasi_albert_stream(n, m, SEED))
@@ -52,6 +57,31 @@ fn verify_small(n: usize, m: usize) {
         streamed, in_memory,
         "streamed CSR diverges from in-memory CSR"
     );
+}
+
+/// `(n, m, edges, edge_hash, max_degree)` of the default `--quick`
+/// instance, BA(10^5, 11) at `SEED` — also perfbench's `ingest` graph.
+const QUICK_GOLDEN: (usize, usize, usize, u64, usize) =
+    (100_000, 11, 1_099_879, 0xb928a56c3662a6c4, 1814);
+
+/// Exits non-zero unless the default `--quick` instance came out with
+/// its pinned edge count, edge hash and max degree; other instances
+/// have no golden and pass.
+fn check_substrate(n: usize, m: usize, g: &CsrGraph) {
+    let (gn, gm, edges, hash, max_deg) = QUICK_GOLDEN;
+    if (n, m) != (gn, gm) {
+        return;
+    }
+    let got_max = (0..n as NodeId).map(|u| g.degree(u)).max().unwrap_or(0);
+    let got = (g.num_edges(), g.edge_hash(), got_max);
+    if got != (edges, hash, max_deg) {
+        eprintln!(
+            "[gen] BA({n}, {m}) diverges from its golden: got {} edges, hash {:#018x}, \
+             max degree {}; want {edges}, {hash:#018x}, {max_deg}",
+            got.0, got.1, got.2,
+        );
+        std::process::exit(1);
+    }
 }
 
 /// Per-node `(N, E) = (deg, deg + triangles_at)`, each node counted on
@@ -102,6 +132,7 @@ fn main() {
     let g = from_edge_stream(n, || generators::barabasi_albert_stream(n, m, SEED))
         .expect("streamed build failed");
     let gen_s = t0.elapsed().as_secs_f64();
+    check_substrate(n, m, &g);
     let edges = g.num_edges();
     let resident_bytes = 8 * (n + 1 + edges);
     eprintln!(

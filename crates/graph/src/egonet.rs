@@ -10,8 +10,9 @@
 //! [`egonet_features`](crate::egonet::egonet_features) extracts both in
 //! one pass over the triangles, oriented by node id so each is found
 //! once, from its largest corner, by merging sorted-row prefixes below
-//! that corner. It allocates nothing but its output: the prefixes are
-//! subslices of the rows the graph already holds. Every detector fit,
+//! that corner. Beyond its output it allocates one `u32` prefix length
+//! per node; the prefixes are subslices of the rows the graph already
+//! holds. Every detector fit,
 //! attack session, stream bootstrap and snapshot restore runs this pass
 //! over the whole graph.
 //!
@@ -69,7 +70,10 @@ impl EgonetFeatures {
 /// gallops when one prefix is much shorter than the other, so a hub's
 /// long row costs little when it is merged against a leaf's.
 ///
-/// Nothing is allocated beyond the two output vectors: the prefixes are
+/// Besides the two output vectors, the pass allocates one `u32` per
+/// node (4 bytes per node): the length of each node's prefix, found by
+/// one binary search when the pass reaches the node, so a row merged
+/// against many times is cut only once. The prefixes themselves are
 /// subslices of the rows the view already holds. Orienting by degree
 /// instead of id would bound the work better on graphs whose hubs have
 /// high ids, but it needs the oriented rows materialised, 4 bytes per
@@ -77,11 +81,17 @@ impl EgonetFeatures {
 pub fn egonet_features<V: GraphView + ?Sized>(g: &V) -> EgonetFeatures {
     let n = g.degrees_f64();
     let mut e = n.clone();
+    // `lo_len[v] = |lo(v)|`, cut once when the pass reaches `v`: every
+    // `v` merged against at node `u` is below `u`, so already cut.
+    let mut lo_len: Vec<u32> = Vec::with_capacity(n.len());
     for u in 0..g.num_nodes() as NodeId {
-        let lo = lower_prefix(g.neighbors_sorted(u), u);
+        let row = g.neighbors_sorted(u);
+        let lo = &row[..row.partition_point(|&v| v < u)];
+        lo_len.push(lo.len() as u32);
         for (i, &v) in lo.iter().enumerate() {
+            let lo_v = &g.neighbors_sorted(v)[..lo_len[v as usize] as usize];
             let mut closed = 0.0;
-            merge_common(&lo[..i], lower_prefix(g.neighbors_sorted(v), v), |w| {
+            merge_common(&lo[..i], lo_v, |w| {
                 e[w as usize] += 1.0;
                 closed += 1.0;
             });
@@ -90,12 +100,6 @@ pub fn egonet_features<V: GraphView + ?Sized>(g: &V) -> EgonetFeatures {
         }
     }
     EgonetFeatures { n, e }
-}
-
-/// The prefix of the sorted row `row` of node `u` below `u`.
-#[inline]
-fn lower_prefix(row: &[NodeId], u: NodeId) -> &[NodeId] {
-    &row[..row.partition_point(|&v| v < u)]
 }
 
 /// Maintains egonet features incrementally while a graph is being edited.

@@ -84,21 +84,23 @@ impl Iterator for ErdosRenyiStream {
 /// smaller than it and sorted; later attachments to any node arrive
 /// with increasing attacher id), so
 /// [`crate::compact::from_edge_stream`] builds the CSR from
-/// it directly. Resident state is the `O(n·m)` endpoint list the model
-/// itself requires — no adjacency `Vec`s are allocated.
+/// it directly. Resident state is one `u32` per edge, `m·(n − m)` in
+/// all: the target of every edge emitted so far. The sources need no
+/// storage, since an edge's index fixes its source; together the two
+/// are the endpoint list the model samples. No adjacency `Vec`s are
+/// allocated.
 pub fn barabasi_albert_stream(n: usize, m: usize, seed: u64) -> BarabasiAlbertStream {
     assert!(m >= 1, "m must be >= 1");
     assert!(n > m, "need n > m");
+    let mut targets = Vec::with_capacity(m * (n - m));
+    targets.extend(1..=m as NodeId);
     BarabasiAlbertStream {
         rng: StdRng::seed_from_u64(seed),
         n: n as NodeId,
         m,
-        endpoints: Vec::with_capacity(2 * n * m),
-        star_v: 1,
+        targets,
         u: m as NodeId + 1,
-        emit_u: 0,
-        chosen: Vec::with_capacity(m),
-        pos: 0,
+        next: 0,
     }
 }
 
@@ -108,57 +110,65 @@ pub struct BarabasiAlbertStream {
     rng: StdRng,
     n: NodeId,
     m: usize,
-    /// Repeated-endpoint list: uniform sampling from it is
-    /// degree-proportional sampling.
-    endpoints: Vec<NodeId>,
-    /// Next star leaf to emit (`1..=m`), exhausted first.
-    star_v: NodeId,
-    /// Next node to attach once the current one's edges are drained.
+    /// Target of edge `k`, for every edge drawn so far: the star's
+    /// leaves `1..=m` (edges `0..m`, source `0`), then each arrival's `m`
+    /// targets ascending (edges `m..`, source `k / m + m`). The model's
+    /// repeated-endpoint list is `[source(0), targets[0], source(1),
+    /// targets[1], …]`; sampling it uniformly samples a node with
+    /// probability proportional to degree.
+    targets: Vec<NodeId>,
+    /// Next node to attach once the drawn edges are drained.
     u: NodeId,
-    /// The node whose attachments are currently being emitted.
-    emit_u: NodeId,
-    /// Current node's targets, ascending (drained via `pos`).
-    chosen: Vec<NodeId>,
-    pos: usize,
+    /// Index of the next edge to emit.
+    next: usize,
+}
+
+impl BarabasiAlbertStream {
+    /// Entry `i` of the repeated-endpoint list: edge `i / 2`'s source
+    /// when `i` is even, its target when odd.
+    #[inline]
+    fn endpoint(&self, i: usize) -> NodeId {
+        if i % 2 == 1 {
+            self.targets[i / 2]
+        } else if i < 2 * self.m {
+            0
+        } else {
+            (i / (2 * self.m) + self.m) as NodeId
+        }
+    }
 }
 
 impl Iterator for BarabasiAlbertStream {
     type Item = (NodeId, NodeId);
 
     fn next(&mut self) -> Option<(NodeId, NodeId)> {
-        if (self.star_v as usize) <= self.m {
-            let v = self.star_v;
-            self.star_v += 1;
-            self.endpoints.push(0);
-            self.endpoints.push(v);
-            return Some((0, v));
-        }
-        if self.pos >= self.chosen.len() {
+        if self.next == self.targets.len() {
             if self.u >= self.n {
                 return None;
             }
-            // Draw the next node's targets: the endpoint list holds
-            // every edge emitted so far and none of this node's own.
-            let mut set = std::collections::BTreeSet::new();
-            while set.len() < self.m {
-                let pick = self.endpoints[self.rng.gen_range(0..self.endpoints.len())];
+            // Draw the next node's targets from the endpoint list of
+            // every edge emitted so far, which holds none of this node's
+            // own. A repeat pick is dropped; a new one is inserted at its
+            // sorted place in the list's tail, so the new targets come
+            // out ascending and duplicate-free.
+            let start = self.targets.len();
+            let endpoints = 2 * start;
+            while self.targets.len() - start < self.m {
+                let i = self.rng.gen_range(0..endpoints);
+                let pick = self.endpoint(i);
                 if pick != self.u {
-                    set.insert(pick);
+                    if let Err(at) = self.targets[start..].binary_search(&pick) {
+                        self.targets.insert(start + at, pick);
+                    }
                 }
             }
-            self.chosen.clear();
-            self.chosen.extend(set);
-            for &v in &self.chosen {
-                self.endpoints.push(self.u);
-                self.endpoints.push(v);
-            }
-            self.pos = 0;
-            self.emit_u = self.u;
             self.u += 1;
         }
-        let v = self.chosen[self.pos];
-        self.pos += 1;
-        Some((self.emit_u, v))
+        let k = self.next;
+        self.next += 1;
+        // Every edge past the star belongs to the latest arrival.
+        let source = if k < self.m { 0 } else { self.u - 1 };
+        Some((source, self.targets[k]))
     }
 }
 
@@ -361,7 +371,7 @@ pub fn attach_isolated(g: &mut Graph, seed: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics;
+    use crate::{metrics, GraphView};
 
     #[test]
     fn er_edge_count_near_expectation() {
@@ -533,6 +543,63 @@ mod tests {
             "self-loop or forward target"
         );
         assert!(ba.windows(2).all(|w| w[0] < w[1]), "not in arrival order");
+    }
+
+    /// Reference arrival loop: each node's targets are collected in a
+    /// fresh `BTreeSet` and read back ascending. Shares no code with
+    /// [`barabasi_albert_stream`], so it catches any change to the
+    /// draws, the rejection rule or the emission order.
+    fn barabasi_albert_reference(n: usize, m: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut edges = Vec::new();
+        let mut endpoints: Vec<NodeId> = Vec::new();
+        for v in 1..=m as NodeId {
+            edges.push((0, v));
+            endpoints.extend([0, v]);
+        }
+        for u in (m + 1) as NodeId..n as NodeId {
+            let mut set = std::collections::BTreeSet::new();
+            while set.len() < m {
+                let pick = endpoints[rng.gen_range(0..endpoints.len())];
+                if pick != u {
+                    set.insert(pick);
+                }
+            }
+            for v in set {
+                edges.push((u, v));
+                endpoints.extend([u, v]);
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn ba_stream_matches_btreeset_reference() {
+        for m in [1usize, 2, 3, 5, 11] {
+            for n in [m + 1, m + 2, 2 * m + 3, 64, 700] {
+                for seed in [0u64, 7, 0x5ca1e] {
+                    let streamed: Vec<_> = barabasi_albert_stream(n, m, seed).collect();
+                    assert_eq!(
+                        streamed,
+                        barabasi_albert_reference(n, m, seed),
+                        "BA(n = {n}, m = {m}, seed = {seed})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ba_stream_golden_edge_hashes() {
+        for (n, m, seed, edges, hash) in [
+            (3000, 11, 0x5ca1e, 32_879, 0xd815c02ab12a58fb_u64),
+            (1000, 5, 7, 4_975, 0xb07e74eb1ec88ca1),
+        ] {
+            let g =
+                crate::compact::from_edge_stream(n, || barabasi_albert_stream(n, m, seed)).unwrap();
+            assert_eq!(g.num_edges(), edges, "BA({n}, {m}, {seed:#x}) edge count");
+            assert_eq!(g.edge_hash(), hash, "BA({n}, {m}, {seed:#x}) edge hash");
+        }
     }
 
     #[test]

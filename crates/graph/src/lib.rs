@@ -40,8 +40,10 @@
 //! [`CsrGraph`] directly from streamed generators
 //! ([`generators::erdos_renyi_stream`],
 //! [`generators::barabasi_albert_stream`]) without materialising an
-//! edge list; DESIGN.md §13 states the memory model and determinism
-//! contract. Public-API documentation in this crate is enforced twice:
+//! edge list. The builder needs `O(n)` scratch beside the CSR; the
+//! Barabási–Albert stream also holds one `u32` per edge emitted while
+//! each pass runs. DESIGN.md §13 states the
+//! memory model and determinism contract. Public-API documentation in this crate is enforced twice:
 //! by `#![warn(missing_docs)]` below and by ba-lint's `missing-docs`
 //! rule in CI.
 

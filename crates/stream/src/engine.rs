@@ -152,14 +152,7 @@ impl StreamEngine {
     /// Builds the engine over an initial graph: freezes it into the CSR
     /// base, extracts features, and fits the detector once.
     pub fn new<V: GraphView + ?Sized>(initial: &V, cfg: StreamConfig) -> Self {
-        Self::from_parts(
-            CsrGraph::from_view(initial),
-            OverlayEdits::default(),
-            cfg,
-            0,
-            0,
-            0,
-        )
+        Self::from_csr(CsrGraph::from_view(initial), cfg)
     }
 
     /// Builds the engine directly over a prebuilt frozen [`CsrGraph`],
@@ -167,9 +160,12 @@ impl StreamEngine {
     /// pays. This is the bootstrap path for million-node bases that
     /// were streamed straight into CSR form (`ba_graph::compact`) and
     /// never existed as a mutable graph — features and the initial fit
-    /// are derived exactly as `new` would.
+    /// are derived exactly as `new` would. With no edits yet, the
+    /// features are read straight off the CSR rows, not through an
+    /// overlay's slot table.
     pub fn from_csr(base: CsrGraph, cfg: StreamConfig) -> Self {
-        Self::from_parts(base, OverlayEdits::default(), cfg, 0, 0, 0)
+        let inc = IncrementalEgonet::new(&base);
+        Self::fitted(base, OverlayEdits::default(), inc, cfg)
     }
 
     /// Rebuilds an engine from snapshot parts: the frozen base, the
@@ -188,6 +184,22 @@ impl StreamEngine {
         let view = DeltaOverlay::attach(&base, edits);
         let inc = IncrementalEgonet::new(&view);
         let edits = view.detach();
+        Self {
+            batches,
+            events_seen,
+            compactions,
+            ..Self::fitted(base, edits, inc, cfg)
+        }
+    }
+
+    /// An engine at batch 0 over `base + edits` with features `inc`:
+    /// fits the detector once.
+    fn fitted(
+        base: CsrGraph,
+        edits: OverlayEdits,
+        inc: IncrementalEgonet,
+        cfg: StreamConfig,
+    ) -> Self {
         let fit = IncrementalFit::new(cfg.regressor, inc.features());
         let params = fit.refit().map_err(|e| e.to_string());
         Self {
@@ -197,9 +209,9 @@ impl StreamEngine {
             inc,
             fit,
             params,
-            batches,
-            events_seen,
-            compactions,
+            batches: 0,
+            events_seen: 0,
+            compactions: 0,
         }
     }
 
