@@ -18,12 +18,15 @@
 //! the CI gate that keeps streaming ingest incremental. `--quick` runs a
 //! shorter stream (CI), and `--json PATH` records the result for the
 //! perf-trend pipeline (`BENCH_stream.json`), with one more engine pass
-//! timed per batch: its compaction count and the median batch that
-//! compacts and that does not.
+//! timed per batch: its compaction count, how many of those re-laid out
+//! the base, and the median batch that compacts and that does not.
+//! That pass then folds its last edits in, and the run exits non-zero
+//! unless the folded base equals a CSR built from scratch from the
+//! final edge set, which must match the full refit's.
 
 use ba_bench::time_best_of;
 use ba_graph::egonet::egonet_features;
-use ba_graph::generators;
+use ba_graph::{generators, CsrGraph};
 use ba_net::BenchReport;
 use ba_oddball::OddBall;
 use ba_stream::{synthetic_stream, StreamConfig, StreamEngine, StreamEvent};
@@ -47,8 +50,11 @@ fn run_engine(g: &ba_graph::Graph, batches: &[&[StreamEvent]]) -> Vec<(u64, u64)
 }
 
 /// One engine pass timing each batch: the compacting batches' times and
-/// the others', in ms.
-fn engine_batch_ms(g: &ba_graph::Graph, batches: &[&[StreamEvent]]) -> (Vec<f64>, Vec<f64>) {
+/// the others', in ms, and the engine it leaves.
+fn engine_batch_ms(
+    g: &ba_graph::Graph,
+    batches: &[&[StreamEvent]],
+) -> (Vec<f64>, Vec<f64>, StreamEngine) {
     let mut engine = StreamEngine::new(g, StreamConfig::default());
     let (mut compacting, mut plain) = (Vec::new(), Vec::new());
     for batch in batches {
@@ -61,7 +67,7 @@ fn engine_batch_ms(g: &ba_graph::Graph, batches: &[&[StreamEvent]]) -> (Vec<f64>
             plain.push(ms);
         }
     }
-    (compacting, plain)
+    (compacting, plain, engine)
 }
 
 /// The middle value of `xs` (the upper one of an even count); 0 when empty.
@@ -71,10 +77,14 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 /// One full-refit pass: apply the batch to a mutable graph, then
-/// re-extract features and refit from scratch.
-fn run_full_refit(g: &ba_graph::Graph, batches: &[&[StreamEvent]]) -> Vec<(u64, u64)> {
+/// re-extract features and refit from scratch. Returns the per-batch
+/// betas and the final graph.
+fn run_full_refit(
+    g: &ba_graph::Graph,
+    batches: &[&[StreamEvent]],
+) -> (Vec<(u64, u64)>, ba_graph::Graph) {
     let mut state = g.clone();
-    batches
+    let betas = batches
         .iter()
         .map(|batch| {
             for ev in *batch {
@@ -89,7 +99,8 @@ fn run_full_refit(g: &ba_graph::Graph, batches: &[&[StreamEvent]]) -> Vec<(u64, 
                 .expect("full refit degenerate");
             (model.beta0().to_bits(), model.beta1().to_bits())
         })
-        .collect()
+        .collect();
+    (betas, state)
 }
 
 fn main() {
@@ -118,7 +129,7 @@ fn main() {
 
     // Cross-check before timing: per-batch betas bit-identical between
     // the engine and the full refit.
-    let reference = run_full_refit(&g, &batches);
+    let (reference, final_graph) = run_full_refit(&g, &batches);
     assert_eq!(
         run_engine(&g, &batches),
         reference,
@@ -132,8 +143,12 @@ fn main() {
         run_full_refit(&g, &batches);
     });
 
-    let (compacting_ms, plain_ms) = engine_batch_ms(&g, &batches);
+    let (compacting_ms, plain_ms, mut engine) = engine_batch_ms(&g, &batches);
     let compactions = compacting_ms.len();
+    let relayouts = engine.relayouts();
+    engine.compact();
+    let graph = engine.to_graph();
+    let base_ok = graph == final_graph && *engine.base() == CsrGraph::from(&graph);
 
     let engine_eps = total_events as f64 / engine_s;
     let full_eps = total_events as f64 / full_s;
@@ -149,8 +164,8 @@ fn main() {
     println!("speedup:           {speedup:>10.2}x (gate: ≥{REQUIRED_SPEEDUP}x)");
     let (compacting_ms, plain_ms) = (median(compacting_ms), median(plain_ms));
     println!(
-        "engine batches:    {compacting_ms:>10.3} ms compacting ({compactions} of them), \
-         {plain_ms:.3} ms plain (medians)"
+        "engine batches:    {compacting_ms:>10.3} ms compacting ({compactions} of them, \
+         {relayouts} re-laid out), {plain_ms:.3} ms plain (medians)"
     );
     BenchReport::new("stream")
         .metric("n", n as f64, "count")
@@ -163,10 +178,15 @@ fn main() {
         .metric("engine_events_per_sec", engine_eps, "events/s")
         .metric("speedup", speedup, "x")
         .metric("compactions", compactions as f64, "count")
+        .metric("relayouts", relayouts as f64, "count")
         .metric("engine_compacting_batch_ms", compacting_ms, "ms")
         .metric("engine_plain_batch_ms", plain_ms, "ms")
         .write_if_requested(&args)
         .expect("write bench json");
+    if !base_ok {
+        eprintln!("FAIL: the folded engine base differs from a from-scratch CSR of its edge set");
+        std::process::exit(1);
+    }
     if speedup < REQUIRED_SPEEDUP {
         eprintln!("FAIL: engine ingest is only {speedup:.2}x faster (need {REQUIRED_SPEEDUP}x)");
         std::process::exit(1);

@@ -277,11 +277,18 @@ pub fn read_chunked(dir: &Path) -> Result<CsrGraph, StoreError> {
         )));
     }
     let g = from_edge_stream(meta.num_nodes, || edges.iter().copied())?;
-    // The rebuilt CSR's column array is derived from the upper-triangle
-    // edges alone; equality with the stored rows proves the store was
-    // symmetric and per-row sorted, i.e. exactly what write_chunked
-    // emits.
-    if g.cols() != stored_cols.as_slice() {
+    // The rebuilt CSR's rows are derived from the upper-triangle edges
+    // alone; their equality, in order, with the stored rows proves the
+    // store was symmetric and per-row sorted, i.e. exactly what
+    // write_chunked emits.
+    let mut stored = stored_cols.as_slice();
+    let closed = (0..g.num_nodes() as NodeId).all(|u| {
+        stored
+            .strip_prefix(g.neighbors_sorted(u))
+            .map(|rest| stored = rest)
+            .is_some()
+    });
+    if !closed || !stored.is_empty() {
         return Err(StoreError::Corrupt(
             "stored rows are not the symmetric closure of their upper-triangle edges".to_string(),
         ));

@@ -4,7 +4,7 @@
 //! carry no exogenous node attributes, so we use the standard structural
 //! feature fallback; recorded as a substitution in DESIGN.md).
 
-use ba_graph::{CsrGraph, Graph, NodeId};
+use ba_graph::{Graph, GraphView, NodeId};
 use ba_linalg::Matrix;
 
 /// Sparse symmetric-normalised adjacency with self-loops.
@@ -46,21 +46,20 @@ impl NormAdj {
 /// Builds `Â = D̃^{-1/2}(A + I)D̃^{-1/2}` from a graph.
 pub fn normalized_adjacency(g: &Graph) -> NormAdj {
     let n = g.num_nodes();
-    let csr = CsrGraph::from(g);
     // Degrees with self-loop.
     let dinv_sqrt: Vec<f64> = (0..n as NodeId)
         .map(|u| 1.0 / ((g.degree(u) as f64 + 1.0).sqrt()))
         .collect();
-    let (offsets, cols) = (csr.offsets(), csr.cols());
+    let entries = 2 * g.num_edges() + n;
     let mut indptr = Vec::with_capacity(n + 1);
-    let mut indices = Vec::with_capacity(cols.len() + n);
-    let mut values = Vec::with_capacity(cols.len() + n);
+    let mut indices = Vec::with_capacity(entries);
+    let mut values = Vec::with_capacity(entries);
     indptr.push(0);
     for i in 0..n {
         // Self-loop entry first (sorted order not required for matmul).
         indices.push(i as u32);
         values.push(dinv_sqrt[i] * dinv_sqrt[i]);
-        for &col in &cols[offsets[i]..offsets[i + 1]] {
+        for &col in g.neighbors_sorted(i as NodeId) {
             let j = col as usize;
             indices.push(j as u32);
             values.push(dinv_sqrt[i] * dinv_sqrt[j]);

@@ -4,8 +4,9 @@
 //! (every pair gradient is a sorted-merge over two adjacency lists) but
 //! mutate it rarely (one edge toggle per greedy step, a handful per PGD
 //! re-binarisation). [`CsrGraph`] serves the read side: one contiguous
-//! `offsets`/`cols` pair, cache-friendly sorted neighbour slices, zero
-//! per-node allocation. [`DeltaOverlay`] serves the write side: it
+//! column array behind monotone row offsets and per-row lengths,
+//! cache-friendly sorted neighbour slices, zero per-node allocation.
+//! [`DeltaOverlay`] serves the write side: it
 //! borrows a frozen `CsrGraph` and absorbs single-edge toggles by
 //! materialising a private sorted copy of just the touched rows, so a
 //! greedy attack never rebuilds the substrate and resetting to the clean
@@ -21,15 +22,26 @@
 //! neither allocates nor frees anything per row. [`DeltaOverlay::new`]
 //! reserves the arena for the base's `2·m` column entries, so an
 //! overlay that is reset and reused does not grow it mid-search.
+//!
+//! The base keeps slack of its own. A row may use the column range up
+//! to the next row's start, so [`CsrGraph::absorb`] copies each folded
+//! row into its own range, O(Σ folded row length), and only when some
+//! row has outgrown its range re-lays out the whole array once, with
+//! room for every row to grow by an eighth plus four before the next.
 
 use crate::view::{EditableGraph, GraphView};
 use crate::zobrist::{edge_key, edge_set_hash};
 use crate::{Graph, NodeId};
+use std::ops::Range;
 
-/// Compressed-sparse-row adjacency: `cols[offsets[u]..offsets[u+1]]` is
-/// the strictly increasing neighbour list of `u`. Frozen by design —
-/// edits go through a [`DeltaOverlay`], and [`CsrGraph::absorb`] folds
-/// a batch of them back in.
+/// Compressed-sparse-row adjacency with per-row slack. Row `u` is the
+/// strictly increasing neighbour list
+/// `cols[offsets[u] .. offsets[u] + lens[u]]`; `offsets` is monotone and
+/// the row may grow up to `offsets[u + 1]`, its *capacity*. Frozen by
+/// design — edits go through a [`DeltaOverlay`], and
+/// [`CsrGraph::absorb`] folds a batch of them back in. Two graphs are
+/// equal when their rows, edge counts and edge hashes are, wherever
+/// their slack lies.
 ///
 /// ```
 /// use ba_graph::{CsrGraph, Graph, GraphView};
@@ -41,9 +53,12 @@ use crate::{Graph, NodeId};
 /// // The frozen form round-trips exactly.
 /// assert_eq!(csr.to_graph(), g);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct CsrGraph {
+    /// Row starts, length `n + 1`, monotone.
     offsets: Vec<usize>,
+    /// Used length of each row, at most its capacity.
+    lens: Vec<u32>,
     cols: Vec<NodeId>,
     num_edges: usize,
     /// Zobrist hash of the edge set (see [`crate::zobrist`]), computed
@@ -52,12 +67,30 @@ pub struct CsrGraph {
     edge_hash: u64,
 }
 
+/// How [`CsrGraph::absorb`] folded its edits in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fold {
+    /// Every folded row fit its capacity and was copied into place; no
+    /// row start moved.
+    InPlace,
+    /// Some row outgrew its capacity, so the column array was laid out
+    /// afresh with new slack.
+    Relayout,
+}
+
+/// The capacity a re-layout gives a row of `len` entries whose
+/// capacity was `cap`: capacities never shrink, so row starts only move
+/// right and the re-layout runs in place.
+fn grown_capacity(len: usize, cap: usize) -> usize {
+    cap.max(len + len / 8 + 4)
+}
+
 impl CsrGraph {
-    /// Assembles a CSR from already-validated parts — the output path of
-    /// the streamed builder [`crate::compact::from_edge_stream`]. Callers
-    /// guarantee the offsets/cols invariants (length `n + 1`, monotone
-    /// offsets, strictly increasing rows) and that `edge_hash` matches
-    /// the edge set.
+    /// Assembles a packed CSR from already-validated parts — the output
+    /// path of the streamed builder [`crate::compact::from_edge_stream`].
+    /// Callers guarantee the offsets/cols invariants (length `n + 1`,
+    /// monotone offsets, strictly increasing rows) and that `edge_hash`
+    /// matches the edge set.
     pub(crate) fn from_raw_parts(
         offsets: Vec<usize>,
         cols: Vec<NodeId>,
@@ -66,26 +99,33 @@ impl CsrGraph {
     ) -> Self {
         debug_assert_eq!(*offsets.last().unwrap_or(&0), cols.len());
         debug_assert_eq!(cols.len(), 2 * num_edges);
+        let lens = offsets.windows(2).map(|w| (w[1] - w[0]) as u32).collect();
         Self {
             offsets,
+            lens,
             cols,
             num_edges,
             edge_hash,
         }
     }
 
-    /// Builds the CSR structure from any graph view.
+    /// Builds the packed CSR structure from any graph view: every row's
+    /// capacity is its length.
     pub fn from_view<V: GraphView + ?Sized>(g: &V) -> Self {
         let n = g.num_nodes();
         let mut offsets = Vec::with_capacity(n + 1);
+        let mut lens = Vec::with_capacity(n);
         let mut cols = Vec::with_capacity(2 * g.num_edges());
         offsets.push(0);
         for u in 0..n as NodeId {
-            cols.extend_from_slice(g.neighbors_sorted(u));
+            let row = g.neighbors_sorted(u);
+            cols.extend_from_slice(row);
+            lens.push(row.len() as u32);
             offsets.push(cols.len());
         }
         Self {
             offsets,
+            lens,
             cols,
             num_edges: g.num_edges(),
             edge_hash: edge_set_hash(g),
@@ -107,15 +147,13 @@ impl CsrGraph {
         self.edge_hash
     }
 
-    /// Row pointer array, length `n + 1` (for external kernels, e.g. the
-    /// GCN propagation in `ba-gad`).
-    pub fn offsets(&self) -> &[usize] {
-        &self.offsets
-    }
-
-    /// Concatenated column indices, length `2m`.
-    pub fn cols(&self) -> &[NodeId] {
-        &self.cols
+    /// Where `u`'s row is stored: the range of the column array it
+    /// owns. The row fills the first `degree(u)` entries and may grow
+    /// into the rest before a re-layout. Exposed so the layout's
+    /// invariants can be checked; rows are read through
+    /// [`GraphView::neighbors_sorted`].
+    pub fn row_extent(&self, u: NodeId) -> Range<usize> {
+        self.offsets[u as usize]..self.offsets[u as usize + 1]
     }
 
     /// Materialises a mutable [`Graph`] with the same edge set.
@@ -124,12 +162,16 @@ impl CsrGraph {
     }
 
     /// Folds edits detached from this graph into it in place, leaving
-    /// it equal to [`DeltaOverlay::compact`] of the overlay they came
+    /// it equal to [`CsrGraph::from_view`] of the overlay they came
     /// from. This is the *compaction* step of the streaming engine:
     /// once enough rows have diverged, overlay reads pay for the
     /// indirection and resets stop being cheap, so the edits become
-    /// the new base and the overlay starts clean again. Unlike
-    /// `compact`, the fold never holds a second CSR beside this one.
+    /// the new base and the overlay starts clean again. The fold never
+    /// holds a second CSR, or a second column array, beside this one.
+    ///
+    /// When every edited row fits its capacity, each is copied into
+    /// its own range and nothing else moves ([`Fold::InPlace`]).
+    /// Otherwise one pass re-lays out every row ([`Fold::Relayout`]).
     ///
     /// Returns the emptied edits, clean against the folded graph: they
     /// keep their slot table, so re-attaching them allocates nothing
@@ -137,9 +179,9 @@ impl CsrGraph {
     ///
     /// # Panics
     /// Panics if non-empty `edits` cover a different node count.
-    pub fn absorb(&mut self, mut edits: OverlayEdits) -> OverlayEdits {
+    pub fn absorb(&mut self, mut edits: OverlayEdits) -> (OverlayEdits, Fold) {
         if edits.is_clean() {
-            return edits;
+            return (edits, Fold::InPlace);
         }
         assert_eq!(
             edits.rows.slots.len(),
@@ -149,87 +191,82 @@ impl CsrGraph {
         let delta_hash = edits
             .delta_hash
             .unwrap_or_else(|| recompute_delta_hash(self, &edits.rows));
-        edits.rows.dirty.sort_unstable();
-        self.patch_rows(&edits.rows, &edits.rows.dirty, edits.num_edges);
+        // Copy each dirty row into its own range until one does not
+        // fit. The rows copied before it are harmless: a re-layout
+        // takes every dirty row from the arena, and reads the base only
+        // for clean rows.
+        let rows = &edits.rows;
+        let mut fold = Fold::InPlace;
+        for &d in &rows.dirty {
+            let (row, d) = (rows.dirty_row(d), d as usize);
+            let start = self.offsets[d];
+            if row.len() > self.offsets[d + 1] - start {
+                fold = Fold::Relayout;
+                break;
+            }
+            self.cols[start..start + row.len()].copy_from_slice(row);
+            self.lens[d] = row.len() as u32;
+        }
+        if fold == Fold::Relayout {
+            self.relayout(rows);
+        }
+        self.num_edges = edits.num_edges;
         self.edge_hash ^= delta_hash;
         edits.rows.clear();
         edits.rows.arena = Vec::new();
         edits.delta_hash = Some(0);
-        edits
+        (edits, fold)
     }
 
-    /// Replaces the row of each node in `dirty` (ascending, every one
-    /// materialised in `rows`) in place, leaving `num_edges` edges. The
-    /// clean node ranges between dirty rows move as blocks, each by the
-    /// running sum of the growth of the dirty rows before it. First the
-    /// blocks shifting right move, right to left; then one left-to-right
-    /// pass moves the blocks shifting left, shifts their `offsets` in
-    /// place and copies in the dirty row after each. A block moving
-    /// right lands only on old bytes of blocks to its right that also
-    /// move right; a block moving left, or a dirty row, lands only on
-    /// old bytes of blocks to its left or of blocks that move right; and
-    /// this order has moved all of those already. So the column array
-    /// grows at most once, and no second copy of it or of `offsets` is
-    /// ever made.
-    fn patch_rows(&mut self, rows: &RowArena, dirty: &[NodeId], num_edges: usize) {
+    /// Lays the column array out afresh with every row taken from
+    /// `rows` where it is materialised there and from itself otherwise,
+    /// giving each the capacity [`grown_capacity`] of its new length.
+    /// No capacity shrinks, so every row starts at or right of where it
+    /// did, and the rows left of it are untouched until it has moved:
+    /// one right-to-left pass works in place, and the array grows at
+    /// most once.
+    fn relayout(&mut self, rows: &RowArena) {
         let n = self.num_nodes();
-        let (offsets, cols) = (&mut self.offsets, &mut self.cols);
-        let row = |d: usize| {
-            rows.row(d as NodeId)
-                // ba-lint: allow(panic-path) -- callers pass only dirty nodes, and a node only enters dirty when its slot is filled
-                .expect("dirty row is materialised")
+        let (offsets, lens, cols) = (&mut self.offsets, &mut self.lens, &mut self.cols);
+        let new_len = |lens: &[u32], u: usize| {
+            rows.row(u as NodeId)
+                .map_or(lens[u] as usize, <[NodeId]>::len)
         };
-        // How much dirty row `d` grows, read while `offsets` is unmoved
-        // at `d` and `d + 1`.
-        let growth = |offsets: &[usize], d: usize| {
-            row(d).len() as isize - (offsets[d + 1] - offsets[d]) as isize
-        };
-        // The j-th clean node range [lo, hi): after dirty[j - 1], up to
-        // dirty[j] (or n). It shifts by the growth of dirty[..j].
-        let block = |j: usize| {
-            let lo = j.checked_sub(1).map_or(0, |i| dirty[i] as usize + 1);
-            (lo, dirty.get(j).map_or(n, |&d| d as usize))
-        };
-        let k = dirty.len();
-        let len = 2 * num_edges;
-        let total = len as isize - cols.len() as isize;
-        if len > cols.len() {
-            cols.reserve_exact(len - cols.len());
-            cols.resize(len, 0);
+        let total: usize = (0..n)
+            .map(|u| grown_capacity(new_len(lens, u), offsets[u + 1] - offsets[u]))
+            .sum();
+        cols.reserve_exact(total - cols.len());
+        cols.resize(total, 0);
+        // `end` is where row `u` must end; `old_end` is its old capacity's end.
+        let (mut end, mut old_end) = (total, offsets[n]);
+        offsets[n] = total;
+        for u in (0..n).rev() {
+            let (old_start, len) = (offsets[u], new_len(lens, u));
+            let start = end - grown_capacity(len, old_end - old_start);
+            match rows.row(u as NodeId) {
+                Some(row) => cols[start..start + len].copy_from_slice(row),
+                None if start != old_start => cols.copy_within(old_start..old_start + len, start),
+                None => {}
+            }
+            offsets[u] = start;
+            lens[u] = len as u32;
+            (end, old_end) = (start, old_start);
         }
-        let mut shift = total;
-        for j in (0..=k).rev() {
-            if j < k {
-                shift -= growth(offsets, dirty[j] as usize);
-            }
-            let (lo, hi) = block(j);
-            if shift > 0 && lo < hi {
-                cols.copy_within(offsets[lo]..offsets[hi], offsets[lo] + shift as usize);
-            }
-        }
-        for j in 0..=k {
-            let (lo, hi) = block(j);
-            if shift < 0 && lo < hi {
-                cols.copy_within(offsets[lo]..offsets[hi], offsets[lo] - shift.unsigned_abs());
-            }
-            let grew = (j < k).then(|| growth(offsets, hi));
-            if shift != 0 {
-                for o in &mut offsets[lo..=hi] {
-                    *o = o.wrapping_add_signed(shift);
-                }
-            }
-            if let Some(grew) = grew {
-                let r = row(hi);
-                cols[offsets[hi]..offsets[hi] + r.len()].copy_from_slice(r);
-                shift += grew;
-            }
-        }
-        debug_assert_eq!(offsets[n], len, "num_edges disagrees with the rows");
-        cols.truncate(len);
-        cols.shrink_to_fit();
-        self.num_edges = num_edges;
+        debug_assert_eq!(end, 0, "row capacities do not sum to the array");
     }
 }
+
+impl PartialEq for CsrGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_edges == other.num_edges
+            && self.edge_hash == other.edge_hash
+            && self.num_nodes() == other.num_nodes()
+            && (0..self.num_nodes() as NodeId)
+                .all(|u| self.neighbors_sorted(u) == other.neighbors_sorted(u))
+    }
+}
+
+impl Eq for CsrGraph {}
 
 impl From<&Graph> for CsrGraph {
     fn from(g: &Graph) -> Self {
@@ -240,7 +277,7 @@ impl From<&Graph> for CsrGraph {
 impl GraphView for CsrGraph {
     #[inline]
     fn num_nodes(&self) -> usize {
-        self.offsets.len() - 1
+        self.lens.len()
     }
 
     #[inline]
@@ -250,7 +287,8 @@ impl GraphView for CsrGraph {
 
     #[inline]
     fn neighbors_sorted(&self, u: NodeId) -> &[NodeId] {
-        &self.cols[self.offsets[u as usize]..self.offsets[u as usize + 1]]
+        let start = self.offsets[u as usize];
+        &self.cols[start..start + self.lens[u as usize] as usize]
     }
 }
 
@@ -338,15 +376,7 @@ impl OverlayEdits {
         nodes.sort_unstable();
         nodes
             .into_iter()
-            .map(|u| {
-                (
-                    u,
-                    self.rows
-                        .row(u)
-                        // ba-lint: allow(panic-path) -- u comes from the dirty list, and a node only enters dirty when its slot is filled
-                        .expect("dirty row is materialised"),
-                )
-            })
+            .map(|u| (u, self.rows.dirty_row(u)))
             .collect()
     }
 
@@ -454,6 +484,13 @@ impl RowArena {
         } else {
             Some(&self.arena[s.start..s.start + s.len as usize])
         }
+    }
+
+    /// The row of `u`, a node on the dirty list.
+    #[inline]
+    fn dirty_row(&self, u: NodeId) -> &[NodeId] {
+        let s = self.slots[u as usize];
+        &self.arena[s.start..s.start + s.len as usize]
     }
 
     /// `u`'s row, appended from `base` with [`SLACK`] on first touch.
@@ -623,22 +660,6 @@ impl<'a> DeltaOverlay<'a> {
         Graph::from_view(self)
     }
 
-    /// Materialises the overlay back into a fresh frozen [`CsrGraph`],
-    /// byte-identical to rebuilding a CSR from the current edge set
-    /// from scratch (`CsrGraph::from_view`). The base is copied and the
-    /// edits are folded into the copy as [`CsrGraph::absorb`] folds
-    /// them into the base itself.
-    pub fn compact(&self) -> CsrGraph {
-        let mut dirty = self.rows.dirty.clone();
-        dirty.sort_unstable();
-        let mut fresh = self.base.clone();
-        fresh.patch_rows(&self.rows, &dirty, self.num_edges);
-        // XOR-folding is set-associative, so the frozen hash of the
-        // compacted graph is exactly base ⊕ delta — no rescan.
-        fresh.edge_hash ^= self.delta_hash;
-        fresh
-    }
-
     /// Inserts `v` into `u`'s row; `true` if it was absent.
     fn half_add(&mut self, u: NodeId, v: NodeId) -> bool {
         match self.rows.materialise(u, self.base).binary_search(&v) {
@@ -725,10 +746,7 @@ impl EditableGraph for DeltaOverlay<'_> {
 fn recompute_delta_hash(base: &CsrGraph, rows: &RowArena) -> u64 {
     let mut h = 0u64;
     for &u in &rows.dirty {
-        let cur = rows
-            .row(u)
-            // ba-lint: allow(panic-path) -- u iterates the dirty list, and a node only enters dirty when its slot is filled
-            .expect("dirty row is materialised");
+        let cur = rows.dirty_row(u);
         let old = base.neighbors_sorted(u);
         // Walk the symmetric difference of two sorted rows.
         let (mut i, mut j) = (0, 0);
@@ -784,11 +802,11 @@ mod tests {
     }
 
     #[test]
-    fn csr_offsets_shape() {
+    fn csr_from_view_is_packed() {
         let g = Graph::from_edges(3, [(0, 1), (1, 2)]);
         let csr = CsrGraph::from(&g);
-        assert_eq!(csr.offsets(), &[0, 1, 3, 4]);
-        assert_eq!(csr.cols(), &[1, 0, 2, 1]);
+        let extents: Vec<Range<usize>> = (0..3).map(|u| csr.row_extent(u)).collect();
+        assert_eq!(extents, [0..1, 1..3, 3..4]);
     }
 
     #[test]
@@ -841,20 +859,43 @@ mod tests {
     }
 
     #[test]
-    fn compact_equals_from_scratch_rebuild() {
-        let g = sample();
-        let csr = CsrGraph::from(&g);
-        let mut ov = DeltaOverlay::new(&csr);
-        // No edits: compaction is an identical clone of the base.
-        assert_eq!(ov.compact(), csr);
-        for (u, v) in [(0u32, 3u32), (0, 1), (2, 5), (4, 5), (1, 5)] {
-            ov.toggle_edge(u, v);
+    fn absorb_relays_out_once_then_folds_in_place() {
+        let g = Graph::from_edges(10, (0..9).map(|u| (u, u + 1)));
+        let mut csr = CsrGraph::from(&g);
+        let fold = |csr: &mut CsrGraph, pairs: &[(NodeId, NodeId)]| {
+            let mut ov = DeltaOverlay::new(csr);
+            for &(u, v) in pairs {
+                ov.toggle_edge(u, v);
+            }
+            let expected = CsrGraph::from_view(&ov);
+            let edits = ov.detach();
+            let (edits, fold) = csr.absorb(edits);
+            assert!(edits.is_clean());
+            assert_eq!(*csr, expected);
+            fold
+        };
+        // A packed row has no room to grow: the first insert re-lays
+        // out every row with slack of len / 8 + 4.
+        assert_eq!(fold(&mut csr, &[(0, 2)]), Fold::Relayout);
+        let extents = |csr: &CsrGraph| (0..10).map(|u| csr.row_extent(u)).collect::<Vec<_>>();
+        let first = extents(&csr);
+        assert_eq!(first[..3], [0..6, 6..12, 12..19]);
+        assert_eq!(first[9], 55..60);
+        // Growth within the slack, and shrinking rows, fold in place.
+        assert_eq!(fold(&mut csr, &[(0, 3), (0, 4), (1, 2)]), Fold::InPlace);
+        assert_eq!(fold(&mut csr, &[(0, 1), (0, 2), (0, 3)]), Fold::InPlace);
+        assert_eq!(extents(&csr), first);
+        // Row 0 outgrows its 6 entries: a second re-layout, in which no
+        // row start moves left and no capacity shrinks.
+        let hub: Vec<(NodeId, NodeId)> = (2..10).filter(|&v| v != 4).map(|v| (0, v)).collect();
+        assert_eq!(fold(&mut csr, &hub), Fold::Relayout);
+        assert_eq!(csr.neighbors_sorted(0), &[2, 3, 4, 5, 6, 7, 8, 9]);
+        let extents = extents(&csr);
+        assert_eq!(extents[0], 0..13);
+        for u in 0..10 {
+            assert!(extents[u].len() >= first[u].len());
+            assert!(extents[u].start >= first[u].start);
         }
-        let compacted = ov.compact();
-        let rebuilt = CsrGraph::from_view(&ov);
-        assert_eq!(compacted, rebuilt);
-        assert_eq!(compacted.num_edges(), ov.num_edges());
-        assert_eq!(compacted.to_graph(), ov.to_graph());
     }
 
     #[test]
@@ -868,7 +909,7 @@ mod tests {
         }
         let rebuilt = CsrGraph::from_view(&ov);
         assert_eq!(rebuilt.edge_hash(), edge_set_hash(&ov));
-        let (n, m) = (ov.num_nodes(), ov.num_edges());
+        let (n, m, ov_hash) = (ov.num_nodes(), ov.num_edges(), ov.edge_set_hash());
         let edits = ov.detach();
         let rows: Vec<(NodeId, Vec<NodeId>)> = edits
             .dirty_rows_sorted()
@@ -878,6 +919,7 @@ mod tests {
         let mut folded = csr.clone();
         folded.absorb(edits);
         assert_eq!(folded, rebuilt);
+        assert_eq!(folded.edge_hash(), ov_hash);
         // Rows rebuilt from a snapshot carry no delta hash; absorb
         // derives it from the base.
         let mut restored = csr.clone();
@@ -957,11 +999,8 @@ mod tests {
             ov.toggle_edge(u, v);
             assert_eq!(ov.edge_set_hash(), edge_set_hash(&ov), "after ({u},{v})");
         }
-        // Compaction freezes the same hash a from-scratch rebuild gets.
-        assert_eq!(
-            ov.compact().edge_hash(),
-            CsrGraph::from_view(&ov).edge_hash()
-        );
+        // A from-scratch rebuild recomputes the same hash.
+        assert_eq!(ov.edge_set_hash(), CsrGraph::from_view(&ov).edge_hash());
         ov.reset();
         assert_eq!(ov.delta_hash(), 0);
         assert_eq!(ov.edge_set_hash(), csr.edge_hash());

@@ -6,7 +6,8 @@
 //!
 //! The substrate has two representations behind one read interface
 //! ([`GraphView`]): the mutable [`Graph`] (sorted adjacency vectors) and
-//! the frozen [`CsrGraph`] (contiguous offsets + column array) with its
+//! the frozen [`CsrGraph`] (row offsets and lengths over one column
+//! array, with slack after each row) with its
 //! copy-on-write [`DeltaOverlay`] for single-edge toggles — the attack
 //! optimisers read through views and never rebuild the substrate.
 //! On top of it:
@@ -73,6 +74,6 @@ pub mod view;
 pub mod zobrist;
 
 pub use compact::CompactError;
-pub use csr::{CsrGraph, DeltaOverlay, OverlayEdits};
+pub use csr::{CsrGraph, DeltaOverlay, Fold, OverlayEdits};
 pub use graph::{EdgeOp, Graph, NodeId};
 pub use view::{EditableGraph, GraphView};

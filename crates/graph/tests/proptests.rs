@@ -2,13 +2,14 @@
 
 use ba_graph::egonet::{egonet_features, EgonetFeatures, IncrementalEgonet};
 use ba_graph::{
-    generators, zobrist, CsrGraph, DeltaOverlay, EditableGraph, Graph, GraphView, NodeId,
+    generators, zobrist, CsrGraph, DeltaOverlay, EditableGraph, Fold, Graph, GraphView, NodeId,
     OverlayEdits,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::ops::Range;
 
 /// Strategy: a random simple graph on up to `max_n` nodes.
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -252,9 +253,13 @@ proptest! {
             }
             prop_assert_eq!(ov.edge_set_hash(), zobrist::edge_set_hash(&ov));
         }
-        // Compaction freezes the incremental hash verbatim, and a
-        // rebuilt CSR recomputes the identical value from scratch.
-        prop_assert_eq!(ov.compact().edge_hash(), CsrGraph::from_view(&ov).edge_hash());
+        // Folding the edits into the base freezes the incremental hash
+        // verbatim, and a rebuilt CSR recomputes the identical value
+        // from scratch.
+        let rebuilt = CsrGraph::from_view(&ov);
+        let mut folded = csr.clone();
+        folded.absorb(ov.detach());
+        prop_assert_eq!(folded.edge_hash(), rebuilt.edge_hash());
     }
 }
 
@@ -306,7 +311,7 @@ proptest! {
         for (u, v, act) in script {
             let (u, v) = (u % n, v % n);
             if act == 9 {
-                edits = base.absorb(edits);
+                edits = base.absorb(edits).0;
                 base_graph = reference.clone();
                 prop_assert_eq!(&base, &CsrGraph::from(&reference));
                 let view = DeltaOverlay::attach(&base, edits);
@@ -377,6 +382,149 @@ proptest! {
             edits = a.detach();
             fresh = b.detach();
         }
+    }
+}
+
+/// Applies one absorb round's `ops` to `ov` and `reference` alike.
+/// `act` picks the edit of `(u, v)`: 0–5 toggle, 6 add, 7 remove,
+/// 8 hub growth (up to 12 new neighbours for `u`), 9 empty `u`'s row.
+fn apply_round(ov: &mut DeltaOverlay<'_>, reference: &mut Graph, ops: &[(u32, u32, u8)]) {
+    let n = reference.num_nodes() as NodeId;
+    for &(u, v, act) in ops {
+        let (u, v) = (u % n, v % n);
+        match act {
+            6 => {
+                ov.add_edge(u, v);
+                if u != v {
+                    reference.add_edge(u, v);
+                }
+            }
+            7 => {
+                ov.remove_edge(u, v);
+                reference.remove_edge(u, v);
+            }
+            8 => {
+                for w in (0..12).map(|i| (v + i) % n).filter(|&w| w != u) {
+                    ov.add_edge(u, w);
+                    reference.add_edge(u, w);
+                }
+            }
+            9 => {
+                for w in reference.neighbors(u).to_vec() {
+                    ov.remove_edge(u, w);
+                    reference.remove_edge(u, w);
+                }
+            }
+            _ => {
+                ov.toggle_edge(u, v);
+                reference.toggle_edge(u, v);
+            }
+        }
+    }
+}
+
+/// Every row's storage range in `base`, in node order.
+fn extents(base: &CsrGraph) -> Vec<Range<usize>> {
+    (0..base.num_nodes() as NodeId)
+        .map(|u| base.row_extent(u))
+        .collect()
+}
+
+proptest! {
+    /// The gapped base through absorbs that fit its slack and absorbs
+    /// that outgrow it. After each, the base equals a from-scratch CSR
+    /// of a reference `Graph` (rows, edge count and edge hash); the
+    /// row ranges tile the column array, every row fits its range, no
+    /// range shrank, an in-place fold moved no row start, and a
+    /// re-layout gave each row its slack of an eighth plus four. A case
+    /// opens by joining a least-connected node to every other node of
+    /// the packed base, which must re-lay it out, and closes with a
+    /// one-edge round after re-layout gave every row room, which must
+    /// fit; the rounds between mix toggles, hub growth and emptied
+    /// rows, some restored from the snapshot's row form.
+    #[test]
+    fn gapped_base_absorbs_track_reference(
+        er in 0u8..2,
+        n in 8usize..60,
+        seed in 0u64..500,
+        rounds in proptest::collection::vec(
+            (proptest::collection::vec((0u32..60, 0u32..60, 0u8..10), 0..30), 0u8..3),
+            0..6,
+        ),
+    ) {
+        let g = if er == 1 {
+            generators::erdos_renyi(n, 0.1, seed)
+        } else {
+            generators::barabasi_albert(n, 2, seed)
+        };
+        let nodes = g.num_nodes() as NodeId;
+        let mut base = CsrGraph::from(&g);
+        let mut reference = g;
+        let hub = (0..nodes).min_by_key(|&u| reference.degree(u)).unwrap();
+        let opening: Vec<(u32, u32, u8)> = (0..nodes).map(|v| (hub, v, 6)).collect();
+        let mut script = vec![(opening, 0)];
+        script.extend(rounds);
+        script.push((Vec::new(), 0));
+        let last = script.len() - 1;
+        let mut edits = OverlayEdits::default();
+        let mut folds = [0usize; 2];
+        for (k, (mut ops, restore)) in script.into_iter().enumerate() {
+            if k == last {
+                // Removing an edge only shrinks rows; adding one to an
+                // empty graph grows two empty rows, each given room for
+                // four at the opening re-layout.
+                let closing = reference.edges().next().map_or((0, 1, 6), |(u, v)| (u, v, 7));
+                ops.push(closing);
+            }
+            let mut ov = DeltaOverlay::attach(&base, edits);
+            apply_round(&mut ov, &mut reference, &ops);
+            let m = ov.num_edges();
+            edits = ov.detach();
+            if restore == 1 {
+                // The snapshot path: canonical rows, no carried hash.
+                let rows = edits
+                    .dirty_rows_sorted()
+                    .into_iter()
+                    .map(|(w, r)| (w, r.to_vec()))
+                    .collect::<Vec<_>>();
+                edits = OverlayEdits::from_rows(nodes as usize, m, rows);
+            }
+            let before = extents(&base);
+            let (clean, fold) = base.absorb(edits);
+            edits = clean;
+            prop_assert!(edits.is_clean());
+            let expected = CsrGraph::from(&reference);
+            prop_assert_eq!(base.num_edges(), expected.num_edges());
+            prop_assert_eq!(base.edge_hash(), expected.edge_hash());
+            prop_assert_eq!(&base, &expected);
+            let after = extents(&base);
+            prop_assert_eq!(after[0].start, 0);
+            for u in 0..nodes as usize {
+                prop_assert!(after[u].len() >= base.degree(u as NodeId), "row {} overflows", u);
+                prop_assert!(after[u].len() >= before[u].len(), "row {} shrank", u);
+                if u + 1 < nodes as usize {
+                    prop_assert_eq!(after[u].end, after[u + 1].start);
+                }
+            }
+            match fold {
+                Fold::InPlace => prop_assert_eq!(&after, &before),
+                // Every row gets room to grow by an eighth plus four.
+                Fold::Relayout => {
+                    for (u, (a, b)) in after.iter().zip(&before).enumerate() {
+                        let d = base.degree(u as NodeId);
+                        prop_assert_eq!(a.len(), b.len().max(d + d / 8 + 4), "row {}", u);
+                    }
+                }
+            }
+            folds[usize::from(fold == Fold::Relayout)] += 1;
+            if k == 0 {
+                prop_assert_eq!(fold, Fold::Relayout);
+            }
+            if k == last {
+                prop_assert_eq!(fold, Fold::InPlace);
+            }
+        }
+        prop_assert!(folds[0] > 0 && folds[1] > 0, "folds {:?}", folds);
     }
 }
 

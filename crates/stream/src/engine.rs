@@ -30,12 +30,15 @@
 //! resets/compactions pay O(dirty), so once the dirty-row count crosses
 //! `compact_fraction · n` the overlay is folded into the frozen base in
 //! place ([`CsrGraph::absorb`]) and ingest continues over the clean
-//! edits it hands back, which keep their slot table. Compaction is invisible to scores and adjacency
-//! (pinned by proptest), so steady-state ingest stays O(batch).
+//! edits it hands back, which keep their slot table. Most folds copy
+//! the dirty rows into the base's per-row slack; the few that find a
+//! row outgrown re-lay out the base ([`StreamEngine::relayouts`]).
+//! Compaction is invisible to scores and adjacency (pinned by
+//! proptest), so steady-state ingest stays O(batch).
 
 use crate::StreamEvent;
 use ba_graph::egonet::{EgonetFeatures, IncrementalEgonet};
-use ba_graph::{CsrGraph, DeltaOverlay, GraphView, NodeId, OverlayEdits};
+use ba_graph::{CsrGraph, DeltaOverlay, Fold, GraphView, NodeId, OverlayEdits};
 use ba_oddball::{FitParams, IncrementalFit, Regressor};
 use std::collections::BTreeMap;
 
@@ -146,6 +149,9 @@ pub struct StreamEngine {
     batches: u64,
     events_seen: u64,
     compactions: u64,
+    /// Compactions that re-laid out the base. Not snapshotted: a
+    /// restored base is packed, so it re-lays out at other points.
+    relayouts: u64,
 }
 
 impl StreamEngine {
@@ -212,6 +218,7 @@ impl StreamEngine {
             batches: 0,
             events_seen: 0,
             compactions: 0,
+            relayouts: 0,
         }
     }
 
@@ -245,14 +252,39 @@ impl StreamEngine {
         self.compactions
     }
 
+    /// Compactions since this engine was built or restored that found
+    /// some row outgrown and re-laid out the whole base, rather than
+    /// copying the dirty rows into their slack. A pure function of the
+    /// engine's history, but not of its state: a restored engine starts
+    /// over a packed base, so its count differs from the live one's,
+    /// and it is kept out of summaries and snapshots.
+    pub fn relayouts(&self) -> u64 {
+        self.relayouts
+    }
+
     /// Rows currently diverging from the frozen base.
     pub fn dirty_rows(&self) -> usize {
         self.edits.dirty_rows()
     }
 
-    /// The frozen base substrate (for snapshotting).
-    pub(crate) fn base(&self) -> &CsrGraph {
+    /// The frozen base substrate. The current edge set is this base
+    /// plus the [`StreamEngine::dirty_rows`] pending edits, so after
+    /// [`StreamEngine::compact`] it is the base alone.
+    pub fn base(&self) -> &CsrGraph {
         &self.base
+    }
+
+    /// Folds the pending edits into the base now, as a batch that
+    /// crosses the compaction threshold does, and counts it as a
+    /// compaction; a no-op when no row diverges.
+    pub fn compact(&mut self) {
+        if self.edits.is_clean() {
+            return;
+        }
+        self.compactions += 1;
+        let (edits, fold) = self.base.absorb(std::mem::take(&mut self.edits));
+        self.relayouts += u64::from(fold == Fold::Relayout);
+        self.edits = edits;
     }
 
     /// The overlay edit state (for snapshotting).
@@ -362,13 +394,10 @@ impl StreamEngine {
         let edges = view.num_edges();
         let threshold = (self.cfg.compact_fraction * self.base.num_nodes() as f64).ceil() as usize;
         let compacted = view.dirty_rows() > threshold.max(1);
-        let edits = view.detach();
-        self.edits = if compacted {
-            self.compactions += 1;
-            self.base.absorb(edits)
-        } else {
-            edits
-        };
+        self.edits = view.detach();
+        if compacted {
+            self.compact();
+        }
 
         BatchSummary {
             batch: self.batches,

@@ -24,9 +24,9 @@
 //!   continue with byte-identical future output, including compaction
 //!   timing;
 //! * **O(batch) steady state** — overlay compaction
-//!   ([`DeltaOverlay::compact`](ba_graph::DeltaOverlay::compact)) folds
-//!   accumulated edits into a fresh frozen base before overlay overhead
-//!   degrades ingest (`ba-bench`'s `stream_bench` bin gates ≥5× sustained
+//!   ([`CsrGraph::absorb`](ba_graph::CsrGraph::absorb)) folds
+//!   accumulated edits into the frozen base, mostly into its per-row
+//!   slack, before overlay overhead degrades ingest (`ba-bench`'s `stream_bench` bin gates ≥5× sustained
 //!   throughput against a per-batch full refit).
 //!
 //! ## Example

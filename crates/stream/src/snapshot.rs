@@ -14,9 +14,16 @@
 //! engine guarantees a fresh accumulation of the same rows refits
 //! bit-identically to the churned statistics (the stored `params` line
 //! is verified against the re-derived fit as an integrity check).
+//!
+//! The reader accepts exactly what the writer emits: canonical decimal
+//! integers, 16-digit lowercase hex floats, single spaces, base edges in
+//! strictly ascending `u < v` order, edit rows that keep the graph
+//! undirected, and nothing after the `end` line. So a file either fails
+//! with a typed error or restores an engine that saves it back byte for
+//! byte (pinned by a mutation fuzz).
 
 use crate::{StreamConfig, StreamEngine};
-use ba_graph::{Graph, GraphView, NodeId, OverlayEdits};
+use ba_graph::{CsrGraph, Graph, GraphView, NodeId, OverlayEdits};
 use ba_net::codec::{dec_f64, enc_f64, write_atomic};
 use ba_oddball::Regressor;
 use std::path::Path;
@@ -68,24 +75,61 @@ fn enc_regressor(r: Regressor) -> String {
 }
 
 fn dec_regressor(s: &str) -> Option<Regressor> {
-    let mut parts = s.split_whitespace();
-    match parts.next()? {
-        "ols" => Some(Regressor::Ols),
-        "huber" => Some(Regressor::Huber {
-            k: dec_f64(parts.next()?)?,
-        }),
-        "ransac" => Some(Regressor::Ransac {
-            trials: parts.next()?.parse().ok()?,
-            inlier_k: dec_f64(parts.next()?)?,
-            seed: parts.next()?.parse().ok()?,
-        }),
-        _ => None,
-    }
+    let mut parts = s.split(' ');
+    let r = match parts.next()? {
+        "ols" => Regressor::Ols,
+        "huber" => Regressor::Huber {
+            k: dec_hex(parts.next()?)?,
+        },
+        "ransac" => Regressor::Ransac {
+            trials: dec_int(parts.next()?)?,
+            inlier_k: dec_hex(parts.next()?)?,
+            seed: dec_int(parts.next()?)?,
+        },
+        _ => return None,
+    };
+    parts.next().is_none().then_some(r)
+}
+
+/// A decimal integer exactly as the writer prints one: digits only, no
+/// sign, no leading zero.
+fn dec_int<T: std::str::FromStr>(s: &str) -> Option<T> {
+    let canonical = s.bytes().all(|b| b.is_ascii_digit()) && (s == "0" || !s.starts_with('0'));
+    canonical.then(|| s.parse().ok()).flatten()
+}
+
+/// An `f64` exactly as [`enc_f64`] prints one: 16 lowercase hex digits.
+fn dec_hex(s: &str) -> Option<f64> {
+    let canonical = s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    canonical.then(|| dec_f64(s)).flatten()
+}
+
+/// `true` when `rows`, ascending by node, over `base` form an
+/// undirected graph: each row lists back every node its row lists, and
+/// a base edge a row drops is dropped at its other end too.
+fn edits_are_symmetric(base: &CsrGraph, rows: &[(NodeId, Vec<NodeId>)]) -> bool {
+    let row_of = |v: NodeId| match rows.binary_search_by_key(&v, |(w, _)| *w) {
+        Ok(i) => &rows[i].1[..],
+        Err(_) => base.neighbors_sorted(v),
+    };
+    rows.iter().all(|(u, row)| {
+        let listed = |v: NodeId| row_of(v).binary_search(u).is_ok();
+        row.iter().all(|&v| listed(v))
+            && base
+                .neighbors_sorted(*u)
+                .iter()
+                .all(|&v| row.binary_search(&v).is_ok() || !listed(v))
+    })
 }
 
 impl StreamEngine {
     /// Saves the engine state atomically (temp file + rename).
     pub fn save_snapshot<P: AsRef<Path>>(&self, path: P) -> std::io::Result<()> {
+        write_atomic(path.as_ref(), &self.encode_snapshot())
+    }
+
+    /// The snapshot text of the engine's state.
+    fn encode_snapshot(&self) -> String {
         let base = self.base();
         let mut out = String::new();
         out.push_str(MAGIC);
@@ -127,18 +171,30 @@ impl StreamEngine {
             Err(reason) => out.push_str(&format!("params err {reason}\n")),
         }
         out.push_str("end\n");
-        write_atomic(path.as_ref(), &out)
+        out
     }
 
     /// Restores an engine from a snapshot.
     pub fn restore_snapshot<P: AsRef<Path>>(path: P) -> Result<Self, SnapshotError> {
-        let text = std::fs::read_to_string(path)?;
+        Self::decode_snapshot(&std::fs::read(path)?)
+    }
+
+    /// Restores an engine from snapshot bytes.
+    fn decode_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let malformed = |what: &str| SnapshotError::Malformed(what.to_string());
-        let mut lines = text.lines();
+        let text = std::str::from_utf8(bytes).map_err(|_| malformed("not UTF-8"))?;
+        // Every line the writer emits ends in '\n', the last one too.
+        let text = text
+            .strip_suffix('\n')
+            .ok_or_else(|| malformed("missing final newline (truncated?)"))?;
+        let mut lines = text.split('\n');
         if lines.next() != Some(MAGIC) {
             return Err(malformed("missing header"));
         }
-        fn field(lines: &mut std::str::Lines<'_>, key: &str) -> Result<String, SnapshotError> {
+        fn field<'a>(
+            lines: &mut impl Iterator<Item = &'a str>,
+            key: &str,
+        ) -> Result<String, SnapshotError> {
             let line = lines
                 .next()
                 .ok_or_else(|| SnapshotError::Malformed(format!("missing {key}")))?;
@@ -151,48 +207,53 @@ impl StreamEngine {
         }
         let regressor = dec_regressor(&field(&mut lines, "regressor")?)
             .ok_or_else(|| malformed("regressor"))?;
-        let compact_fraction = dec_f64(&field(&mut lines, "compact_fraction")?)
+        let compact_fraction = dec_hex(&field(&mut lines, "compact_fraction")?)
             .ok_or_else(|| malformed("compact_fraction"))?;
-        let nodes: usize = field(&mut lines, "nodes")?
-            .parse()
-            .map_err(|_| malformed("nodes"))?;
+        let nodes: usize =
+            dec_int(&field(&mut lines, "nodes")?).ok_or_else(|| malformed("nodes"))?;
+        if nodes > NodeId::MAX as usize + 1 {
+            return Err(malformed("more nodes than node ids"));
+        }
         let counters: Vec<u64> = field(&mut lines, "counters")?
-            .split_whitespace()
-            .map(|t| t.parse())
-            .collect::<Result<_, _>>()
-            .map_err(|_| malformed("counters"))?;
+            .split(' ')
+            .map(dec_int)
+            .collect::<Option<_>>()
+            .ok_or_else(|| malformed("counters"))?;
         let [batches, events_seen, compactions] = counters[..] else {
             return Err(malformed("counters arity"));
         };
 
-        let base_edges: usize = field(&mut lines, "base")?
-            .parse()
-            .map_err(|_| malformed("base"))?;
+        let base_edges: usize =
+            dec_int(&field(&mut lines, "base")?).ok_or_else(|| malformed("base"))?;
         // The node count sizes every per-node table; one that cannot be
         // allocated is a malformed file, not a reason to abort.
         let too_many = |_| malformed("node count too large to allocate");
         let mut g = Graph::try_new(nodes).map_err(too_many)?;
+        let mut last = None;
         for _ in 0..base_edges {
             let line = lines.next().ok_or_else(|| malformed("base edge"))?;
             let (u, v): (NodeId, NodeId) = line
                 .split_once(' ')
-                .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
+                .and_then(|(a, b)| Some((dec_int(a)?, dec_int(b)?)))
                 .ok_or_else(|| malformed("base edge"))?;
             // Range-check before Graph::add_edge, whose out-of-range
             // assert would panic instead of returning Malformed.
-            if u as usize >= nodes || v as usize >= nodes {
+            if v as usize >= nodes {
                 return Err(malformed("base edge node out of range"));
             }
-            if !g.add_edge(u, v) {
-                return Err(malformed("duplicate base edge"));
+            // The writer lists each edge once, as `u < v`, ascending.
+            if u >= v || last >= Some((u, v)) {
+                return Err(malformed("base edges not in ascending u < v order"));
             }
+            last = Some((u, v));
+            g.add_edge(u, v);
         }
-        let base = ba_graph::CsrGraph::from(&g);
+        let base = CsrGraph::from(&g);
 
         let edits_line = field(&mut lines, "edits")?;
         let (dirty_count, num_edges) = edits_line
             .split_once(' ')
-            .and_then(|(a, b)| Some((a.parse::<usize>().ok()?, b.parse::<usize>().ok()?)))
+            .and_then(|(a, b)| Some((dec_int::<usize>(a)?, dec_int::<usize>(b)?)))
             .ok_or_else(|| malformed("edits"))?;
         // At most one edit row per node: a larger count is corrupt, and
         // trusting it would size the allocation below from the file.
@@ -204,11 +265,11 @@ impl StreamEngine {
         let mut grown = 0isize;
         for _ in 0..dirty_count {
             let line = lines.next().ok_or_else(|| malformed("edit row"))?;
-            let mut toks = line.split_whitespace();
+            let mut toks = line.split(' ');
             let parsed = (|| {
-                let u: NodeId = toks.next()?.parse().ok()?;
-                let len: usize = toks.next()?.parse().ok()?;
-                let row: Vec<NodeId> = toks.map(|t| t.parse().ok()).collect::<Option<_>>()?;
+                let u: NodeId = dec_int(toks.next()?)?;
+                let len: usize = dec_int(toks.next()?)?;
+                let row: Vec<NodeId> = toks.map(dec_int).collect::<Option<_>>()?;
                 // Out-of-range ids would index out of bounds in
                 // OverlayEdits::try_from_rows; reject them here instead.
                 let in_range = (u as usize) < nodes && row.iter().all(|&v| (v as usize) < nodes);
@@ -230,11 +291,17 @@ impl StreamEngine {
         if grown as i128 != 2 * (num_edges as i128 - base_edges as i128) {
             return Err(malformed("edits edge count disagrees with the rows"));
         }
+        if !edits_are_symmetric(&base, &dirty_rows) {
+            return Err(malformed("edit rows list an edge at one end only"));
+        }
         let edits = OverlayEdits::try_from_rows(nodes, num_edges, dirty_rows).map_err(too_many)?;
 
         let params_line = lines.next().ok_or_else(|| malformed("params"))?;
         if lines.next() != Some("end") {
             return Err(malformed("missing end marker (truncated?)"));
+        }
+        if lines.next().is_some() {
+            return Err(malformed("lines after the end marker"));
         }
 
         let cfg = StreamConfig {
@@ -247,17 +314,16 @@ impl StreamEngine {
         // parameters bit-for-bit (or the same degeneracy).
         let stored_ok = params_line.strip_prefix("params ok ").map(|rest| {
             rest.split_once(' ')
-                .and_then(|(a, b)| Some((dec_f64(a)?, dec_f64(b)?)))
+                .and_then(|(a, b)| Some((dec_hex(a)?, dec_hex(b)?)))
         });
-        match (stored_ok, engine.params()) {
-            (Some(Some((b0, b1))), Ok(p))
+        let stored_err = params_line.strip_prefix("params err ");
+        match (stored_ok, stored_err, engine.params()) {
+            (Some(Some((b0, b1))), _, Ok(p))
                 if b0.to_bits() == p.beta0.to_bits() && b1.to_bits() == p.beta1.to_bits() => {}
-            (Some(_), _) => return Err(SnapshotError::ParamsMismatch),
-            (None, Err(_)) if params_line.starts_with("params err ") => {}
-            (None, Ok(_)) if params_line.starts_with("params err ") => {
-                return Err(SnapshotError::ParamsMismatch)
-            }
-            (None, _) => return Err(malformed("params")),
+            (Some(Some(_)), _, _) => return Err(SnapshotError::ParamsMismatch),
+            (None, Some(stored), Err(reason)) if stored == reason => {}
+            (None, Some(_), _) => return Err(SnapshotError::ParamsMismatch),
+            _ => return Err(malformed("params")),
         }
         Ok(engine)
     }
@@ -481,6 +547,133 @@ mod tests {
             Err(SnapshotError::ParamsMismatch)
         ));
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Deterministic mutations of a snapshot taken after compactions of
+    /// both kinds, with edits pending: every truncation, every single
+    /// bit flip, inflated `nodes`, `base` and edit counts, and lines
+    /// deleted, doubled, swapped and moved. Each must fail with a typed
+    /// error or restore an engine that saves the mutated bytes back
+    /// exactly. Inflated counts are either small or beyond what the
+    /// reader will allocate for, so none may allocate in proportion.
+    #[test]
+    fn mutated_snapshots_fail_typed_or_roundtrip_exactly() {
+        let g = generators::erdos_renyi(48, 0.1, 5);
+        let mut engine = StreamEngine::new(&g, StreamConfig::default());
+        for batch in synthetic_stream(&g, 400, 17).chunks(20) {
+            engine.ingest_batch(batch);
+        }
+        engine.ingest_batch(&[crate::StreamEvent::new(0, 0, 47, true)]);
+        assert!(engine.relayouts() >= 1 && engine.compactions() > engine.relayouts());
+        assert!(engine.dirty_rows() > 0, "no edits pending");
+        let text = engine.encode_snapshot();
+        let accepted = |bytes: &[u8], what: &str| match StreamEngine::decode_snapshot(bytes) {
+            Ok(restored) => {
+                let back = restored.encode_snapshot();
+                assert!(
+                    back.as_bytes() == bytes,
+                    "{what}: restored, but saves back otherwise"
+                );
+                true
+            }
+            Err(SnapshotError::Malformed(_) | SnapshotError::ParamsMismatch) => false,
+            Err(SnapshotError::Io(e)) => panic!("{what}: io error {e} without any io"),
+        };
+        assert!(accepted(text.as_bytes(), "the snapshot itself"));
+
+        for cut in 0..text.len() {
+            let what = format!("truncated to {cut} bytes");
+            assert!(
+                !accepted(&text.as_bytes()[..cut], &what),
+                "{what}: accepted"
+            );
+        }
+
+        let mut flips_accepted = 0;
+        for at in 0..text.len() {
+            for bit in 0..8 {
+                let mut bytes = text.clone().into_bytes();
+                bytes[at] ^= 1 << bit;
+                flips_accepted += usize::from(accepted(&bytes, &format!("bit {bit} of byte {at}")));
+            }
+        }
+        // Counter digits, for one, may change freely.
+        assert!(flips_accepted > 0);
+
+        let lines: Vec<&str> = text.lines().collect();
+        let at = |key: &str| lines.iter().position(|l| l.starts_with(key)).unwrap();
+        let replaced = |i: usize, line: String| {
+            let mut out: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+            out[i] = line;
+            out.join("\n") + "\n"
+        };
+        let (nodes, base, edits) = (at("nodes "), at("base "), at("edits "));
+        let (count, edges) = lines[edits][6..].split_once(' ').unwrap();
+        let huge = [
+            "4294967297",
+            "18446744073709551615",
+            "1000000000000000000000000000000",
+        ];
+        let inflate = |x: &str| {
+            let x: u128 = x.parse().unwrap();
+            let mut values: Vec<String> = [x + 1, 2 * x, 10 * x].map(|v| v.to_string()).into();
+            values.extend(huge.map(str::to_string));
+            values
+        };
+        for v in inflate(&lines[nodes][6..]) {
+            accepted(
+                replaced(nodes, format!("nodes {v}")).as_bytes(),
+                "inflated nodes",
+            );
+        }
+        for v in inflate(&lines[base][5..]) {
+            let bad = replaced(base, format!("base {v}"));
+            assert!(
+                !accepted(bad.as_bytes(), "inflated base"),
+                "base {v}: accepted"
+            );
+        }
+        for v in inflate(count) {
+            let bad = replaced(edits, format!("edits {v} {edges}"));
+            assert!(
+                !accepted(bad.as_bytes(), "inflated edit rows"),
+                "edits {v}: accepted"
+            );
+        }
+        for v in inflate(edges) {
+            let bad = replaced(edits, format!("edits {count} {v}"));
+            assert!(
+                !accepted(bad.as_bytes(), "inflated edit edges"),
+                "edits .. {v}: accepted"
+            );
+        }
+
+        let last = lines.len() - 1;
+        for i in 0..lines.len() {
+            let mut deleted = lines.clone();
+            let line = deleted.remove(i);
+            let mut doubled = lines.clone();
+            doubled.insert(i, line);
+            let mut swapped = lines.clone();
+            swapped.swap(i, (i + 1).min(last));
+            let mut to_end = deleted.clone();
+            to_end.push(line);
+            let mut to_front = deleted.clone();
+            to_front.insert(0, line);
+            for (name, bad) in [
+                ("deleted", deleted),
+                ("doubled", doubled),
+                ("swapped with the next", swapped),
+                ("moved to the end", to_end),
+                ("moved to the front", to_front),
+            ] {
+                let bad = bad.join("\n") + "\n";
+                if bad != text {
+                    let what = format!("line {i} {name}");
+                    assert!(!accepted(bad.as_bytes(), &what), "{what}: accepted");
+                }
+            }
+        }
     }
 
     #[test]

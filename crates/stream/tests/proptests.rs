@@ -2,8 +2,8 @@
 //!
 //! 1. **Compaction ≡ rebuild** — an engine that compacts aggressively
 //!    and one that never compacts produce bit-identical scores, and the
-//!    compacted base equals a CSR rebuilt from the current edge set
-//!    from scratch;
+//!    compacted base, wherever its slack lies, equals a CSR rebuilt from
+//!    the current edge set from scratch;
 //! 2. **Snapshot → restore → continue ≡ uninterrupted** — cutting the
 //!    stream at any batch boundary and resuming from the snapshot
 //!    yields byte-identical summaries and scores for the rest of the
@@ -65,8 +65,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Contract 1: compaction timing is unobservable, and the compacted
-    /// base is byte-identical to a from-scratch rebuild of the current
-    /// edge set.
+    /// base equals a from-scratch rebuild of the current edge set row
+    /// for row, edge count and hash included.
     #[test]
     fn compaction_equals_rebuild_from_scratch(
         g in arb_graph(24),
@@ -90,13 +90,18 @@ proptest! {
             let csr_lazy = CsrGraph::from_view(&gl);
             let mut check = Graph::new(ge.num_nodes());
             ge.for_each_edge(|u, v| { check.add_edge(u, v); });
-            prop_assert_eq!(CsrGraph::from_view(&check), csr_lazy);
+            prop_assert_eq!(&CsrGraph::from_view(&check), &csr_lazy);
+            // The eager engine folds every batch that applies an edit,
+            // so its base alone is the current edge set.
+            if eager.dirty_rows() == 0 {
+                prop_assert_eq!(eager.base(), &csr_lazy);
+            }
         }
     }
 
-    /// Contract 1b (substrate level): `DeltaOverlay::compact` equals
-    /// `CsrGraph::from_view` of the same overlay for arbitrary toggle
-    /// histories.
+    /// Contract 1b (substrate level): folding an overlay's edits into
+    /// its base with `CsrGraph::absorb` equals `CsrGraph::from_view` of
+    /// the same overlay for arbitrary toggle histories.
     #[test]
     fn overlay_compact_matches_from_view(
         g in arb_graph(20),
@@ -108,7 +113,10 @@ proptest! {
         for (u, v) in toggles {
             ov.toggle_edge(u % n, v % n);
         }
-        prop_assert_eq!(ov.compact(), CsrGraph::from_view(&ov));
+        let rebuilt = CsrGraph::from_view(&ov);
+        let mut folded = csr.clone();
+        folded.absorb(ov.detach());
+        prop_assert_eq!(folded, rebuilt);
     }
 
     /// Contract 2: killing the stream at any batch boundary and

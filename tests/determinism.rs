@@ -250,6 +250,14 @@ mod stream {
             }
             if let Some((cut, path)) = snapshot_cut {
                 if i == cut {
+                    // The cut falls after compactions of both kinds:
+                    // at least one re-laid out the base and at least
+                    // one folded into its slack.
+                    let (folds, relayouts) = (engine.compactions(), engine.relayouts());
+                    assert!(
+                        relayouts >= 1 && folds > relayouts,
+                        "{folds} compactions, {relayouts} re-layouts before the cut"
+                    );
                     engine.save_snapshot(path).expect("save snapshot");
                 }
             }
@@ -267,12 +275,17 @@ mod stream {
         assert!(reference.lines().count() > 50, "suspiciously short output");
 
         // "Killed" process: a fresh engine restored from the snapshot
-        // replays only the remaining batches.
+        // replays only the remaining batches, over a base rebuilt packed
+        // and so re-laid out at other points than the live one's.
         let g = generators::erdos_renyi(400, 0.02, 21);
         let events = synthetic_stream(&g, 500, 33);
         let mut resumed = StreamEngine::restore_snapshot(&path).expect("restore snapshot");
         assert_eq!(resumed.batches_ingested(), cut as u64 + 1);
         let tail = format_batches(&mut resumed, events.chunks(50).skip(cut + 1), None);
+        assert!(
+            resumed.relayouts() >= 1,
+            "the packed base never re-laid out"
+        );
         assert!(
             reference.ends_with(&tail),
             "resumed output is not a byte-identical suffix of the uninterrupted run"
