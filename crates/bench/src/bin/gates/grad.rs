@@ -1,39 +1,28 @@
-//! Pair-gradient assembly micro-benchmark: sparse CSR kernel vs the
-//! dense step, the row kernel on one worker vs split across threads, and
-//! the row kernel on a `TargetNeighborhood` list vs per-pair merges.
-//!
-//! Times one full backward pass of the attack engine — `G_ij` for every
-//! unordered candidate pair — on a 1000-node, ~5000-edge Erdős–Rényi
-//! graph, three ways:
+//! `grad`: one full backward pass of the attack engine — `G_ij` for
+//! every unordered candidate pair of a 1000-node, ~5000-edge
+//! Erdős–Rényi graph — timed three ways:
 //!
 //! * **sparse** — [`ba_core::assemble_pair_grads`] over the frozen
-//!   [`CsrGraph`] with one worker per core: the row-blocked wedge
-//!   scatter, split into equal contiguous chunks, no `n×n`
-//!   allocation;
+//!   [`CsrGraph`], split across one worker per core: the row-blocked
+//!   wedge scatter, with no `n×n` allocation;
 //! * **row serial vs split** — the same kernel into a reused output
-//!   buffer, as in the PGD loop, on one worker and split across the
-//!   threads;
+//!   buffer, as in the PGD loop, on one worker and across the threads;
 //! * **dense** — [`ba_core::dense_pair_gradients`]: ContinuousA's dense
-//!   step, which a fractional adjacency needs, here on the binary one:
-//!   `A²` and `A·diag(gE)·A` over the upper triangle and `G` at the
-//!   candidates, split across the same threads.
+//!   step (`A²` and `A·diag(gE)·A` over the upper triangle), which a
+//!   fractional adjacency needs, here on the binary one.
 //!
-//! Then, on the same graph, the `TargetNeighborhood` set of 3 targets
-//! sampled from the top-50 AScore pool, as the experiment grids sample
-//! them: the kernel on one worker against a loop of
-//! [`ba_core::pair_grad`] over the same list. The set holds one pair row
-//! `(x, t)` for every `x < t`, so a kernel that scatters every row loses
-//! to the plain loop there.
+//! Then the kernel on one worker against a [`ba_core::pair_grad`] loop
+//! over a `TargetNeighborhood` list of 3 targets from the top-50 AScore
+//! pool, whose one pair row `(x, t)` per `x < t` favours the plain loop.
 //!
-//! Exits non-zero if the sparse path is less than 5× faster than dense —
-//! the CI smoke gate that keeps dense products out of the binary-graph
-//! attacks' hot path — if the split output differs from the serial
-//! one in any bit, if, with two or more threads, the split is not
-//! faster than one worker (`row_split_speedup ≤ 1`), if the
-//! `TargetNeighborhood` kernel differs from the loop in any bit, or if it
-//! takes more than 1.25× the loop's time (`tn_ratio > 1.25`). `--quick`
-//! runs fewer repetitions (CI).
+//! Fails if sparse is less than 5× faster than dense (keeping dense
+//! products out of the binary-graph attacks' hot path), if the split on
+//! two or more threads is not faster than one worker, or if the TN
+//! kernel takes over 1.25× the loop's time. Panics if the sparse, serial
+//! and split outputs, or the kernel and the loop, differ in any bit.
+//! `--quick` runs fewer repetitions.
 
+use crate::{Profile, Verdict};
 use ba_bench::{sample_from_pool, target_pool, time_best_of};
 use ba_core::{
     assemble_pair_grads, assemble_pair_grads_into, dense_pair_gradients, node_grads, pair_grad,
@@ -41,6 +30,7 @@ use ba_core::{
 };
 use ba_graph::egonet::egonet_features;
 use ba_graph::{generators, CsrGraph};
+use ba_net::BenchReport;
 
 const REQUIRED_SPEEDUP: f64 = 5.0;
 
@@ -51,10 +41,8 @@ const TN_MAX_RATIO: f64 = 1.25;
 /// Seed of the `TargetNeighborhood` target sample.
 const TN_SEED: u64 = 1;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let (sparse_reps, dense_reps, row_reps, tn_reps) = if quick {
+pub fn run(profile: &Profile) -> Verdict {
+    let (sparse_reps, dense_reps, row_reps, tn_reps) = if profile.quick {
         (5, 1, 20, 60)
     } else {
         (20, 3, 50, 200)
@@ -71,20 +59,11 @@ fn main() {
     let csr = CsrGraph::from(&g);
     let threads = ba_core::resolve_threads(0);
 
-    eprintln!(
-        "graph: n = {n}, m = {}, pairs = {}, threads = {threads}",
-        g.num_edges(),
-        candidates.len()
-    );
-
-    // Sparse: the row kernel split across the threads, allocating its
-    // output as the attacks' first assembly does.
+    // Sparse allocates its output, as the attacks' first assembly does.
     let mut sparse_out = Vec::new();
     let sparse_s = time_best_of(sparse_reps, || {
         sparse_out = assemble_pair_grads(&csr, &ng, &candidates, &mask, threads);
     });
-    // The row kernel alone, into a reused output as in the PGD loop: one
-    // worker against the split.
     let mut serial_out = vec![0.0; candidates.len()];
     let row_serial_s = time_best_of(row_reps, || {
         assemble_pair_grads_into(&csr, &ng, &candidates, &mask, 1, &mut serial_out);
@@ -100,14 +79,13 @@ fn main() {
     );
     let row_split_speedup = row_serial_s / row_split_s;
 
-    // Dense: ContinuousA's step (two triangle products + the candidates).
     let a = ba_linalg::Matrix::from_vec(n, n, ba_graph::adjacency::to_row_major(&g));
     let mut dense_out = Vec::new();
     let dense_s = time_best_of(dense_reps, || {
         dense_out = dense_pair_gradients(&a, &ng, &candidates, threads);
     });
 
-    // Cross-check before reporting: both paths must agree.
+    // Sparse and dense must agree to rounding.
     let max_diff = sparse_out
         .iter()
         .zip(&dense_out)
@@ -117,9 +95,8 @@ fn main() {
         "sparse/dense gradient mismatch: max |Δ| = {max_diff:e}"
     );
 
-    // TargetNeighborhood: the kernel on one worker against per-pair
-    // merges over the same list, cross-checked bit for bit first. The
-    // two are timed in alternation, so that host drift hits both.
+    // The TN kernel and loop are timed in alternation, so that host drift
+    // hits both.
     let model = ba_oddball::OddBall::default().fit(&g).expect("OddBall fit");
     let tn_targets = sample_from_pool(&target_pool(&model, 50), 3, TN_SEED);
     let tn_ng = node_grads(&feats.n, &feats.e, &tn_targets).expect("node grads");
@@ -143,18 +120,10 @@ fn main() {
     }
     let tn_ratio = tn_kernel_s / tn_loop_s;
 
+    eprintln!("TN targets: {tn_targets:?}");
+
     let speedup = dense_s / sparse_s;
-    println!("sparse assembly: {:>10.3} ms", sparse_s * 1e3);
-    println!("dense  assembly: {:>10.3} ms", dense_s * 1e3);
-    println!("speedup:         {speedup:>10.2}x (gate: ≥{REQUIRED_SPEEDUP}x)");
-    println!("row, 1 worker:   {:>10.3} ms", row_serial_s * 1e3);
-    println!("row, split:      {:>10.3} ms", row_split_s * 1e3);
-    println!("row split:       {row_split_speedup:>10.2}x on {threads} threads (gate: >1x)");
-    println!("TN targets:      {tn_targets:?}, {} pairs", tn.len());
-    println!("TN, kernel:      {:>10.3} ms", tn_kernel_s * 1e3);
-    println!("TN, pair loop:   {:>10.3} ms", tn_loop_s * 1e3);
-    println!("TN kernel/loop:  {tn_ratio:>10.2}x (gate: ≤{TN_MAX_RATIO}x)");
-    ba_net::BenchReport::new("grad")
+    let report = BenchReport::new("grad")
         .metric("n", n as f64, "count")
         .metric("m", g.num_edges() as f64, "count")
         .metric("pairs", candidates.len() as f64, "count")
@@ -168,23 +137,22 @@ fn main() {
         .metric("tn_pairs", tn.len() as f64, "count")
         .metric("tn_kernel_ms", tn_kernel_s * 1e3, "ms")
         .metric("tn_loop_ms", tn_loop_s * 1e3, "ms")
-        .metric("tn_ratio", tn_ratio, "x")
-        .write_if_requested(&args)
-        .expect("write bench json");
+        .metric("tn_ratio", tn_ratio, "x");
+    let mut failed = Vec::new();
     if speedup < REQUIRED_SPEEDUP {
-        eprintln!("FAIL: sparse path is only {speedup:.2}x faster (need {REQUIRED_SPEEDUP}x)");
-        std::process::exit(1);
+        failed.push(format!(
+            "sparse/dense speedup {speedup:.2}x (need ≥{REQUIRED_SPEEDUP}x)"
+        ));
     }
     if threads >= 2 && row_split_speedup <= 1.0 {
-        eprintln!(
-            "FAIL: the row split on {threads} threads is {row_split_speedup:.2}x one worker (need >1x)"
-        );
-        std::process::exit(1);
+        failed.push(format!(
+            "row split speedup {row_split_speedup:.2}x (need >1x)"
+        ));
     }
     if tn_ratio > TN_MAX_RATIO {
-        eprintln!(
-            "FAIL: the TargetNeighborhood kernel takes {tn_ratio:.2}x the per-pair loop (need ≤{TN_MAX_RATIO}x)"
-        );
-        std::process::exit(1);
+        failed.push(format!(
+            "TN kernel/loop {tn_ratio:.2}x (need ≤{TN_MAX_RATIO}x)"
+        ));
     }
+    (report, failed)
 }

@@ -1,22 +1,14 @@
-//! Served-traffic load benchmark: sustained queries/sec and p99 latency
-//! through the real TCP stack.
-//!
-//! Starts a [`ba_serve::Server`] on an ephemeral loopback port over an
-//! Erdős–Rényi graph, then drives `clients` concurrent connections,
-//! each issuing a fixed per-connection mix of point-score and top-k
-//! queries against the latest epoch while a background ingester
-//! publishes fresh epochs — the serving path under load, epoch
-//! rotation included. Reports:
-//!
-//! * **sustained_qps** — total completed queries / wall-clock span of
-//!   the client phase;
-//! * **p99_latency_us** — 99th-percentile per-request round-trip.
-//!
-//! Exits non-zero if sustained throughput falls below the floor — the
-//! CI gate for the serving path. `--quick` shrinks the workload (CI),
-//! `--json PATH` records the result in the unified perf-trend schema
-//! (`BENCH_serve.json`).
+//! `serve`: served traffic through the real TCP stack. A
+//! [`ba_serve::Server`] on an ephemeral loopback port serves an
+//! Erdős–Rényi graph to concurrent client connections, each issuing a
+//! fixed mix of point-score and top-k queries against the latest epoch,
+//! while a background ingester publishes fresh epochs: the serving path
+//! under load, epoch rotation included. Fails if sustained queries/sec
+//! (completed queries over the client phase's wall-clock span) falls
+//! below the floor; also reports p50/p99 round-trip latency. `--quick`
+//! shrinks the workload.
 
+use crate::{Profile, Verdict};
 use ba_graph::generators;
 use ba_net::BenchReport;
 use ba_serve::{Connection, Request, Response, ServeConfig, Server, LATEST};
@@ -29,10 +21,8 @@ use std::time::Instant;
 /// noise.
 const REQUIRED_QPS: f64 = 2_000.0;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let (clients, requests_per_client, ingest_batches) = if quick {
+pub fn run(profile: &Profile) -> Verdict {
+    let (clients, requests_per_client, ingest_batches) = if profile.quick {
         (4, 2_000, 10)
     } else {
         (8, 10_000, 40)
@@ -44,9 +34,7 @@ fn main() {
     let engine = StreamEngine::new(&g, StreamConfig::default());
     let server = Server::start("127.0.0.1:0", engine, ServeConfig::default()).expect("bind server");
     let addr = server.local_addr().to_string();
-    eprintln!(
-        "serving n = {n}, m = {m} on {addr}; {clients} clients x {requests_per_client} requests"
-    );
+    eprintln!("serving on {addr}");
 
     // Background ingest: publish fresh epochs while queries fly, so the
     // measured path includes epoch rotation, not just a static snapshot.
@@ -55,10 +43,9 @@ fn main() {
     let ingester = std::thread::spawn(move || {
         let mut conn = Connection::connect(&ingest_addr).expect("ingest connect");
         for batch in ingest_events.chunks(25) {
+            let events = batch.to_vec();
             let resp = conn
-                .call(&Request::IngestBatch {
-                    events: batch.to_vec(),
-                })
+                .call(&Request::IngestBatch { events })
                 .expect("ingest call");
             assert!(matches!(resp, Response::Ingested { .. }), "{resp:?}");
         }
@@ -114,12 +101,7 @@ fn main() {
     let p50 = all[total / 2];
     let p99 = all[(total * 99 / 100).min(total - 1)];
 
-    println!("requests:       {total} over {span_s:.3}s ({clients} clients)");
-    println!("sustained qps:  {qps:>10.0} (gate: ≥{REQUIRED_QPS})");
-    println!("latency p50:    {p50:>10.1} us");
-    println!("latency p99:    {p99:>10.1} us");
-
-    BenchReport::new("serve")
+    let report = BenchReport::new("serve")
         .metric("n", n as f64, "count")
         .metric("m", m as f64, "count")
         .metric("clients", clients as f64, "count")
@@ -128,12 +110,7 @@ fn main() {
         .metric("span_s", span_s, "s")
         .metric("sustained_qps", qps, "qps")
         .metric("p50_latency_us", p50, "us")
-        .metric("p99_latency_us", p99, "us")
-        .write_if_requested(&args)
-        .expect("write bench json");
-
-    if qps < REQUIRED_QPS {
-        eprintln!("FAIL: sustained throughput {qps:.0} qps is below the {REQUIRED_QPS} qps floor");
-        std::process::exit(1);
-    }
+        .metric("p99_latency_us", p99, "us");
+    let failed = (qps < REQUIRED_QPS).then(|| format!("{qps:.0} qps (need ≥{REQUIRED_QPS})"));
+    (report, failed.into_iter().collect())
 }

@@ -1,29 +1,23 @@
-//! Streaming-ingest micro-benchmark: the incremental stream engine vs a
-//! per-batch full refit.
-//!
-//! Replays a synthetic insert/delete event stream over an Erdős–Rényi
-//! base graph in fixed-size batches, two ways:
+//! `stream`: streaming ingest, the incremental engine vs a per-batch
+//! full refit, over a synthetic insert/delete stream on an Erdős–Rényi
+//! graph in fixed-size batches:
 //!
 //! * **engine** — [`ba_stream::StreamEngine`]: net the batch, toggle
 //!   each net edge with the exact egonet delta rule, O(1) OLS refit at
-//!   the batch boundary (plus periodic overlay compaction);
-//! * **full refit** — maintain a mutable [`ba_graph::Graph`] and, at
-//!   every batch boundary, re-extract all egonet features and refit
-//!   OddBall from scratch — what serving the stream without the
-//!   incremental machinery would cost.
+//!   the batch boundary, periodic overlay compaction;
+//! * **full refit** — a mutable [`ba_graph::Graph`] whose egonet
+//!   features and OddBall fit are recomputed from scratch per batch:
+//!   serving the stream without the incremental machinery.
 //!
-//! The per-batch model parameters are cross-checked bit-identical
-//! between the two paths before timing is reported. Exits non-zero if
-//! sustained engine ingest is less than 5× the full-refit baseline —
-//! the CI gate that keeps streaming ingest incremental. `--quick` runs a
-//! shorter stream (CI), and `--json PATH` records the result for the
-//! perf-trend pipeline (`BENCH_stream.json`), with one more engine pass
-//! timed per batch: its compaction count, how many of those re-laid out
-//! the base, and the median batch that compacts and that does not.
-//! That pass then folds its last edits in, and the run exits non-zero
-//! unless the folded base equals a CSR built from scratch from the
-//! final edge set, which must match the full refit's.
+//! The per-batch betas must match bit for bit (a mismatch panics). Fails
+//! if engine ingest is less than 5× faster. One more engine pass, timed
+//! per batch, reports its compactions, the re-layouts among them, and
+//! the median compacting and plain batch; it then folds its last edits
+//! in, and the gate fails unless the folded base equals a from-scratch
+//! CSR of the final edge set, which must match the full refit's.
+//! `--quick` runs a shorter stream.
 
+use crate::{Profile, Verdict};
 use ba_bench::time_best_of;
 use ba_graph::egonet::egonet_features;
 use ba_graph::{generators, CsrGraph};
@@ -103,10 +97,8 @@ fn run_full_refit(
     (betas, state)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let (num_batches, batch_size, engine_reps, full_reps) = if quick {
+pub fn run(profile: &Profile) -> Verdict {
+    let (num_batches, batch_size, engine_reps, full_reps) = if profile.quick {
         (40, 50, 5, 2)
     } else {
         (200, 50, 10, 3)
@@ -121,14 +113,6 @@ fn main() {
     let batches: Vec<&[StreamEvent]> = events.chunks(batch_size).collect();
     let total_events = events.len();
 
-    eprintln!(
-        "graph: n = {n}, m = {}, {} batches x {batch_size} events",
-        g.num_edges(),
-        batches.len()
-    );
-
-    // Cross-check before timing: per-batch betas bit-identical between
-    // the engine and the full refit.
     let (reference, final_graph) = run_full_refit(&g, &batches);
     assert_eq!(
         run_engine(&g, &batches),
@@ -151,23 +135,9 @@ fn main() {
     let base_ok = graph == final_graph && *engine.base() == CsrGraph::from(&graph);
 
     let engine_eps = total_events as f64 / engine_s;
-    let full_eps = total_events as f64 / full_s;
     let speedup = full_s / engine_s;
-    println!(
-        "engine ingest:     {:>10.3} ms  ({engine_eps:>12.0} events/s)",
-        engine_s * 1e3
-    );
-    println!(
-        "full-refit ingest: {:>10.3} ms  ({full_eps:>12.0} events/s)",
-        full_s * 1e3
-    );
-    println!("speedup:           {speedup:>10.2}x (gate: ≥{REQUIRED_SPEEDUP}x)");
     let (compacting_ms, plain_ms) = (median(compacting_ms), median(plain_ms));
-    println!(
-        "engine batches:    {compacting_ms:>10.3} ms compacting ({compactions} of them, \
-         {relayouts} re-laid out), {plain_ms:.3} ms plain (medians)"
-    );
-    BenchReport::new("stream")
+    let report = BenchReport::new("stream")
         .metric("n", n as f64, "count")
         .metric("m", g.num_edges() as f64, "count")
         .metric("batches", batches.len() as f64, "count")
@@ -180,15 +150,15 @@ fn main() {
         .metric("compactions", compactions as f64, "count")
         .metric("relayouts", relayouts as f64, "count")
         .metric("engine_compacting_batch_ms", compacting_ms, "ms")
-        .metric("engine_plain_batch_ms", plain_ms, "ms")
-        .write_if_requested(&args)
-        .expect("write bench json");
+        .metric("engine_plain_batch_ms", plain_ms, "ms");
+    let mut failed = Vec::new();
     if !base_ok {
-        eprintln!("FAIL: the folded engine base differs from a from-scratch CSR of its edge set");
-        std::process::exit(1);
+        failed.push("folded engine base differs from a from-scratch CSR".to_string());
     }
     if speedup < REQUIRED_SPEEDUP {
-        eprintln!("FAIL: engine ingest is only {speedup:.2}x faster (need {REQUIRED_SPEEDUP}x)");
-        std::process::exit(1);
+        failed.push(format!(
+            "engine/full-refit speedup {speedup:.2}x (need ≥{REQUIRED_SPEEDUP}x)"
+        ));
     }
+    (report, failed)
 }

@@ -305,7 +305,7 @@ pub fn read_chunked(dir: &Path) -> Result<CsrGraph, StoreError> {
 
 /// Folds a graph statistic chunk-by-chunk without assembling the CSR:
 /// returns `(max_degree, sum_of_degrees, hash_of_upper_edges)`. Used by
-/// `large_bench` to demonstrate — and test — that the store supports
+/// the `large` perf gate to demonstrate — and test — that the store supports
 /// out-of-core consumers whose answers match the in-memory graph.
 pub fn fold_degree_stats(dir: &Path) -> Result<(usize, usize, u64), StoreError> {
     let meta = read_meta(dir)?;

@@ -2,10 +2,10 @@
 //!
 //! Experiment harness for the BinarizedAttack reproduction: every paper
 //! table/figure as a runner [`experiments`] entry (see DESIGN.md §5 for
-//! the index) and every perf gate binary (`grad_bench`, `eval_bench`,
-//! `search_bench`, `stream_bench`, `serve_bench`, `large_bench`). The
-//! engine and service crates sit below this one and share only the leaf
-//! [`ba_net`] codec with it, so the gates that drive them live here too.
+//! the index) and the `gates` binary that runs every perf gate (`grad`,
+//! `eval`, `stream`, `serve`, `search`, `large`). The engine and service
+//! crates sit below this one and share only the leaf [`ba_net`] codec
+//! with it, so the gates that drive them live here too.
 //! This library holds the shared plumbing: CLI flags, the gates' timer,
 //! target sampling (paper Sec. VIII-A3), attack-curve averaging, CSV
 //! emission under `target/experiments/`, and the deterministic parallel
@@ -261,7 +261,7 @@ impl Flags {
 }
 
 /// Runs `f` `reps` times and returns its fastest run in seconds — the
-/// timer every gate binary reports.
+/// timer every perf gate reports.
 pub fn time_best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps {

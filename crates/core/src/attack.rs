@@ -214,7 +214,7 @@ impl AttackOutcome {
     /// regressors rerun over the cached rows), instead of the
     /// `O(n + m + Σdeg²)` full re-extraction and refit — the curve is
     /// bit-identical to [`AttackOutcome::ascore_curve_full_refit`]
-    /// (pinned by the `eval_equivalence` proptest and the `eval_bench`
+    /// (pinned by the `eval_equivalence` proptest and the `eval` gate's
     /// cross-check).
     pub fn ascore_curve_with_clean(
         &self,
@@ -326,7 +326,7 @@ impl AttackOutcome {
     /// and refits the detector from scratch at every budget,
     /// `O(budget × (n + m + Σdeg²))` total. Kept as the equivalence
     /// oracle for the incremental engine (`eval_equivalence` proptest,
-    /// `eval_bench` speedup gate); production paths should use the
+    /// `eval` speedup gate); production paths should use the
     /// incremental method.
     pub fn ascore_curve_full_refit(
         &self,

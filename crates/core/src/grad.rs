@@ -603,7 +603,7 @@ impl RowSink<'_> {
     /// [`RowSink::combine`] for a run of a `Full` row, whose larger
     /// endpoints are the contiguous `cols`, starting at candidate `lo`:
     /// all operands are then contiguous slices, walked in lockstep with
-    /// no per-entry bounds checks. On `grad_bench --quick` (ER 1000,
+    /// no per-entry bounds checks. On `gates --gate grad --quick` (ER 1000,
     /// 499,500 pairs, 2-core container) this took one assembly from
     /// 1.5 ms through the generic walk to 0.96 ms.
     #[inline]

@@ -1,13 +1,12 @@
 //! One schema for every `BENCH_*.json` perf-trend artifact.
 //!
-//! The perf-gate binaries (`grad_bench`, `eval_bench`, `search_bench`,
-//! `stream_bench`, `serve_bench`, `large_bench`, all in `ba-bench`) and
-//! `ba-lint --json` each measure different things, but the CI trend
-//! pipeline wants to plot them uniformly: a bench name, a commit, and a
-//! flat list of `(metric, value, unit)` triples. [`BenchReport`] is
-//! that record; [`BenchReport::write_if_requested`] is the shared
-//! `--json PATH` handling every gate binary routes through, replacing
-//! the per-binary hand-rolled format strings.
+//! The perf gates (`grad`, `eval`, `stream`, `serve`, `search` and
+//! `large`, all in `ba-bench`'s `gates` binary) and `ba-lint --json`
+//! each measure different things, but the CI trend pipeline wants to
+//! plot them uniformly: a bench name, a commit, and a flat list of
+//! `(metric, value, unit)` triples. [`BenchReport`] is that record, and
+//! [`BenchReport::to_json`] renders it; [`BenchReport::write_if_requested`]
+//! is a `--json PATH` handler for a binary that writes one report.
 //!
 //! ```json
 //! {

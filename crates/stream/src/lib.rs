@@ -26,7 +26,7 @@
 //! * **O(batch) steady state** — overlay compaction
 //!   ([`CsrGraph::absorb`](ba_graph::CsrGraph::absorb)) folds
 //!   accumulated edits into the frozen base, mostly into its per-row
-//!   slack, before overlay overhead degrades ingest (`ba-bench`'s `stream_bench` bin gates ≥5× sustained
+//!   slack, before overlay overhead degrades ingest (`ba-bench`'s `stream` gate holds ≥5× sustained
 //!   throughput against a per-batch full refit).
 //!
 //! ## Example
