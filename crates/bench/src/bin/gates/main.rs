@@ -55,8 +55,8 @@ const GATES: &[Gate] = &[
         name: "grad",
         run: grad::run,
         metrics: "n:count m:count pairs:count threads:count sparse_s:s dense_s:s speedup:x \
-                  row_serial_ms:ms row_split_ms:ms row_split_speedup:x tn_pairs:count \
-                  tn_kernel_ms:ms tn_loop_ms:ms tn_ratio:x",
+                  row_serial_ms:ms row_split_ms:ms row_split_speedup:x host_split_speedup:x \
+                  tn_pairs:count tn_kernel_ms:ms tn_loop_ms:ms tn_ratio:x",
     },
     Gate {
         name: "eval",
@@ -113,7 +113,7 @@ fn parse<'t, S: AsRef<str>>(args: &[S], table: &'t [Gate]) -> Result<Cli<'t>, St
         let names: Vec<&str> = table.iter().map(|g| g.name).collect();
         return Err(format!("unknown gate {name:?} (all, {})", names.join(", ")));
     }
-    let quick = flags.has("quick");
+    let quick = flags.switch("quick")?;
     // m = 11 puts the full `large` instance past 10^7 edges:
     // m + (n - m - 1) * m = 10_999_879.
     let profile = Profile {
@@ -201,6 +201,10 @@ mod tests {
             vec!["--gate", "all", "--json", "x.json"],
             vec!["--gate", "gard"],
             vec!["--quick"],
+            vec!["--gate", "eval", "stray"],
+            vec!["stray", "--gate", "eval"],
+            vec!["--gate", "eval", "--quick", "stray"],
+            vec!["--quick", "1", "--gate", "eval"],
         ];
         for flag in ["--n", "--m", "--batch"] {
             bad.extend(["1e6", "-1", "x"].map(|v| vec!["--gate", "large", flag, v]));

@@ -120,7 +120,7 @@ impl ExpOptions {
     /// order.
     pub fn from_flags(flags: &Flags) -> Result<Self, String> {
         let defaults = Self::default();
-        let paper = flags.has("paper");
+        let paper = flags.switch("paper")?;
         let profile_samples = if paper { 5 } else { defaults.samples };
         Ok(Self {
             paper,
@@ -128,7 +128,7 @@ impl ExpOptions {
             samples: flags.parse_or("samples", profile_samples)?,
             out_dir: flags.get("out")?.map_or(defaults.out_dir, PathBuf::from),
             threads: flags.parse_or("threads", defaults.threads)?,
-            resume: flags.has("resume"),
+            resume: flags.switch("resume")?,
         })
     }
 
@@ -192,32 +192,44 @@ pub fn average_padded(curves: &[Vec<f64>], len: usize) -> Vec<f64> {
 /// Minimal `--key value` flag map for the `binattack` CLI. A flag
 /// followed by another `--flag` (or by nothing) is boolean-valued:
 /// `--resume --snapshot s.snap` must not swallow `--snapshot` as the
-/// resume value.
+/// resume value. An argument that is neither a flag nor a flag's value
+/// is kept, and [`Flags::accept`] rejects it.
 #[derive(Debug)]
-pub struct Flags(std::collections::BTreeMap<String, String>);
+pub struct Flags {
+    values: std::collections::BTreeMap<String, String>,
+    /// Bare arguments that follow no flag, in order.
+    stray: Vec<String>,
+}
 
 impl Flags {
     /// Splits `args` (without the program or subcommand name) into
-    /// flags; arguments that are neither a flag nor its value are
-    /// ignored.
+    /// flags and stray arguments.
     pub fn parse<S: AsRef<str>>(args: &[S]) -> Flags {
-        let mut map = std::collections::BTreeMap::new();
+        let mut values = std::collections::BTreeMap::new();
+        let mut stray = Vec::new();
         let mut args = args.iter().map(AsRef::as_ref).peekable();
         while let Some(arg) = args.next() {
-            if let Some(key) = arg.strip_prefix("--") {
-                let value = args.next_if(|next| !next.starts_with("--"));
-                map.insert(key.to_string(), value.unwrap_or_default().to_string());
+            match arg.strip_prefix("--") {
+                Some(key) => {
+                    let value = args.next_if(|next| !next.starts_with("--"));
+                    values.insert(key.to_string(), value.unwrap_or_default().to_string());
+                }
+                None => stray.push(arg.to_string()),
             }
         }
-        Flags(map)
+        Flags { values, stray }
     }
 
-    /// Fails naming the first flag not in `known` (space-separated), so
-    /// a mistyped flag never silently runs the defaults. Every
-    /// subcommand calls it first with the flags it reads.
+    /// Fails naming the first stray argument, or else the first flag not
+    /// in `known` (space-separated), so a mistyped flag or a stray word
+    /// never silently runs the defaults. Every subcommand calls it first
+    /// with the flags it reads.
     pub fn accept(&self, known: &str) -> Result<(), String> {
+        if let Some(arg) = self.stray.first() {
+            return Err(format!("unexpected argument {arg:?}"));
+        }
         match self
-            .0
+            .values
             .keys()
             .find(|k| !known.split(' ').any(|f| f == k.as_str()))
         {
@@ -229,15 +241,20 @@ impl Flags {
     /// The value of `--key`: `None` when the flag is absent, an error
     /// naming the flag when it was given without a value.
     pub fn get(&self, key: &str) -> Result<Option<&str>, String> {
-        match self.0.get(key).map(String::as_str) {
+        match self.values.get(key).map(String::as_str) {
             Some("") => Err(format!("flag --{key} needs a value")),
             value => Ok(value),
         }
     }
 
-    /// Whether `--key` was given, with or without a value.
-    pub fn has(&self, key: &str) -> bool {
-        self.0.contains_key(key)
+    /// Whether the boolean flag `--key` was given; an error naming the
+    /// flag when it was given a value (`--quick stray`).
+    pub fn switch(&self, key: &str) -> Result<bool, String> {
+        match self.values.get(key).map(String::as_str) {
+            None => Ok(false),
+            Some("") => Ok(true),
+            Some(value) => Err(format!("flag --{key} takes no value, got {value:?}")),
+        }
     }
 
     /// The value of `--key`, an error naming the flag when it is absent
@@ -296,6 +313,33 @@ mod tests {
         assert_eq!(opts(&["--paper"]).unwrap().samples, 5);
         let quick = opts(&[]).unwrap();
         assert_eq!((quick.paper, quick.samples), (false, 3));
+    }
+
+    #[test]
+    fn stray_arguments_and_valued_switches_are_errors() {
+        let accept = |args: &[&str]| Flags::parse(args).accept("exp paper seed");
+        assert_eq!(
+            accept(&["--exp", "fig2", "stray"]).unwrap_err(),
+            r#"unexpected argument "stray""#
+        );
+        assert_eq!(
+            accept(&["stray", "--exp", "fig2"]).unwrap_err(),
+            r#"unexpected argument "stray""#
+        );
+        assert!(accept(&["--exp", "fig2", "--paper"]).is_ok());
+        let err = opts(&["--paper", "stray"]).unwrap_err();
+        assert_eq!(err, r#"flag --paper takes no value, got "stray""#);
+        let err = opts(&["--resume", "yes", "--seed", "3"]).unwrap_err();
+        assert_eq!(err, r#"flag --resume takes no value, got "yes""#);
+        let flags = Flags::parse(&["--resume", "--paper"]);
+        assert_eq!(
+            (
+                flags.switch("resume"),
+                flags.switch("paper"),
+                flags.switch("x")
+            ),
+            (Ok(true), Ok(true), Ok(false))
+        );
     }
 
     #[test]

@@ -263,7 +263,7 @@ fn cmd_attack(flags: &Flags) -> Result<(), String> {
     let mut session = ba_core::AttackSession::new(&csr, &targets)
         .map_err(|e| e.to_string())?
         .with_threads(threads);
-    if !flags.has("no-memo") {
+    if !flags.switch("no-memo")? {
         session = session.with_memo();
     }
     let method = flags.get("method")?.unwrap_or("binarized");
@@ -336,12 +336,13 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
         ..StreamConfig::default()
     };
     let snapshot = flags.get("snapshot")?;
+    let resume = flags.switch("resume")?;
 
     // `--resume` restores the engine from the snapshot and replays only
     // the remaining batches; the skipped batches' summaries are *not*
     // re-printed, so output byte-identity holds for the printed suffix.
     let mut engine = match snapshot {
-        Some(path) if flags.has("resume") && std::path::Path::new(path).exists() => {
+        Some(path) if resume && std::path::Path::new(path).exists() => {
             let engine = StreamEngine::restore_snapshot(path)
                 .map_err(|e| format!("restoring {path}: {e}"))?;
             eprintln!(

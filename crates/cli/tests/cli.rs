@@ -484,6 +484,17 @@ fn flag_without_value_is_an_error_naming_it() {
 }
 
 #[test]
+fn stray_argument_or_valued_switch_is_an_error_naming_it() {
+    let err = failure(&["exp", "--exp", "fig2", "--threads", "1", "stray"]);
+    assert!(err.contains(r#"unexpected argument "stray""#), "{err}");
+    let err = failure(&["exp", "--exp", "fig2", "--paper", "stray"]);
+    assert!(
+        err.contains(r#"flag --paper takes no value, got "stray""#),
+        "{err}"
+    );
+}
+
+#[test]
 fn unknown_flag_is_an_error_naming_it() {
     let err = failure(&["exp", "--exp", "fig5", "--sample", "2"]);
     assert!(err.contains("unknown flag --sample"), "{err}");

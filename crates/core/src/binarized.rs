@@ -28,10 +28,14 @@
 //! (`split.rs`): chunk k's `Ż`, flip set and changed list live with the
 //! thread that runs chunk k, which steps on the gradients it assembled.
 //! An iteration whose gradients the assembly LRU holds skips the
-//! assembly pass. The changed indices come back chunk by chunk, in
-//! ascending order. Extraction ranks each `Ż` snapshot once and walks it
-//! once: the walk's first `b` accepted flips are budget `b`'s solution,
-//! so one walk serves every budget (`extract_budgets`).
+//! assembly pass. The step has no branch per entry, and keeps the flip
+//! set as one bit per candidate: the changed indices are the set bits of
+//! each 64-entry word XOR its previous value, and come back chunk by
+//! chunk, in ascending order. Extraction walks each `Ż` snapshot once:
+//! the walk's first `b` accepted flips are budget `b`'s solution, so one
+//! walk serves every budget (`extract_budgets`). It ranks the snapshot
+//! lazily, a block at a time, as far as the walk reads, since the walk
+//! reads a few dozen of tens of thousands of positive scores.
 //!
 //! Implementation notes vs the paper: gradients are normalised by their
 //! max-abs before the step (the paper does not specify a step-size
@@ -122,7 +126,7 @@ impl BinarizedAttack {
         let grads = session.grad_cells(&split);
         let cells = Cells::new(split.ranges().map(|range| StepChunk {
             zdot: vec![0.0; range.len()],
-            flipped: vec![false; range.len()],
+            flipped: vec![0; range.len().div_ceil(64)],
             // Reserved for the whole chunk, so that no worker allocates
             // (pages are touched only as entries are written).
             changed: Vec::with_capacity(range.len()),
@@ -252,8 +256,9 @@ enum Phase {
 struct StepChunk {
     /// `Ż` over the chunk.
     zdot: Vec<f64>,
-    /// Current flip set (`Ż > ½`) over the chunk.
-    flipped: Vec<bool>,
+    /// Current flip set (`Ż > ½`) over the chunk: entry `k` is bit
+    /// `k % 64` of word `k / 64`.
+    flipped: Vec<u64>,
     /// Indices whose flip state the last step changed, ascending.
     changed: Vec<usize>,
 }
@@ -263,17 +268,39 @@ impl StepChunk {
     /// the chunk's run of the signed gradients: masked-off entries stay
     /// at `Ż = 0`, so they never enter the flip set. Records every index
     /// whose flip state changed.
+    ///
+    /// Branch-free per entry: every entry's step is computed, and the
+    /// mask selects the stepped or the old `Ż` (`f64::clamp`'s result,
+    /// NaN included). Each 64 entries' flip bits form one word, which
+    /// equals the bits of `Ż > ½` before the step. A word is rebuilt
+    /// only when some entry crossed ½ (0.3% of the word visits on the
+    /// `attack` benchmark's fig4 panel), and the changed indices come out
+    /// of `word ^ was` in ascending order.
     fn step(&mut self, lo: usize, mask: &[bool], grads: &[f64], scale: f64, shrink: f64) {
         self.changed.clear();
-        let inputs = grads.iter().zip(mask).zip(self.flipped.iter_mut());
-        for (k, (z, ((&gr, &on), was))) in self.zdot.iter_mut().zip(inputs).enumerate() {
-            if !on {
+        let entries = self.zdot.chunks_mut(64).zip(mask.chunks(64));
+        let words = entries.zip(grads.chunks(64)).zip(self.flipped.iter_mut());
+        for (w, (((zdot, mask), grads), was)) in words.enumerate() {
+            let mut crossed = false;
+            for (z, (&on, &gr)) in zdot.iter_mut().zip(mask.iter().zip(grads)) {
+                let stepped = (*z - scale * gr - shrink).clamp(0.0, 1.0);
+                let next = if on { stepped } else { *z };
+                crossed |= (next > 0.5) != (*z > 0.5);
+                *z = next;
+            }
+            if !crossed {
                 continue;
             }
-            *z = (*z - scale * gr - shrink).clamp(0.0, 1.0);
-            if (*z > 0.5) != *was {
-                *was = !*was;
-                self.changed.push(lo + k);
+            let word = zdot
+                .iter()
+                .enumerate()
+                .fold(0u64, |word, (bit, &z)| word | u64::from(z > 0.5) << bit);
+            let mut changed = word ^ *was;
+            *was = word;
+            while changed != 0 {
+                self.changed
+                    .push(lo + 64 * w + changed.trailing_zeros() as usize);
+                changed &= changed - 1;
             }
         }
     }
@@ -285,13 +312,80 @@ impl Default for BinarizedAttack {
     }
 }
 
+/// Length of the first block [`Ranking`] sorts for a walk towards
+/// `budget` accepted flips: a walk reads a few entries past the budget
+/// (about 30 for 27 on fig4's quick panel), so most walks never sort a
+/// second block.
+fn first_block(budget: usize) -> usize {
+    2 * budget + 16
+}
+
+/// The masked candidates with a positive score, in rank order: score
+/// descending, ties by index (the order is total, so an unstable sort
+/// is exact). Ranked
+/// lazily: when the walk reaches the end of the sorted prefix, the next
+/// block is selected from the rest (`select_nth_unstable_by`) and
+/// sorted, and each block is twice the last. A walk that stops early
+/// never sorts the tail, where a full sort of the ~33k positive scores
+/// of a fig4 snapshot cost three quarters of an extraction.
+struct Ranking<'s> {
+    order: Vec<usize>,
+    scores: &'s [f64],
+    /// `order[..sorted]` is in rank order, and ranks above all the rest.
+    sorted: usize,
+    /// Entries already yielded.
+    next: usize,
+    /// Length of the next block to sort.
+    block: usize,
+}
+
+impl<'s> Ranking<'s> {
+    fn new(mask: &[bool], scores: &'s [f64], first_block: usize) -> Self {
+        Self {
+            order: (0..scores.len())
+                .filter(|&i| mask[i] && scores[i] > 0.0)
+                .collect(),
+            scores,
+            sorted: 0,
+            next: 0,
+            block: first_block.max(1),
+        }
+    }
+}
+
+impl Iterator for Ranking<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.next == self.sorted {
+            let rest = self
+                .order
+                .get_mut(self.sorted..)
+                .filter(|r| !r.is_empty())?;
+            let scores = self.scores;
+            let rank = |a: &usize, b: &usize| scores[*b].total_cmp(&scores[*a]).then(a.cmp(b));
+            let block = self.block.min(rest.len());
+            if block < rest.len() {
+                rest.select_nth_unstable_by(block - 1, rank);
+            }
+            rest[..block].sort_unstable_by(rank);
+            self.sorted += block;
+            self.block *= 2;
+        }
+        let idx = self.order[self.next];
+        self.next += 1;
+        Some(idx)
+    }
+}
+
 /// Extracts the best flips for every budget `1..=budget` from a soft
 /// decision vector, applying dynamic validity (op kind via the static
 /// mask, singleton protection against the *evolving* poisoned graph).
 ///
 /// One ranking and one greedy walk serve every budget: whether a pair is
 /// accepted depends only on the prefix already toggled, so budget `b`'s
-/// ops are exactly the first `b` the walk accepts. Entry `b − 1` holds
+/// ops are exactly the first `b` the walk accepts. The ranking is sorted
+/// only as far as the walk reads it ([`Ranking`]). Entry `b − 1` holds
 /// those ops and the surrogate loss after them; when the walk runs out
 /// of positive scores early, the remaining budgets repeat its final
 /// state.
@@ -303,20 +397,12 @@ pub(crate) fn extract_budgets(
     budget: usize,
     forbid_singletons: bool,
 ) -> Result<Vec<(Vec<EdgeOp>, f64)>, AttackError> {
-    // Rank candidates by soft score, descending; ties by index for
-    // determinism (the comparator is total, so an unstable sort is
-    // exact).
-    let mut order: Vec<usize> = (0..scores.len())
-        .filter(|&i| mask[i] && scores[i] > 0.0)
-        .collect();
-    order.sort_unstable_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
+    let mut ranked = Ranking::new(mask, scores, first_block(budget));
     session.reset();
     let mut ops = Vec::with_capacity(budget);
     let mut per_budget = Vec::with_capacity(budget);
-    for idx in order {
-        if ops.len() >= budget {
-            break;
-        }
+    while ops.len() < budget {
+        let Some(idx) = ranked.next() else { break };
         let (i, j) = candidates.pair(idx);
         let g = session.graph();
         if g.has_edge(i, j) && forbid_singletons && !g.deletion_keeps_no_singletons(i, j) {
@@ -602,8 +688,9 @@ mod tests {
         }
     }
 
-    /// The per-budget walk `extract_budgets` replaced: its own ranking
-    /// and greedy walk for a single budget `b`.
+    /// The per-budget walk `extract_budgets` replaced: its own ranking,
+    /// a full sort, and greedy walk for a single budget `b`. Also returns
+    /// how many ranked entries the walk read.
     fn reference_walk(
         session: &mut AttackSession<'_>,
         candidates: &Candidates,
@@ -611,17 +698,16 @@ mod tests {
         scores: &[f64],
         b: usize,
         forbid_singletons: bool,
-    ) -> (Vec<EdgeOp>, f64) {
-        let mut order: Vec<usize> = (0..scores.len())
-            .filter(|&i| mask[i] && scores[i] > 0.0)
-            .collect();
-        order.sort_by(|&a, &bidx| scores[bidx].total_cmp(&scores[a]).then(a.cmp(&bidx)));
+    ) -> (Vec<EdgeOp>, f64, usize) {
+        let order = full_sort(mask, scores);
         session.reset();
         let mut ops = Vec::with_capacity(b);
+        let mut read = 0;
         for idx in order {
             if ops.len() >= b {
                 break;
             }
+            read += 1;
             let (i, j) = candidates.pair(idx);
             let g = session.graph();
             if g.has_edge(i, j) && forbid_singletons && !g.deletion_keeps_no_singletons(i, j) {
@@ -629,7 +715,133 @@ mod tests {
             }
             ops.push(session.toggle(i, j).unwrap());
         }
-        (ops, session.loss().unwrap())
+        (ops, session.loss().unwrap(), read)
+    }
+
+    /// The masked positive scores' indices in rank order, by a full
+    /// stable sort.
+    fn full_sort(mask: &[bool], scores: &[f64]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..scores.len())
+            .filter(|&i| mask[i] && scores[i] > 0.0)
+            .collect();
+        order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
+        order
+    }
+
+    /// Quantised random scores: ties, zeros and negatives.
+    fn tied_scores(rng: &mut StdRng, len: usize) -> Vec<f64> {
+        (0..len)
+            .map(|_| match rng.gen_range(0..4) {
+                0 => 0.0,
+                1 => -(rng.gen_range(1..4) as f64) * 0.25,
+                2 => rng.gen_range(1..6) as f64 * 0.125,
+                _ => rng.gen::<f64>(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lazy_ranking_matches_a_full_sort_at_any_block_size() {
+        let mut rng = StdRng::seed_from_u64(71);
+        for trial in 0..40 {
+            let len = [0, 1, 2, 7, 64, 65, 300, 1000][trial % 8];
+            let scores = tied_scores(&mut rng, len);
+            let mask: Vec<bool> = (0..len).map(|_| rng.gen_bool(0.8)).collect();
+            let want = full_sort(&mask, &scores);
+            for first in [
+                1,
+                2,
+                3,
+                5,
+                16,
+                first_block(trial),
+                want.len(),
+                want.len() + 3,
+            ] {
+                let got: Vec<usize> = Ranking::new(&mask, &scores, first).collect();
+                assert_eq!(
+                    got, want,
+                    "trial {trial}, {len} scores, first block {first}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_extraction_matches_a_full_sort_walk_past_its_first_block() {
+        // A tree: deleting a leaf's edge would isolate the leaf. The mask
+        // allows those deletions (it is the op-kind mask without the
+        // static singleton rule), so with singleton protection on, a walk
+        // that ranks leaf edges first skips dozens of them, past the first
+        // sorted block, before it accepts a flip.
+        let g = generators::barabasi_albert(90, 1, 73);
+        let targets: Vec<NodeId> = vec![0, 1, 2];
+        let csr = CsrGraph::from(&g);
+        let mut session = AttackSession::new(&csr, &targets).unwrap();
+        let candidates = Candidates::build(CandidateScope::Full, &csr, &targets);
+        let leaf_edge: Vec<bool> = (0..candidates.len())
+            .map(|idx| {
+                let (i, j) = candidates.pair(idx);
+                csr.has_edge(i, j) && !csr.deletion_keeps_no_singletons(i, j)
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(74);
+        let mut past_first_block = 0;
+        for trial in 0..12 {
+            let forbid_singletons = trial % 4 != 3;
+            let mask: Vec<bool> = (0..candidates.len()).map(|_| rng.gen_bool(0.9)).collect();
+            let mut scores = tied_scores(&mut rng, candidates.len());
+            for (score, &leaf) in scores.iter_mut().zip(&leaf_edge) {
+                if leaf {
+                    *score = 2.0 + rng.gen_range(0..3) as f64;
+                }
+            }
+            // Every other trial keeps only a few positive scores, fewer
+            // than the budget.
+            if trial % 2 == 1 {
+                for score in &mut scores {
+                    if rng.gen_bool(0.995) {
+                        *score = -score.abs();
+                    }
+                }
+            }
+            let positive = full_sort(&mask, &scores).len();
+            for budget in [1, 4, 25] {
+                let walked = extract_budgets(
+                    &mut session,
+                    &candidates,
+                    &mask,
+                    &scores,
+                    budget,
+                    forbid_singletons,
+                )
+                .unwrap();
+                assert_eq!(walked.len(), budget);
+                for (b, (ops, loss)) in walked.iter().enumerate() {
+                    let what = format!("trial {trial}, budget {budget}, b {}", b + 1);
+                    let (want_ops, want_loss, read) = reference_walk(
+                        &mut session,
+                        &candidates,
+                        &mask,
+                        &scores,
+                        b + 1,
+                        forbid_singletons,
+                    );
+                    assert_eq!(ops, &want_ops, "{what}");
+                    assert_eq!(loss.to_bits(), want_loss.to_bits(), "{what}");
+                    if read > first_block(budget) && b + 1 == budget && ops.len() == budget {
+                        past_first_block += 1;
+                    }
+                }
+                if budget > positive {
+                    assert!(walked[budget - 1].0.len() < budget, "{}", trial);
+                }
+            }
+        }
+        assert!(
+            past_first_block >= 4,
+            "{past_first_block} walks left the first block"
+        );
     }
 
     #[test]
@@ -675,7 +887,7 @@ mod tests {
             .unwrap();
             assert_eq!(walked.len(), budget);
             for (b, (ops, loss)) in walked.iter().enumerate() {
-                let (want_ops, want_loss) = reference_walk(
+                let (want_ops, want_loss, _) = reference_walk(
                     &mut session,
                     &candidates,
                     &mask,

@@ -37,8 +37,12 @@
 //! one-pass crew. The straight-through sign `1 − 2A₀` can be folded into
 //! the assembly, and `max |G|` comes back from the same pass, so a PGD
 //! iteration makes one candidate-length pass for its backward step.
-//! Both row methods are pinned bit for bit, at any worker count, to the
-//! [`correction_map`] reference.
+//! A `Full` set's scatter finds its place in each neighbour list with a
+//! per-node cursor that advances one entry per row, and its combine runs
+//! without a branch per entry: a select between the two arms of the
+//! combine, the sign and the mask as bit operations, and four max lanes.
+//! Both row methods are pinned bit for bit, at any worker count and with
+//! chunk cuts inside rows, to the [`correction_map`] reference.
 
 use crate::loss::{fit_beta, safe_exp, LossError};
 use crate::pair::Candidates;
@@ -292,16 +296,25 @@ fn row_costs<V: GraphView + ?Sized>(g: &V, run: &[(NodeId, NodeId)]) -> (usize, 
     (merge, scatter_past(merge))
 }
 
+/// One worker's scratch for the row kernel: the `n`-length row
+/// accumulator, all-zero between assemblies, and the `Full` scatter's
+/// per-node cursors, seeded by each assembly (see [`row_pair_grads`]).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RowScratch {
+    row: Vec<(f64, f64)>,
+    cursor: Vec<u32>,
+}
+
 /// Reusable state of the pair-gradient assembly: the worker count and
-/// one `n`-length row accumulator per worker. Every call leaves the
-/// accumulators all-zero, so the next call needs no clearing pass.
+/// one [`RowScratch`] per worker. Every call leaves the row accumulators
+/// all-zero, so the next call needs no clearing pass.
 #[derive(Debug, Clone)]
 pub(crate) struct GradKernel {
     /// Worker threads; `0` asks for autodetection, which
     /// [`GradKernel::threads`] resolves on first use and caches, so no
     /// assembly ever resolves it.
     threads: usize,
-    rows: Vec<Vec<(f64, f64)>>,
+    rows: Vec<RowScratch>,
 }
 
 impl GradKernel {
@@ -334,26 +347,27 @@ impl GradKernel {
         self.threads
     }
 
-    /// The row buffers of `chunks` chunks over an `n`-node graph, sized
+    /// The row scratch of `chunks` chunks over an `n`-node graph, sized
     /// here on the calling thread and lent out by value, for a crew that
-    /// keeps them for a whole search loop. Each is all-zero; hand them
-    /// back with [`GradKernel::restore_rows`].
-    pub(crate) fn take_rows(&mut self, chunks: usize, n: usize) -> Vec<Vec<(f64, f64)>> {
+    /// keeps it for a whole search loop. Each row buffer is all-zero;
+    /// hand the scratch back with [`GradKernel::restore_rows`].
+    pub(crate) fn take_rows(&mut self, chunks: usize, n: usize) -> Vec<RowScratch> {
         if self.rows.len() < chunks {
-            self.rows.resize_with(chunks, Vec::new);
+            self.rows.resize_with(chunks, RowScratch::default);
         }
         let mut rows: Vec<_> = self.rows.drain(..chunks).collect();
-        for row in &mut rows {
-            if row.len() < n {
-                row.resize(n, (0.0, 0.0));
+        for scratch in &mut rows {
+            if scratch.row.len() < n {
+                scratch.row.resize(n, (0.0, 0.0));
+                scratch.cursor.resize(n, 0);
             }
         }
         rows
     }
 
-    /// Takes back the row buffers [`GradKernel::take_rows`] lent, each
-    /// all-zero.
-    pub(crate) fn restore_rows(&mut self, rows: impl IntoIterator<Item = Vec<(f64, f64)>>) {
+    /// Takes back the row scratch [`GradKernel::take_rows`] lent, each
+    /// row buffer all-zero.
+    pub(crate) fn restore_rows(&mut self, rows: impl IntoIterator<Item = RowScratch>) {
         let lent: Vec<_> = rows.into_iter().collect();
         self.rows.splice(0..0, lent);
     }
@@ -418,9 +432,9 @@ impl GradKernel {
 
 /// One chunk of an assembly pass: the row kernel over the candidates in
 /// `range`, written to `out`. `mask`, `sign` and `out` are that range's
-/// runs. `row` is the chunk's row buffer, at least `n` long (see
-/// [`GradKernel::take_rows`]), all-zero on entry and left all-zero.
-/// Returns the run's max-abs over the mask.
+/// runs. `scratch` is the chunk's, sized for at least `n` nodes (see
+/// [`GradKernel::take_rows`]); its row buffer is all-zero on entry and
+/// left all-zero. Returns the run's max-abs over the mask.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn assemble_chunk<V: GraphView + ?Sized>(
     g: &V,
@@ -430,7 +444,7 @@ pub(crate) fn assemble_chunk<V: GraphView + ?Sized>(
     mask: &[bool],
     sign: Option<&[bool]>,
     out: &mut [f64],
-    row: &mut [(f64, f64)],
+    scratch: &mut RowScratch,
 ) -> f64 {
     assert_eq!(out.len(), range.len(), "output run length mismatch");
     assert_eq!(mask.len(), range.len(), "mask run length mismatch");
@@ -447,28 +461,27 @@ pub(crate) fn assemble_chunk<V: GraphView + ?Sized>(
             "candidate list must be sorted ascending"
         ),
     }
-    row_pair_grads(g, ng, candidates, mask, sign, range, out, &mut row[..n])
+    let RowScratch { row, cursor } = scratch;
+    let (row, cursor) = (&mut row[..n], &mut cursor[..n]);
+    row_pair_grads(g, ng, candidates, mask, sign, range, out, row, cursor)
 }
 
 /// The output entry for a candidate with gradient `grad`: `0.0` when
-/// masked off (`!on`), else `grad`, negated when `flip`. Folds the
-/// entry's magnitude into `max_abs`.
+/// masked off (`!on`), else `grad`, negated when `flip`. Bit operations
+/// on the encoding, with no branch: a sign-bit XOR for the negation,
+/// then an AND that leaves `+0.0` for a masked-off entry.
 #[inline]
-fn finish(grad: f64, on: bool, flip: bool, max_abs: &mut f64) -> f64 {
-    if !on {
-        return 0.0;
-    }
-    let v = if flip { -grad } else { grad };
-    *max_abs = max_abs.max(v.abs());
-    v
+fn finish(grad: f64, on: bool, flip: bool) -> f64 {
+    let signed = grad.to_bits() ^ (u64::from(flip) << 63);
+    f64::from_bits(signed & 0u64.wrapping_sub(u64::from(on)))
 }
 
 /// The row kernel (see [`assemble_pair_grads_into`]) over the
 /// candidates in `range`, written to `out`; `mask`, `sign` and `out` are
 /// that range's runs. Its scatter is the flat-array descendant of
 /// [`correction_map`] — same sums, no hashing, no candidate-length
-/// scratch. `row` is `n` long, must be all-zero on entry and is left
-/// all-zero. Returns the run's max-abs over the mask.
+/// scratch. `row` and `cursor` are `n` long; `row` must be all-zero on
+/// entry and is left all-zero. Returns the run's max-abs over the mask.
 ///
 /// Candidates sharing a smaller endpoint are contiguous in both
 /// [`Candidates`] forms, in ascending larger endpoint, so each row of
@@ -478,6 +491,14 @@ fn finish(grad: f64, on: bool, flip: bool, max_abs: &mut f64) -> f64 {
 /// `m ∈ N(a)` ascending, then `b ∈ N(m)` past `a`, which delivers each
 /// pair's contributions in ascending `m`, so its sums are bit-identical
 /// to a merge's.
+///
+/// A `Full` set scatters its rows in ascending `a`, so where `N(m)`
+/// passes `a` moves forward one entry per row: `cursor[m]` is seeded
+/// once, at the chunk's first row, and row `a` reads it as the position
+/// of `a` in `N(m)` (for every `m ∈ N(a)`) and advances it by one. A
+/// `List` set skips rows, so its scatter finds that position by binary
+/// search, as does the clearing of a `Full` row cut by a chunk edge (at
+/// most two rows per chunk).
 #[allow(clippy::too_many_arguments)]
 fn row_pair_grads<V: GraphView + ?Sized>(
     g: &V,
@@ -488,6 +509,7 @@ fn row_pair_grads<V: GraphView + ?Sized>(
     range: Range<usize>,
     out: &mut [f64],
     row: &mut [(f64, f64)],
+    cursor: &mut [u32],
 ) -> f64 {
     debug_assert_eq!(out.len(), range.len());
     if range.is_empty() {
@@ -506,6 +528,11 @@ fn row_pair_grads<V: GraphView + ?Sized>(
             let n = ps.nodes();
             let (first, _) = ps.pair(range.start);
             let (last, _) = ps.pair(range.end - 1);
+            for (m, at) in cursor.iter_mut().enumerate() {
+                *at = g
+                    .neighbors_sorted(m as NodeId)
+                    .partition_point(|&b| b < first) as u32;
+            }
             for a in first..=last {
                 // Row `a` is the run of `{a, j}`, `j ∈ (a, n)`, from index
                 // `start`; a chunk edge may leave this chunk only the
@@ -515,7 +542,7 @@ fn row_pair_grads<V: GraphView + ?Sized>(
                 let hi = (start + n - 1 - au).min(range.end);
                 let cols = au + 1 + (lo - start)..au + 1 + (hi - start);
                 let whole = cols.len() == n - 1 - au;
-                scatter_row(g, &ng.g_e, a, row, false);
+                scatter_full(g, &ng.g_e, a, row, cursor);
                 sink.combine_full(au, cols, lo, row);
                 if !whole {
                     // Entries outside `cols` were scattered but not read.
@@ -573,7 +600,8 @@ impl RowSink<'_> {
             let j = j as usize;
             let grad = row_grad(h_a, ge_a, ng.h[j], ng.g_e[j], take(&mut row[j]));
             let flip = self.sign.is_some_and(|s| s[k]);
-            self.out[k] = finish(grad, self.mask[k], flip, &mut self.max_abs);
+            self.out[k] = finish(grad, self.mask[k], flip);
+            self.max_abs = self.max_abs.max(self.out[k].abs());
         }
     }
 
@@ -596,55 +624,125 @@ impl RowSink<'_> {
                 0.0
             };
             let flip = self.sign.is_some_and(|s| s[k]);
-            self.out[k] = finish(grad, on, flip, &mut self.max_abs);
+            self.out[k] = finish(grad, on, flip);
+            self.max_abs = self.max_abs.max(self.out[k].abs());
         }
     }
 
     /// [`RowSink::combine`] for a run of a `Full` row, whose larger
     /// endpoints are the contiguous `cols`, starting at candidate `lo`:
-    /// all operands are then contiguous slices, walked in lockstep with
-    /// no per-entry bounds checks. On `gates --gate grad --quick` (ER 1000,
-    /// 499,500 pairs, 2-core container) this took one assembly from
-    /// 1.5 ms through the generic walk to 0.96 ms.
+    /// all operands are then contiguous slices of one length, walked
+    /// with no branch per entry. Both arms of [`row_grad`] are computed
+    /// and one is selected; [`finish`] applies the sign and the mask as
+    /// bit operations; `|v|` is folded into four max lanes, merged at the
+    /// end of the run, so no entry waits on the previous entry's max. The
+    /// max is exact and every `|v|` is `+0.0` or more, so the lanes give
+    /// the serial fold's result.
     #[inline]
     fn combine_full(&mut self, a: usize, cols: Range<usize>, lo: usize, row: &mut [(f64, f64)]) {
         let ng = self.ng;
         let (h_a, ge_a) = (ng.h[a], ng.g_e[a]);
         let run = lo - self.base..lo - self.base + cols.len();
-        let grads = row[cols.clone()]
-            .iter_mut()
-            .zip(&ng.h[cols.clone()])
-            .zip(&ng.g_e[cols])
-            .map(|((slot, &h_j), &ge_j)| row_grad(h_a, ge_a, h_j, ge_j, take(slot)));
-        let outs = self.out[run.clone()]
-            .iter_mut()
-            .zip(&self.mask[run.clone()]);
-        let max_abs = &mut self.max_abs;
-        match self.sign {
-            None => {
-                for ((o, &on), grad) in outs.zip(grads) {
-                    *o = finish(grad, on, false, max_abs);
-                }
-            }
+        let row = &mut row[cols.clone()];
+        let (h, ge) = (&ng.h[cols.clone()], &ng.g_e[cols]);
+        let (out, mask) = (&mut self.out[run.clone()], &self.mask[run.clone()]);
+        let lanes = match self.sign {
+            None => combine_lanes(h_a, ge_a, row, h, ge, mask, |_| false, out),
             Some(sign) => {
-                for (((o, &on), &flip), grad) in outs.zip(&sign[run]).zip(grads) {
-                    *o = finish(grad, on, flip, max_abs);
-                }
+                let sign = &sign[run];
+                combine_lanes(h_a, ge_a, row, h, ge, mask, |k| sign[k], out)
             }
-        }
+        };
+        let run_max = lanes[0].max(lanes[1]).max(lanes[2].max(lanes[3]));
+        self.max_abs = self.max_abs.max(run_max);
     }
 }
 
+/// The loop of [`RowSink::combine_full`]: writes each entry of `out`
+/// from its row slot (re-zeroed), `h`, `ge`, `mask` and `flip`, all
+/// indexed alike, and returns the four lanes of `max |out|`, entry `k`
+/// in lane `k % 4`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn combine_lanes(
+    h_a: f64,
+    ge_a: f64,
+    row: &mut [(f64, f64)],
+    h: &[f64],
+    ge: &[f64],
+    mask: &[bool],
+    flip: impl Fn(usize) -> bool,
+    out: &mut [f64],
+) -> [f64; 4] {
+    let len = out.len();
+    assert!(row.len() == len && h.len() == len && ge.len() == len && mask.len() == len);
+    let mut entry = |k: usize| {
+        let v = finish(
+            row_grad(h_a, ge_a, h[k], ge[k], take(&mut row[k])),
+            mask[k],
+            flip(k),
+        );
+        out[k] = v;
+        v.abs()
+    };
+    // `max.max(a)` for a lane that is never NaN: a NaN `a` leaves it, as
+    // `f64::max` would, and the compare-and-select has no NaN fix-up.
+    let fold = |max: &mut f64, a: f64| {
+        if a > *max {
+            *max = a;
+        }
+    };
+    let mut lanes = [0.0f64; 4];
+    let whole = len - len % 4;
+    for k in (0..whole).step_by(4) {
+        for (lane, max) in lanes.iter_mut().enumerate() {
+            fold(max, entry(k + lane));
+        }
+    }
+    for (k, max) in (whole..len).zip(&mut lanes) {
+        fold(max, entry(k));
+    }
+    lanes
+}
+
 /// `G_ij` from `(c, w)` = `(cn, Σ gE_m)`, the one combine that scattered
-/// rows, merged rows and [`pair_grad`] share (the `cn == 0` branch only
-/// skips adding exact zeros).
+/// rows, merged rows and [`pair_grad`] share. Both arms are computed
+/// and `c` selects one (the `cn == 0` arm only skips adding exact
+/// zeros, which could turn a `-0.0` base into `+0.0`).
 #[inline]
 fn row_grad(h_a: f64, ge_a: f64, h_j: f64, ge_j: f64, (c, w): (f64, f64)) -> f64 {
     let base = h_a + h_j;
+    let full = base + c * (ge_a + ge_j) + w;
     if c != 0.0 {
-        base + c * (ge_a + ge_j) + w
+        full
     } else {
         base
+    }
+}
+
+/// Scatters row `a` of a `Full` set into `row` (see [`scatter_row`]),
+/// reading and advancing the cursors (see [`row_pair_grads`]): on entry
+/// `N(m)[cursor[m]] == a` for every `m ∈ N(a)`, and on exit `cursor[m]`
+/// is one past it.
+#[inline]
+fn scatter_full<V: GraphView + ?Sized>(
+    g: &V,
+    g_e: &[f64],
+    a: NodeId,
+    row: &mut [(f64, f64)],
+    cursor: &mut [u32],
+) {
+    for &m in g.neighbors_sorted(a) {
+        let gem = g_e[m as usize];
+        let at = &mut cursor[m as usize];
+        let nbrs_m = g.neighbors_sorted(m);
+        debug_assert_eq!(nbrs_m[*at as usize], a, "cursor of {m} is not at {a}");
+        *at += 1;
+        for &b in &nbrs_m[*at as usize..] {
+            let slot = &mut row[b as usize];
+            slot.0 += 1.0;
+            slot.1 += gem;
+        }
     }
 }
 
@@ -1013,6 +1111,90 @@ mod tests {
     }
 
     #[test]
+    fn full_row_kernel_matches_correction_map_with_cuts_inside_rows() {
+        // The `Full` scatter's cursors are seeded at each chunk's first
+        // row and advanced row by row. Cut the pair space of an overlay
+        // with dirty rows (an emptied node, an edited last row, an
+        // isolated base node) inside its first row, inside its second
+        // last row and before its one-pair last row, and in between; run
+        // the chunks in order on one reused scratch and compare every
+        // bit, and the max, with the map-based reference.
+        let er = generators::erdos_renyi(80, 0.08, 3);
+        let g = Graph::from_edges(er.num_nodes() + 1, er.edges());
+        let csr = CsrGraph::from(&g);
+        let ov = edited_overlay(&csr);
+        assert!(ov.dirty_rows() > 0 && ov.degree(5) == 0);
+        let n = ov.num_nodes();
+        let feats = egonet_features(&ov);
+        let targets = [0u32, 5, 77];
+        let ng = node_grads(&feats.n, &feats.e, &targets).unwrap();
+        let candidates = Candidates::build(CandidateScope::Full, &ov, &targets);
+        let len = candidates.len();
+        let flags = edge_flags(&candidates, &csr);
+        let row_of = |idx: usize| candidates.pair(idx).0;
+        // Row 0 spans `0..n - 1`; the last row `{n - 2, n - 1}` is the
+        // last candidate, after the two of row `n - 3`.
+        assert_eq!((row_of(n - 2), row_of(n - 1)), (0, 1));
+        assert_eq!(
+            (row_of(len - 3), row_of(len - 2)),
+            (n as NodeId - 3, n as NodeId - 3)
+        );
+        let cut_sets: [&[usize]; 5] = [
+            &[1],
+            &[n - 2, len - 2],
+            &[3, 40, n + 5, len / 2, len - 1],
+            &[len - 2, len - 1],
+            &[1, 2, 3, len / 3, len / 3 + 1, 2 * len / 3, len - 2, len - 1],
+        ];
+        for hole in [1usize, 3] {
+            let mask: Vec<bool> = (0..len).map(|k| k % hole != 2).collect();
+            for sign in [None, Some(flags.as_slice())] {
+                let (want, want_max) = reference_signed(&ov, &ng, &candidates, &mask, sign);
+                let mut kernel = GradKernel::new(1);
+                let mut scratch = kernel.take_rows(1, n).pop().unwrap();
+                for cuts in cut_sets {
+                    let what = format!("hole {hole}, signed {}, cuts {cuts:?}", sign.is_some());
+                    let bounds: Vec<usize> =
+                        [0].iter().chain(cuts).chain([&len]).copied().collect();
+                    assert!(bounds.windows(2).all(|w| w[0] < w[1]), "{what}");
+                    let inside = cuts.iter().filter(|&&c| c != len - 1);
+                    assert!(
+                        inside.clone().all(|&c| row_of(c - 1) == row_of(c)),
+                        "{what}: every cut but the last row's falls inside a row"
+                    );
+                    let mut out = vec![f64::NAN; len];
+                    let mut max = 0.0f64;
+                    for w in bounds.windows(2) {
+                        let range = w[0]..w[1];
+                        let sign = sign.map(|s| &s[range.clone()]);
+                        let run_max = assemble_chunk(
+                            &ov,
+                            &ng,
+                            &candidates,
+                            range.clone(),
+                            &mask[range.clone()],
+                            sign,
+                            &mut out[range],
+                            &mut scratch,
+                        );
+                        max = max.max(run_max);
+                    }
+                    assert_eq!(bits(&out), bits(&want), "{what}");
+                    assert_eq!(max.to_bits(), want_max.to_bits(), "{what}");
+                    assert!(scratch.row.iter().all(|&s| s == (0.0, 0.0)), "{what}");
+                }
+                // And through the kernel's own partitions.
+                for workers in [1usize, 2, 3, 5, 8] {
+                    let (out, got_max) = run(workers, &ov, &ng, &candidates, &mask, sign);
+                    let what = format!("hole {hole}, signed {}, {workers} workers", sign.is_some());
+                    assert_eq!(bits(&out), bits(&want), "{what}");
+                    assert_eq!(got_max.to_bits(), want_max.to_bits(), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn row_kernel_leaves_its_buffer_zeroed() {
         // One kernel reused across graphs of different sizes, both
         // candidate forms and several worker counts must match a fresh
@@ -1038,7 +1220,11 @@ mod tests {
                     let (reused, _) =
                         run_on(&mut kernel, workers, view, &ng, &candidates, &mask, None);
                     assert!(
-                        kernel.rows.iter().flatten().all(|&slot| slot == (0.0, 0.0)),
+                        kernel
+                            .rows
+                            .iter()
+                            .flat_map(|s| &s.row)
+                            .all(|&slot| slot == (0.0, 0.0)),
                         "view {v}, {scope:?}, {workers} workers: row buffer left dirty"
                     );
                     let (fresh, _) = run(1, view, &ng, &candidates, &mask, None);
@@ -1095,7 +1281,11 @@ mod tests {
                             assert_eq!(bits(&out), bits(&serial), "{what}");
                             assert_eq!(max.to_bits(), serial_max.to_bits(), "{what}");
                             assert!(
-                                kernel.rows.iter().flatten().all(|&s| s == (0.0, 0.0)),
+                                kernel
+                                    .rows
+                                    .iter()
+                                    .flat_map(|s| &s.row)
+                                    .all(|&s| s == (0.0, 0.0)),
                                 "{what}: row buffer left dirty"
                             );
                         }

@@ -54,7 +54,7 @@
 //! ([`AttackSession::with_memo`] raises the capacities).
 
 use crate::attack::{validate_targets, AttackError, AttackOutcome};
-use crate::grad::{assemble_chunk, node_grads, GradKernel, NodeGrads};
+use crate::grad::{assemble_chunk, node_grads, GradKernel, NodeGrads, RowScratch};
 use crate::loss::surrogate_loss_from_features;
 use crate::pair::Candidates;
 use crate::split::{Cells, Partition};
@@ -181,13 +181,14 @@ impl GradsSlot {
 }
 
 /// One crew chunk's share of a search loop's backward pass: its run of
-/// the gradient slot lent for the iteration, its row buffer, and the
-/// max-abs of its last assembly.
+/// the gradient slot lent for the iteration, its row scratch (the row
+/// buffer and the scatter's cursors), and the max-abs of its last
+/// assembly.
 #[derive(Debug, Default)]
 pub(crate) struct GradChunk {
     /// The chunk's run of the lent slot's output.
     pub(crate) grads: Vec<f64>,
-    row: Vec<(f64, f64)>,
+    row: RowScratch,
     max_abs: f64,
 }
 
@@ -504,9 +505,9 @@ impl<'g> AttackSession<'g> {
     }
 
     /// A search loop's crew cells for the backward pass over `split`,
-    /// one per chunk, holding the kernel's row buffers, sized once here
-    /// for the graph, until [`AttackSession::close_grad_cells`] takes them
-    /// back.
+    /// one per chunk, holding the kernel's row scratch, sized once here
+    /// for the graph (on a session's first attack), until
+    /// [`AttackSession::close_grad_cells`] takes it back.
     pub(crate) fn grad_cells(&mut self, split: &Partition) -> Cells<GradChunk> {
         let rows = self
             .kernel
@@ -517,7 +518,7 @@ impl<'g> AttackSession<'g> {
         }))
     }
 
-    /// Takes back the row buffers of a loop's [`GradChunk`] cells.
+    /// Takes back the row scratch of a loop's [`GradChunk`] cells.
     pub(crate) fn close_grad_cells(&mut self, cells: Cells<GradChunk>) {
         self.kernel
             .restore_rows(cells.into_inner().map(|chunk| chunk.row));

@@ -5,8 +5,7 @@
 //! each measure different things, but the CI trend pipeline wants to
 //! plot them uniformly: a bench name, a commit, and a flat list of
 //! `(metric, value, unit)` triples. [`BenchReport`] is that record, and
-//! [`BenchReport::to_json`] renders it; [`BenchReport::write_if_requested`]
-//! is a `--json PATH` handler for a binary that writes one report.
+//! [`BenchReport::to_json`] renders it.
 //!
 //! ```json
 //! {
@@ -23,9 +22,6 @@
 //! The commit comes from `GITHUB_SHA` (set by Actions) or the
 //! `BA_BENCH_COMMIT` override, else `"unknown"` — the emitting binary
 //! stays deterministic for a fixed environment.
-
-use crate::codec::write_atomic;
-use std::path::Path;
 
 /// One measured quantity.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,22 +88,6 @@ impl BenchReport {
         }
         out.push_str("]}\n");
         out
-    }
-
-    /// Shared `--json PATH` handling: when the flag is present in
-    /// `args`, writes [`BenchReport::to_json`] atomically to `PATH` and
-    /// logs it — the machine-readable half of the CI perf-trend
-    /// artifacts.
-    pub fn write_if_requested(&self, args: &[String]) -> std::io::Result<()> {
-        if let Some(path) = args
-            .iter()
-            .position(|a| a == "--json")
-            .and_then(|i| args.get(i + 1))
-        {
-            write_atomic(Path::new(path), &self.to_json())?;
-            eprintln!("[json] wrote {path}");
-        }
-        Ok(())
     }
 }
 
