@@ -19,7 +19,8 @@
 //! * `peer` — join a tracker as a cell-computing worker
 //!
 //! Run `binattack help` for usage. Argument parsing is hand-rolled (the
-//! approved dependency set has no CLI parser; the grammar is small).
+//! approved dependency set has no CLI parser; the grammar is small). A
+//! usage error exits 2, as `gates` does; a run that fails exits 1.
 //!
 //! `stream` output on stdout is **deterministic**: a pure function of
 //! the graph, the event file, and the batch size — never of a
@@ -71,6 +72,10 @@ USAGE:
   binattack peer     --exp NAME --addr HOST:PORT [--name NAME]
                      [--seed N] [--samples N] [--paper]
   binattack help
+
+EXIT STATUS: 0 on success, 1 when a run fails, 2 on a usage error
+(no or unknown command, unknown flag, stray word, a value after a
+boolean flag, a missing required flag or a malformed value).
 ";
 
 /// The usage text, with the registered experiment names.
@@ -83,7 +88,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
         eprint!("{}", usage());
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     };
     let flags = Flags::parse(&args[1..]);
     let result = match cmd.as_str() {
@@ -104,15 +109,44 @@ fn main() -> ExitCode {
             print!("{}", usage());
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}\n{}", usage())),
+        other => Err(Fail::Usage(format!(
+            "unknown command {other:?}\n{}",
+            usage()
+        ))),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(Fail::Usage(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(2)
+        }
+        Err(Fail::Run(msg)) => {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// Why a subcommand stopped: a usage error (exit 2) is a command line
+/// that does not say what to run; a run failure (exit 1) is the work
+/// itself failing.
+enum Fail {
+    Usage(String),
+    Run(String),
+}
+
+/// A bare `String` error is a usage error: every `Flags` accessor and
+/// every value match returns one. Work that fails goes through
+/// [`failed`].
+impl From<String> for Fail {
+    fn from(msg: String) -> Self {
+        Fail::Usage(msg)
+    }
+}
+
+/// The run failure for `err`.
+fn failed(err: impl std::fmt::Display) -> Fail {
+    Fail::Run(err.to_string())
 }
 
 fn parse_regressor(flags: &Flags) -> Result<Regressor, String> {
@@ -124,13 +158,13 @@ fn parse_regressor(flags: &Flags) -> Result<Regressor, String> {
     }
 }
 
-fn load_graph(flags: &Flags) -> Result<Graph, String> {
+fn load_graph(flags: &Flags) -> Result<Graph, Fail> {
     let path = flags.require("graph")?;
-    let loaded = load_edge_list(path).map_err(|e| format!("loading {path}: {e}"))?;
+    let loaded = load_edge_list(path).map_err(|e| failed(format!("loading {path}: {e}")))?;
     Ok(loaded.graph)
 }
 
-fn cmd_generate(flags: &Flags) -> Result<(), String> {
+fn cmd_generate(flags: &Flags) -> Result<(), Fail> {
     flags.accept("dataset out seed")?;
     let name = flags.require("dataset")?;
     let dataset = match name {
@@ -139,12 +173,12 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
         "blogcatalog" => Dataset::Blogcatalog,
         "wikivote" => Dataset::Wikivote,
         "bitcoin-alpha" => Dataset::BitcoinAlpha,
-        other => return Err(format!("unknown dataset {other:?}")),
+        other => return Err(Fail::Usage(format!("unknown dataset {other:?}"))),
     };
     let out = flags.require("out")?;
     let seed = flags.parse_or("seed", 7u64)?;
     let g = dataset.build(seed);
-    save_edge_list(&g, out).map_err(|e| e.to_string())?;
+    save_edge_list(&g, out).map_err(failed)?;
     println!(
         "wrote {} ({} nodes, {} edges, seed {seed})",
         out,
@@ -154,7 +188,7 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_gen_large(flags: &Flags) -> Result<(), String> {
+fn cmd_gen_large(flags: &Flags) -> Result<(), Fail> {
     use ba_bench::graphstore;
     use ba_graph::compact::from_edge_stream;
     use ba_graph::generators::{barabasi_albert_stream, erdos_renyi_stream};
@@ -179,13 +213,13 @@ fn cmd_gen_large(flags: &Flags) -> Result<(), String> {
             let p = flags.parse_or("p", 2e-5f64)?;
             from_edge_stream(n, || erdos_renyi_stream(n, p, seed))
         }
-        other => return Err(format!("unknown model {other:?}")),
+        other => return Err(Fail::Usage(format!("unknown model {other:?}"))),
     }
-    .map_err(|e| format!("building CSR: {e}"))?;
+    .map_err(|e| failed(format!("building CSR: {e}")))?;
     let gen_s = t0.elapsed().as_secs_f64();
     let t1 = std::time::Instant::now();
     let meta = graphstore::write_chunked(std::path::Path::new(out), &g, chunk_rows)
-        .map_err(|e| format!("writing {out}: {e}"))?;
+        .map_err(|e| failed(format!("writing {out}: {e}")))?;
     println!(
         "wrote {out}: {} nodes, {} edges, {} chunks of {} rows, hash {:016x} (gen {gen_s:.2}s, store {:.2}s, seed {seed})",
         meta.num_nodes,
@@ -198,17 +232,12 @@ fn cmd_gen_large(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_score(flags: &Flags) -> Result<(), String> {
+fn cmd_score(flags: &Flags) -> Result<(), Fail> {
     flags.accept("graph top regressor seed")?;
-    let g = load_graph(flags)?;
     let top = flags.parse_or("top", 20usize)?;
-    let regressor = match flags.get("regressor")?.unwrap_or("ols") {
-        "ols" => Regressor::Ols,
-        "huber" => Regressor::default_huber(),
-        "ransac" => Regressor::default_ransac(flags.parse_or("seed", 7u64)?),
-        other => return Err(format!("unknown regressor {other:?}")),
-    };
-    let model = OddBall::new(regressor).fit(&g).map_err(|e| e.to_string())?;
+    let regressor = parse_regressor(flags)?;
+    let g = load_graph(flags)?;
+    let model = OddBall::new(regressor).fit(&g).map_err(failed)?;
     println!(
         "fit: beta0 = {:.4}, beta1 = {:.4}  (n = {}, m = {})",
         model.beta0(),
@@ -227,27 +256,27 @@ fn cmd_score(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_attack(flags: &Flags) -> Result<(), String> {
+fn cmd_attack(flags: &Flags) -> Result<(), Fail> {
     flags.accept("graph out budget targets auto-targets method ops seed threads no-memo")?;
-    let g = load_graph(flags)?;
     let out = flags.require("out")?;
     let budget = flags.parse_or("budget", 10usize)?;
     let seed = flags.parse_or("seed", 7u64)?;
     let threads = flags.parse_or("threads", 0usize)?;
+    let g = load_graph(flags)?;
     let targets: Vec<NodeId> = if let Some(list) = flags.get("targets")? {
         list.split(',')
             .map(|t| t.trim().parse().map_err(|_| format!("bad target id {t:?}")))
             .collect::<Result<_, _>>()?
     } else {
         let k = flags.parse_or("auto-targets", 10usize)?;
-        let model = OddBall::default().fit(&g).map_err(|e| e.to_string())?;
+        let model = OddBall::default().fit(&g).map_err(failed)?;
         model.top_k(k).into_iter().map(|(i, _)| i).collect()
     };
     let op_kind = match flags.get("ops")?.unwrap_or("both") {
         "both" => EdgeOpKind::Both,
         "add" => EdgeOpKind::AddOnly,
         "delete" => EdgeOpKind::DeleteOnly,
-        other => return Err(format!("unknown ops mode {other:?}")),
+        other => return Err(Fail::Usage(format!("unknown ops mode {other:?}"))),
     };
     let cfg = AttackConfig {
         op_kind,
@@ -261,7 +290,7 @@ fn cmd_attack(flags: &Flags) -> Result<(), String> {
     // the output is the same at any count.
     let csr = CsrGraph::from(&g);
     let mut session = ba_core::AttackSession::new(&csr, &targets)
-        .map_err(|e| e.to_string())?
+        .map_err(failed)?
         .with_threads(threads);
     if !flags.switch("no-memo")? {
         session = session.with_memo();
@@ -272,9 +301,9 @@ fn cmd_attack(flags: &Flags) -> Result<(), String> {
         "gradmax" => GradMaxSearch::new(cfg).attack_with_session(&mut session, budget),
         "continuous" => ContinuousA::new(cfg).attack_with_session(&mut session, budget),
         "random" => RandomAttack::new(cfg).attack_with_session(&mut session, budget),
-        other => return Err(format!("unknown method {other:?}")),
+        other => return Err(Fail::Usage(format!("unknown method {other:?}"))),
     }
-    .map_err(|e| e.to_string())?;
+    .map_err(failed)?;
 
     let b = outcome.max_budget();
     // Score the before/after pair through one frozen CSR substrate: the
@@ -284,11 +313,9 @@ fn cmd_attack(flags: &Flags) -> Result<(), String> {
     poisoned_view.apply_ops(outcome.ops(b));
     // Persist the attack result before scoring: a degenerate refit must
     // not lose the poisoned graph the user asked for.
-    save_edge_list(&poisoned_view.to_graph(), out).map_err(|e| e.to_string())?;
-    let before = OddBall::default().fit(&csr).map_err(|e| e.to_string())?;
-    let after = OddBall::default()
-        .fit(&poisoned_view)
-        .map_err(|e| e.to_string())?;
+    save_edge_list(&poisoned_view.to_graph(), out).map_err(failed)?;
+    let before = OddBall::default().fit(&csr).map_err(failed)?;
+    let after = OddBall::default().fit(&poisoned_view).map_err(failed)?;
     let s0 = before.target_score_sum(&targets);
     let sb = after.target_score_sum(&targets);
     println!("method: {}   targets: {:?}", outcome.name, targets);
@@ -304,15 +331,15 @@ fn cmd_attack(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_gen_stream(flags: &Flags) -> Result<(), String> {
+fn cmd_gen_stream(flags: &Flags) -> Result<(), Fail> {
     use ba_stream::{save_events, synthetic_stream};
     flags.accept("graph out events seed")?;
-    let g = load_graph(flags)?;
     let out = flags.require("out")?;
     let count = flags.parse_or("events", 1000usize)?;
     let seed = flags.parse_or("seed", 7u64)?;
+    let g = load_graph(flags)?;
     let events = synthetic_stream(&g, count, seed);
-    save_events(&events, out).map_err(|e| e.to_string())?;
+    save_events(&events, out).map_err(failed)?;
     println!(
         "wrote {count} events to {out} (graph: {} nodes, {} edges, seed {seed})",
         g.num_nodes(),
@@ -321,13 +348,12 @@ fn cmd_gen_stream(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_stream(flags: &Flags) -> Result<(), String> {
+fn cmd_stream(flags: &Flags) -> Result<(), Fail> {
     use ba_net::codec::enc_f64;
     use ba_stream::{load_events, StreamConfig, StreamEngine};
 
     flags.accept("graph events batch top regressor seed compact-frac snapshot resume")?;
     let events_path = flags.require("events")?;
-    let events = load_events(events_path).map_err(|e| format!("loading {events_path}: {e}"))?;
     let batch_size = flags.parse_or("batch", 100usize)?.max(1);
     let top = flags.parse_or("top", 5usize)?;
     let cfg = StreamConfig {
@@ -337,6 +363,8 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
     };
     let snapshot = flags.get("snapshot")?;
     let resume = flags.switch("resume")?;
+    let events =
+        load_events(events_path).map_err(|e| failed(format!("loading {events_path}: {e}")))?;
 
     // `--resume` restores the engine from the snapshot and replays only
     // the remaining batches; the skipped batches' summaries are *not*
@@ -344,7 +372,7 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
     let mut engine = match snapshot {
         Some(path) if resume && std::path::Path::new(path).exists() => {
             let engine = StreamEngine::restore_snapshot(path)
-                .map_err(|e| format!("restoring {path}: {e}"))?;
+                .map_err(|e| failed(format!("restoring {path}: {e}")))?;
             eprintln!(
                 "[stream] resumed from {path}: {} batches / {} events already ingested",
                 engine.batches_ingested(),
@@ -396,7 +424,7 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
         if let Some(path) = snapshot {
             engine
                 .save_snapshot(path)
-                .map_err(|e| format!("saving snapshot {path}: {e}"))?;
+                .map_err(|e| failed(format!("saving snapshot {path}: {e}")))?;
         }
     }
     let ingested = engine.events_ingested() - already_ingested;
@@ -416,12 +444,11 @@ fn cmd_stream(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(flags: &Flags) -> Result<(), String> {
+fn cmd_serve(flags: &Flags) -> Result<(), Fail> {
     use ba_serve::{ServeConfig, Server};
     use ba_stream::{StreamConfig, StreamEngine};
 
     flags.accept("graph addr retain regressor seed")?;
-    let g = load_graph(flags)?;
     let addr = flags.require("addr")?;
     let cfg = StreamConfig {
         regressor: parse_regressor(flags)?,
@@ -430,9 +457,10 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let serve_cfg = ServeConfig {
         retain: flags.parse_or("retain", ServeConfig::default().retain)?,
     };
+    let g = load_graph(flags)?;
     let engine = StreamEngine::new(&g, cfg);
-    let server =
-        Server::start(addr, engine, serve_cfg).map_err(|e| format!("binding {addr}: {e}"))?;
+    let server = Server::start(addr, engine, serve_cfg)
+        .map_err(|e| failed(format!("binding {addr}: {e}")))?;
     // Readiness line on stderr: scripts (and the CI replay step) can
     // wait for it before connecting.
     eprintln!(
@@ -446,11 +474,10 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_gen_requests(flags: &Flags) -> Result<(), String> {
+fn cmd_gen_requests(flags: &Flags) -> Result<(), Fail> {
     use ba_serve::{save_requests, synthetic_requests, WorkloadConfig};
 
     flags.accept("graph out batches batch-size queries topk seed")?;
-    let g = load_graph(flags)?;
     let out = flags.require("out")?;
     let defaults = WorkloadConfig::default();
     let cfg = WorkloadConfig {
@@ -460,8 +487,9 @@ fn cmd_gen_requests(flags: &Flags) -> Result<(), String> {
         top_k: flags.parse_or("topk", defaults.top_k as u64)? as u32,
         seed: flags.parse_or("seed", defaults.seed)?,
     };
+    let g = load_graph(flags)?;
     let requests = synthetic_requests(&g, &cfg);
-    save_requests(&requests, out).map_err(|e| e.to_string())?;
+    save_requests(&requests, out).map_err(failed)?;
     println!(
         "wrote {} requests to {out} ({} ingest batches, seed {})",
         requests.len(),
@@ -471,16 +499,16 @@ fn cmd_gen_requests(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_client(flags: &Flags) -> Result<(), String> {
+fn cmd_client(flags: &Flags) -> Result<(), Fail> {
     use ba_serve::{format_request, load_requests, render_response, replay};
 
     flags.accept("addr requests clients")?;
     let addr = flags.require("addr")?;
     let path = flags.require("requests")?;
     let clients = flags.parse_or("clients", 1usize)?.max(1);
-    let requests = load_requests(path).map_err(|e| format!("loading {path}: {e}"))?;
+    let requests = load_requests(path).map_err(|e| failed(format!("loading {path}: {e}")))?;
     let t0 = std::time::Instant::now();
-    let responses = replay(addr, &requests, clients).map_err(|e| e.to_string())?;
+    let responses = replay(addr, &requests, clients).map_err(failed)?;
     // The transcript on stdout is the determinism artifact: a pure
     // function of (server graph, request log), never of --clients.
     for (req, resp) in requests.iter().zip(&responses) {
@@ -514,15 +542,15 @@ fn named_suite(
     Ok((opts, suite))
 }
 
-fn cmd_exp(flags: &Flags) -> Result<(), String> {
+fn cmd_exp(flags: &Flags) -> Result<(), Fail> {
     let (opts, suite) = named_suite(flags, "")?;
     let refs: Vec<&dyn Experiment> = suite.iter().map(|e| e.as_ref()).collect();
     ExperimentRunner::new(&opts)
         .run_suite(&refs, &opts)
-        .map_err(|e| e.to_string())
+        .map_err(failed)
 }
 
-fn cmd_tracker(flags: &Flags) -> Result<(), String> {
+fn cmd_tracker(flags: &Flags) -> Result<(), Fail> {
     use ba_bench::distrib::{FirstLeaseHook, Tracker, TrackerConfig};
     use std::sync::{Arc, Mutex};
 
@@ -535,14 +563,14 @@ fn cmd_tracker(flags: &Flags) -> Result<(), String> {
     };
 
     let addr = flags.require("addr")?;
-    let tracker = Tracker::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
+    let tracker = Tracker::bind(addr).map_err(|e| failed(format!("binding {addr}: {e}")))?;
     let local = tracker.local_addr().to_string();
 
     // Localhost fleet mode: spawn `--peers N` copies of this binary as
     // worker processes against the resolved address.
     let peers = flags.parse_or("peers", 0usize)?;
     let children: Arc<Mutex<Vec<(String, std::process::Child)>>> = Arc::new(Mutex::new(Vec::new()));
-    let exe = std::env::current_exe().map_err(|e| format!("current exe: {e}"))?;
+    let exe = std::env::current_exe().map_err(|e| failed(format!("current exe: {e}")))?;
     let exp_name = flags.require("exp")?;
     for k in 0..peers {
         let peer_name = format!("peer-{k}");
@@ -563,7 +591,7 @@ fn cmd_tracker(flags: &Flags) -> Result<(), String> {
         }
         let child = cmd
             .spawn()
-            .map_err(|e| format!("spawning {peer_name}: {e}"))?;
+            .map_err(|e| failed(format!("spawning {peer_name}: {e}")))?;
         eprintln!("[tracker] spawned {peer_name} (pid {})", child.id());
         children.lock().expect("children").push((peer_name, child));
     }
@@ -587,7 +615,7 @@ fn cmd_tracker(flags: &Flags) -> Result<(), String> {
 
     let report = tracker
         .serve_with_hook(&refs, &opts, &cfg, hook)
-        .map_err(|e| format!("tracker run failed: {e}"))?;
+        .map_err(|e| failed(format!("tracker run failed: {e}")))?;
 
     // Reap the fleet. The injected-kill victim's failure is expected;
     // any other worker failing means the run was not healthy.
@@ -595,43 +623,43 @@ fn cmd_tracker(flags: &Flags) -> Result<(), String> {
     for (name, child) in children.iter_mut() {
         let status = child
             .wait()
-            .map_err(|e| format!("waiting on {name}: {e}"))?;
+            .map_err(|e| failed(format!("waiting on {name}: {e}")))?;
         let killed = cfg.kill_peer.as_deref() == Some(name.as_str());
         if !status.success() && !killed {
-            return Err(format!("worker {name} exited with {status}"));
+            return Err(failed(format!("worker {name} exited with {status}")));
         }
     }
     if !report.all_ok {
-        return Err("one or more experiments failed to finalize".into());
+        return Err(failed("one or more experiments failed to finalize"));
     }
     Ok(())
 }
 
-fn cmd_peer(flags: &Flags) -> Result<(), String> {
+fn cmd_peer(flags: &Flags) -> Result<(), Fail> {
     use ba_bench::distrib::{run_peer, PeerConfig};
 
     let (opts, suite) = named_suite(flags, "addr name")?;
     let refs: Vec<&dyn Experiment> = suite.iter().map(|e| e.as_ref()).collect();
     let addr = flags.require("addr")?;
     let cfg = PeerConfig::new(addr, flags.get("name")?.unwrap_or("peer"));
-    run_peer(&refs, &opts, &cfg).map_err(|e| e.to_string())?;
+    run_peer(&refs, &opts, &cfg).map_err(failed)?;
     Ok(())
 }
 
-fn cmd_transfer(flags: &Flags) -> Result<(), String> {
+fn cmd_transfer(flags: &Flags) -> Result<(), Fail> {
     use ba_gad::{
         evaluate_system, identify_targets, pipeline::delta_b, pipeline::oddball_labels,
         train_test_split, GadSystem, GalConfig, RefexConfig, TransferConfig,
     };
     flags.accept("graph budget system seed")?;
-    let g = load_graph(flags)?;
     let budget = flags.parse_or("budget", 50usize)?;
     let seed = flags.parse_or("seed", 7u64)?;
     let system = match flags.require("system")? {
         "gal" => GadSystem::Gal(GalConfig::default()),
         "refex" => GadSystem::Refex(RefexConfig::default()),
-        other => return Err(format!("unknown system {other:?}")),
+        other => return Err(Fail::Usage(format!("unknown system {other:?}"))),
     };
+    let g = load_graph(flags)?;
     let tcfg = TransferConfig {
         seed,
         ..TransferConfig::default()
@@ -647,15 +675,15 @@ fn cmd_transfer(flags: &Flags) -> Result<(), String> {
         targets.len()
     );
     if targets.is_empty() {
-        return Err("no anomalous test nodes identified; nothing to attack".into());
+        return Err(failed(
+            "no anomalous test nodes identified; nothing to attack",
+        ));
     }
     let attack = BinarizedAttack::new(AttackConfig {
         seed,
         ..AttackConfig::default()
     });
-    let outcome = attack
-        .attack(&g, &targets, budget)
-        .map_err(|e| e.to_string())?;
+    let outcome = attack.attack(&g, &targets, budget).map_err(failed)?;
     let poisoned = outcome.poisoned_graph(&g, budget);
     let after = evaluate_system(&system, &poisoned, &labels, &train, &test, &targets, &tcfg);
     println!(

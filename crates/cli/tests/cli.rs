@@ -28,20 +28,13 @@ fn help_prints_usage() {
 
 #[test]
 fn unknown_command_fails() {
-    let out = binattack().arg("frobnicate").output().unwrap();
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
+    let err = failure(&["frobnicate"]);
     assert!(err.contains("unknown command"));
 }
 
 #[test]
 fn missing_required_flag_fails() {
-    let out = binattack()
-        .args(["generate", "--dataset", "er"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
+    let err = failure(&["generate", "--dataset", "er"]);
     assert!(err.contains("--out"));
 }
 
@@ -426,21 +419,41 @@ fn stream_snapshot_resume() {
 
 #[test]
 fn score_on_missing_file_fails_gracefully() {
-    let out = binattack()
-        .args(["score", "--graph", "/definitely/not/here.edges"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
+    let err = exits_with(1, &["score", "--graph", "/definitely/not/here.edges"]);
     assert!(err.contains("error:"));
 }
 
-/// Runs `binattack` with `args`, expecting it to fail, and returns its
-/// stderr.
-fn failure(args: &[&str]) -> String {
+/// Runs `binattack` with `args`, expecting it to exit with `code`, and
+/// returns its stderr.
+fn exits_with(code: i32, args: &[&str]) -> String {
     let out = binattack().args(args).output().unwrap();
-    assert!(!out.status.success(), "{args:?} succeeded");
+    assert_eq!(out.status.code(), Some(code), "{args:?}");
     String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// Runs `binattack` with `args`, expecting a usage error (exit 2), and
+/// returns its stderr.
+fn failure(args: &[&str]) -> String {
+    exits_with(2, args)
+}
+
+#[test]
+fn usage_errors_exit_2_and_failed_runs_exit_1() {
+    for args in [
+        &[][..],
+        &["frobnicate"],
+        &["exp", "--exp", "fig2", "--threads", "1", "stray"],
+        &["exp", "--exp", "fig2", "--paper", "x"],
+        &["exp", "--exp", "fig2", "--sample", "2"],
+        &["exp", "--exp", "nope"],
+        &["generate", "--dataset", "er"],
+        &["generate", "--dataset", "nope", "--out", "x"],
+        &["score", "--graph", "/nonexistent", "--top", "-3"],
+    ] {
+        exits_with(2, args);
+    }
+    let err = exits_with(1, &["score", "--graph", "/nonexistent"]);
+    assert!(err.contains("loading /nonexistent"), "{err}");
 }
 
 #[test]

@@ -6,10 +6,11 @@
 //! Dense linear algebra belongs to `ba-linalg` (which is deliberately
 //! *not* a dependency of `ba-graph`: the graph substrate sits at the
 //! bottom of the crate DAG). Production code that needs dense products —
-//! `ContinuousA`'s relaxed forward/backward passes, the purification
-//! defense — exports a row-major buffer via
-//! [`to_row_major`](crate::adjacency::to_row_major) and builds a
-//! `ba_linalg::Matrix` from it. The tiny
+//! `ContinuousA`'s relaxed forward/backward passes — exports a row-major
+//! buffer via [`to_row_major`](crate::adjacency::to_row_major) and builds
+//! a `ba_linalg::Matrix` from it. The purification defense exports none:
+//! its power iteration reads the graph through
+//! [`GraphView::neighbors_sorted`]. The tiny
 //! [`DenseAdj`](crate::adjacency::DenseAdj) type here exists
 //! only so `ba-graph`'s own tests can cross-check the sparse kernels
 //! against the `A²`/`A³` definitions without a dependency cycle; its

@@ -6,9 +6,8 @@
 //! representation-learning GAD systems (`ba-gad`) all need a small set of
 //! numerical kernels: dense matrices with an i-k-j matmul (the reference
 //! for ContinuousA's dense step), 2×2 closed-form solves for the OLS
-//! normal equations, simple/weighted linear regression,
-//! compensated sufficient statistics for incremental refits, and a
-//! power-iteration top-k eigen-decomposition. No suitable
+//! normal equations, simple/weighted linear regression, and
+//! compensated sufficient statistics for incremental refits. No suitable
 //! crate is available offline, so this crate implements them from scratch
 //! with `f64` throughout.
 //!
@@ -24,14 +23,12 @@
 //! assert_eq!(a.matvec(&v).as_slice(), &[3.0, 7.0]);
 //! ```
 
-mod decomp;
 mod matrix;
 mod regression;
 mod solve;
 mod stats;
 mod vector;
 
-pub use decomp::{power_iteration, symmetric_topk};
 pub use matrix::Matrix;
 pub use regression::{simple_ols, weighted_ols, LinearFit, Ols2Error};
 pub use solve::{solve2, LinalgError};

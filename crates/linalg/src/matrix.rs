@@ -83,16 +83,6 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Creates a diagonal matrix from the given diagonal entries.
-    pub fn diag(entries: &[f64]) -> Self {
-        let n = entries.len();
-        let mut m = Self::zeros(n, n);
-        for (i, &e) in entries.iter().enumerate() {
-            m[(i, i)] = e;
-        }
-        m
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
