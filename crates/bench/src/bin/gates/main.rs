@@ -79,11 +79,10 @@ const GATES: &[Gate] = &[
     Gate {
         name: "search",
         run: search::run,
-        metrics: "n:count m:count target_sets:count budget:count threads:count cold_s:s \
-                  memo_s:s speedup:x single_cold_s:s single_memo_s:s single_pass_speedup:x \
-                  pass1_grads_hits:count forward_passes:count loss_evals:count \
-                  grads_hits:count grads_misses:count grads_stores:count \
-                  grads_evictions:count outcome_hits:count outcome_misses:count",
+        metrics: "n:count m:count target_sets:count budget:count threads:count \
+                  single_cold_s:s single_memo_s:s single_pass_speedup:x \
+                  forward_passes:count loss_evals:count grads_hits:count \
+                  grads_misses:count grads_stores:count grads_evictions:count",
     },
     Gate {
         name: "large",

@@ -1,19 +1,14 @@
 //! `search`: end-to-end attack search, memoized vs cold sessions.
 //!
-//! The workload is a **two-pass suite**: GradMaxSearch and the paper's
-//! BinarizedAttack over three target sets on one frozen substrate, then
-//! the whole sweep again on the same session — the orchestrator's shape,
-//! where experiment suites revisit identical cells and share one
-//! memoized session per substrate. The cold path runs the same passes on
-//! an unmemoized session, so the only variable is the memo: run-outcome
-//! replay for repeated cells, and the assembly LRU within passes. Fails
-//! if the memoized suite is less than 2× faster.
-//!
-//! That gate passes by construction, because pass 2 is a pure outcome
-//! replay. So a **single-pass** workload stands beside it, where only
-//! the assembly LRU can help: it fails unless `single_pass_speedup > 1`
-//! with at least one LRU hit. Ops and loss trajectories must equal the
-//! cold path's (a mismatch panics): memoization trades memory for
+//! The workload is one **single-pass** sweep: GradMaxSearch and the
+//! paper's BinarizedAttack over three target sets on one frozen
+//! substrate and one session, the orchestrator's shape. No cell
+//! repeats, so the only thing the memo can reuse is an assembly within
+//! a search (the assembly LRU absorbing the PGD tail). The cold path
+//! runs the same sweep on an unmemoized session, and cold and memoized
+//! reps alternate. Fails unless `single_pass_speedup > 1` with at least
+//! one LRU hit. Ops, losses and loss trajectories must equal the cold
+//! path's (a mismatch panics): memoization trades memory for
 //! wall-clock, never results. `--quick` shrinks the workload.
 
 use crate::{Profile, Verdict};
@@ -26,18 +21,12 @@ use ba_net::BenchReport;
 use ba_oddball::OddBall;
 use std::time::Instant;
 
-const REQUIRED_SPEEDUP: f64 = 2.0;
-
 /// The single-pass gate: within-search reuse alone must not lose time.
 const REQUIRED_SINGLE_PASS_SPEEDUP: f64 = 1.0;
 
 /// Timed reps per path, in both profiles; each path keeps its best. One
 /// rep on a shared machine let a neighbour's load decide the gates.
 const REPS: usize = 3;
-
-/// Number of identical passes per timed suite (cross-experiment cell
-/// replay, the pattern the run-outcome memo tier targets).
-const SUITE_PASSES: usize = 2;
 
 /// The fixed workload every timed run sweeps.
 struct Suite {
@@ -49,29 +38,27 @@ struct Suite {
 }
 
 impl Suite {
-    /// `passes` sweeps on one fresh session, memoized or cold; each sweep
-    /// runs every attack on every target set, in a fixed order. Returns
-    /// the outcomes, the seconds the sweeps took, and the memo counters.
-    fn time(&self, memo: bool, passes: usize) -> (Vec<AttackOutcome>, f64, Option<MemoStats>) {
+    /// One sweep on a fresh session, memoized or cold: every attack on
+    /// every target set, in a fixed order. Returns the outcomes, the
+    /// seconds the sweep took, and the memo counters.
+    fn time(&self, memo: bool) -> (Vec<AttackOutcome>, f64, Option<MemoStats>) {
         let session = AttackSession::new(&self.csr, &self.target_sets[0])
             .expect("session")
             .with_threads(self.threads);
         let mut session = if memo { session.with_memo() } else { session };
         assert_eq!(session.memo_enabled(), memo);
         let t0 = Instant::now();
-        let mut outcomes = Vec::with_capacity(2 * passes * self.target_sets.len());
-        for _ in 0..passes {
-            let gradmax = GradMaxSearch::new(AttackConfig::default());
-            let binarized =
-                BinarizedAttack::new(AttackConfig::default()).with_iterations(self.iterations);
-            for targets in &self.target_sets {
-                session.retarget(targets).expect("valid targets");
-                let outcome = binarized.attack_with_session(&mut session, self.budget);
-                outcomes.push(outcome.expect("binarized attack"));
-                session.retarget(targets).expect("valid targets");
-                let outcome = gradmax.attack_with_session(&mut session, self.budget);
-                outcomes.push(outcome.expect("gradmax attack"));
-            }
+        let mut outcomes = Vec::with_capacity(2 * self.target_sets.len());
+        let gradmax = GradMaxSearch::new(AttackConfig::default());
+        let binarized =
+            BinarizedAttack::new(AttackConfig::default()).with_iterations(self.iterations);
+        for targets in &self.target_sets {
+            session.retarget(targets).expect("valid targets");
+            let outcome = binarized.attack_with_session(&mut session, self.budget);
+            outcomes.push(outcome.expect("binarized attack"));
+            session.retarget(targets).expect("valid targets");
+            let outcome = gradmax.attack_with_session(&mut session, self.budget);
+            outcomes.push(outcome.expect("gradmax attack"));
         }
         (outcomes, t0.elapsed().as_secs_f64(), session.memo_stats())
     }
@@ -110,34 +97,20 @@ pub fn run(profile: &Profile) -> Verdict {
         iterations,
         threads,
     };
-    eprintln!("suite: {SUITE_PASSES} passes per timed rep, T = {iterations}");
+    eprintln!("suite: 1 pass per timed rep, T = {iterations}");
 
     // The cold session re-searches every cell from scratch (retarget
-    // reuses features); the memoized one is reused across every attack,
-    // target set and suite pass.
-    let (mut cold_s, mut memo_s) = (f64::INFINITY, f64::INFINITY);
+    // reuses features); the memoized one is reused across every attack
+    // and target set. Cold and memoized sweeps alternate within each rep.
+    let (mut single_cold_s, mut single_memo_s) = (f64::INFINITY, f64::INFINITY);
     let (mut cold_outcomes, mut memo_outcomes, mut memo_stats) = (Vec::new(), Vec::new(), None);
     for _ in 0..REPS {
-        let (outcomes, s, _) = suite.time(false, SUITE_PASSES);
-        (cold_outcomes, cold_s) = (outcomes, cold_s.min(s));
-    }
-    for _ in 0..REPS {
-        let (outcomes, s, stats) = suite.time(true, SUITE_PASSES);
-        (memo_outcomes, memo_s, memo_stats) = (outcomes, memo_s.min(s), stats);
+        let (outcomes, s, _) = suite.time(false);
+        (cold_outcomes, single_cold_s) = (outcomes, single_cold_s.min(s));
+        let (outcomes, s, stats) = suite.time(true);
+        (memo_outcomes, single_memo_s, memo_stats) = (outcomes, single_memo_s.min(s), stats);
     }
     let stats = memo_stats.expect("memo was attached");
-
-    // Single pass: no cell repeats, so the run-outcome tier cannot
-    // answer. Cold and memoized sweeps alternate within each rep.
-    let (mut single_cold_s, mut single_memo_s) = (f64::INFINITY, f64::INFINITY);
-    let (mut single_outcomes, mut pass1_stats) = (Vec::new(), None);
-    for _ in 0..REPS {
-        single_cold_s = single_cold_s.min(suite.time(false, 1).1);
-        let (outcomes, s, stats) = suite.time(true, 1);
-        (single_outcomes, single_memo_s, pass1_stats) = (outcomes, single_memo_s.min(s), stats);
-    }
-    let pass1 = pass1_stats.expect("memo was attached");
-    assert_eq!(pass1.outcome_hits, 0, "a single pass repeats no cell");
 
     // Bit identity: the memo must be invisible in the results.
     assert_eq!(cold_outcomes.len(), memo_outcomes.len());
@@ -148,12 +121,7 @@ pub fn run(profile: &Profile) -> Verdict {
             && c.loss_trajectory == m.loss_trajectory;
         assert!(same, "{}: memoized outcome diverged", c.name);
     }
-    for (c, m) in cold_outcomes.iter().zip(&single_outcomes) {
-        let same = c.ops_per_budget == m.ops_per_budget && c.loss_trajectory == m.loss_trajectory;
-        assert!(same, "{}: single-pass outcome diverged", c.name);
-    }
 
-    let speedup = cold_s / memo_s;
     let single_pass_speedup = single_cold_s / single_memo_s;
     let lru = stats.table;
     eprintln!("assembly LRU capacity {}", lru.capacity);
@@ -163,32 +131,21 @@ pub fn run(profile: &Profile) -> Verdict {
         .metric("target_sets", num_target_sets as f64, "count")
         .metric("budget", budget as f64, "count")
         .metric("threads", threads as f64, "count")
-        .metric("cold_s", cold_s, "s")
-        .metric("memo_s", memo_s, "s")
-        .metric("speedup", speedup, "x")
         .metric("single_cold_s", single_cold_s, "s")
         .metric("single_memo_s", single_memo_s, "s")
         .metric("single_pass_speedup", single_pass_speedup, "x")
-        .metric("pass1_grads_hits", pass1.grads_hits as f64, "count")
         .metric("forward_passes", stats.ng_misses as f64, "count")
         .metric("loss_evals", stats.loss_misses as f64, "count")
         .metric("grads_hits", stats.grads_hits as f64, "count")
         .metric("grads_misses", stats.grads_misses as f64, "count")
         .metric("grads_stores", lru.stores as f64, "count")
-        .metric("grads_evictions", lru.evictions as f64, "count")
-        .metric("outcome_hits", stats.outcome_hits as f64, "count")
-        .metric("outcome_misses", stats.outcome_misses as f64, "count");
+        .metric("grads_evictions", lru.evictions as f64, "count");
     let mut failed = Vec::new();
-    if speedup < REQUIRED_SPEEDUP {
-        failed.push(format!(
-            "memo/cold speedup {speedup:.2}x (need ≥{REQUIRED_SPEEDUP}x)"
-        ));
-    }
-    if single_pass_speedup <= REQUIRED_SINGLE_PASS_SPEEDUP || pass1.grads_hits == 0 {
+    if single_pass_speedup <= REQUIRED_SINGLE_PASS_SPEEDUP || stats.grads_hits == 0 {
         failed.push(format!(
             "single pass is {single_pass_speedup:.2}x with {} LRU hits \
              (need >{REQUIRED_SINGLE_PASS_SPEEDUP}x and >0 hits)",
-            pass1.grads_hits
+            stats.grads_hits
         ));
     }
     (report, failed)

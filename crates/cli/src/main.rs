@@ -262,16 +262,7 @@ fn cmd_attack(flags: &Flags) -> Result<(), Fail> {
     let budget = flags.parse_or("budget", 10usize)?;
     let seed = flags.parse_or("seed", 7u64)?;
     let threads = flags.parse_or("threads", 0usize)?;
-    let g = load_graph(flags)?;
-    let targets: Vec<NodeId> = if let Some(list) = flags.get("targets")? {
-        list.split(',')
-            .map(|t| t.trim().parse().map_err(|_| format!("bad target id {t:?}")))
-            .collect::<Result<_, _>>()?
-    } else {
-        let k = flags.parse_or("auto-targets", 10usize)?;
-        let model = OddBall::default().fit(&g).map_err(failed)?;
-        model.top_k(k).into_iter().map(|(i, _)| i).collect()
-    };
+    let memo = !flags.switch("no-memo")?;
     let op_kind = match flags.get("ops")?.unwrap_or("both") {
         "both" => EdgeOpKind::Both,
         "add" => EdgeOpKind::AddOnly,
@@ -283,27 +274,46 @@ fn cmd_attack(flags: &Flags) -> Result<(), Fail> {
         seed,
         ..AttackConfig::default()
     };
+    let attack: Box<dyn StructuralAttack> = match flags.get("method")?.unwrap_or("binarized") {
+        "binarized" => Box::new(BinarizedAttack::new(cfg)),
+        "gradmax" => Box::new(GradMaxSearch::new(cfg)),
+        "continuous" => Box::new(ContinuousA::new(cfg)),
+        "random" => Box::new(RandomAttack::new(cfg)),
+        other => return Err(Fail::Usage(format!("unknown method {other:?}"))),
+    };
+    let listed: Option<Vec<NodeId>> = flags
+        .get("targets")?
+        .map(|list| {
+            list.split(',')
+                .map(|t| t.trim().parse().map_err(|_| format!("bad target id {t:?}")))
+                .collect::<Result<_, _>>()
+        })
+        .transpose()?;
+    let k = flags.parse_or("auto-targets", 10usize)?;
+    // Every flag is read above, so a usage error exits before any work.
+    let g = load_graph(flags)?;
+    let targets = match listed {
+        Some(targets) => targets,
+        None => {
+            let model = OddBall::default().fit(&g).map_err(failed)?;
+            model.top_k(k).into_iter().map(|(i, _)| i).collect()
+        }
+    };
     // One frozen CSR substrate serves the attack session and the
-    // before/after scoring below. Search memoization is on by default
-    // (it is result-transparent); `--no-memo` disables it to trade
+    // before/after scoring below. The assembly LRU is on by default (it
+    // is result-transparent); `--no-memo` turns it off to trade
     // wall-clock for memory. `--threads 0` (the default) autodetects;
     // the output is the same at any count.
     let csr = CsrGraph::from(&g);
     let mut session = ba_core::AttackSession::new(&csr, &targets)
         .map_err(failed)?
         .with_threads(threads);
-    if !flags.switch("no-memo")? {
+    if memo {
         session = session.with_memo();
     }
-    let method = flags.get("method")?.unwrap_or("binarized");
-    let outcome: AttackOutcome = match method {
-        "binarized" => BinarizedAttack::new(cfg).attack_with_session(&mut session, budget),
-        "gradmax" => GradMaxSearch::new(cfg).attack_with_session(&mut session, budget),
-        "continuous" => ContinuousA::new(cfg).attack_with_session(&mut session, budget),
-        "random" => RandomAttack::new(cfg).attack_with_session(&mut session, budget),
-        other => return Err(Fail::Usage(format!("unknown method {other:?}"))),
-    }
-    .map_err(failed)?;
+    let outcome: AttackOutcome = attack
+        .attack_with_session(&mut session, budget)
+        .map_err(failed)?;
 
     let b = outcome.max_budget();
     // Score the before/after pair through one frozen CSR substrate: the

@@ -452,6 +452,11 @@ fn usage_errors_exit_2_and_failed_runs_exit_1() {
     ] {
         exits_with(2, args);
     }
+    // Usage is checked before the graph is loaded.
+    for bad in [["--method", "bogus"], ["--ops", "bogus"]] {
+        let attack = ["attack", "--graph", "/nonexistent", "--out", "x"];
+        exits_with(2, &[&attack[..], &bad].concat());
+    }
     let err = exits_with(1, &["score", "--graph", "/nonexistent"]);
     assert!(err.contains("loading /nonexistent"), "{err}");
 }

@@ -34,24 +34,6 @@ impl Default for AttackConfig {
     }
 }
 
-impl AttackConfig {
-    /// The configuration folded into whole-run memo keys (see
-    /// [`crate::session::AttackSession`]): every field that can change
-    /// a search result, as plain integers.
-    pub(crate) fn memo_bits(&self) -> [u64; 4] {
-        let scope = match self.scope {
-            CandidateScope::Full => 0,
-            CandidateScope::TargetNeighborhood => 1,
-        };
-        let op = match self.op_kind {
-            EdgeOpKind::Both => 0,
-            EdgeOpKind::AddOnly => 1,
-            EdgeOpKind::DeleteOnly => 2,
-        };
-        [scope, op, u64::from(self.forbid_singletons), self.seed]
-    }
-}
-
 /// Errors an attack can produce.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AttackError {

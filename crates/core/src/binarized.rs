@@ -437,23 +437,7 @@ impl StructuralAttack for BinarizedAttack {
         if self.lambdas.is_empty() {
             return Err(AttackError::EmptyLambdaGrid);
         }
-        // Whole-run memo, keyed on the clean state plus every hyper-
-        // parameter that steers the search (budget, T, η, the λ grid in
-        // order, and the candidate/op configuration).
         session.reset();
-        let bits = self.config.memo_bits();
-        let mut key_parts = vec![
-            2,
-            budget as u64,
-            self.iterations as u64,
-            self.learning_rate.to_bits(),
-        ];
-        key_parts.extend(self.lambdas.iter().map(|l| l.to_bits()));
-        key_parts.extend(bits);
-        let run_key = session.run_key(&key_parts);
-        if let Some(outcome) = session.memo_run_probe(run_key) {
-            return Ok(outcome);
-        }
         let base = session.base();
         let targets = session.targets().to_vec();
         let candidates = Candidates::build(self.config.scope, base, &targets);
@@ -521,14 +505,12 @@ impl StructuralAttack for BinarizedAttack {
             ops_per_budget.push(ops);
             loss_per_budget.push(loss);
         }
-        let outcome = AttackOutcome {
+        Ok(AttackOutcome {
             name: self.name().to_string(),
             ops_per_budget,
             surrogate_loss_per_budget: loss_per_budget,
             loss_trajectory: trajectory,
-        };
-        session.memo_run_store(run_key, &outcome);
-        Ok(outcome)
+        })
     }
 }
 

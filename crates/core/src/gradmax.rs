@@ -98,14 +98,6 @@ impl StructuralAttack for GradMaxSearch {
         budget: usize,
     ) -> Result<AttackOutcome, AttackError> {
         session.reset();
-        // Whole-run memo: a session reused across experiment cells (the
-        // orchestrator's shape) re-runs identical (state, attack, config)
-        // searches; replay the stored outcome instead of re-searching.
-        let bits = self.config.memo_bits();
-        let run_key = session.run_key(&[1, budget as u64, bits[0], bits[1], bits[2], bits[3]]);
-        if let Some(outcome) = session.memo_run_probe(run_key) {
-            return Ok(outcome);
-        }
         let targets = session.targets().to_vec();
         let candidates = Candidates::build(self.config.scope, session.base(), &targets);
         if candidates.is_empty() {
@@ -241,14 +233,12 @@ impl StructuralAttack for GradMaxSearch {
         if let Some(&last) = loss_per_budget.last() {
             trajectory.push(last);
         }
-        let outcome = AttackOutcome {
+        Ok(AttackOutcome {
             name: self.name().to_string(),
             ops_per_budget,
             surrogate_loss_per_budget: loss_per_budget,
             loss_trajectory: trajectory,
-        };
-        state.session.memo_run_store(run_key, &outcome);
-        Ok(outcome)
+        })
     }
 }
 

@@ -109,10 +109,9 @@ pub enum Candidates {
     /// The full pair space.
     Full(PairSpace),
     /// An explicit pair list: each `(i, j)` with `i < j`, sorted
-    /// ascending with no duplicates. [`Candidates::index_of`] binary
-    /// searches it, and the gradient assembly's row kernel relies on each
-    /// smaller endpoint's pairs being one contiguous run in ascending
-    /// `j`.
+    /// ascending with no duplicates. The gradient assembly's row kernel
+    /// relies on each smaller endpoint's pairs being one contiguous run
+    /// in ascending `j`.
     List(Vec<(NodeId, NodeId)>),
 }
 
@@ -207,15 +206,6 @@ impl Candidates {
         match self {
             Candidates::Full(ps) => ps.pair(idx),
             Candidates::List(v) => v[idx],
-        }
-    }
-
-    /// Flat index of a pair, when the pair is in the set.
-    pub fn index_of(&self, i: NodeId, j: NodeId) -> Option<usize> {
-        let key = if i < j { (i, j) } else { (j, i) };
-        match self {
-            Candidates::Full(ps) => Some(ps.index(key.0, key.1)),
-            Candidates::List(v) => v.binary_search(&key).ok(),
         }
     }
 }
@@ -363,7 +353,7 @@ mod tests {
         let mut pairs = Vec::new();
         c.for_each(|_, i, j| pairs.push((i, j)));
         assert_eq!(pairs.len(), 6);
-        assert_eq!(c.index_of(2, 3), Some(5));
+        assert_eq!(c.pair(5), (2, 3));
     }
 
     #[test]
@@ -373,13 +363,11 @@ mod tests {
         let c = Candidates::build(CandidateScope::TargetNeighborhood, &g, &[0]);
         // Pairs touching 0: (0,1)..(0,5) = 5; plus neighbour pair (1,2).
         assert_eq!(c.len(), 6);
-        assert!(c.index_of(1, 2).is_some());
-        assert!(c.index_of(3, 4).is_none());
-        // Flat-index/pair roundtrip for lists.
-        for idx in 0..c.len() {
-            let (i, j) = c.pair(idx);
-            assert_eq!(c.index_of(i, j), Some(idx));
-        }
+        let pairs: Vec<_> = (0..c.len()).map(|idx| c.pair(idx)).collect();
+        assert!(pairs.contains(&(1, 2)));
+        assert!(!pairs.contains(&(3, 4)));
+        // Lists are sorted ascending with no duplicates.
+        assert!(pairs.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
@@ -405,13 +393,15 @@ mod tests {
         // Path 0-1-2: deleting (0,1) would isolate 0.
         let g = Graph::from_edges(3, [(0, 1), (1, 2)]);
         let c = Candidates::build(CandidateScope::Full, &g, &[1]);
+        let (e01, e02) = (0, 1);
+        assert_eq!((c.pair(e01), c.pair(e02)), ((0, 1), (0, 2)));
         let mask_both = static_mask(&c, &g, EdgeOpKind::Both, true);
         // (0,1): edge whose deletion isolates 0 → masked.
-        assert!(!mask_both[c.index_of(0, 1).unwrap()]);
+        assert!(!mask_both[e01]);
         // (0,2): non-edge, addable.
-        assert!(mask_both[c.index_of(0, 2).unwrap()]);
+        assert!(mask_both[e02]);
         let mask_del = static_mask(&c, &g, EdgeOpKind::DeleteOnly, false);
-        assert!(mask_del[c.index_of(0, 1).unwrap()]);
-        assert!(!mask_del[c.index_of(0, 2).unwrap()]);
+        assert!(mask_del[e01]);
+        assert!(!mask_del[e02]);
     }
 }

@@ -22,38 +22,36 @@
 //! sign fused in) or steps on what it holds, and moves it back; then
 //! `return_grads` takes the slot back. No iteration copies the gradients
 //! or keeps a second candidate-length buffer.
-//! [`AttackSession::pair_gradients_into`] serves other callers: unsigned,
-//! assembled by a one-pass crew, copied out.
+//! [`AttackSession::pair_gradients_into`] serves other callers: it
+//! lends a slot the same way, assembles it with a one-pass crew on a
+//! miss, copies it out unsigned and returns the slot.
 //!
 //! ## Search memoization
 //!
 //! The session carries a [`SearchMemo`]: a Zobrist state
 //! hash ([`AttackSession::state_hash`] = edge-set hash ⊕ target-set
-//! hash, maintained in O(1) per [`AttackSession::toggle`]) keying a
-//! two-tier cache —
+//! hash, maintained in O(1) per [`AttackSession::toggle`]) keying one
+//! cache: an LRU of recent whole-assembly outputs, keyed by state, mask
+//! and whether the output is signed, which absorbs the PGD tail where
+//! the re-binarised graph cycles through a handful of states. It lends
+//! its slots: a hit lends the resident slot, and a miss lends the slot
+//! it installs (the eviction victim's buffers) to be assembled into;
+//! neither copies the output.
 //!
-//! * an LRU of recent whole-assembly outputs, keyed by state, mask and
-//!   whether the output is signed, which absorbs the PGD tail where the
-//!   re-binarised graph cycles through a handful of states. It lends its
-//!   slots: a hit lends the resident slot, and a miss lends the slot it
-//!   installs (the eviction victim's buffers) to be assembled into;
-//!   neither copies the output;
-//! * an LRU of whole-run [`AttackOutcome`]s, so a suite that repeats a
-//!   search cell replays it instead of re-searching.
-//!
-//! An assembly that misses its LRU is computed in full. The forward
+//! An assembly that misses the LRU is computed in full. The forward
 //! pass and the surrogate loss are `O(n)` and always computed: caching
 //! them saved well under 1% of a traced attack run, and a per-candidate
-//! table stored about thirteen values for every one it answered
-//! (DESIGN.md §9).
+//! table stored about thirteen values for every one it answered. A
+//! whole-run outcome LRU was hit 0 times in 119 probes over the whole
+//! experiment suite, whose cells never repeat a search (DESIGN.md §9).
 //!
 //! The memo is *transparent*: every cached value was produced by the
 //! exact code path that would otherwise run, so cached and uncached
 //! sessions are bit-identical — pinned by the golden suite in
-//! `tests/search_memo.rs`. It is off by default, as LRUs of capacity 0
-//! ([`AttackSession::with_memo`] raises the capacities).
+//! `tests/search_memo.rs`. It is off by default, as an LRU of capacity
+//! 0 ([`AttackSession::with_memo`] raises the capacity).
 
-use crate::attack::{validate_targets, AttackError, AttackOutcome};
+use crate::attack::{validate_targets, AttackError};
 use crate::grad::{assemble_chunk, node_grads, GradKernel, NodeGrads, RowScratch};
 use crate::loss::surrogate_loss_from_features;
 use crate::pair::Candidates;
@@ -88,11 +86,6 @@ const GRADS_CACHE_BYTES: usize = 12 << 20;
 /// hundreds of slots out of the byte budget; past the PGD oscillation
 /// period extra depth stops paying).
 const GRADS_SLOTS_MAX: usize = 24;
-
-/// Maximum whole-run outcome LRU depth. Outcomes are small (per-budget
-/// op lists and loss curves), so this comfortably covers the distinct
-/// (attack, target set, budget) cells a suite revisits.
-const OUTCOME_SLOTS: usize = 32;
 
 /// Counters of the whole-assembly LRU behind the session's backward
 /// pass.
@@ -137,12 +130,9 @@ pub struct MemoStats {
     /// Assemblies that missed the whole-assembly LRU and were computed
     /// in full.
     pub grads_misses: u64,
-    /// Whole-run replays: an attack re-ran a (clean state, target set,
-    /// hyper-parameter) cell this session had already searched, and the
-    /// stored outcome was returned without re-searching.
+    /// Always `0`: whole-run outcomes are not cached. Kept for the
+    /// benchmark's `core.memo.outcome_hits` row.
     pub outcome_hits: u64,
-    /// Whole-run searches actually performed.
-    pub outcome_misses: u64,
 }
 
 /// One whole-assembly output: the exact `(state, mask, signed)` query,
@@ -246,8 +236,8 @@ fn mask_eq(full: &[bool], chunks: &[&[bool]]) -> bool {
     rest.is_empty()
 }
 
-/// Session-attached memoization state: the whole-assembly and
-/// whole-run LRUs, plus call counters. Both LRUs have capacity 0 until
+/// Session-attached memoization state: the whole-assembly LRU, plus
+/// call counters. The LRU has capacity 0 until
 /// [`AttackSession::with_memo`] turns the memo on.
 ///
 /// All reuse is keyed by the full session state hash (edge set and
@@ -256,7 +246,7 @@ fn mask_eq(full: &[bool], chunks: &[&[bool]]) -> bool {
 /// states or target sets never match keys.
 #[derive(Debug, Clone)]
 pub struct SearchMemo {
-    /// Whether memoization is on; off, both LRUs have capacity 0.
+    /// Whether memoization is on; off, the LRU has capacity 0.
     on: bool,
     forward_passes: u64,
     loss_evals: u64,
@@ -269,13 +259,6 @@ pub struct SearchMemo {
     grads_misses: u64,
     grads_evictions: u64,
     grads_capacity: usize,
-    /// Whole-run outcome LRU, most recent first: `(cell key, outcome)`.
-    /// The deepest memo tier — a suite that revisits an identical
-    /// search cell replays the stored result instead of re-searching
-    /// (the transposition-table idea applied to whole subtrees).
-    outcomes: Vec<(u64, AttackOutcome)>,
-    outcome_hits: u64,
-    outcome_misses: u64,
 }
 
 impl SearchMemo {
@@ -289,9 +272,6 @@ impl SearchMemo {
             grads_misses: 0,
             grads_evictions: 0,
             grads_capacity: 0,
-            outcomes: Vec::new(),
-            outcome_hits: 0,
-            outcome_misses: 0,
         }
     }
 
@@ -311,8 +291,7 @@ impl SearchMemo {
             ng_misses: self.forward_passes,
             grads_hits: self.grads_hits,
             grads_misses: self.grads_misses,
-            outcome_hits: self.outcome_hits,
-            outcome_misses: self.outcome_misses,
+            outcome_hits: 0,
         }
     }
 
@@ -399,10 +378,10 @@ impl<'g> AttackSession<'g> {
         self.kernel.partition(&self.overlay, candidates)
     }
 
-    /// Turns on the [`SearchMemo`]: a fresh memo whose LRUs hold up to
-    /// 24 assemblies and 32 whole-run outcomes. Memoized sessions return
-    /// bit-identical results to unmemoized ones — the memo trades memory
-    /// for wall-clock, nothing else.
+    /// Turns on the [`SearchMemo`]: a fresh memo whose assembly LRU holds
+    /// up to 24 assemblies. Memoized sessions return bit-identical
+    /// results to unmemoized ones — the memo trades memory for
+    /// wall-clock, nothing else.
     pub fn with_memo(mut self) -> Self {
         self.memo = SearchMemo::new(true);
         self
@@ -596,40 +575,12 @@ impl<'g> AttackSession<'g> {
         self.memo.grads_slots.insert(0, slot);
     }
 
-    /// One-shot backward pass through the LRU: the slot for `mask` and
-    /// `sign` on the chunks of `split`, assembled by a one-pass crew on a
-    /// miss. The caller hands it back with
-    /// [`AttackSession::return_grads`].
-    fn lend_assembled(
-        &mut self,
-        ng: &NodeGrads,
-        candidates: &Candidates,
-        split: &Partition,
-        mask: &[bool],
-        sign: Option<&[bool]>,
-    ) -> GradsSlot {
-        let chunks: Vec<&[bool]> = split.split(mask).collect();
-        let (mut slot, fresh) = self.lend_grads(&chunks, sign.is_some(), split);
-        if fresh {
-            slot.max_abs = self.kernel.assemble(
-                &self.overlay,
-                ng,
-                candidates,
-                split,
-                mask,
-                sign,
-                slot.chunks.iter_mut().map(Vec::as_mut_slice),
-            );
-        }
-        slot
-    }
-
     /// Backward pass: assembles `G_ij` for every masked candidate pair
     /// over the current graph view into `out` (masked-off entries are
     /// `0.0`), unsigned and split as [`AttackSession::with_threads`]
-    /// describes. With memoization on it goes through the attacks'
-    /// assembly LRU and copies the slot out; off, it assembles straight
-    /// into `out`.
+    /// describes. It lends a slot from the attacks' assembly LRU (with
+    /// memoization off, the slot returned last), assembles it with a
+    /// one-pass crew on a miss, copies it out and returns it.
     pub fn pair_gradients_into(
         &mut self,
         ng: &NodeGrads,
@@ -640,60 +591,23 @@ impl<'g> AttackSession<'g> {
         assert_eq!(out.len(), candidates.len(), "output length mismatch");
         assert_eq!(mask.len(), candidates.len(), "mask length mismatch");
         let split = self.partition(candidates);
-        if !self.memo_enabled() {
-            let outs = split.split_mut(out);
-            self.kernel
-                .assemble(&self.overlay, ng, candidates, &split, mask, None, outs);
-            return;
+        let chunks: Vec<&[bool]> = split.split(mask).collect();
+        let (mut slot, fresh) = self.lend_grads(&chunks, false, &split);
+        if fresh {
+            slot.max_abs = self.kernel.assemble(
+                &self.overlay,
+                ng,
+                candidates,
+                &split,
+                mask,
+                None,
+                slot.chunks.iter_mut().map(Vec::as_mut_slice),
+            );
         }
-        let slot = self.lend_assembled(ng, candidates, &split, mask, None);
         for (out, chunk) in split.split_mut(out).zip(&slot.chunks) {
             out.copy_from_slice(chunk);
         }
         self.return_grads(slot);
-    }
-
-    /// Memo key for a whole search run: the current state hash (edge
-    /// set ⊕ target set — the graph and targets the search will read)
-    /// folded with an attack tag and its hyper-parameter bits. Two runs
-    /// share a key only if every input the search depends on matches.
-    pub(crate) fn run_key(&self, parts: &[u64]) -> u64 {
-        let mut h = splitmix64(self.state_hash());
-        for &p in parts {
-            h = splitmix64(h ^ p);
-        }
-        h
-    }
-
-    /// Looks up a memoized whole-run outcome for `key`. A hit replays
-    /// the stored result and resets the working graph to the clean
-    /// state (attacks leave the session's edits unspecified; callers
-    /// reset or retarget before reuse either way).
-    pub(crate) fn memo_run_probe(&mut self, key: u64) -> Option<AttackOutcome> {
-        let memo = &mut self.memo;
-        match memo.outcomes.iter().position(|(k, _)| *k == key) {
-            Some(pos) => {
-                memo.outcomes[..=pos].rotate_right(1);
-                memo.outcome_hits += 1;
-                let outcome = memo.outcomes[0].1.clone();
-                self.reset();
-                Some(outcome)
-            }
-            None => {
-                memo.outcome_misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Records a completed search run's outcome under `key` as the most
-    /// recent LRU entry (nothing at capacity 0).
-    pub(crate) fn memo_run_store(&mut self, key: u64, outcome: &AttackOutcome) {
-        let memo = &mut self.memo;
-        if memo.on {
-            memo.outcomes.truncate(OUTCOME_SLOTS - 1);
-            memo.outcomes.insert(0, (key, outcome.clone()));
-        }
     }
 }
 
@@ -830,7 +744,19 @@ mod tests {
         mask: &[bool],
         sign: Option<&[bool]>,
     ) -> (Vec<f64>, f64) {
-        let slot = s.lend_assembled(ng, candidates, split, mask, sign);
+        let chunks: Vec<&[bool]> = split.split(mask).collect();
+        let (mut slot, fresh) = s.lend_grads(&chunks, sign.is_some(), split);
+        if fresh {
+            slot.max_abs = s.kernel.assemble(
+                &s.overlay,
+                ng,
+                candidates,
+                split,
+                mask,
+                sign,
+                slot.chunks.iter_mut().map(Vec::as_mut_slice),
+            );
+        }
         let got = (slot.chunks.concat(), slot.max_abs);
         s.return_grads(slot);
         got

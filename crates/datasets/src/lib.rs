@@ -21,7 +21,7 @@
 //! accepts them in place of the stand-ins.
 
 use ba_graph::io::{load_edge_list, IoError};
-use ba_graph::{generators, metrics, sample, Graph, NodeId};
+use ba_graph::{generators, sample, Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::Path;
@@ -188,42 +188,6 @@ pub fn load_real(path: impl AsRef<Path>, target: usize, seed: u64) -> Result<Gra
     Ok(sub)
 }
 
-/// One row of the Table I report.
-#[derive(Debug, Clone)]
-pub struct TableOneRow {
-    /// Dataset name.
-    pub name: &'static str,
-    /// Nodes in the built graph.
-    pub nodes: usize,
-    /// Edges in the built graph.
-    pub edges: usize,
-    /// Nodes reported by the paper.
-    pub paper_nodes: usize,
-    /// Edges reported by the paper.
-    pub paper_edges: usize,
-    /// Average clustering of the built graph (sanity column).
-    pub avg_clustering: f64,
-}
-
-/// Builds all datasets and assembles the Table I comparison.
-pub fn table_one(seed: u64) -> Vec<TableOneRow> {
-    Dataset::all()
-        .iter()
-        .map(|d| {
-            let g = d.build(seed);
-            let (pn, pm) = d.paper_statistics();
-            TableOneRow {
-                name: d.name(),
-                nodes: g.num_nodes(),
-                edges: g.num_edges(),
-                paper_nodes: pn,
-                paper_edges: pm,
-                avg_clustering: metrics::average_clustering(&g),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,7 +247,7 @@ mod tests {
                 .map(|u| g.degree(u))
                 .max()
                 .unwrap();
-            let avg = metrics::average_degree(&g);
+            let avg = ba_graph::metrics::average_degree(&g);
             assert!(
                 max_deg as f64 > 6.0 * avg,
                 "{}: max {max_deg} vs avg {avg} - tail too light",
@@ -323,16 +287,6 @@ mod tests {
             "{}",
             g.num_edges()
         );
-    }
-
-    #[test]
-    fn table_one_rows_complete() {
-        let rows = table_one(7);
-        assert_eq!(rows.len(), 5);
-        for r in rows {
-            assert!(r.nodes > 0 && r.edges > 0);
-            assert!(r.avg_clustering >= 0.0 && r.avg_clustering <= 1.0);
-        }
     }
 
     #[test]

@@ -189,17 +189,6 @@ impl Gal {
         self.norm.matmul(&h1).matmul(&self.w2)
     }
 
-    /// Embeds a *different* graph with the trained weights (used to embed
-    /// the poisoned graph with the clean-trained model in ablations; the
-    /// main pipeline retrains, matching the paper's poisoning setting).
-    pub fn embed_graph(&self, g: &Graph) -> Matrix {
-        let norm = normalized_adjacency(g);
-        let features = structural_features(g);
-        let ax = norm.matmul(&features);
-        let h1 = relu(&ax.matmul(&self.w1));
-        norm.matmul(&h1).matmul(&self.w2)
-    }
-
     /// The configuration used for training.
     pub fn config(&self) -> &GalConfig {
         &self.cfg
@@ -284,20 +273,5 @@ mod tests {
         let emb = gal.embed();
         assert_eq!(emb.rows(), g.num_nodes());
         assert!(emb.max_abs().is_finite());
-    }
-
-    #[test]
-    fn embed_graph_applies_to_other_graph() {
-        let (g, labels) = labelled_graph(77);
-        let (g2, _) = labelled_graph(78);
-        let train: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
-        let cfg = GalConfig {
-            epochs: 5,
-            ..GalConfig::default()
-        };
-        let gal = Gal::train(&g, &labels, &train, cfg);
-        let emb2 = gal.embed_graph(&g2);
-        assert_eq!(emb2.rows(), g2.num_nodes());
-        assert_eq!(emb2.cols(), cfg.embed);
     }
 }

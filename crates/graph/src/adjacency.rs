@@ -19,7 +19,6 @@
 //! [`crate::CsrGraph`].
 
 use crate::view::GraphView;
-use crate::{Graph, NodeId};
 
 /// Minimal dense square matrix for adjacency algebra cross-checks in
 /// tests. Not a general linear-algebra type — see the module docs.
@@ -107,26 +106,10 @@ pub fn to_row_major<V: GraphView + ?Sized>(g: &V) -> Vec<f64> {
     to_dense(g).into_vec()
 }
 
-/// Builds a graph back from a dense 0/1 matrix (entries ≥ `threshold`
-/// become edges; the matrix is symmetrised by OR-ing `(i,j)` and
-/// `(j,i)`).
-pub fn from_dense_threshold(n: usize, data: &[f64], threshold: f64) -> Graph {
-    assert_eq!(data.len(), n * n, "buffer size mismatch");
-    let mut g = Graph::new(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if data[i * n + j] >= threshold || data[j * n + i] >= threshold {
-                g.add_edge(i as NodeId, j as NodeId);
-            }
-        }
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CsrGraph;
+    use crate::{CsrGraph, Graph};
 
     #[test]
     fn dense_roundtrip() {
@@ -135,8 +118,6 @@ mod tests {
         assert_eq!(d[(0, 1)], 1.0);
         assert_eq!(d[(1, 0)], 1.0);
         assert_eq!(d[(0, 2)], 0.0);
-        let g2 = from_dense_threshold(4, &d.clone().into_vec(), 0.5);
-        assert_eq!(g, g2);
     }
 
     #[test]
@@ -173,16 +154,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn from_dense_symmetrises() {
-        // Asymmetric input: only (0,1) set, not (1,0).
-        let mut data = vec![0.0; 9];
-        data[1] = 1.0;
-        let g = from_dense_threshold(3, &data, 0.5);
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(1, 0));
-        assert_eq!(g.num_edges(), 1);
     }
 }

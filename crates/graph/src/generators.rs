@@ -305,48 +305,6 @@ pub fn plant_near_star(g: &mut Graph, center: NodeId, spokes: usize, seed: u64) 
     added
 }
 
-/// Degree-preserving randomisation via double-edge swaps: picks two
-/// edges `{a,b}`, `{c,d}` and rewires them to `{a,d}`, `{c,b}` when that
-/// creates no self-loop or multi-edge. `swaps` successful swaps are
-/// performed (or the attempt budget runs out). This is the standard null
-/// model for "is this structure more than its degree sequence" questions
-/// — e.g. whether an attack's flips are detectable beyond degree effects.
-pub fn degree_preserving_rewire(g: &mut Graph, swaps: usize, seed: u64) -> usize {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut edges: Vec<(NodeId, NodeId)> = g.edges().collect();
-    if edges.len() < 2 {
-        return 0;
-    }
-    let mut done = 0usize;
-    let mut attempts = 0usize;
-    let max_attempts = swaps.saturating_mul(20) + 100;
-    while done < swaps && attempts < max_attempts {
-        attempts += 1;
-        let i = rng.gen_range(0..edges.len());
-        let j = rng.gen_range(0..edges.len());
-        if i == j {
-            continue;
-        }
-        let (a, b) = edges[i];
-        let (c, d) = edges[j];
-        // Candidate rewiring {a,d}, {c,b}.
-        if a == d || c == b || a == c || b == d {
-            continue;
-        }
-        if g.has_edge(a, d) || g.has_edge(c, b) {
-            continue;
-        }
-        g.remove_edge(a, b);
-        g.remove_edge(c, d);
-        g.add_edge(a, d);
-        g.add_edge(c, b);
-        edges[i] = if a < d { (a, d) } else { (d, a) };
-        edges[j] = if c < b { (c, b) } else { (b, c) };
-        done += 1;
-    }
-    done
-}
-
 /// Ensures the graph has no isolated nodes by attaching each one to a
 /// random non-isolated node (or to the next node if the graph is empty).
 /// The attacks assume no singletons exist in the clean graph.
@@ -462,40 +420,6 @@ mod tests {
         let added = plant_near_star(&mut g, 5, 60, 9);
         assert!(added >= 55);
         assert!(g.degree(5) >= 55);
-    }
-
-    #[test]
-    fn rewire_preserves_degrees_and_edge_count() {
-        let mut g = barabasi_albert(200, 4, 15);
-        let degrees_before: Vec<usize> = (0..200).map(|u| g.degree(u)).collect();
-        let m_before = g.num_edges();
-        let done = degree_preserving_rewire(&mut g, 300, 16);
-        assert!(done > 200, "only {done} swaps succeeded");
-        assert_eq!(g.num_edges(), m_before);
-        let degrees_after: Vec<usize> = (0..200).map(|u| g.degree(u)).collect();
-        assert_eq!(degrees_before, degrees_after);
-    }
-
-    #[test]
-    fn rewire_destroys_planted_clique() {
-        let mut g = erdos_renyi(150, 0.03, 17);
-        attach_isolated(&mut g, 18);
-        let members: Vec<NodeId> = (0..10).collect();
-        plant_near_clique(&mut g, &members, 1.0, 19);
-        let tri_before: usize = members.iter().map(|&u| g.triangles_at(u)).sum();
-        degree_preserving_rewire(&mut g, 2000, 20);
-        let tri_after: usize = members.iter().map(|&u| g.triangles_at(u)).sum();
-        assert!(
-            tri_after * 2 < tri_before,
-            "clique structure survived rewiring: {tri_before} -> {tri_after}"
-        );
-    }
-
-    #[test]
-    fn rewire_on_tiny_graph_is_safe() {
-        let mut g = Graph::from_edges(3, [(0, 1)]);
-        assert_eq!(degree_preserving_rewire(&mut g, 10, 21), 0);
-        assert!(g.has_edge(0, 1));
     }
 
     #[test]

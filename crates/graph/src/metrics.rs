@@ -36,46 +36,6 @@ pub fn connected_components<V: GraphView + ?Sized>(g: &V) -> usize {
     components
 }
 
-/// Size of the largest connected component.
-pub fn largest_component_size<V: GraphView + ?Sized>(g: &V) -> usize {
-    let n = g.num_nodes();
-    let mut seen = vec![false; n];
-    let mut best = 0;
-    let mut queue = std::collections::VecDeque::new();
-    for start in 0..n {
-        if seen[start] {
-            continue;
-        }
-        let mut size = 1;
-        seen[start] = true;
-        queue.push_back(start as NodeId);
-        while let Some(u) = queue.pop_front() {
-            for &v in g.neighbors_sorted(u) {
-                if !seen[v as usize] {
-                    seen[v as usize] = true;
-                    size += 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        best = best.max(size);
-    }
-    best
-}
-
-/// Degree histogram: `hist[d]` = number of nodes with degree `d`.
-pub fn degree_histogram<V: GraphView + ?Sized>(g: &V) -> Vec<usize> {
-    let max_deg = (0..g.num_nodes() as NodeId)
-        .map(|u| g.degree(u))
-        .max()
-        .unwrap_or(0);
-    let mut hist = vec![0usize; max_deg + 1];
-    for u in 0..g.num_nodes() as NodeId {
-        hist[g.degree(u)] += 1;
-    }
-    hist
-}
-
 /// Average degree `2m / n`.
 pub fn average_degree<V: GraphView + ?Sized>(g: &V) -> f64 {
     if g.num_nodes() == 0 {
@@ -116,26 +76,6 @@ pub fn average_clustering<V: GraphView + ?Sized>(g: &V) -> f64 {
         .map(|(&deg, &e)| clustering_coefficient(deg, e - deg))
         .sum::<f64>()
         / n as f64
-}
-
-/// Maximum-likelihood estimate of a power-law degree exponent
-/// (Clauset–Shalizi–Newman continuous approximation with `x_min`):
-/// `γ̂ = 1 + n / Σ ln(d_i / (x_min − ½))` over degrees `d_i ≥ x_min`.
-/// Returns `None` when fewer than 10 nodes reach `x_min`.
-pub fn power_law_exponent_mle<V: GraphView + ?Sized>(g: &V, x_min: usize) -> Option<f64> {
-    let x_min = x_min.max(1);
-    let degrees: Vec<f64> = (0..g.num_nodes() as NodeId)
-        .map(|u| g.degree(u) as f64)
-        .filter(|&d| d >= x_min as f64)
-        .collect();
-    if degrees.len() < 10 {
-        return None;
-    }
-    let denom: f64 = degrees
-        .iter()
-        .map(|&d| (d / (x_min as f64 - 0.5)).ln())
-        .sum();
-    Some(1.0 + degrees.len() as f64 / denom)
 }
 
 /// A compact statistics bundle (Table I row plus sanity fields).
@@ -179,14 +119,12 @@ mod tests {
     fn components_of_disjoint_edges() {
         let g = Graph::from_edges(6, [(0, 1), (2, 3)]);
         assert_eq!(connected_components(&g), 4); // two pairs + two isolated
-        assert_eq!(largest_component_size(&g), 2);
     }
 
     #[test]
     fn single_component_path() {
         let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
         assert_eq!(connected_components(&g), 1);
-        assert_eq!(largest_component_size(&g), 4);
     }
 
     #[test]
@@ -199,27 +137,9 @@ mod tests {
     }
 
     #[test]
-    fn degree_histogram_sums_to_n() {
-        let g = Graph::from_edges(5, [(0, 1), (0, 2), (0, 3)]);
-        let hist = degree_histogram(&g);
-        assert_eq!(hist.iter().sum::<usize>(), 5);
-        assert_eq!(hist[3], 1); // the hub
-        assert_eq!(hist[1], 3); // leaves
-        assert_eq!(hist[0], 1); // isolated node 4
-    }
-
-    #[test]
     fn average_degree_formula() {
         let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
         assert_eq!(average_degree(&g), 1.5);
-    }
-
-    #[test]
-    fn power_law_mle_reasonable_on_ba() {
-        let g = crate::generators::barabasi_albert(2000, 4, 11);
-        let gamma = power_law_exponent_mle(&g, 6).unwrap();
-        // BA graphs have exponent ~3; accept a generous band.
-        assert!(gamma > 2.0 && gamma < 4.5, "gamma = {gamma}");
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! score every node, rank anomalies.
 
 use crate::incremental::IncrementalFit;
-use crate::score::surrogate_score;
 use ba_graph::egonet::{egonet_features, EgonetFeatures};
 use ba_graph::{GraphView, NodeId};
 use ba_linalg::Ols2Error;
@@ -163,16 +162,6 @@ impl OddBallModel {
     /// All anomaly scores.
     pub fn scores(&self) -> &[f64] {
         &self.scores
-    }
-
-    /// Normalisation-free proxy score `˜S_i` of node `i`.
-    pub fn proxy_score(&self, i: NodeId) -> f64 {
-        surrogate_score(
-            self.feats.e[i as usize],
-            self.feats.n[i as usize],
-            self.beta0,
-            self.beta1,
-        )
     }
 
     /// Sum of the anomaly scores of `targets` — the quantity the attack

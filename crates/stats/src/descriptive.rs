@@ -62,11 +62,6 @@ impl Histogram {
         (self.max - self.min) / self.counts.len() as f64
     }
 
-    /// Centre of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        self.min + (i as f64 + 0.5) * self.bin_width()
-    }
-
     /// Total number of counted observations.
     pub fn total(&self) -> usize {
         self.counts.iter().sum()
