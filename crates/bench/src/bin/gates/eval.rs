@@ -3,9 +3,9 @@
 //! graph at budget 30, two ways:
 //!
 //! * **incremental** — [`ba_core::AttackOutcome::ascore_curve_with_clean`]:
-//!   one `DeltaOverlay` + `IncrementalEgonet` replay of the op sequence,
-//!   `IncrementalFit` patching only the dirty log-feature rows,
-//!   `O(deg(u) + deg(v))` per budget;
+//!   one `DeltaOverlay` replay of the op sequence through the shared
+//!   `LiveFit` kernel, patching only the dirty log-feature rows,
+//!   `O(deg(u) + deg(v))` per toggled pair;
 //! * **full refit** — [`ba_core::AttackOutcome::ascore_curve_full_refit`]:
 //!   egonet features and regression recomputed per budget,
 //!   `O(budget × (n + m + Σdeg²))` in total.

@@ -271,9 +271,8 @@ pub fn decode_tracker(payload: &[u8]) -> Result<TrackerMsg, ProtoError> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn peer_messages_roundtrip() {
-        let msgs = [
+    fn sample_peer_msgs() -> [PeerMsg; 5] {
+        [
             PeerMsg::Hello {
                 name: "peer-0".into(),
                 fingerprint: "seed=42|cfg=abc".into(),
@@ -290,15 +289,11 @@ mod tests {
                 reason: "deliberate test panic".into(),
             },
             PeerMsg::Heartbeat { cell: 7, epoch: 3 },
-        ];
-        for msg in &msgs {
-            assert_eq!(&decode_peer(&encode_peer(msg)).unwrap(), msg);
-        }
+        ]
     }
 
-    #[test]
-    fn tracker_messages_roundtrip() {
-        let msgs = [
+    fn sample_tracker_msgs() -> [TrackerMsg; 8] {
+        [
             TrackerMsg::Welcome {
                 worker: 2,
                 heartbeat_ms: 500,
@@ -318,10 +313,93 @@ mod tests {
             TrackerMsg::Ack {
                 status: CompleteOutcome::Stale,
             },
-        ];
-        for msg in &msgs {
+        ]
+    }
+
+    #[test]
+    fn peer_messages_roundtrip() {
+        for msg in &sample_peer_msgs() {
+            assert_eq!(&decode_peer(&encode_peer(msg)).unwrap(), msg);
+        }
+    }
+
+    #[test]
+    fn tracker_messages_roundtrip() {
+        for msg in &sample_tracker_msgs() {
             assert_eq!(&decode_tracker(&encode_tracker(msg)).unwrap(), msg);
         }
+    }
+
+    /// `accepted` on every truncation (each must be rejected) and every
+    /// single-bit flip of `bytes`, then on each little-endian `u64`
+    /// length or count at `fields` raised past what the payload holds,
+    /// up to `u64::MAX` (each must be rejected: a decoder that sized an
+    /// allocation from it unchecked would abort). Returns how many
+    /// flips were accepted.
+    fn mutations(bytes: &[u8], fields: &[usize], accepted: impl Fn(&[u8]) -> bool) -> usize {
+        assert!(accepted(bytes), "the sample itself was rejected: {bytes:?}");
+        for cut in 0..bytes.len() {
+            assert!(!accepted(&bytes[..cut]), "{bytes:?} cut to {cut}: accepted");
+        }
+        let mut flips = 0;
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.to_vec();
+                flipped[at] ^= 1 << bit;
+                flips += usize::from(accepted(&flipped));
+            }
+        }
+        for &at in fields {
+            let x = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            for v in [x + 1, 2 * x + 1, 10 * x + 1, 1 << 32, 1 << 63, u64::MAX] {
+                let mut bad = bytes.to_vec();
+                bad[at..at + 8].copy_from_slice(&v.to_le_bytes());
+                assert!(!accepted(&bad), "field at {at} = {v}: accepted");
+            }
+        }
+        flips
+    }
+
+    /// Deterministic mutations of every sample message in both
+    /// directions: each must fail with a typed error or decode to a
+    /// message that encodes back to exactly the mutated bytes; none may
+    /// panic.
+    #[test]
+    fn mutated_messages_fail_typed_or_roundtrip_exactly() {
+        let peer_ok = |b: &[u8]| match decode_peer(b) {
+            Ok(msg) => {
+                assert_eq!(encode_peer(&msg), b, "{msg:?} encodes otherwise");
+                true
+            }
+            Err(_) => false,
+        };
+        let tracker_ok = |b: &[u8]| match decode_tracker(b) {
+            Ok(msg) => {
+                assert_eq!(encode_tracker(&msg), b, "{msg:?} encodes otherwise");
+                true
+            }
+            Err(_) => false,
+        };
+        let mut flips = 0;
+        for msg in sample_peer_msgs() {
+            // Offsets of the length and count fields after the tag byte.
+            let fields: &[usize] = match &msg {
+                PeerMsg::Hello { name, .. } => &[1, 9 + name.len()][..],
+                PeerMsg::Complete { .. } => &[17, 25],
+                PeerMsg::Failed { .. } => &[17],
+                _ => &[],
+            };
+            flips += mutations(&encode_peer(&msg), fields, peer_ok);
+        }
+        for msg in sample_tracker_msgs() {
+            let fields: &[usize] = match msg {
+                TrackerMsg::Reject { .. } => &[1],
+                _ => &[],
+            };
+            flips += mutations(&encode_tracker(&msg), fields, tracker_ok);
+        }
+        // Field bits, for one, may change freely.
+        assert!(flips > 0);
     }
 
     #[test]

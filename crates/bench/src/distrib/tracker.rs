@@ -49,7 +49,8 @@ pub struct TrackerConfig {
     pub idle_abort_ms: u64,
     /// Fault injection: the named peer is reported through the
     /// first-lease hook (see [`Tracker::serve_with_hook`]) immediately
-    /// after its first lease frame is written — the CLI uses this to
+    /// after its first lease frame is written, and its connection is
+    /// then dropped with its leases released — the CLI uses this to
     /// kill a spawned worker process deterministically mid-cell.
     pub kill_peer: Option<String>,
 }
@@ -167,9 +168,9 @@ impl Tracker {
 
     /// [`Tracker::serve`] with a fault-injection hook: when
     /// `cfg.kill_peer` names a peer, `hook` is called with that name
-    /// right after its first lease frame is written (the peer is then
-    /// guaranteed to be holding a live lease, so killing it exercises
-    /// the re-lease path deterministically).
+    /// right after its first lease frame is written, and the tracker
+    /// then releases that worker's leases and drops its connection, so
+    /// the leased cell is re-leased however far the peer got with it.
     pub fn serve_with_hook(
         self,
         exps: &[&dyn Experiment],
@@ -431,7 +432,12 @@ fn serve_peer(stream: TcpStream, shared: &Shared<'_, '_>) {
                             break;
                         }
                         // Fault injection: the lease frame is on the
-                        // wire, so the peer dies provably mid-cell.
+                        // wire, so the peer dies provably mid-cell. A
+                        // fast cell's `Complete` may already sit in the
+                        // socket buffer; this thread has not read it, so
+                        // releasing here and dropping the connection
+                        // re-leases the cell whatever the peer managed
+                        // to send.
                         if first_lease {
                             first_lease = false;
                             if shared.cfg.kill_peer.as_deref() == Some(name.as_str()) {
@@ -441,6 +447,8 @@ fn serve_peer(stream: TcpStream, shared: &Shared<'_, '_>) {
                                          (cell {cell})"
                                     );
                                     hook(&name);
+                                    release(shared, worker, &name);
+                                    break;
                                 }
                             }
                         }

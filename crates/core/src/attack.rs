@@ -3,10 +3,8 @@
 
 use crate::loss::LossError;
 use crate::pair::{CandidateScope, EdgeOpKind};
-use ba_graph::egonet::IncrementalEgonet;
 use ba_graph::{CsrGraph, DeltaOverlay, EdgeOp, EditableGraph, Graph, GraphView, NodeId};
-use ba_oddball::{FitError, IncrementalFit, OddBall, OddBallModel};
-use std::collections::BTreeMap;
+use ba_oddball::{net_edits, FitError, LiveFit, OddBall, OddBallModel};
 
 /// Configuration shared by all structural attacks.
 #[derive(Debug, Clone, Copy)]
@@ -187,13 +185,16 @@ impl AttackOutcome {
     /// model, so grids that already hold one (the runner fits OddBall
     /// once per dataset substrate) skip the redundant clean-graph fit.
     ///
-    /// This is the incremental replay engine: one [`DeltaOverlay`] and
-    /// one [`IncrementalEgonet`] walk the op sequence budget by budget,
-    /// toggling only the pairs that differ between consecutive budgets'
-    /// poisoned graphs, and an [`IncrementalFit`] patches exactly the
-    /// log-feature rows those toggles moved. Per budget that costs
-    /// `O(Σ_{toggled} deg(u) + deg(v))` plus an O(1) OLS solve (robust
-    /// regressors rerun over the cached rows), instead of the
+    /// This is the incremental replay engine: one [`DeltaOverlay`] walks
+    /// the op sequence budget by budget, and the shared live-refit
+    /// kernel ([`LiveFit`], DESIGN.md §2.3) toggles only the pairs that
+    /// differ between consecutive budgets' poisoned graphs and patches
+    /// exactly the log-feature rows those toggles moved. A nested budget
+    /// (every greedy attack) nets just its new suffix ops; any other
+    /// budget nets the pairs the previous budget left toggled, reset to
+    /// their clean state, overlaid with its own ops. Per budget that
+    /// costs `O(Σ_{toggled} deg(u) + deg(v))` plus an O(1) OLS solve
+    /// (robust regressors rerun over the cached rows), instead of the
     /// `O(n + m + Σdeg²)` full re-extraction and refit — the curve is
     /// bit-identical to [`AttackOutcome::ascore_curve_full_refit`]
     /// (pinned by the `eval_equivalence` proptest and the `eval` gate's
@@ -211,88 +212,32 @@ impl AttackOutcome {
             return Ok(out);
         }
         let mut overlay = DeltaOverlay::new(csr);
-        let mut inc = IncrementalEgonet::from_features(clean.features().clone());
-        let mut fit = IncrementalFit::new(detector.regressor(), clean.features());
-        // Pairs currently toggled away from the clean graph (sorted) —
-        // the state a non-nested budget diffs against.
+        let mut live = LiveFit::new(detector.regressor(), clean.features().clone());
+        // Pairs currently toggled away from the clean graph, ascending.
         let mut applied: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut dirty: Vec<NodeId> = Vec::new();
         for b in 1..=self.max_budget() {
-            let prev = self.ops(b - 1);
-            let cur = self.ops(b);
-            dirty.clear();
-            if cur.len() >= prev.len() && cur[..prev.len()] == *prev {
-                // Nested fast path (every greedy attack): the overlay
-                // already holds budget b−1, so replay just the new
-                // suffix ops — O(Δ_b) toggles, no per-budget op-set
-                // rebuild.
-                for op in &cur[prev.len()..] {
-                    if op.u == op.v {
-                        continue;
-                    }
-                    // `EdgeOp::new` normalises, but the fields are pub:
-                    // keep the `applied` key normalised like
-                    // `poisoned_delta`'s, or a later non-nested budget
-                    // would see the same pair under two keys.
-                    let (u, v) = if op.u <= op.v {
-                        (op.u, op.v)
-                    } else {
-                        (op.v, op.u)
-                    };
-                    if overlay.has_edge(u, v) != op.added {
-                        inc.toggle_with(&mut overlay, u, v, |m, _, _| dirty.push(m));
-                    }
-                    let differs = csr.has_edge(u, v) != op.added;
-                    match applied.binary_search(&(u, v)) {
-                        Ok(pos) if !differs => {
-                            applied.remove(pos);
-                        }
-                        Err(pos) if differs => applied.insert(pos, (u, v)),
-                        _ => {}
-                    }
-                }
+            let (prev, cur) = (self.ops(b - 1), self.ops(b));
+            let finals = if cur.starts_with(prev) {
+                net_edits(csr.num_nodes(), op_states(&cur[prev.len()..]))
             } else {
-                // Arbitrary per-budget sets (PGD extractions): derive
-                // the pairs whose state must differ from clean and
-                // toggle the symmetric difference `applied Δ desired` —
-                // pairs only in `applied` revert to clean, pairs only
-                // in `desired` flip away from it.
-                let desired = poisoned_delta(csr, cur);
-                let (mut i, mut j) = (0, 0);
-                while i < applied.len() || j < desired.len() {
-                    let ord = match (applied.get(i), desired.get(j)) {
-                        (Some(a), Some(d)) => a.cmp(d),
-                        (Some(_), None) => std::cmp::Ordering::Less,
-                        _ => std::cmp::Ordering::Greater,
-                    };
-                    let (u, v) = match ord {
-                        std::cmp::Ordering::Equal => {
-                            i += 1;
-                            j += 1;
-                            continue;
-                        }
-                        std::cmp::Ordering::Less => {
-                            i += 1;
-                            applied[i - 1]
-                        }
-                        std::cmp::Ordering::Greater => {
-                            j += 1;
-                            desired[j - 1]
-                        }
-                    };
-                    inc.toggle_with(&mut overlay, u, v, |m, _, _| dirty.push(m));
+                let reset = applied.drain(..).map(|(u, v)| (u, v, csr.has_edge(u, v)));
+                net_edits(csr.num_nodes(), reset.chain(op_states(cur)))
+            };
+            live.edit(&mut overlay, &finals);
+            for &((u, v), present) in &finals {
+                let differs = csr.has_edge(u, v) != present;
+                match applied.binary_search(&(u, v)) {
+                    Ok(pos) if !differs => {
+                        applied.remove(pos);
+                    }
+                    Err(pos) if differs => applied.insert(pos, (u, v)),
+                    _ => {}
                 }
-                applied = desired;
             }
-            dirty.sort_unstable();
-            dirty.dedup();
-            let feats = inc.features();
-            for &m in &dirty {
-                fit.update_row(m as usize, feats.n[m as usize], feats.e[m as usize]);
-            }
-            let params = fit
+            let params = live
                 .refit()
                 .map_err(|source| CurveError { budget: b, source })?;
+            let feats = live.features();
             out.push(
                 targets
                     .iter()
@@ -359,24 +304,9 @@ impl AttackOutcome {
     }
 }
 
-/// The normalised pairs whose membership after applying `ops` to the
-/// clean graph differs from the clean graph, ascending. Sequential
-/// add/remove semantics — the last op on a pair decides its final state,
-/// exactly as `DeltaOverlay::apply_ops` would leave it.
-fn poisoned_delta(csr: &CsrGraph, ops: &[EdgeOp]) -> Vec<(NodeId, NodeId)> {
-    let mut last: BTreeMap<(NodeId, NodeId), bool> = BTreeMap::new();
-    for op in ops {
-        let key = if op.u <= op.v {
-            (op.u, op.v)
-        } else {
-            (op.v, op.u)
-        };
-        last.insert(key, op.added);
-    }
-    last.into_iter()
-        .filter(|&((u, v), present)| u != v && csr.has_edge(u, v) != present)
-        .map(|(pair, _)| pair)
-        .collect()
+/// `ops` as `(u, v, present)` edits, for [`net_edits`].
+fn op_states(ops: &[EdgeOp]) -> impl Iterator<Item = (NodeId, NodeId, bool)> + '_ {
+    ops.iter().map(|op| (op.u, op.v, op.added))
 }
 
 /// Validates a target set against any graph view.
@@ -500,21 +430,6 @@ mod tests {
             source: FitError::EmptyGraph,
         };
         assert!(clean.to_string().contains("clean graph"), "{clean}");
-    }
-
-    #[test]
-    fn poisoned_delta_nets_out_noops() {
-        let g = Graph::from_edges(4, [(0, 1), (1, 2)]);
-        let csr = CsrGraph::from(&g);
-        let ops = [
-            EdgeOp::new(0, 1, false), // real deletion
-            EdgeOp::new(0, 2, true),  // real addition
-            EdgeOp::new(1, 2, true),  // no-op: already present
-            EdgeOp::new(0, 3, true),  // toggled on...
-            EdgeOp::new(0, 3, false), // ...then back off: nets out
-        ];
-        assert_eq!(poisoned_delta(&csr, &ops), vec![(0, 1), (0, 2)]);
-        assert!(poisoned_delta(&csr, &[]).is_empty());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use ba_autodiff::{sum, Tape, Var};
 use ba_core::{node_grads, pair_grad};
-use ba_graph::{generators, Graph, NodeId};
+use ba_graph::{generators, EditableGraph, Graph, NodeId};
 
 /// Builds the full surrogate objective on the tape from adjacency
 /// variables `a[(i,j)]` (upper triangle, symmetric use), mirroring

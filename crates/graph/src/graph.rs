@@ -164,22 +164,6 @@ impl Graph {
         }
     }
 
-    /// Toggles the edge `{u, v}` and returns the resulting [`EdgeOp`].
-    /// No-op (returns `None`) for self-loops.
-    pub fn toggle_edge(&mut self, u: NodeId, v: NodeId) -> Option<EdgeOp> {
-        EditableGraph::toggle_edge(self, u, v)
-    }
-
-    /// Applies a list of edge ops (as produced by an attack) to the graph.
-    ///
-    /// # Panics
-    /// Panics in debug builds if an op is inconsistent with the current
-    /// state (adding an existing edge / deleting a missing one), since
-    /// that indicates a corrupted attack result.
-    pub fn apply_ops(&mut self, ops: &[EdgeOp]) {
-        EditableGraph::apply_ops(self, ops)
-    }
-
     /// Returns a new graph with the ops applied.
     pub fn with_ops(&self, ops: &[EdgeOp]) -> Graph {
         let mut g = self.clone();
@@ -193,37 +177,6 @@ impl Graph {
             let u = u as NodeId;
             nbrs.iter().filter(move |&&v| v > u).map(move |&v| (u, v))
         })
-    }
-
-    /// Number of common neighbours of `u` and `v` — this equals `(A²)_uv`
-    /// for a binary symmetric adjacency with zero diagonal.
-    pub fn common_neighbors(&self, u: NodeId, v: NodeId) -> usize {
-        GraphView::common_neighbors(self, u, v)
-    }
-
-    /// Sum of `f(m)` over all common neighbours `m` of `u` and `v`.
-    /// This is `(A·diag(w)·A)_uv` with `w_m = f(m)` — the second-order
-    /// term of the analytic attack gradient.
-    pub fn common_neighbor_sum(&self, u: NodeId, v: NodeId, f: impl FnMut(NodeId) -> f64) -> f64 {
-        GraphView::common_neighbor_sum(self, u, v, f)
-    }
-
-    /// Number of triangles through node `u` (exactly `(A³)_uu / 2` for
-    /// simple graphs).
-    pub fn triangles_at(&self, u: NodeId) -> usize {
-        GraphView::triangles_at(self, u)
-    }
-
-    /// Degree sequence as f64 (used by the attack's feature vectors).
-    pub fn degrees_f64(&self) -> Vec<f64> {
-        GraphView::degrees_f64(self)
-    }
-
-    /// Nodes with degree ≤ 1 would become singletons if their last edge
-    /// were deleted; the paper's attacks avoid creating singletons.
-    /// Returns `true` when deleting `{u, v}` is safe in that sense.
-    pub fn deletion_keeps_no_singletons(&self, u: NodeId, v: NodeId) -> bool {
-        GraphView::deletion_keeps_no_singletons(self, u, v)
     }
 
     /// Symmetric difference with another graph, as a set of edge ops that

@@ -126,6 +126,11 @@ impl<'a> WireReader<'a> {
         Ok(bytes.try_into().expect("N-byte slice"))
     }
 
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, WireDecodeError> {
         Ok(self.bytes(1)?[0])
@@ -162,7 +167,7 @@ impl<'a> WireReader<'a> {
         // allocation a hostile count would otherwise size.
         let count = usize::try_from(count)
             .ok()
-            .filter(|&c| c <= (self.buf.len() - self.pos) / 8)
+            .filter(|&c| c <= self.remaining() / 8)
             .ok_or(WireDecodeError::Truncated)?;
         let mut items = Vec::with_capacity(count);
         for _ in 0..count {
@@ -173,7 +178,7 @@ impl<'a> WireReader<'a> {
 
     /// Asserts the whole buffer was consumed.
     pub fn finish(self) -> Result<(), WireDecodeError> {
-        match self.buf.len() - self.pos {
+        match self.remaining() {
             0 => Ok(()),
             n => Err(WireDecodeError::Trailing(n)),
         }

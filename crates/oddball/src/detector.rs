@@ -2,6 +2,7 @@
 //! score every node, rank anomalies.
 
 use crate::incremental::IncrementalFit;
+use crate::score::rank_top_k;
 use ba_graph::egonet::{egonet_features, EgonetFeatures};
 use ba_graph::{GraphView, NodeId};
 use ba_linalg::Ols2Error;
@@ -112,17 +113,11 @@ impl OddBall {
             return Err(FitError::EmptyGraph);
         }
         let params = IncrementalFit::new(self.regressor, &feats).refit()?;
-        let scores: Vec<f64> = feats
-            .n
-            .iter()
-            .zip(&feats.e)
-            .map(|(&n_i, &e_i)| params.score(n_i, e_i))
-            .collect();
         Ok(OddBallModel {
             beta0: params.beta0,
             beta1: params.beta1,
+            scores: params.scores(&feats),
             feats,
-            scores,
         })
     }
 }
@@ -170,22 +165,10 @@ impl OddBallModel {
         targets.iter().map(|&t| self.score(t)).sum()
     }
 
-    /// The `k` highest-scoring nodes as `(node, score)`, descending.
-    /// Ties break toward smaller node ids (deterministic). Uses the IEEE
-    /// total order, so a pathological NaN score sorts deterministically
-    /// instead of panicking (scores from a successful fit are finite, so
-    /// the ordering is the usual numeric one in practice).
+    /// The `k` highest-scoring nodes as `(node, score)`, descending,
+    /// ties toward smaller ids ([`rank_top_k`]).
     pub fn top_k(&self, k: usize) -> Vec<(NodeId, f64)> {
-        let mut idx: Vec<NodeId> = (0..self.scores.len() as NodeId).collect();
-        idx.sort_by(|&a, &b| {
-            self.scores[b as usize]
-                .total_cmp(&self.scores[a as usize])
-                .then(a.cmp(&b))
-        });
-        idx.into_iter()
-            .take(k)
-            .map(|i| (i, self.scores[i as usize]))
-            .collect()
+        rank_top_k(&self.scores, k)
     }
 
     /// Boolean anomaly labels for the `frac` highest-scoring nodes

@@ -41,7 +41,9 @@ mod robust;
 mod score;
 
 pub use detector::{FitError, OddBall, OddBallModel, Regressor};
-pub use incremental::{FitParams, IncrementalFit};
+pub use incremental::{net_edits, FitParams, IncrementalFit, LiveFit};
 pub use purify::{edge_retention, low_rank_purify, PurifyConfig};
 pub use robust::{huber_fit, ransac_fit, HuberConfig, RansacConfig};
-pub use score::{anomaly_score, log_features, predicted_e, surrogate_loss, surrogate_score};
+pub use score::{
+    anomaly_score, log_features, predicted_e, rank_top_k, surrogate_loss, surrogate_score,
+};

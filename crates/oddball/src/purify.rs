@@ -138,7 +138,7 @@ pub fn edge_retention(original: &Graph, purified: &Graph) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ba_graph::generators;
+    use ba_graph::{generators, EditableGraph};
     use ba_linalg::Matrix;
 
     #[test]

@@ -1,4 +1,7 @@
-//! Anomaly scoring (paper Eq. (3)) and the optimisation surrogate.
+//! Anomaly scoring (paper Eq. (3)), ranking, and the optimisation
+//! surrogate.
+
+use ba_graph::NodeId;
 
 /// One clamped log feature: `ln(max(x, 1))`. The single code path both
 /// the batch [`log_features`] and the per-row patches of
@@ -37,6 +40,24 @@ pub fn anomaly_score(e_i: f64, n_i: f64, beta0: f64, beta1: f64) -> f64 {
     let c = predicted_e(n_i, beta0, beta1).max(1e-12);
     let ratio = if e >= c { e / c } else { c / e };
     ratio * ((e - c).abs() + 1.0).ln()
+}
+
+/// The `k` highest of `scores` as `(node, score)`, descending; ties
+/// break toward smaller ids. The one ranking order every serving surface
+/// (detector, stream engine, epoch snapshot) agrees on. It uses the IEEE
+/// total order, so a pathological NaN score sorts deterministically
+/// instead of panicking.
+pub fn rank_top_k(scores: &[f64], k: usize) -> Vec<(NodeId, f64)> {
+    let mut idx: Vec<NodeId> = (0..scores.len() as NodeId).collect();
+    idx.sort_by(|&a, &b| {
+        scores[b as usize]
+            .total_cmp(&scores[a as usize])
+            .then(a.cmp(&b))
+    });
+    idx.into_iter()
+        .take(k)
+        .map(|i| (i, scores[i as usize]))
+        .collect()
 }
 
 /// The paper's normalisation-free proxy `˜S_i = ln(|E − C| + 1)`.

@@ -9,7 +9,7 @@
 //! |---|---|---|
 //! | 1 | point-score | `epoch: u64, node: u32` |
 //! | 2 | top-k | `epoch: u64, k: u32` |
-//! | 3 | ingest-batch | `count: u32, (time: u64, u: u32, v: u32, insert: u8)*` |
+//! | 3 | ingest-batch | `count: u32, (time: u64, u: u32, v: u32, insert: 0 or 1 as u8)*` |
 //! | 4 | epoch-info | — |
 //!
 //! Queries carry an *epoch pin*: the epoch the response must be served
@@ -139,6 +139,8 @@ pub enum WireError {
     UnknownTag(u8),
     /// An error message was not valid UTF-8.
     BadUtf8,
+    /// A boolean field held a byte other than 0 or 1.
+    BadFlag(u8),
 }
 
 impl std::fmt::Display for WireError {
@@ -148,6 +150,7 @@ impl std::fmt::Display for WireError {
             WireError::Trailing(n) => write!(f, "{n} trailing bytes after message"),
             WireError::UnknownTag(t) => write!(f, "unknown tag {t}"),
             WireError::BadUtf8 => write!(f, "error message is not valid UTF-8"),
+            WireError::BadFlag(b) => write!(f, "flag byte {b} is neither 0 nor 1"),
         }
     }
 }
@@ -204,12 +207,18 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
         },
         3 => {
             let count = r.u32()?;
-            let mut events = Vec::with_capacity((count as usize).min(1 << 16));
+            // Each event is 17 bytes, so the bytes left bound the
+            // capacity whatever the count claims.
+            let mut events = Vec::with_capacity((count as usize).min(r.remaining() / 17));
             for _ in 0..count {
                 let time = r.u64()?;
                 let u = r.u32()?;
                 let v = r.u32()?;
-                let insert = r.u8()? != 0;
+                let insert = match r.u8()? {
+                    0 => false,
+                    1 => true,
+                    flag => return Err(WireError::BadFlag(flag)),
+                };
                 events.push(StreamEvent::new(time, u, v, insert));
             }
             Request::IngestBatch { events }
@@ -290,7 +299,8 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
         2 => {
             let epoch = r.u64()?;
             let count = r.u32()?;
-            let mut entries = Vec::with_capacity((count as usize).min(1 << 16));
+            // Each entry is 12 bytes: see `decode_request`.
+            let mut entries = Vec::with_capacity((count as usize).min(r.remaining() / 12));
             for _ in 0..count {
                 let node = r.u32()?;
                 entries.push((node, f64::from_bits(r.u64()?)));
@@ -500,9 +510,8 @@ mod tests {
         assert!(parse_request_line("frobnicate 1").is_err());
     }
 
-    #[test]
-    fn response_binary_roundtrip() {
-        let responses = vec![
+    fn sample_responses() -> Vec<Response> {
+        vec![
             Response::error(ERR_UNKNOWN_EPOCH, "epoch 9 not retained"),
             Response::Score {
                 epoch: 4,
@@ -530,8 +539,12 @@ mod tests {
                 nodes: 100,
                 edges: 480,
             },
-        ];
-        for resp in responses {
+        ]
+    }
+
+    #[test]
+    fn response_binary_roundtrip() {
+        for resp in sample_responses() {
             let decoded = decode_response(&encode_response(&resp)).unwrap();
             // NaN != NaN under PartialEq; compare through the encoded
             // bytes, which carry exact bit patterns.
@@ -653,5 +666,131 @@ mod tests {
             line,
             "score epoch=1 node=2 bits=3fe0000000000000 (~0.500000)"
         );
+    }
+
+    /// Every truncation and every single-bit flip of `bytes`. Truncations
+    /// must all be rejected; returns how many flips `accepted`.
+    fn truncations_and_flips(bytes: &[u8], accepted: impl Fn(&[u8]) -> bool) -> usize {
+        assert!(accepted(bytes), "the sample itself was rejected: {bytes:?}");
+        for cut in 0..bytes.len() {
+            assert!(!accepted(&bytes[..cut]), "{bytes:?} cut to {cut}: accepted");
+        }
+        let mut flips = 0;
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.to_vec();
+                flipped[at] ^= 1 << bit;
+                flips += usize::from(accepted(&flipped));
+            }
+        }
+        flips
+    }
+
+    /// `bytes` with the little-endian `u32` length or count at `at`
+    /// raised to a value the payload cannot hold, up to `u32::MAX`: a
+    /// decoder that sized an allocation from it unchecked would abort.
+    fn inflated(bytes: &[u8], at: usize) -> Vec<Vec<u8>> {
+        let x = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        [x + 1, 2 * x + 1, 10 * x + 1, 1 << 16, 1 << 31, u32::MAX]
+            .into_iter()
+            .map(|v| {
+                let mut b = bytes.to_vec();
+                b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+                b
+            })
+            .collect()
+    }
+
+    /// Deterministic mutations of one sample message per request and
+    /// response shape: every truncation, every single-bit flip, and
+    /// inflated length and count fields. Each must fail with a typed
+    /// error or decode to a message that encodes back to exactly the
+    /// mutated bytes; none may panic.
+    #[test]
+    fn mutated_messages_fail_typed_or_roundtrip_exactly() {
+        let request_ok = |b: &[u8]| match decode_request(b) {
+            Ok(req) => {
+                assert_eq!(encode_request(&req), b, "{req:?} encodes otherwise");
+                true
+            }
+            Err(_) => false,
+        };
+        let response_ok = |b: &[u8]| match decode_response(b) {
+            Ok(resp) => {
+                assert_eq!(encode_response(&resp), b, "{resp:?} encodes otherwise");
+                true
+            }
+            Err(_) => false,
+        };
+        let mut flips = 0;
+        for req in sample_requests() {
+            let bytes = encode_request(&req);
+            flips += truncations_and_flips(&bytes, request_ok);
+            if let Request::IngestBatch { .. } = req {
+                for bad in inflated(&bytes, 1) {
+                    assert_eq!(decode_request(&bad), Err(WireError::Truncated));
+                }
+            }
+        }
+        for resp in sample_responses() {
+            let bytes = encode_response(&resp);
+            flips += truncations_and_flips(&bytes, response_ok);
+            let count_at = match resp {
+                Response::Error { .. } => 3,
+                Response::TopK { .. } => 9,
+                _ => continue,
+            };
+            for bad in inflated(&bytes, count_at) {
+                assert_eq!(decode_response(&bad), Err(WireError::Truncated));
+            }
+        }
+        // Field bits, for one, may change freely.
+        assert!(flips > 0);
+        // A flag byte is 0 or 1, so every flip is canonical or rejected.
+        let mut batch = encode_request(&sample_requests()[3]);
+        *batch.last_mut().unwrap() = 2;
+        assert_eq!(decode_request(&batch), Err(WireError::BadFlag(2)));
+    }
+
+    /// The request-log parser under the same mutations of each sample
+    /// line, at character level: nothing panics, and every line it
+    /// accepts parses to a request whose canonical line parses back to
+    /// it. The text form tolerates extra whitespace and number spellings
+    /// (`+5`, `05`), so its round trip runs through the canonical line.
+    #[test]
+    fn mutated_request_lines_fail_typed_or_roundtrip() {
+        let roundtrips = |line: &str| {
+            if let Ok(Some(req)) = parse_request_line(line) {
+                let canonical = format_request(&req);
+                assert_eq!(parse_request_line(&canonical), Ok(Some(req)), "{line:?}");
+            }
+        };
+        for req in sample_requests() {
+            let line = format_request(&req);
+            assert_eq!(parse_request_line(&line), Ok(Some(req)));
+            for cut in 0..line.len() {
+                roundtrips(&line[..cut]);
+            }
+            for at in 0..line.len() {
+                for bit in 0..8 {
+                    let mut bytes = line.clone().into_bytes();
+                    bytes[at] ^= 1 << bit;
+                    if let Ok(flipped) = std::str::from_utf8(&bytes) {
+                        roundtrips(flipped);
+                    }
+                }
+            }
+            // Each number inflated past `u32`, and past every field type.
+            for huge in ["4294967296", "18446744073709551616", &"1".repeat(40)] {
+                let numbers = line.split(|c: char| !c.is_ascii_digit());
+                for number in numbers.filter(|t| !t.is_empty()) {
+                    let bad = line.replacen(number, huge, 1);
+                    roundtrips(&bad);
+                    if huge.len() > 10 {
+                        assert!(parse_request_line(&bad).is_err(), "{bad:?}: accepted");
+                    }
+                }
+            }
+        }
     }
 }

@@ -6,25 +6,19 @@
 //! point-score and top-k queries between batches. The per-batch
 //! pipeline (see DESIGN.md §7 for the complexity model):
 //!
-//! 1. **Net.** Events are netted against the current edge set: within a
-//!    batch only the *final* presence of each touched edge matters
-//!    (queries are only served at batch boundaries), so redundant
+//! 1. **Net.** Events are netted by [`net_edits`]: within a batch
+//!    only the *final* presence of each touched edge matters (queries
+//!    are only served at batch boundaries), so redundant
 //!    inserts/deletes and insert→delete churn cost nothing downstream.
 //!    Net ops come out keyed in sorted `(u, v)` order — deterministic.
-//! 2. **Toggle.** Each net op is applied in that canonical order through
-//!    [`IncrementalEgonet::toggle_with`]: one `O(deg u + deg v)`
-//!    common-neighbour merge patches `(N, E)` by exact integer deltas at
-//!    the two endpoints and their common neighbours, and reports each of
-//!    those rows with its value before the toggle.
-//! 3. **Dirty set.** The reported rows, sorted by node and deduped
-//!    keeping each node's first report — its pre-batch `(N, E)`, so the
-//!    rows that really moved are counted without an `O(n)` copy. A row
-//!    that moved and moved back is harmless: the refit's no-op check
-//!    skips it, so the fitted parameters depend only on the rows that
-//!    actually moved.
-//! 4. **Merge (serial, sorted).** Dirty rows are fed to
-//!    [`IncrementalFit::update_row`] in ascending node order, then the
-//!    model refits (O(1) for OLS) and the batch summary is emitted.
+//! 2. **Toggle, dirty set, merge.** The net ops go through the shared
+//!    live-refit kernel, [`LiveFit::edit`] (DESIGN.md §2.3): one
+//!    `O(deg u + deg v)` common-neighbour merge per flip patches
+//!    `(N, E)` by exact integer deltas, and the rows that moved are
+//!    patched into the fit in ascending node order. The same kernel
+//!    replays the τ_as curve in `ba-core`.
+//! 3. **Refit.** The model refits (O(1) for OLS) and the batch summary
+//!    is emitted.
 //!
 //! **Compaction.** Overlay reads pay an indirection per touched row and
 //! resets/compactions pay O(dirty), so once the dirty-row count crosses
@@ -37,10 +31,9 @@
 //! proptest), so steady-state ingest stays O(batch).
 
 use crate::StreamEvent;
-use ba_graph::egonet::{EgonetFeatures, IncrementalEgonet};
+use ba_graph::egonet::{egonet_features, EgonetFeatures};
 use ba_graph::{CsrGraph, DeltaOverlay, Fold, GraphView, NodeId, OverlayEdits};
-use ba_oddball::{FitParams, IncrementalFit, Regressor};
-use std::collections::BTreeMap;
+use ba_oddball::{net_edits, rank_top_k, FitParams, LiveFit, Regressor};
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -125,7 +118,7 @@ impl EpochSnapshot {
     /// node outside the graph.
     pub fn score(&self, node: NodeId) -> Result<f64, &str> {
         let params = self.params.as_ref().map_err(|e| e.as_str())?;
-        score_of(params, &self.feats, node)
+        params.score_at(&self.feats, node).ok_or(OUT_OF_RANGE)
     }
 
     /// The `k` highest-scoring nodes as `(node, score)`, descending;
@@ -133,7 +126,7 @@ impl EpochSnapshot {
     /// [`StreamEngine::top_k`].
     pub fn top_k(&self, k: usize) -> Result<Vec<(NodeId, f64)>, &str> {
         let params = self.params.as_ref().map_err(|e| e.as_str())?;
-        Ok(top_k_from(params, &self.feats, k))
+        Ok(rank_top_k(&params.scores(&self.feats), k))
     }
 }
 
@@ -143,8 +136,7 @@ pub struct StreamEngine {
     cfg: StreamConfig,
     base: CsrGraph,
     edits: OverlayEdits,
-    inc: IncrementalEgonet,
-    fit: IncrementalFit,
+    live: LiveFit,
     params: Result<FitParams, String>,
     batches: u64,
     events_seen: u64,
@@ -170,8 +162,8 @@ impl StreamEngine {
     /// features are read straight off the CSR rows, not through an
     /// overlay's slot table.
     pub fn from_csr(base: CsrGraph, cfg: StreamConfig) -> Self {
-        let inc = IncrementalEgonet::new(&base);
-        Self::fitted(base, OverlayEdits::default(), inc, cfg)
+        let feats = egonet_features(&base);
+        Self::fitted(base, OverlayEdits::default(), feats, cfg)
     }
 
     /// Rebuilds an engine from snapshot parts: the frozen base, the
@@ -188,32 +180,31 @@ impl StreamEngine {
         compactions: u64,
     ) -> Self {
         let view = DeltaOverlay::attach(&base, edits);
-        let inc = IncrementalEgonet::new(&view);
+        let feats = egonet_features(&view);
         let edits = view.detach();
         Self {
             batches,
             events_seen,
             compactions,
-            ..Self::fitted(base, edits, inc, cfg)
+            ..Self::fitted(base, edits, feats, cfg)
         }
     }
 
-    /// An engine at batch 0 over `base + edits` with features `inc`:
+    /// An engine at batch 0 over `base + edits` with features `feats`:
     /// fits the detector once.
     fn fitted(
         base: CsrGraph,
         edits: OverlayEdits,
-        inc: IncrementalEgonet,
+        feats: EgonetFeatures,
         cfg: StreamConfig,
     ) -> Self {
-        let fit = IncrementalFit::new(cfg.regressor, inc.features());
-        let params = fit.refit().map_err(|e| e.to_string());
+        let live = LiveFit::new(cfg.regressor, feats);
+        let params = live.refit().map_err(|e| e.to_string());
         Self {
             cfg,
             base,
             edits,
-            inc,
-            fit,
+            live,
             params,
             batches: 0,
             events_seen: 0,
@@ -294,7 +285,7 @@ impl StreamEngine {
 
     /// Current per-node egonet features.
     pub fn features(&self) -> &EgonetFeatures {
-        self.inc.features()
+        self.live.features()
     }
 
     /// The current model, or the degeneracy reason of the last refit.
@@ -312,7 +303,7 @@ impl StreamEngine {
     /// node outside the graph.
     pub fn score(&self, node: NodeId) -> Result<f64, &str> {
         let params = self.params()?;
-        score_of(&params, self.features(), node)
+        params.score_at(self.features(), node).ok_or(OUT_OF_RANGE)
     }
 
     /// The `k` highest-scoring nodes as `(node, score)`, descending;
@@ -320,7 +311,7 @@ impl StreamEngine {
     /// `OddBallModel::top_k`).
     pub fn top_k(&self, k: usize) -> Result<Vec<(NodeId, f64)>, &str> {
         let params = self.params()?;
-        Ok(top_k_from(&params, self.features(), k))
+        Ok(rank_top_k(&params.scores(self.features()), k))
     }
 
     /// Freezes the current state into an [`EpochSnapshot`]: the edge
@@ -340,54 +331,16 @@ impl StreamEngine {
     /// boundary. Events referencing out-of-range nodes or self-loops
     /// are counted but otherwise ignored.
     pub fn ingest_batch(&mut self, events: &[StreamEvent]) -> BatchSummary {
-        let n = self.base.num_nodes() as NodeId;
         self.batches += 1;
         self.events_seen += events.len() as u64;
 
         let edits = std::mem::take(&mut self.edits);
         let mut view = DeltaOverlay::attach(&self.base, edits);
-
-        // 1. Net the batch: the last event per edge decides its final
-        // presence; an op is applied only when that differs from the
-        // current state. BTreeMap keys make the op order canonical.
-        let mut finals: BTreeMap<(NodeId, NodeId), bool> = BTreeMap::new();
-        for ev in events {
-            if ev.u == ev.v || ev.u >= n || ev.v >= n {
-                continue;
-            }
-            let key = (ev.u.min(ev.v), ev.u.max(ev.v));
-            finals.insert(key, ev.insert);
-        }
-
-        // 2. Toggle each net op, collecting every reported row with its
-        // value before that toggle. A toggle never changes another
-        // pair's presence, so netting against the live view is exact.
-        let mut applied = 0usize;
-        let mut dirty: Vec<(NodeId, f64, f64)> = Vec::with_capacity(4 * finals.len());
-        for (&(u, v), &present) in &finals {
-            if view.has_edge(u, v) != present {
-                self.inc
-                    .toggle_with(&mut view, u, v, |m, n_m, e_m| dirty.push((m, n_m, e_m)));
-                applied += 1;
-            }
-        }
-
-        // 3. Stable sort + dedup keeps each node's first report: its
-        // pre-batch row.
-        dirty.sort_by_key(|&(m, _, _)| m);
-        dirty.dedup_by_key(|&mut (m, _, _)| m);
-
-        // 4. Serial merge in ascending node order, then refit.
-        let feats = self.inc.features();
-        let mut moved = 0usize;
-        for &(m, n_before, e_before) in &dirty {
-            let (n_m, e_m) = (feats.n[m as usize], feats.e[m as usize]);
-            if n_m != n_before || e_m != e_before {
-                moved += 1;
-            }
-            self.fit.update_row(m as usize, n_m, e_m);
-        }
-        self.params = self.fit.refit().map_err(|e| e.to_string());
+        // Net the batch, then toggle, patch and refit through the kernel.
+        let net = events.iter().map(|ev| (ev.u, ev.v, ev.insert));
+        let finals = net_edits(self.base.num_nodes(), net);
+        let (applied, moved) = self.live.edit(&mut view, &finals);
+        self.params = self.live.refit().map_err(|e| e.to_string());
 
         // Compaction: fold the overlay into a fresh frozen base once
         // enough rows have diverged. Invisible to scores and adjacency.
@@ -411,33 +364,8 @@ impl StreamEngine {
     }
 }
 
-/// `node`'s score under `params`, or `Err` when `node` is out of range.
-fn score_of<'a>(params: &FitParams, feats: &EgonetFeatures, node: NodeId) -> Result<f64, &'a str> {
-    let i = node as usize;
-    if i >= feats.len() {
-        return Err("node out of range");
-    }
-    Ok(params.score(feats.n[i], feats.e[i]))
-}
-
-/// The `k` highest scores under `params` over `feats`, descending, ties
-/// toward smaller ids — the one ranking order every serving surface
-/// (engine, epoch snapshot, detector) agrees on.
-fn top_k_from(params: &FitParams, feats: &EgonetFeatures, k: usize) -> Vec<(NodeId, f64)> {
-    let scores: Vec<f64> = (0..feats.len())
-        .map(|i| params.score(feats.n[i], feats.e[i]))
-        .collect();
-    let mut idx: Vec<NodeId> = (0..scores.len() as NodeId).collect();
-    idx.sort_by(|&a, &b| {
-        scores[b as usize]
-            .total_cmp(&scores[a as usize])
-            .then(a.cmp(&b))
-    });
-    idx.into_iter()
-        .take(k)
-        .map(|i| (i, scores[i as usize]))
-        .collect()
-}
+/// The error a point query for a node outside the graph returns.
+const OUT_OF_RANGE: &str = "node out of range";
 
 #[cfg(test)]
 mod tests {

@@ -14,10 +14,9 @@
 //! * **Full-refit equivalence** — after every batch the model and all
 //!   scores are bit-identical to refitting OddBall from scratch on the
 //!   materialised graph;
-//! * **One feature-update kernel** — ingest patches features with the
-//!   same exact delta rule the attack and curve evaluation use
-//!   ([`IncrementalEgonet::toggle_with`](ba_graph::egonet::IncrementalEgonet::toggle_with)),
-//!   one common-neighbour merge per net edge flip;
+//! * **One live-refit kernel** — ingest nets, toggles, patches and
+//!   refits through the same [`LiveFit`](ba_oddball::LiveFit) the τ_as
+//!   curve replay uses: one common-neighbour merge per net edge flip;
 //! * **Bit-exact resume** — [`StreamEngine::save_snapshot`] /
 //!   [`StreamEngine::restore_snapshot`] (atomic rename + exact IEEE-754
 //!   text codec, from the leaf [`ba_net::codec`]) let a killed stream
