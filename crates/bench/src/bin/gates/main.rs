@@ -81,7 +81,7 @@ const GATES: &[Gate] = &[
         run: search::run,
         metrics: "n:count m:count target_sets:count budget:count threads:count \
                   single_cold_s:s single_memo_s:s single_pass_speedup:x \
-                  forward_passes:count loss_evals:count grads_hits:count \
+                  binarized_cold_s:s gradmax_cold_s:s forward_passes:count loss_evals:count grads_hits:count \
                   grads_misses:count grads_stores:count grads_evictions:count",
     },
     Gate {

@@ -9,7 +9,9 @@
 //! reps alternate. Fails unless `single_pass_speedup > 1` with at least
 //! one LRU hit. Ops, losses and loss trajectories must equal the cold
 //! path's (a mismatch panics): memoization trades memory for
-//! wall-clock, never results. `--quick` shrinks the workload.
+//! wall-clock, never results. The cold sweep's seconds are also
+//! reported per attack, each the best of [`REPS`]. `--quick` shrinks
+//! the workload.
 
 use crate::{Profile, Verdict};
 use ba_core::{
@@ -40,8 +42,9 @@ struct Suite {
 impl Suite {
     /// One sweep on a fresh session, memoized or cold: every attack on
     /// every target set, in a fixed order. Returns the outcomes, the
-    /// seconds the sweep took, and the memo counters.
-    fn time(&self, memo: bool) -> (Vec<AttackOutcome>, f64, Option<MemoStats>) {
+    /// seconds the sweep took, the seconds of its BinarizedAttack and
+    /// GradMaxSearch calls, and the memo counters.
+    fn time(&self, memo: bool) -> (Vec<AttackOutcome>, f64, [f64; 2], Option<MemoStats>) {
         let session = AttackSession::new(&self.csr, &self.target_sets[0])
             .expect("session")
             .with_threads(self.threads);
@@ -52,15 +55,19 @@ impl Suite {
         let gradmax = GradMaxSearch::new(AttackConfig::default());
         let binarized =
             BinarizedAttack::new(AttackConfig::default()).with_iterations(self.iterations);
+        let mut per_attack = [0.0; 2];
         for targets in &self.target_sets {
-            session.retarget(targets).expect("valid targets");
-            let outcome = binarized.attack_with_session(&mut session, self.budget);
-            outcomes.push(outcome.expect("binarized attack"));
-            session.retarget(targets).expect("valid targets");
-            let outcome = gradmax.attack_with_session(&mut session, self.budget);
-            outcomes.push(outcome.expect("gradmax attack"));
+            let attacks: [&dyn StructuralAttack; 2] = [&binarized, &gradmax];
+            for (attack, seconds) in attacks.into_iter().zip(&mut per_attack) {
+                let t = Instant::now();
+                session.retarget(targets).expect("valid targets");
+                let outcome = attack.attack_with_session(&mut session, self.budget);
+                outcomes.push(outcome.unwrap_or_else(|e| panic!("{}: {e}", attack.name())));
+                *seconds += t.elapsed().as_secs_f64();
+            }
         }
-        (outcomes, t0.elapsed().as_secs_f64(), session.memo_stats())
+        let total = t0.elapsed().as_secs_f64();
+        (outcomes, total, per_attack, session.memo_stats())
     }
 }
 
@@ -103,13 +110,18 @@ pub fn run(profile: &Profile) -> Verdict {
     // reuses features); the memoized one is reused across every attack
     // and target set. Cold and memoized sweeps alternate within each rep.
     let (mut single_cold_s, mut single_memo_s) = (f64::INFINITY, f64::INFINITY);
+    let mut cold_per_attack = [f64::INFINITY; 2];
     let (mut cold_outcomes, mut memo_outcomes, mut memo_stats) = (Vec::new(), Vec::new(), None);
     for _ in 0..REPS {
-        let (outcomes, s, _) = suite.time(false);
+        let (outcomes, s, per_attack, _) = suite.time(false);
         (cold_outcomes, single_cold_s) = (outcomes, single_cold_s.min(s));
-        let (outcomes, s, stats) = suite.time(true);
+        for (best, s) in cold_per_attack.iter_mut().zip(per_attack) {
+            *best = best.min(s);
+        }
+        let (outcomes, s, _, stats) = suite.time(true);
         (memo_outcomes, single_memo_s, memo_stats) = (outcomes, single_memo_s.min(s), stats);
     }
+    let [binarized_cold_s, gradmax_cold_s] = cold_per_attack;
     let stats = memo_stats.expect("memo was attached");
 
     // Bit identity: the memo must be invisible in the results.
@@ -134,6 +146,8 @@ pub fn run(profile: &Profile) -> Verdict {
         .metric("single_cold_s", single_cold_s, "s")
         .metric("single_memo_s", single_memo_s, "s")
         .metric("single_pass_speedup", single_pass_speedup, "x")
+        .metric("binarized_cold_s", binarized_cold_s, "s")
+        .metric("gradmax_cold_s", gradmax_cold_s, "s")
         .metric("forward_passes", stats.ng_misses as f64, "count")
         .metric("loss_evals", stats.loss_misses as f64, "count")
         .metric("grads_hits", stats.grads_hits as f64, "count")

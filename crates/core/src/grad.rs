@@ -31,12 +31,16 @@
 //! or computed by per-pair merges, whichever a per-row cost estimate
 //! says is cheaper. The candidate range is split into equal contiguous
 //! chunks, one per crew thread (`split.rs`). The attacks' search loops
-//! run their assembly, PGD step and argmax passes on one crew over the
-//! same partition, chunk by chunk through `assemble_chunk`, so each
-//! thread reads back the gradients it wrote; a one-shot assembly runs a
-//! one-pass crew. The straight-through sign `1 − 2A₀` can be folded into
-//! the assembly, and `max |G|` comes back from the same pass, so a PGD
-//! iteration makes one candidate-length pass for its backward step.
+//! run their passes on one crew over the same partition, chunk by chunk:
+//! BinarizedAttack's assembly through `assemble_chunk`, so each thread
+//! steps on the gradients it wrote, and GradMaxSearch's through
+//! `argmax_chunk`; a one-shot assembly runs a one-pass crew. The
+//! straight-through sign `1 − 2A₀` can be folded into the assembly, and
+//! the kernel hands each finished entry to one of two sinks: one stores
+//! it and keeps `max |G|`, so a PGD iteration makes one candidate-length
+//! pass for its backward step; the other keeps only the best
+//! sign-consistent entry, so a greedy step writes no candidate-length
+//! buffer at all.
 //! A `Full` set's scatter finds its place in each neighbour list with a
 //! per-node cursor that advances one entry per row, and its combine runs
 //! without a branch per entry: a select between the two arms of the
@@ -447,6 +451,50 @@ pub(crate) fn assemble_chunk<V: GraphView + ?Sized>(
     scratch: &mut RowScratch,
 ) -> f64 {
     assert_eq!(out.len(), range.len(), "output run length mismatch");
+    let mut store = Store { out, max_abs: 0.0 };
+    chunk_kernel(g, ng, candidates, range, mask, sign, scratch, &mut store);
+    store.max_abs
+}
+
+/// The best entry of one chunk of an assembly pass, with no output
+/// written: the row kernel over the candidates in `range` as
+/// [`assemble_chunk`] runs it, each finished entry `v` folded as it is
+/// combined. Returns the first strict maximum of `−v` above `0.0`, as
+/// `(candidate index, −v)`: the entry a strict `>` scan over
+/// [`assemble_chunk`]'s output, in ascending index, would pick. So only
+/// entries with `v < 0` qualify (a masked-off `+0.0` and a NaN never
+/// do), and ties go to the lower index.
+pub(crate) fn argmax_chunk<V: GraphView + ?Sized>(
+    g: &V,
+    ng: &NodeGrads,
+    candidates: &Candidates,
+    range: Range<usize>,
+    mask: &[bool],
+    sign: Option<&[bool]>,
+    scratch: &mut RowScratch,
+) -> Option<(usize, f64)> {
+    let mut best = Argmax {
+        base: range.start,
+        at: None,
+        abs: 0.0,
+    };
+    chunk_kernel(g, ng, candidates, range, mask, sign, scratch, &mut best);
+    best.at.map(|idx| (idx, best.abs))
+}
+
+/// The checks and scratch set-up both chunk passes share, then the row
+/// kernel into `fold`.
+#[allow(clippy::too_many_arguments)]
+fn chunk_kernel<V: GraphView + ?Sized, F: RowFold>(
+    g: &V,
+    ng: &NodeGrads,
+    candidates: &Candidates,
+    range: Range<usize>,
+    mask: &[bool],
+    sign: Option<&[bool]>,
+    scratch: &mut RowScratch,
+    fold: &mut F,
+) {
     assert_eq!(mask.len(), range.len(), "mask run length mismatch");
     if let Some(sign) = sign {
         assert_eq!(sign.len(), range.len(), "sign run length mismatch");
@@ -463,7 +511,7 @@ pub(crate) fn assemble_chunk<V: GraphView + ?Sized>(
     }
     let RowScratch { row, cursor } = scratch;
     let (row, cursor) = (&mut row[..n], &mut cursor[..n]);
-    row_pair_grads(g, ng, candidates, mask, sign, range, out, row, cursor)
+    row_pair_grads(g, ng, candidates, mask, sign, range, row, cursor, fold);
 }
 
 /// The output entry for a candidate with gradient `grad`: `0.0` when
@@ -476,192 +524,82 @@ fn finish(grad: f64, on: bool, flip: bool) -> f64 {
     f64::from_bits(signed & 0u64.wrapping_sub(u64::from(on)))
 }
 
-/// The row kernel (see [`assemble_pair_grads_into`]) over the
-/// candidates in `range`, written to `out`; `mask`, `sign` and `out` are
-/// that range's runs. Its scatter is the flat-array descendant of
-/// [`correction_map`] — same sums, no hashing, no candidate-length
-/// scratch. `row` and `cursor` are `n` long; `row` must be all-zero on
-/// entry and is left all-zero. Returns the run's max-abs over the mask.
-///
-/// Candidates sharing a smaller endpoint are contiguous in both
-/// [`Candidates`] forms, in ascending larger endpoint, so each row of
-/// the pair space is one run of `out`; `range` may start or end inside
-/// a row, and such a row is computed only over the part in `range` (a
-/// scattered one is scattered whole). A scatter enumerates
-/// `m ∈ N(a)` ascending, then `b ∈ N(m)` past `a`, which delivers each
-/// pair's contributions in ascending `m`, so its sums are bit-identical
-/// to a merge's.
-///
-/// A `Full` set scatters its rows in ascending `a`, so where `N(m)`
-/// passes `a` moves forward one entry per row: `cursor[m]` is seeded
-/// once, at the chunk's first row, and row `a` reads it as the position
-/// of `a` in `N(m)` (for every `m ∈ N(a)`) and advances it by one. A
-/// `List` set skips rows, so its scatter finds that position by binary
-/// search, as does the clearing of a `Full` row cut by a chunk edge (at
-/// most two rows per chunk).
-#[allow(clippy::too_many_arguments)]
-fn row_pair_grads<V: GraphView + ?Sized>(
-    g: &V,
-    ng: &NodeGrads,
-    candidates: &Candidates,
-    mask: &[bool],
-    sign: Option<&[bool]>,
-    range: Range<usize>,
-    out: &mut [f64],
-    row: &mut [(f64, f64)],
-    cursor: &mut [u32],
-) -> f64 {
-    debug_assert_eq!(out.len(), range.len());
-    if range.is_empty() {
-        return 0.0;
+/// Where the row kernel's finished entries go, one run of a row at a
+/// time, runs in ascending candidate order.
+trait RowFold {
+    /// Takes the entries `entry(k)`, `k` in `0..len`, of the run that
+    /// starts `at` candidates into the chunk. Calls `entry` once per
+    /// `k`, in ascending order.
+    fn fold_run(&mut self, at: usize, len: usize, entry: impl FnMut(usize) -> f64);
+
+    /// [`RowFold::fold_run`] for a run of a `Full` row, whose operands
+    /// are slices of one length: entry `k` is `row_grad` of row `a`'s
+    /// `(h_a, ge_a)` with `h[k]`, `ge[k]` and `row[k]` (re-zeroed),
+    /// finished with `mask[k]` and `flip(k)`.
+    #[allow(clippy::too_many_arguments)]
+    fn fold_full(
+        &mut self,
+        at: usize,
+        (h_a, ge_a): (f64, f64),
+        row: &mut [(f64, f64)],
+        h: &[f64],
+        ge: &[f64],
+        mask: &[bool],
+        flip: impl Fn(usize) -> bool,
+    ) {
+        let len = row.len();
+        assert!(h.len() == len && ge.len() == len && mask.len() == len);
+        self.fold_run(at, len, |k| {
+            let grad = row_grad(h_a, ge_a, h[k], ge[k], take(&mut row[k]));
+            finish(grad, mask[k], flip(k))
+        });
     }
-    let mut sink = RowSink {
-        ng,
-        mask,
-        sign,
-        base: range.start,
-        out,
-        max_abs: 0.0,
-    };
-    match candidates {
-        Candidates::Full(ps) => {
-            let n = ps.nodes();
-            let (first, _) = ps.pair(range.start);
-            let (last, _) = ps.pair(range.end - 1);
-            for (m, at) in cursor.iter_mut().enumerate() {
-                *at = g
-                    .neighbors_sorted(m as NodeId)
-                    .partition_point(|&b| b < first) as u32;
-            }
-            for a in first..=last {
-                // Row `a` is the run of `{a, j}`, `j ∈ (a, n)`, from index
-                // `start`; a chunk edge may leave this chunk only the
-                // candidates `lo..hi`, whose larger endpoints are `cols`.
-                let (au, start) = (a as usize, ps.index(a, a + 1));
-                let lo = start.max(range.start);
-                let hi = (start + n - 1 - au).min(range.end);
-                let cols = au + 1 + (lo - start)..au + 1 + (hi - start);
-                let whole = cols.len() == n - 1 - au;
-                scatter_full(g, &ng.g_e, a, row, cursor);
-                sink.combine_full(au, cols, lo, row);
-                if !whole {
-                    // Entries outside `cols` were scattered but not read.
-                    scatter_row(g, &ng.g_e, a, row, true);
-                }
-            }
-        }
-        Candidates::List(pairs) => {
-            let mut lo = range.start;
-            for run in pairs[range].chunk_by(|x, y| x.0 == y.0) {
-                let a = run[0].0;
-                let js = run.iter().map(|&(_, j)| j);
-                let (merge, scatter) = row_costs(g, run);
-                if merge < scatter {
-                    sink.merge(g, a, lo, js);
-                } else {
-                    scatter_row(g, &ng.g_e, a, row, false);
-                    sink.combine(a, lo, js, row);
-                    // Wedges may land on pairs outside the list.
-                    scatter_row(g, &ng.g_e, a, row, true);
-                }
-                lo += run.len();
-            }
-        }
-    }
-    sink.max_abs
 }
 
-/// Output side of [`row_pair_grads`]: everything a row's combine pass
-/// reads or writes besides the row buffer. `mask`, `sign` and `out` are
-/// the runs that start at candidate `base`.
-struct RowSink<'a> {
-    ng: &'a NodeGrads,
-    mask: &'a [bool],
-    sign: Option<&'a [bool]>,
-    base: usize,
+/// The store-and-max sink: writes each entry to `out`, the chunk's run
+/// of the output, and keeps `max |v|`.
+struct Store<'a> {
     out: &'a mut [f64],
     max_abs: f64,
 }
 
-impl RowSink<'_> {
-    /// Combines the run starting at candidate `lo` of row `a`, whose
-    /// larger endpoints are `js`, reading and re-zeroing each row entry.
+impl RowFold for Store<'_> {
+    /// Writes the run and folds `|v|` into `max_abs`.
     #[inline]
-    fn combine(
+    fn fold_run(&mut self, at: usize, len: usize, mut entry: impl FnMut(usize) -> f64) {
+        for (k, out) in self.out[at..at + len].iter_mut().enumerate() {
+            *out = entry(k);
+            self.max_abs = self.max_abs.max(out.abs());
+        }
+    }
+
+    /// Writes the run with no branch per entry and folds `|v|` into four
+    /// max lanes, entry `k` in lane `k % 4`, merged at the end of the
+    /// run, so no entry waits on the previous entry's max. The max is
+    /// exact and every `|v|` is `+0.0` or more, so the lanes give the
+    /// serial fold's result.
+    #[inline]
+    fn fold_full(
         &mut self,
-        a: NodeId,
-        lo: usize,
-        js: impl Iterator<Item = NodeId>,
+        at: usize,
+        (h_a, ge_a): (f64, f64),
         row: &mut [(f64, f64)],
+        h: &[f64],
+        ge: &[f64],
+        mask: &[bool],
+        flip: impl Fn(usize) -> bool,
     ) {
-        let ng = self.ng;
-        let (h_a, ge_a) = (ng.h[a as usize], ng.g_e[a as usize]);
-        for (k, j) in (lo - self.base..).zip(js) {
-            let j = j as usize;
-            let grad = row_grad(h_a, ge_a, ng.h[j], ng.g_e[j], take(&mut row[j]));
-            let flip = self.sign.is_some_and(|s| s[k]);
-            self.out[k] = finish(grad, self.mask[k], flip);
-            self.max_abs = self.max_abs.max(self.out[k].abs());
-        }
-    }
-
-    /// [`RowSink::combine`] by per-pair merges, with no row buffer: each
-    /// masked-on pair is one merge of `N(a)`, fetched once, with `N(j)`.
-    #[inline]
-    fn merge<V: GraphView + ?Sized>(
-        &mut self,
-        g: &V,
-        a: NodeId,
-        lo: usize,
-        js: impl Iterator<Item = NodeId>,
-    ) {
-        let nbrs_a = g.neighbors_sorted(a);
-        for (k, j) in (lo - self.base..).zip(js) {
-            let on = self.mask[k];
-            let grad = if on {
-                pair_grad_row(g, self.ng, a, nbrs_a, j)
-            } else {
-                0.0
-            };
-            let flip = self.sign.is_some_and(|s| s[k]);
-            self.out[k] = finish(grad, on, flip);
-            self.max_abs = self.max_abs.max(self.out[k].abs());
-        }
-    }
-
-    /// [`RowSink::combine`] for a run of a `Full` row, whose larger
-    /// endpoints are the contiguous `cols`, starting at candidate `lo`:
-    /// all operands are then contiguous slices of one length, walked
-    /// with no branch per entry. Both arms of [`row_grad`] are computed
-    /// and one is selected; [`finish`] applies the sign and the mask as
-    /// bit operations; `|v|` is folded into four max lanes, merged at the
-    /// end of the run, so no entry waits on the previous entry's max. The
-    /// max is exact and every `|v|` is `+0.0` or more, so the lanes give
-    /// the serial fold's result.
-    #[inline]
-    fn combine_full(&mut self, a: usize, cols: Range<usize>, lo: usize, row: &mut [(f64, f64)]) {
-        let ng = self.ng;
-        let (h_a, ge_a) = (ng.h[a], ng.g_e[a]);
-        let run = lo - self.base..lo - self.base + cols.len();
-        let row = &mut row[cols.clone()];
-        let (h, ge) = (&ng.h[cols.clone()], &ng.g_e[cols]);
-        let (out, mask) = (&mut self.out[run.clone()], &self.mask[run.clone()]);
-        let lanes = match self.sign {
-            None => combine_lanes(h_a, ge_a, row, h, ge, mask, |_| false, out),
-            Some(sign) => {
-                let sign = &sign[run];
-                combine_lanes(h_a, ge_a, row, h, ge, mask, |k| sign[k], out)
-            }
-        };
+        let out = &mut self.out[at..at + row.len()];
+        let lanes = combine_lanes(h_a, ge_a, row, h, ge, mask, flip, out);
         let run_max = lanes[0].max(lanes[1]).max(lanes[2].max(lanes[3]));
         self.max_abs = self.max_abs.max(run_max);
     }
 }
 
-/// The loop of [`RowSink::combine_full`]: writes each entry of `out`
-/// from its row slot (re-zeroed), `h`, `ge`, `mask` and `flip`, all
-/// indexed alike, and returns the four lanes of `max |out|`, entry `k`
-/// in lane `k % 4`.
+/// The loop of [`Store::fold_full`]: writes each entry of `out` from its
+/// row slot (re-zeroed), `h`, `ge`, `mask` and `flip`, all indexed
+/// alike, and returns the four lanes of `max |out|`, entry `k` in lane
+/// `k % 4`.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn combine_lanes(
@@ -705,6 +643,193 @@ fn combine_lanes(
     lanes
 }
 
+/// The argmax sink: the first strict maximum of `−v` above `0.0` (see
+/// [`argmax_chunk`]). `base` is the chunk's first candidate index.
+struct Argmax {
+    base: usize,
+    at: Option<usize>,
+    abs: f64,
+}
+
+impl RowFold for Argmax {
+    /// A running `(−v, index)`, replaced only on a strict `>`, in
+    /// ascending index: a new best is rare, so the branch predicts, and
+    /// no entry is stored.
+    #[inline]
+    fn fold_run(&mut self, at: usize, len: usize, mut entry: impl FnMut(usize) -> f64) {
+        for k in 0..len {
+            let v = -entry(k);
+            if v > self.abs {
+                self.abs = v;
+                self.at = Some(self.base + at + k);
+            }
+        }
+    }
+}
+
+/// The row kernel (see [`assemble_pair_grads_into`]) over the
+/// candidates in `range`, each finished entry folded into `fold`;
+/// `mask` and `sign` are that range's runs. Its scatter is the
+/// flat-array descendant of [`correction_map`] — same sums, no hashing,
+/// no candidate-length scratch. `row` and `cursor` are `n` long; `row`
+/// must be all-zero on entry and is left all-zero.
+///
+/// Candidates sharing a smaller endpoint are contiguous in both
+/// [`Candidates`] forms, in ascending larger endpoint, so each row of
+/// the pair space is one run of the chunk; `range` may start or end
+/// inside a row, and such a row is computed only over the part in
+/// `range` (a scattered one is scattered whole). A scatter enumerates
+/// `m ∈ N(a)` ascending, then `b ∈ N(m)` past `a`, which delivers each
+/// pair's contributions in ascending `m`, so its sums are bit-identical
+/// to a merge's.
+///
+/// A `Full` set scatters its rows in ascending `a`, so where `N(m)`
+/// passes `a` moves forward one entry per row: `cursor[m]` is seeded
+/// once, at the chunk's first row, and row `a` reads it as the position
+/// of `a` in `N(m)` (for every `m ∈ N(a)`) and advances it by one. A
+/// `List` set skips rows, so its scatter finds that position by binary
+/// search, as does the clearing of a `Full` row cut by a chunk edge (at
+/// most two rows per chunk).
+#[allow(clippy::too_many_arguments)]
+fn row_pair_grads<V: GraphView + ?Sized, F: RowFold>(
+    g: &V,
+    ng: &NodeGrads,
+    candidates: &Candidates,
+    mask: &[bool],
+    sign: Option<&[bool]>,
+    range: Range<usize>,
+    row: &mut [(f64, f64)],
+    cursor: &mut [u32],
+    fold: &mut F,
+) {
+    if range.is_empty() {
+        return;
+    }
+    let mut sink = RowSink {
+        ng,
+        mask,
+        sign,
+        base: range.start,
+        fold,
+    };
+    match candidates {
+        Candidates::Full(ps) => {
+            let n = ps.nodes();
+            let (first, _) = ps.pair(range.start);
+            let (last, _) = ps.pair(range.end - 1);
+            for (m, at) in cursor.iter_mut().enumerate() {
+                *at = g
+                    .neighbors_sorted(m as NodeId)
+                    .partition_point(|&b| b < first) as u32;
+            }
+            for a in first..=last {
+                // Row `a` is the run of `{a, j}`, `j ∈ (a, n)`, from index
+                // `start`; a chunk edge may leave this chunk only the
+                // candidates `lo..hi`, whose larger endpoints are `cols`.
+                let (au, start) = (a as usize, ps.index(a, a + 1));
+                let lo = start.max(range.start);
+                let hi = (start + n - 1 - au).min(range.end);
+                let cols = au + 1 + (lo - start)..au + 1 + (hi - start);
+                let whole = cols.len() == n - 1 - au;
+                scatter_full(g, &ng.g_e, a, row, cursor);
+                sink.combine_full(au, cols, lo, row);
+                if !whole {
+                    // Entries outside `cols` were scattered but not read.
+                    scatter_row(g, &ng.g_e, a, row, true);
+                }
+            }
+        }
+        Candidates::List(pairs) => {
+            let mut lo = range.start;
+            for run in pairs[range].chunk_by(|x, y| x.0 == y.0) {
+                let (merge, scatter) = row_costs(g, run);
+                if merge < scatter {
+                    sink.merge(g, lo, run);
+                } else {
+                    let a = run[0].0;
+                    scatter_row(g, &ng.g_e, a, row, false);
+                    sink.combine(lo, run, row);
+                    // Wedges may land on pairs outside the list.
+                    scatter_row(g, &ng.g_e, a, row, true);
+                }
+                lo += run.len();
+            }
+        }
+    }
+}
+
+/// Output side of [`row_pair_grads`]: everything a row's combine pass
+/// reads besides the row buffer, and the fold its entries go to. `mask`
+/// and `sign` are the runs that start at candidate `base`.
+struct RowSink<'a, F> {
+    ng: &'a NodeGrads,
+    mask: &'a [bool],
+    sign: Option<&'a [bool]>,
+    base: usize,
+    fold: &'a mut F,
+}
+
+impl<F: RowFold> RowSink<'_, F> {
+    /// Combines `run`, the part of a `List` row starting at candidate
+    /// `lo`, reading and re-zeroing each row entry.
+    #[inline]
+    fn combine(&mut self, lo: usize, run: &[(NodeId, NodeId)], row: &mut [(f64, f64)]) {
+        let ng = self.ng;
+        let a = run[0].0 as usize;
+        let (h_a, ge_a) = (ng.h[a], ng.g_e[a]);
+        let at = lo - self.base;
+        let (mask, sign) = (&self.mask[at..at + run.len()], self.sign);
+        self.fold.fold_run(at, run.len(), |k| {
+            let j = run[k].1 as usize;
+            let grad = row_grad(h_a, ge_a, ng.h[j], ng.g_e[j], take(&mut row[j]));
+            finish(grad, mask[k], sign.is_some_and(|s| s[at + k]))
+        });
+    }
+
+    /// [`RowSink::combine`] by per-pair merges, with no row buffer: each
+    /// masked-on pair is one merge of `N(a)`, fetched once, with `N(j)`.
+    #[inline]
+    fn merge<V: GraphView + ?Sized>(&mut self, g: &V, lo: usize, run: &[(NodeId, NodeId)]) {
+        let (ng, a) = (self.ng, run[0].0);
+        let nbrs_a = g.neighbors_sorted(a);
+        let at = lo - self.base;
+        let (mask, sign) = (&self.mask[at..at + run.len()], self.sign);
+        self.fold.fold_run(at, run.len(), |k| {
+            let on = mask[k];
+            let grad = if on {
+                pair_grad_row(g, ng, a, nbrs_a, run[k].1)
+            } else {
+                0.0
+            };
+            finish(grad, on, sign.is_some_and(|s| s[at + k]))
+        });
+    }
+
+    /// [`RowSink::combine`] for a run of a `Full` row, whose larger
+    /// endpoints are the contiguous `cols`, starting at candidate `lo`:
+    /// all operands are then contiguous slices of one length, walked
+    /// with no branch per entry. Both arms of [`row_grad`] are computed
+    /// and one is selected; [`finish`] applies the sign and the mask as
+    /// bit operations.
+    #[inline]
+    fn combine_full(&mut self, a: usize, cols: Range<usize>, lo: usize, row: &mut [(f64, f64)]) {
+        let ng = self.ng;
+        let h_a = (ng.h[a], ng.g_e[a]);
+        let at = lo - self.base;
+        let run = at..at + cols.len();
+        let row = &mut row[cols.clone()];
+        let (h, ge) = (&ng.h[cols.clone()], &ng.g_e[cols]);
+        let mask = &self.mask[run.clone()];
+        match self.sign {
+            None => self.fold.fold_full(at, h_a, row, h, ge, mask, |_| false),
+            Some(sign) => {
+                let sign = &sign[run];
+                self.fold.fold_full(at, h_a, row, h, ge, mask, |k| sign[k]);
+            }
+        }
+    }
+}
+
 /// `G_ij` from `(c, w)` = `(cn, Σ gE_m)`, the one combine that scattered
 /// rows, merged rows and [`pair_grad`] share. Both arms are computed
 /// and `c` selects one (the `cn == 0` arm only skips adding exact
@@ -724,7 +849,7 @@ fn row_grad(h_a: f64, ge_a: f64, h_j: f64, ge_j: f64, (c, w): (f64, f64)) -> f64
 /// reading and advancing the cursors (see [`row_pair_grads`]): on entry
 /// `N(m)[cursor[m]] == a` for every `m ∈ N(a)`, and on exit `cursor[m]`
 /// is one past it.
-#[inline]
+#[inline(always)]
 fn scatter_full<V: GraphView + ?Sized>(
     g: &V,
     g_e: &[f64],
@@ -1192,6 +1317,73 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn argmax_sink_picks_the_first_strict_maximum_of_the_stored_run() {
+        // The argmax sink must pick, per chunk, what a strict `>` scan of
+        // `−v` in ascending index picks from the stored output: over both
+        // candidate forms and row methods, an overlay with dirty rows,
+        // masks with holes, signed and unsigned output, and chunk cuts
+        // inside rows. Many ER nodes share `(N, E)` and hence `h`, so
+        // equal entries, and ties, are common.
+        let er = generators::erdos_renyi(80, 0.08, 3);
+        let csr = CsrGraph::from(&er);
+        let ov = edited_overlay(&csr);
+        let mut ties = 0;
+        for (v, view) in [DeltaOverlay::new(&csr), ov].iter().enumerate() {
+            let feats = egonet_features(view);
+            let targets = [0u32, 3, 77];
+            let ng = node_grads(&feats.n, &feats.e, &targets).unwrap();
+            for scope in [CandidateScope::Full, CandidateScope::TargetNeighborhood] {
+                let candidates = Candidates::build(scope, view, &targets);
+                let flags = edge_flags(&candidates, &csr);
+                for hole in [1usize, 3] {
+                    let mask: Vec<bool> = (0..candidates.len()).map(|k| k % hole != 2).collect();
+                    for sign in [None, Some(flags.as_slice())] {
+                        for workers in [1usize, 2, 3, 8] {
+                            let split = Partition::new(candidates.len(), workers);
+                            let mut scratch = GradKernel::new(1).take_rows(1, view.num_nodes());
+                            let scratch = &mut scratch[0];
+                            for range in split.ranges() {
+                                let what = format!(
+                                    "view {v}, {scope:?}, hole {hole}, signed {}, {range:?}",
+                                    sign.is_some()
+                                );
+                                let (mask, sign) =
+                                    (&mask[range.clone()], sign.map(|s| &s[range.clone()]));
+                                let mut out = vec![f64::NAN; range.len()];
+                                let g = view;
+                                let c = &candidates;
+                                assemble_chunk(
+                                    g,
+                                    &ng,
+                                    c,
+                                    range.clone(),
+                                    mask,
+                                    sign,
+                                    &mut out,
+                                    scratch,
+                                );
+                                let (mut want, mut abs) = (None, 0.0f64);
+                                for (k, &s) in out.iter().enumerate() {
+                                    ties += usize::from(want.is_some() && -s == abs);
+                                    if -s > abs {
+                                        (want, abs) = (Some(range.start + k), -s);
+                                    }
+                                }
+                                let want = want.map(|idx| (idx, abs.to_bits()));
+                                let got = argmax_chunk(g, &ng, c, range, mask, sign, scratch);
+                                let got = got.map(|(idx, abs)| (idx, abs.to_bits()));
+                                assert_eq!(got, want, "{what}");
+                                assert!(scratch.row.iter().all(|&s| s == (0.0, 0.0)), "{what}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(ties > 0, "the instance must exercise ties");
     }
 
     #[test]

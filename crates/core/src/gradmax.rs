@@ -9,22 +9,36 @@
 //! pairs is never revisited, and deletions that would create singleton
 //! nodes are skipped (both rules are explicit in the paper).
 //!
-//! The never-revisit pool is a candidate-indexed [`IndexBitSet`] (one
-//! shift-and-mask instead of a hash probe per candidate per step), and
-//! the argmax is one full select scan with a total order (magnitude,
-//! then index), so the winner does not depend on the order candidates
-//! are visited in. A step makes two passes over the partition the
-//! gradient assembly uses, on one crew of threads spawned for the whole
-//! search (`split.rs`): the eligibility mark, then the assembly (skipped
-//! when the assembly LRU holds the step's gradients) fused with the
-//! argmax. Chunk winners are combined with the same total order.
+//! Each step is one pass over the partition the gradient assembly uses,
+//! on one crew of threads spawned for the whole search (`split.rs`):
+//! the row kernel computes every eligible candidate's straight-through
+//! gradient `s = G·(1 − 2A₀)` and folds it into its chunk's best move as
+//! it goes, so no candidate-length buffer is written. The argmax is the
+//! first strict maximum of `−s` in ascending index (a total order:
+//! magnitude, then index), so the winner does not depend on the order
+//! candidates are visited in, and chunk winners are combined with the
+//! same order.
+//!
+//! The eligibility mask is kept for the whole search. It starts as the
+//! clean graph's feasible moves (op kind and singleton protection).
+//! After an accepted flip `{u, v}` that pair's entry is cleared, and it
+//! joins the never-revisit pool, a candidate-indexed [`IndexBitSet`].
+//! Singleton protection reads only the degrees of a deletion's two
+//! endpoints, and only `u` and `v` changed degree, so only the
+//! clean-graph edges incident to `u` or `v` are re-marked. Every other
+//! candidate's feasibility is unchanged; a non-edge's never depends on
+//! the graph at all.
+//!
+//! GradMaxSearch never consults the session's assembly LRU: each step
+//! flips a pair it never revisits, so no state of one search repeats,
+//! and there is no stored assembly to lend.
 
 use crate::attack::{AttackConfig, AttackError, AttackOutcome, StructuralAttack};
 use crate::grad::NodeGrads;
-use crate::pair::{edge_flags, Candidates, IndexBitSet};
+use crate::pair::{edge_flags, Candidates, EdgeOpKind, IndexBitSet};
 use crate::session::AttackSession;
 use crate::split::{read, with_crew, write, Cells};
-use ba_graph::GraphView;
+use ba_graph::{CsrGraph, GraphView, NodeId};
 use std::sync::{PoisonError, RwLock};
 
 /// A sign-consistent move: candidate `idx`, with gradient magnitude
@@ -43,24 +57,6 @@ fn better(cur: Option<Move>, next: Option<Move>) -> Option<Move> {
         (Some(c), _) => Some(c),
         (None, n) => n,
     }
-}
-
-/// The best sign-consistent move in `grads`, the signed gradients `s` of
-/// the candidates from `lo` on: the largest `|s|` among `s < 0`, the
-/// lowest index among equals, as [`better`] orders them. Masked-off
-/// entries are `0.0`, so they never qualify, and the scan needs no mask.
-/// It keeps a running `(|s|, index)` and takes a candidate only on a
-/// strict `>`, walking indices in ascending order: a select with no
-/// branch on the sign, and no pair decoded but the winner's.
-fn select(grads: &[f64], lo: usize) -> Option<Move> {
-    let (mut abs, mut at) = (0.0f64, None);
-    for (k, &s) in grads.iter().enumerate() {
-        if -s > abs {
-            abs = -s;
-            at = Some(k);
-        }
-    }
-    at.map(|k| Move { idx: lo + k, abs })
 }
 
 /// The greedy per-edge gradient attack.
@@ -99,7 +95,8 @@ impl StructuralAttack for GradMaxSearch {
     ) -> Result<AttackOutcome, AttackError> {
         session.reset();
         let targets = session.targets().to_vec();
-        let candidates = Candidates::build(self.config.scope, session.base(), &targets);
+        let base = session.base();
+        let candidates = Candidates::build(self.config.scope, base, &targets);
         if candidates.is_empty() {
             return Err(AttackError::NoCandidates);
         }
@@ -108,58 +105,38 @@ impl StructuralAttack for GradMaxSearch {
         // toggled, so it sits in the pool and is never eligible (a
         // reverted toggle restores the clean state); for every eligible
         // candidate the overlay and the clean graph therefore agree.
-        let is_edge_cache = edge_flags(&candidates, session.base());
-        // Every pass splits on the partition the assembly uses and runs
-        // on one crew, spawned for the whole search. Chunk k's
-        // eligibility marks and winner live in its cell, beside its share
-        // of the backward pass; the gradient slot's chunk k is moved
-        // there for each step.
+        let is_edge = edge_flags(&candidates, base);
+        let rules = Rules {
+            kind: self.config.op_kind,
+            forbid_singletons: self.config.forbid_singletons,
+        };
+        let mut eligible = vec![false; candidates.len()];
+        candidates.for_each(|idx, i, j| eligible[idx] = rules.feasible(base, is_edge[idx], i, j));
+        // The step's one pass splits on the partition the assembly uses
+        // and runs on one crew, spawned for the whole search. Chunk k's
+        // row scratch and winner live in its cells.
         let split = session.partition(&candidates);
-        let signs: Vec<&[bool]> = split.split(&is_edge_cache).collect();
+        let signs: Vec<&[bool]> = split.split(&is_edge).collect();
         let grads = session.grad_cells(&split);
-        let cells = Cells::new(split.ranges().map(|range| ScanChunk {
-            eligible: vec![false; range.len()],
-            best: None,
-        }));
+        let bests = Cells::new(split.ranges().map(|_| None::<Move>));
         let shared = RwLock::new(ScanState {
             session,
             pool: IndexBitSet::new(candidates.len()),
-            phase: Phase::Mark,
+            eligible,
+            ng: None,
         });
-        let kind = self.config.op_kind;
-        let forbid_singletons = self.config.forbid_singletons;
+        // The chunk's best sign-consistent move under the step's forward
+        // pass, straight from the row kernel.
         let job = |k: usize| {
             let state = read(&shared);
-            let mut cell = cells.get(k);
-            let range = split.range(k);
-            let g = state.session.graph();
-            match &state.phase {
-                // The feasible moves: never-revisited pool, op kind, and
-                // singleton protection against the evolving poisoned
-                // graph.
-                Phase::Mark => {
-                    let lo = range.start;
-                    candidates.for_each_range(lo, range.end, |idx, i, j| {
-                        let is_edge = is_edge_cache[idx];
-                        cell.eligible[idx - lo] = !state.pool.contains(idx)
-                            && kind.allows(is_edge)
-                            && !(is_edge
-                                && forbid_singletons
-                                && !g.deletion_keeps_no_singletons(i, j));
-                    });
-                }
-                // Their straight-through gradients `s = G·(1 − 2A₀)`,
-                // unless the slot holds them already, then the chunk's
-                // best sign-consistent move. Both are chunk-local, so one
-                // pass runs them back to back.
-                Phase::Select(fresh) => {
-                    let mut chunk = grads.get(k);
-                    if let Some(ng) = fresh {
-                        let sign = Some(signs[k]);
-                        chunk.assemble(ng, g, &candidates, range.clone(), &cell.eligible, sign);
-                    }
-                    cell.best = select(&chunk.grads, range.start);
-                }
+            if let Some(ng) = &state.ng {
+                let range = split.range(k);
+                let mask = &state.eligible[range.clone()];
+                let g = state.session.graph();
+                let best = grads
+                    .get(k)
+                    .argmax(ng, g, &candidates, range, mask, Some(signs[k]));
+                *bests.get(k) = best.map(|(idx, abs)| Move { idx, abs });
             }
         };
         let mut ops = Vec::new();
@@ -169,40 +146,23 @@ impl StructuralAttack for GradMaxSearch {
 
         let searched = with_crew(split.chunks(), job, |crew| {
             for _step in 0..budget {
-                let ng = {
+                let loss_before = {
                     let mut state = write(&shared);
-                    state.phase = Phase::Mark;
-                    state.session.node_grads()?
+                    let ng = state.session.node_grads()?;
+                    let loss = ng.loss;
+                    state.ng = Some(ng);
+                    loss
                 };
-                let loss_before = ng.loss;
                 trajectory.push(loss_before);
                 crew.run();
 
-                // The eligibility marks are the assembly's mask, and the
-                // LRU's key.
-                let (mut slot, fresh) = {
-                    let mut state = write(&shared);
-                    let marks: Vec<_> = (0..split.chunks()).map(|k| cells.get(k)).collect();
-                    let mask: Vec<&[bool]> = marks.iter().map(|c| c.eligible.as_slice()).collect();
-                    let (slot, fresh) = state.session.lend_grads(&mask, true, &split);
-                    drop(marks);
-                    state.phase = Phase::Select(fresh.then_some(ng));
-                    (slot, fresh)
-                };
-                grads.swap(&mut slot);
-                crew.run();
-                grads.swap(&mut slot);
-                if fresh {
-                    slot.max_abs = grads.max_abs();
-                }
-                let mut state = write(&shared);
-                state.session.return_grads(slot);
                 // Chunk winners meet the scan's *total* order, so the
                 // winner does not depend on the split.
-                let best = cells.fold(None, |best, c| better(best, c.best));
+                let best = bests.fold(None, |best, c| better(best, *c));
                 let Some(Move { idx, .. }) = best else {
                     break; // saturated: no feasible move improves the objective
                 };
+                let mut state = write(&shared);
                 let (i, j) = candidates.pair(idx);
                 let op = state
                     .session
@@ -220,7 +180,7 @@ impl StructuralAttack for GradMaxSearch {
                         .ok_or(AttackError::InvalidCandidatePair(i, j))?;
                     break;
                 }
-                state.pool.insert(idx);
+                state.accept(idx, (i, j), &candidates, base, rules);
                 ops.push(op);
                 ops_per_budget.push(ops.clone());
                 loss_per_budget.push(loss);
@@ -242,30 +202,59 @@ impl StructuralAttack for GradMaxSearch {
     }
 }
 
+/// The configured feasibility rules of a move.
+#[derive(Debug, Clone, Copy)]
+struct Rules {
+    kind: EdgeOpKind,
+    forbid_singletons: bool,
+}
+
+impl Rules {
+    /// Whether flipping `{i, j}`, an edge of `g` when `is_edge`, is a
+    /// feasible move on `g`, the pool aside: the op kind allows it, and
+    /// a deletion leaves neither endpoint a singleton.
+    fn feasible<V: GraphView + ?Sized>(self, g: &V, is_edge: bool, i: NodeId, j: NodeId) -> bool {
+        self.kind.allows(is_edge)
+            && !(is_edge && self.forbid_singletons && !g.deletion_keeps_no_singletons(i, j))
+    }
+}
+
 /// What the crew threads of a search read in a pass: the session (for
-/// the graph) and the never-revisit pool, written by the calling thread
-/// only between passes, and the pass to run.
+/// the graph), the eligibility mask and the step's forward pass,
+/// written by the calling thread only between passes; and the
+/// never-revisit pool, which only the calling thread reads.
 struct ScanState<'s, 'g> {
     session: &'s mut AttackSession<'g>,
     pool: IndexBitSet,
-    phase: Phase,
-}
-
-/// The two passes of a step.
-enum Phase {
-    /// Mark the feasible moves.
-    Mark,
-    /// Assemble for the forward pass it carries (an LRU miss), then
-    /// select.
-    Select(Option<NodeGrads>),
-}
-
-/// One chunk's scan state across a search.
-struct ScanChunk {
-    /// The feasible moves over the chunk: the assembly's mask.
+    /// The feasible moves on the current graph: the assembly's mask.
     eligible: Vec<bool>,
-    /// The chunk's best move in the last select.
-    best: Option<Move>,
+    ng: Option<NodeGrads>,
+}
+
+impl ScanState<'_, '_> {
+    /// Records the accepted flip of candidate `idx`, the pair `{u, v}`:
+    /// it joins the pool and leaves the mask, and each clean-graph edge
+    /// at `u` or `v` (on `base`) is re-marked against the graph, since
+    /// its deletion's singleton check reads the degrees that changed.
+    fn accept(
+        &mut self,
+        idx: usize,
+        (u, v): (NodeId, NodeId),
+        candidates: &Candidates,
+        base: &CsrGraph,
+        rules: Rules,
+    ) {
+        self.pool.insert(idx);
+        self.eligible[idx] = false;
+        let g = self.session.graph();
+        for x in [u, v] {
+            for &w in base.neighbors_sorted(x) {
+                if let Some(c) = candidates.index(x, w) {
+                    self.eligible[c] = !self.pool.contains(c) && rules.feasible(g, true, x, w);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -274,8 +263,6 @@ mod tests {
     use crate::pair::{CandidateScope, EdgeOpKind};
     use ba_graph::{generators, Graph, NodeId};
     use ba_oddball::OddBall;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
     use std::collections::HashSet;
 
     fn anomalous_graph(seed: u64) -> (Graph, Vec<NodeId>) {
@@ -383,40 +370,6 @@ mod tests {
                     .iter()
                     .any(|&t| g.neighbors(t).contains(&op.u) && g.neighbors(t).contains(&op.v));
             assert!(touches, "op {op:?} outside scope");
-        }
-    }
-
-    #[test]
-    fn select_matches_the_comparator_scan() {
-        // Quantised values give ties, exact zeros (masked-off entries),
-        // both signs, `-0.0` and NaN; the scan must pick what a
-        // `better` call per sign-consistent candidate picks.
-        let mut rng = StdRng::seed_from_u64(5);
-        for len in [0usize, 1, 2, 7, 300] {
-            for lo in [0usize, 1000] {
-                let grads: Vec<f64> = (0..len)
-                    .map(|_| match rng.gen_range(0..10) {
-                        0 => -0.0,
-                        1 => f64::NAN,
-                        v => (v as f64 - 5.0) * 0.25,
-                    })
-                    .collect();
-                let mut want = None;
-                for (k, &s) in grads.iter().enumerate() {
-                    if s < 0.0 {
-                        want = better(
-                            want,
-                            Some(Move {
-                                idx: lo + k,
-                                abs: -s,
-                            }),
-                        );
-                    }
-                }
-                let got = select(&grads, lo);
-                let key = |m: Option<Move>| m.map(|m| (m.idx, m.abs.to_bits()));
-                assert_eq!(key(got), key(want), "len {len}, lo {lo}: {grads:?}");
-            }
         }
     }
 

@@ -208,6 +208,19 @@ impl Candidates {
             Candidates::List(v) => v[idx],
         }
     }
+
+    /// The flat index of the pair `{i, j}` (any order), `None` when it
+    /// is not a candidate: [`PairSpace::index`] for the full space, a
+    /// binary search of the sorted list otherwise.
+    pub(crate) fn index(&self, i: NodeId, j: NodeId) -> Option<usize> {
+        let key = if i < j { (i, j) } else { (j, i) };
+        match self {
+            Candidates::Full(ps) => {
+                (key.0 != key.1 && (key.1 as usize) < ps.nodes()).then(|| ps.index(i, j))
+            }
+            Candidates::List(v) => v.binary_search(&key).ok(),
+        }
+    }
 }
 
 /// A fixed-length bitvec over candidate indices.
@@ -368,6 +381,23 @@ mod tests {
         assert!(!pairs.contains(&(3, 4)));
         // Lists are sorted ascending with no duplicates.
         assert!(pairs.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn candidate_index_inverts_pair_in_both_forms() {
+        let g = Graph::from_edges(6, [(0, 1), (0, 2), (3, 4)]);
+        for scope in [CandidateScope::Full, CandidateScope::TargetNeighborhood] {
+            let c = Candidates::build(scope, &g, &[0]);
+            for idx in 0..c.len() {
+                let (i, j) = c.pair(idx);
+                assert_eq!(c.index(i, j), Some(idx), "{scope:?}");
+                assert_eq!(c.index(j, i), Some(idx), "{scope:?}");
+            }
+            assert_eq!(c.index(2, 2), None, "{scope:?}: a self-pair");
+            assert_eq!(c.index(1, 6), None, "{scope:?}: out of range");
+        }
+        let list = Candidates::build(CandidateScope::TargetNeighborhood, &g, &[0]);
+        assert_eq!(list.index(3, 4), None, "a pair outside the scope");
     }
 
     #[test]

@@ -17,14 +17,16 @@
 //! `lend_grads` is the lookup: it lends out, by value, the output slot
 //! for the current state, mask and signing, holding one buffer per chunk
 //! of the attack's partition, and says whether the slot must be
-//! assembled. The loop moves each chunk's buffer to the crew thread that
-//! runs that chunk, which assembles into it (with the straight-through
-//! sign fused in) or steps on what it holds, and moves it back; then
-//! `return_grads` takes the slot back. No iteration copies the gradients
-//! or keeps a second candidate-length buffer.
+//! assembled. BinarizedAttack's loop moves each chunk's buffer to the
+//! crew thread that runs that chunk, which assembles into it (with the
+//! straight-through sign fused in) or steps on what it holds, and moves
+//! it back; then `return_grads` takes the slot back. No iteration copies
+//! the gradients or keeps a second candidate-length buffer.
 //! [`AttackSession::pair_gradients_into`] serves other callers: it
 //! lends a slot the same way, assembles it with a one-pass crew on a
-//! miss, copies it out unsigned and returns the slot.
+//! miss, copies it out unsigned and returns the slot. GradMaxSearch
+//! lends no slot: its crew keeps only the row scratch, and each step's
+//! assembly folds straight into the argmax, storing nothing.
 //!
 //! ## Search memoization
 //!
@@ -36,7 +38,11 @@
 //! the re-binarised graph cycles through a handful of states. It lends
 //! its slots: a hit lends the resident slot, and a miss lends the slot
 //! it installs (the eviction victim's buffers) to be assembled into;
-//! neither copies the output.
+//! neither copies the output. The LRU serves BinarizedAttack and
+//! [`AttackSession::pair_gradients_into`] only. GradMaxSearch never
+//! consults it: a greedy search flips a new pair at every step and never
+//! revisits one, so none of its states repeat, and storing its
+//! assemblies cost time for no hit.
 //!
 //! An assembly that misses the LRU is computed in full. The forward
 //! pass and the surrogate loss are `O(n)` and always computed: caching
@@ -52,7 +58,7 @@
 //! 0 ([`AttackSession::with_memo`] raises the capacity).
 
 use crate::attack::{validate_targets, AttackError};
-use crate::grad::{assemble_chunk, node_grads, GradKernel, NodeGrads, RowScratch};
+use crate::grad::{argmax_chunk, assemble_chunk, node_grads, GradKernel, NodeGrads, RowScratch};
 use crate::loss::surrogate_loss_from_features;
 use crate::pair::Candidates;
 use crate::split::{Cells, Partition};
@@ -122,10 +128,10 @@ pub struct MemoStats {
     pub ng_hits: u64,
     /// Forward passes ([`AttackSession::node_grads`]).
     pub ng_misses: u64,
-    /// Whole-assembly short-circuits: a recent backward pass (an
-    /// attack's, or [`AttackSession::pair_gradients_into`]) had the
-    /// identical state, mask and signing, so its output was lent out
-    /// unchanged.
+    /// Whole-assembly short-circuits: a recent backward pass
+    /// (BinarizedAttack's, or [`AttackSession::pair_gradients_into`])
+    /// had the identical state, mask and signing, so its output was lent
+    /// out unchanged.
     pub grads_hits: u64,
     /// Assemblies that missed the whole-assembly LRU and were computed
     /// in full.
@@ -170,13 +176,14 @@ impl GradsSlot {
     }
 }
 
-/// One crew chunk's share of a search loop's backward pass: its run of
-/// the gradient slot lent for the iteration, its row scratch (the row
-/// buffer and the scatter's cursors), and the max-abs of its last
-/// assembly.
+/// One crew chunk's share of a search loop's backward pass: its row
+/// scratch (the row buffer and the scatter's cursors) and, for a loop
+/// that stores its gradients, its run of the gradient slot lent for the
+/// iteration and the max-abs of its last assembly.
 #[derive(Debug, Default)]
 pub(crate) struct GradChunk {
-    /// The chunk's run of the lent slot's output.
+    /// The chunk's run of the lent slot's output; empty in a loop that
+    /// only takes the argmax.
     pub(crate) grads: Vec<f64>,
     row: RowScratch,
     max_abs: f64,
@@ -205,6 +212,21 @@ impl GradChunk {
             &mut self.grads,
             &mut self.row,
         );
+    }
+
+    /// The best sign-consistent entry of the same assembly, with nothing
+    /// stored: `(candidate index, −v)` for the first strict maximum of
+    /// `−v` above `0.0` over the range (see `grad::argmax_chunk`).
+    pub(crate) fn argmax<V: GraphView + ?Sized>(
+        &mut self,
+        ng: &NodeGrads,
+        g: &V,
+        candidates: &Candidates,
+        range: Range<usize>,
+        mask: &[bool],
+        sign: Option<&[bool]>,
+    ) -> Option<(usize, f64)> {
+        argmax_chunk(g, ng, candidates, range, mask, sign, &mut self.row)
     }
 }
 
@@ -348,10 +370,11 @@ impl<'g> AttackSession<'g> {
     /// Overrides the session's worker-thread count (`0` = autodetect,
     /// the default, resolved once, when the first attack splits its
     /// candidates). The gradient assembly, BinarizedAttack's PGD step
-    /// and GradMaxSearch's mark and argmax passes split the candidate
-    /// range into equal contiguous chunks across up to this many
-    /// threads, one chunk per fixed minimum of modelled assembly work,
-    /// so small candidate sets stay on the calling thread. ContinuousA's
+    /// and GradMaxSearch's one pass per step (the assembly with the
+    /// argmax folded in) split the candidate range into equal contiguous
+    /// chunks across up to this many threads, one chunk per fixed
+    /// minimum of modelled assembly work, so small candidate sets stay
+    /// on the calling thread. ContinuousA's
     /// dense passes split the upper triangle of its `n × n` products the
     /// same way (`dense.rs`). A search loop (one λ of BinarizedAttack, a
     /// whole GradMaxSearch or ContinuousA) spawns its threads once and

@@ -3,12 +3,12 @@
 //!
 //! [`Partition`] cuts `[0, len)` into at most `workers` contiguous chunks
 //! of equal size (±1). The gradient assembly, BinarizedAttack's PGD step
-//! and GradMaxSearch's mark and argmax passes all split on the one
-//! `Partition` an attack builds for its candidate set (see
-//! `GradKernel::partition`): each worker writes a disjoint run of its
-//! output and reads the inputs it wrote itself in the pass before, and
-//! results are combined in chunk order, so every pass is bit-identical
-//! at any worker count. A cut may fall inside a row (the candidates
+//! and GradMaxSearch's one pass per step (the assembly with the argmax
+//! folded in) all split on the one `Partition` an attack builds for its
+//! candidate set (see `GradKernel::partition`): each worker writes a
+//! disjoint run of its output and reads the inputs it wrote itself in
+//! the pass before, and results are combined in chunk order, so every
+//! pass is bit-identical at any worker count. A cut may fall inside a row (the candidates
 //! sharing a smaller endpoint); the row kernel then computes each part
 //! in its own chunk, and a row it scatters is scattered in both, which
 //! costs one row's wedges per cut.

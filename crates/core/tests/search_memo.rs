@@ -12,7 +12,9 @@
 //!    orchestrator's shape, which exercises the assembly LRU within a
 //!    run and across repeats) must return outcomes bit-identical to
 //!    fresh unmemoized runs.
-//!    Memoization trades memory for wall-clock, never results.
+//!    Memoization trades memory for wall-clock, never results. The LRU
+//!    serves BinarizedAttack; GradMaxSearch never consults it, so its
+//!    runs leave the LRU's counters unchanged.
 
 use ba_core::{
     target_set_hash, AttackConfig, AttackOutcome, AttackSession, BinarizedAttack, CliqueBreaker,
@@ -102,8 +104,9 @@ fn assert_outcomes_bit_identical(fresh: &AttackOutcome, memo: &AttackOutcome) {
 }
 
 /// Runs every attack twice per target set on the shared memoized
-/// session (run 2 of a search attack is served in part by the assembly
-/// LRU) and pins each outcome against a fresh unmemoized run.
+/// session (run 2 of BinarizedAttack is served in part by the assembly
+/// LRU; GradMaxSearch's runs leave the LRU untouched) and pins each
+/// outcome against a fresh unmemoized run.
 fn golden_cached_equals_uncached(seed: u64, budget: usize) {
     let (g, target_sets) = anomalous_instance(seed);
     let csr = CsrGraph::from(&g);
@@ -133,17 +136,22 @@ fn golden_cached_equals_uncached(seed: u64, budget: usize) {
                 .attack_with_session(&mut memo_session, budget)
                 .unwrap();
             memo_session.retarget(targets).unwrap();
-            let hits_before = memo_session.memo_stats().unwrap().grads_hits;
+            let before = memo_session.memo_stats().unwrap();
             let replay = attack
                 .attack_with_session(&mut memo_session, budget)
                 .unwrap();
-            if matches!(attack.name(), "binarizedattack" | "gradmaxsearch") {
-                let stats = memo_session.memo_stats().unwrap();
-                assert!(
-                    stats.grads_hits > hits_before,
-                    "{}: the assembly LRU served no part of run 2: {stats:?}",
-                    attack.name()
-                );
+            let stats = memo_session.memo_stats().unwrap();
+            match attack.name() {
+                "binarizedattack" => assert!(
+                    stats.grads_hits > before.grads_hits,
+                    "binarizedattack: the assembly LRU served no part of run 2: {stats:?}"
+                ),
+                "gradmaxsearch" => assert_eq!(
+                    (stats.grads_hits, stats.grads_misses),
+                    (before.grads_hits, before.grads_misses),
+                    "gradmaxsearch: a run consulted the assembly LRU"
+                ),
+                _ => {}
             }
 
             let mut fresh_session = AttackSession::new(&csr, targets).unwrap();

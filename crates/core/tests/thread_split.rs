@@ -1,8 +1,8 @@
 //! Thread-count bit-identity of the row-split search iteration.
 //!
 //! The gradient assembly, BinarizedAttack's PGD step and GradMaxSearch's
-//! mark and argmax passes split the candidate range across the session's
-//! threads, and ContinuousA's dense passes split the upper triangle of
+//! one pass per step (the assembly with the argmax folded in) split the
+//! candidate range across the session's threads, and ContinuousA's dense passes split the upper triangle of
 //! its `n × n` products, but only one chunk per fixed minimum of
 //! modelled work, so the golden suites' 150-node instances never split
 //! the sparse passes. This instance has 300 nodes and 44,850
